@@ -6,7 +6,6 @@
 //! an open row skip the activate).
 
 use crate::config::{CpuTimings, DeviceConfig};
-use memsim_types::OpKind;
 
 /// One bank: open row and earliest next command time.
 #[derive(Debug, Clone, Copy, Default)]
@@ -22,11 +21,9 @@ struct Bank {
 pub struct ChunkResult {
     /// Cycle the data transfer completes.
     pub done_at: u64, // audit: unit(cycles)
-    /// Whether the access hit the open row.
+    /// Whether the access hit the open row. Every miss performs exactly
+    /// one activate (with an implicit precharge of any old row).
     pub row_hit: bool,
-    /// Whether an activate (with implicit precharge of the old row) was
-    /// performed.
-    pub activated: bool,
     /// Cycles the data burst waited for the shared channel bus after the
     /// column access was ready (queueing delay behind earlier bursts).
     pub bus_wait: u64, // audit: unit(cycles)
@@ -65,10 +62,12 @@ impl Channel {
         self.bus_free_at
     }
 
-    /// Schedules a `bytes`-sized chunk touching `(bank, row)` at time `now`,
-    /// returning when the data is transferred and what row events occurred.
+    /// Schedules a chunk touching `(bank, row)` at time `now` whose data
+    /// burst occupies the bus for `burst` CPU cycles (the device looks it
+    /// up in its precomputed burst table), returning when the data is
+    /// transferred and whether the row was open.
     ///
-    /// Timing (all converted to CPU cycles via `cfg`):
+    /// Timing (CPU cycles, converted once at construction):
     /// * row hit: `tCAS` then the burst;
     /// * row miss (different open row): wait `tRAS` expiry, `tRP + tRCD +
     ///   tCAS` then the burst;
@@ -78,35 +77,26 @@ impl Channel {
     ///
     /// Panics if `bank` is out of range.
     // audit: hot-path
-    pub fn schedule(
-        &mut self,
-        cfg: &DeviceConfig,
-        bank: u32,
-        row: u64,
-        bytes: u32,
-        _kind: OpKind,
-        now: u64,
-    ) -> ChunkResult {
+    pub fn schedule(&mut self, bank: u32, row: u64, burst: u64, now: u64) -> ChunkResult {
         let CpuTimings { t_cas, t_rcd, t_rp, t_ras } = self.timings;
-        let burst = cfg.burst_cpu_cycles(bytes);
 
         let b = &mut self.banks[bank as usize];
         let start = now.max(b.ready_at);
-        let (col_ready, row_hit, activated) = match b.open_row {
-            Some(open) if open == row => (start + t_cas, true, false),
+        let (col_ready, row_hit) = match b.open_row {
+            Some(open) if open == row => (start + t_cas, true),
             Some(_) => {
                 // Respect tRAS before precharging the old row.
                 let pre_start = start.max(b.precharge_ok_at);
                 let act_done = pre_start + t_rp + t_rcd;
                 b.open_row = Some(row);
                 b.precharge_ok_at = pre_start + t_rp + t_ras;
-                (act_done + t_cas, false, true)
+                (act_done + t_cas, false)
             }
             None => {
                 let act_done = start + t_rcd;
                 b.open_row = Some(row);
                 b.precharge_ok_at = start + t_ras;
-                (act_done + t_cas, false, true)
+                (act_done + t_cas, false)
             }
         };
 
@@ -117,7 +107,7 @@ impl Channel {
         self.busy_cycles += burst;
         let b = &mut self.banks[bank as usize];
         b.ready_at = done_at;
-        ChunkResult { done_at, row_hit, activated, bus_wait: data_start - col_ready }
+        ChunkResult { done_at, row_hit, bus_wait: data_start - col_ready }
     }
 }
 
@@ -134,9 +124,9 @@ mod tests {
     fn first_access_activates() {
         let cfg = cfg();
         let mut ch = Channel::new(&cfg);
-        let r = ch.schedule(&cfg, 0, 5, 64, OpKind::Read, 0);
+        let burst = cfg.burst_cpu_cycles(64);
+        let r = ch.schedule(0, 5, burst, 0);
         assert!(!r.row_hit);
-        assert!(r.activated);
         // tRCD + tCAS + burst, all > 0.
         assert!(r.done_at >= cfg.to_cpu_cycles(14));
     }
@@ -145,8 +135,9 @@ mod tests {
     fn same_row_hits_and_is_faster() {
         let cfg = cfg();
         let mut ch = Channel::new(&cfg);
-        let r1 = ch.schedule(&cfg, 0, 5, 64, OpKind::Read, 0);
-        let r2 = ch.schedule(&cfg, 0, 5, 64, OpKind::Read, r1.done_at);
+        let burst = cfg.burst_cpu_cycles(64);
+        let r1 = ch.schedule(0, 5, burst, 0);
+        let r2 = ch.schedule(0, 5, burst, r1.done_at);
         assert!(r2.row_hit);
         assert!(r2.done_at - r1.done_at < r1.done_at, "hit should be faster than cold access");
     }
@@ -155,12 +146,12 @@ mod tests {
     fn row_conflict_precharges() {
         let cfg = cfg();
         let mut ch = Channel::new(&cfg);
-        let r1 = ch.schedule(&cfg, 0, 5, 64, OpKind::Read, 0);
-        let r2 = ch.schedule(&cfg, 0, 9, 64, OpKind::Read, r1.done_at);
+        let burst = cfg.burst_cpu_cycles(64);
+        let r1 = ch.schedule(0, 5, burst, 0);
+        let r2 = ch.schedule(0, 9, burst, r1.done_at);
         assert!(!r2.row_hit);
-        assert!(r2.activated);
         // Conflict pays at least tRP more than a hit would.
-        let hit_lat = cfg.to_cpu_cycles(u64::from(cfg.timing.t_cas)) + cfg.burst_cpu_cycles(64);
+        let hit_lat = cfg.to_cpu_cycles(u64::from(cfg.timing.t_cas)) + burst;
         assert!(r2.done_at - r1.done_at > hit_lat);
     }
 
@@ -168,35 +159,38 @@ mod tests {
     fn different_banks_overlap_but_share_bus() {
         let cfg = cfg();
         let mut ch = Channel::new(&cfg);
-        let r1 = ch.schedule(&cfg, 0, 5, 64, OpKind::Read, 0);
-        let r2 = ch.schedule(&cfg, 1, 5, 64, OpKind::Read, 0);
+        let burst = cfg.burst_cpu_cycles(64);
+        let r1 = ch.schedule(0, 5, burst, 0);
+        let r2 = ch.schedule(1, 5, burst, 0);
         // Bank 1 proceeds in parallel; only the bus serializes the bursts.
         assert!(r2.done_at >= r1.done_at);
-        assert!(r2.done_at <= r1.done_at + cfg.burst_cpu_cycles(64) + 1);
+        assert!(r2.done_at <= r1.done_at + burst + 1);
     }
 
     #[test]
     fn busy_cycles_accumulate() {
         let cfg = cfg();
         let mut ch = Channel::new(&cfg);
-        ch.schedule(&cfg, 0, 0, 64, OpKind::Read, 0);
-        ch.schedule(&cfg, 0, 0, 64, OpKind::Write, 100);
-        assert_eq!(ch.busy_cycles(), 2 * cfg.burst_cpu_cycles(64));
+        let burst = cfg.burst_cpu_cycles(64);
+        ch.schedule(0, 0, burst, 0);
+        ch.schedule(0, 0, burst, 100);
+        assert_eq!(ch.busy_cycles(), 2 * burst);
     }
 
     #[test]
     fn bus_wait_accounts_queueing_delay() {
         let cfg = cfg();
         let mut ch = Channel::new(&cfg);
+        let burst = cfg.burst_cpu_cycles(64);
         // Two same-cycle requests to different banks: identical bank timing,
         // so the second burst queues behind the first for exactly one burst.
-        let r1 = ch.schedule(&cfg, 0, 0, 64, OpKind::Read, 0);
-        let r2 = ch.schedule(&cfg, 1, 0, 64, OpKind::Read, 0);
+        let r1 = ch.schedule(0, 0, burst, 0);
+        let r2 = ch.schedule(1, 0, burst, 0);
         assert_eq!(r1.bus_wait, 0, "uncontended burst must not wait");
-        assert_eq!(r2.bus_wait, cfg.burst_cpu_cycles(64));
-        assert_eq!(r2.done_at, r1.done_at + cfg.burst_cpu_cycles(64));
+        assert_eq!(r2.bus_wait, burst);
+        assert_eq!(r2.done_at, r1.done_at + burst);
         // A third request issued after the bus drains waits for nothing.
-        let r3 = ch.schedule(&cfg, 2, 0, 64, OpKind::Read, r2.done_at);
+        let r3 = ch.schedule(2, 0, burst, r2.done_at);
         assert_eq!(r3.bus_wait, 0);
     }
 
@@ -204,30 +198,32 @@ mod tests {
     fn same_bank_requests_serialize_on_ready_at() {
         let cfg = cfg();
         let mut ch = Channel::new(&cfg);
+        let burst = cfg.burst_cpu_cycles(64);
         // Both issued at cycle 0 to one bank: the second cannot start its
         // column access before the first's data transfer completes.
-        let r1 = ch.schedule(&cfg, 0, 7, 64, OpKind::Read, 0);
-        let r2 = ch.schedule(&cfg, 0, 7, 64, OpKind::Read, 0);
+        let r1 = ch.schedule(0, 7, burst, 0);
+        let r2 = ch.schedule(0, 7, burst, 0);
         assert!(r2.row_hit);
         let t_cas = cfg.to_cpu_cycles(u64::from(cfg.timing.t_cas));
-        assert_eq!(r2.done_at, r1.done_at + t_cas + cfg.burst_cpu_cycles(64));
+        assert_eq!(r2.done_at, r1.done_at + t_cas + burst);
     }
 
     #[test]
     fn row_conflict_respects_tras_before_precharge() {
         let cfg = cfg();
         let mut ch = Channel::new(&cfg);
+        let burst = cfg.burst_cpu_cycles(64);
         let t_ras = cfg.to_cpu_cycles(u64::from(cfg.timing.t_ras));
         let t_rp = cfg.to_cpu_cycles(u64::from(cfg.timing.t_rp));
         let t_rcd = cfg.to_cpu_cycles(u64::from(cfg.timing.t_rcd));
         let t_cas = cfg.to_cpu_cycles(u64::from(cfg.timing.t_cas));
-        let r1 = ch.schedule(&cfg, 0, 1, 64, OpKind::Read, 0);
+        let r1 = ch.schedule(0, 1, burst, 0);
         // Conflict arriving while tRAS still holds the row open: the
         // precharge is deferred to the tRAS expiry at `t_ras`, so the row
         // cycle completes no earlier than tRAS + tRP + tRCD + tCAS + burst.
-        let r2 = ch.schedule(&cfg, 0, 2, 64, OpKind::Read, r1.done_at);
-        assert!(r2.activated);
-        let earliest = t_ras + t_rp + t_rcd + t_cas + cfg.burst_cpu_cycles(64);
+        let r2 = ch.schedule(0, 2, burst, r1.done_at);
+        assert!(!r2.row_hit);
+        let earliest = t_ras + t_rp + t_rcd + t_cas + burst;
         assert!(r2.done_at >= earliest, "done {} < tRAS-bound {}", r2.done_at, earliest);
     }
 
@@ -245,12 +241,13 @@ mod tests {
     fn bus_contention_serializes_time() {
         let cfg = cfg();
         let mut ch = Channel::new(&cfg);
+        let burst = cfg.burst_cpu_cycles(2048);
         let mut done = 0;
         for i in 0..16 {
-            let r = ch.schedule(&cfg, i % 8, 0, 2048, OpKind::Read, 0);
+            let r = ch.schedule(i % 8, 0, burst, 0);
             done = done.max(r.done_at);
         }
         // 16 × 2 KB on one channel takes at least 16 bursts of bus time.
-        assert!(done >= 16 * cfg.burst_cpu_cycles(2048));
+        assert!(done >= 16 * burst);
     }
 }

@@ -1,6 +1,7 @@
 //! Device configuration: organization and timing.
 
 use crate::power::PowerParams;
+use memsim_types::QuickDiv;
 
 /// Core DRAM timing parameters, in device clock cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,6 +69,37 @@ pub struct CpuTimings {
     pub t_ras: u64, // audit: unit(cycles)
 }
 
+/// CPU-cycle burst lengths precomputed per bus-cycle count, so scheduling
+/// a chunk costs a table load instead of the two divisions of
+/// [`DeviceConfig::burst_cpu_cycles`].
+///
+/// Entry `n` holds `burst_cpu_cycles(n × bus_bytes_per_cycle)`; a
+/// `bytes`-sized chunk takes `ceil(bytes / bus_bytes_per_cycle)` bus
+/// cycles, which is a shift for every power-of-two bus width. Built by
+/// [`DeviceConfig::burst_table`]: 17 entries for HBM2 (512 B interleave,
+/// 32 B/cycle), 257 for DDR4 (4 KB, 16 B/cycle).
+#[derive(Debug, Clone)]
+pub(crate) struct BurstTable {
+    bus: QuickDiv,
+    cycles: Box<[u64]>,
+}
+
+impl BurstTable {
+    /// CPU cycles of the data burst of a `bytes`-sized chunk; equals
+    /// [`DeviceConfig::burst_cpu_cycles`] for every `bytes` up to the
+    /// interleave unit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` exceeds the interleave unit (chunks never do).
+    #[inline]
+    // audit: hot-path
+    // audit: unit(cycles)
+    pub(crate) fn burst(&self, bytes: u32) -> u64 {
+        self.cycles[self.bus.div_ceil(u64::from(bytes)) as usize]
+    }
+}
+
 impl DeviceConfig {
     /// Converts device clocks to CPU cycles (rounding up).
     #[inline]
@@ -95,12 +127,27 @@ impl DeviceConfig {
     }
 
     /// CPU cycles for the data burst of `bytes` on one channel.
-    #[inline]
-    // audit: hot-path
+    ///
+    /// Two runtime divisions; the per-chunk path looks the same value up
+    /// in a burst table built from this function instead.
     // audit: unit(cycles)
     pub fn burst_cpu_cycles(&self, bytes: u32) -> u64 {
         let dev = u64::from(bytes).div_ceil(u64::from(self.bus_bytes_per_cycle));
         self.to_cpu_cycles(dev)
+    }
+
+    /// The [`BurstTable`] of this device: one entry per bus-cycle count a
+    /// chunk of at most `interleave_bytes` can take.
+    pub(crate) fn burst_table(&self) -> BurstTable {
+        let bus = u64::from(self.bus_bytes_per_cycle);
+        let max_cycles = self.interleave_bytes.div_ceil(bus);
+        let cycles = (0..=max_cycles)
+            .map(|n| {
+                let bytes = u32::try_from(n * bus).expect("interleave unit fits in u32 bytes");
+                self.burst_cpu_cycles(bytes)
+            })
+            .collect();
+        BurstTable { bus: QuickDiv::new(bus), cycles }
     }
 
     /// Peak bandwidth in bytes per CPU cycle, across all channels.
@@ -156,5 +203,30 @@ mod tests {
     fn burst_cycles_scale_with_bytes() {
         let cfg = presets::hbm2(1 << 30);
         assert!(cfg.burst_cpu_cycles(2048) > cfg.burst_cpu_cycles(64));
+    }
+
+    #[test]
+    fn burst_table_matches_the_division_oracle_for_every_chunk_size() {
+        // A bus width and clock that are not powers of two exercise the
+        // exact-division fallback of the table index and uneven rounding.
+        let odd =
+            DeviceConfig { bus_bytes_per_cycle: 24, device_mhz: 1333, ..presets::hbm2(1 << 30) };
+        for (cfg, entries) in
+            [(presets::hbm2(1 << 30), 17), (presets::ddr4_3200(1 << 30), 257), (odd, 23)]
+        {
+            let table = cfg.burst_table();
+            assert_eq!(table.cycles.len(), entries, "{}", cfg.name);
+            let max = u32::try_from(cfg.interleave_bytes).unwrap();
+            for bytes in 1..=max {
+                assert_eq!(
+                    table.burst(bytes),
+                    cfg.burst_cpu_cycles(bytes),
+                    "{} B on {} at {} B/cycle",
+                    bytes,
+                    cfg.name,
+                    cfg.bus_bytes_per_cycle
+                );
+            }
+        }
     }
 }

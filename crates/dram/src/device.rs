@@ -1,7 +1,7 @@
 //! The full memory device: address mapping, chunking, counters, energy.
 
 use crate::channel::Channel;
-use crate::config::DeviceConfig;
+use crate::config::{BurstTable, DeviceConfig};
 use memsim_obs::DeviceHistograms;
 use memsim_types::{Addr, OpKind, QuickDiv};
 
@@ -12,7 +12,7 @@ pub struct DeviceCounters {
     pub read_bytes: u64, // audit: unit(bytes)
     /// Bytes written to the device.
     pub write_bytes: u64, // audit: unit(bytes)
-    /// Row activations performed.
+    /// Row activations performed: one per row miss.
     pub activates: u64, // audit: unit(accesses)
     /// Chunk accesses that hit an open row.
     pub row_hits: u64, // audit: unit(accesses)
@@ -58,6 +58,8 @@ pub struct DramDevice {
     channels: Vec<Channel>,
     counters: DeviceCounters,
     histograms: DeviceHistograms,
+    /// CPU-cycle burst length of every chunk size (no division per chunk).
+    bursts: BurstTable,
     /// Captured divisors for the per-chunk address decomposition
     /// (interleave / channel / row / bank counts are powers of two for
     /// every real part, so these run as shift/mask).
@@ -79,6 +81,7 @@ impl DramDevice {
             q_row: QuickDiv::new(cfg.row_bytes),
             q_banks: QuickDiv::new(u64::from(cfg.banks_per_channel)),
             q_row_span: QuickDiv::new(row_span),
+            bursts: cfg.burst_table(),
             cfg,
             channels,
             counters: DeviceCounters::default(),
@@ -120,7 +123,7 @@ impl DramDevice {
         while remaining > 0 {
             let in_chunk = self.cfg.interleave_bytes - self.q_interleave.rem(cursor);
             let take = in_chunk.min(remaining) as u32;
-            let r = self.access_chunk(Addr(cursor), take, kind, now);
+            let r = self.access_chunk(Addr(cursor), take, now);
             done = done.max(r);
             // A chunk never exceeds the interleave unit (≤ capacity), so
             // one conditional subtraction wraps exactly like `% cap`.
@@ -138,21 +141,21 @@ impl DramDevice {
     }
 
     // audit: hot-path
-    fn access_chunk(&mut self, addr: Addr, bytes: u32, kind: OpKind, now: u64) -> u64 {
+    fn access_chunk(&mut self, addr: Addr, bytes: u32, now: u64) -> u64 {
         let (chunk, in_chunk) = self.q_interleave.div_rem(addr.0);
         let (local_chunk, channel) = self.q_channels.div_rem(chunk);
         let channel = channel as usize;
         let local_addr = local_chunk * self.cfg.interleave_bytes + in_chunk;
         let bank = self.q_banks.rem(self.q_row.div(local_addr)) as u32;
         let row = self.q_row_span.div(local_addr);
-        let r = self.channels[channel].schedule(&self.cfg, bank, row, bytes, kind, now);
+        let burst = self.bursts.burst(bytes);
+        let r = self.channels[channel].schedule(bank, row, burst, now);
         self.counters.chunk_accesses += 1;
         if r.row_hit {
             self.counters.row_hits += 1;
         } else {
+            // Every row miss opens the new row with one activate.
             self.counters.row_misses += 1;
-        }
-        if r.activated {
             self.counters.activates += 1;
         }
         self.histograms.latency.record(r.done_at - now);

@@ -61,7 +61,7 @@ proptest! {
         }
         let c = d.counters();
         prop_assert_eq!(c.row_hits + c.row_misses, c.chunk_accesses);
-        prop_assert!(c.activates <= c.chunk_accesses);
+        prop_assert_eq!(c.activates, c.row_misses);
         prop_assert!((0.0..=1.0).contains(&c.row_hit_rate()));
     }
 

@@ -44,8 +44,8 @@ use memsim_obs::{
 };
 use memsim_trace::{ShardStream, SpecProfile};
 use memsim_types::{
-    AccessBatch, AccessKind, AccessPlan, Addr, CtrlStats, GeometryError, Mem, PlanBuffer,
-    TrafficCause, TrafficDevice,
+    AccessBatch, AccessPlan, Addr, CtrlStats, GeometryError, Mem, PlanBuffer, TrafficCause,
+    TrafficDevice,
 };
 
 /// A partition of the remapping sets into contiguous, balanced,
@@ -290,12 +290,8 @@ fn shard_worker(
                 let op = view.background[i];
                 d.device(op.mem).access(op.addr, op.bytes, op.kind, background_at);
             }
-            let compute = (f64::from(soa.insts[k]) * cfg.params.cpi_base).ceil() as u64;
-            let exposed = if soa.kinds[k] == AccessKind::Read {
-                (raw_latency as f64 / cfg.params.mlp).ceil() as u64
-            } else {
-                0
-            };
+            let (compute, exposed) =
+                cfg.params.core_cycles(soa.insts[k], raw_latency, soa.kinds[k]);
             counters.demand_cycles += exposed;
             counters.mal_cycles += mal;
             counters.stall_cycles += view.stall_cycles;

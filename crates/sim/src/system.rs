@@ -5,8 +5,8 @@ use memsim_dram::{presets, DramDevice};
 use memsim_obs::span::{self, Phase};
 use memsim_obs::{sampled, AccessRecord, BwPoint, LatRing, TrafficAccum};
 use memsim_types::{
-    Access, AccessBatch, AccessKind, AccessPath, AccessPlan, Geometry, HybridMemoryController,
-    Mem, PlanBuffer, TrafficCause,
+    Access, AccessBatch, AccessKind, AccessPath, AccessPlan, Geometry, HybridMemoryController, Mem,
+    PlanBuffer, QuickDiv, TrafficCause,
 };
 
 /// Cycle-domain decomposition of one access, filled by
@@ -32,15 +32,16 @@ pub struct StepProbe {
     pub total: u64,
 }
 
-/// Core-side timing parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Core-side timing parameters, held as exact integer divisors so the
+/// per-access clock update is integer-only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimParams {
-    /// Cycles per non-miss instruction (an ARM A72 sustains ~2 IPC on
-    /// cache-resident code).
-    pub cpi_base: f64,
+    /// Issue width: non-miss instructions retired per cycle (an ARM A72
+    /// sustains ~2 IPC on cache-resident code).
+    pub issue_width: QuickDiv,
     /// Memory-level parallelism: concurrent outstanding demand misses the
     /// core overlaps (divides exposed demand latency).
-    pub mlp: f64,
+    pub mlp: QuickDiv,
 }
 
 impl Default for SimParams {
@@ -48,7 +49,23 @@ impl Default for SimParams {
         // An ARM A72-class core: ~2 IPC on cache-resident code and a
         // modest out-of-order window that overlaps about two outstanding
         // demand misses.
-        SimParams { cpi_base: 0.5, mlp: 2.0 }
+        SimParams { issue_width: QuickDiv::new(2), mlp: QuickDiv::new(2) }
+    }
+}
+
+impl SimParams {
+    /// The core cycles one access adds to the clock besides OS stalls, as
+    /// `(compute, exposed)`: the instruction gap `ceil(insts /
+    /// issue_width)`, and for reads the MLP-overlapped critical-path
+    /// latency `ceil(raw_latency / mlp)` (writes are buffered and expose
+    /// nothing). Both are shifts for power-of-two parameters.
+    #[inline]
+    // audit: hot-path
+    // audit: unit(cycles)
+    pub fn core_cycles(&self, insts: u32, raw_latency: u64, kind: AccessKind) -> (u64, u64) {
+        let compute = self.issue_width.div_ceil(u64::from(insts));
+        let exposed = if kind == AccessKind::Read { self.mlp.div_ceil(raw_latency) } else { 0 };
+        (compute, exposed)
     }
 }
 
@@ -240,15 +257,9 @@ impl<C: HybridMemoryController> System<C> {
         }
         drop(service);
 
-        // Core model: base CPI on the instruction gap plus the exposed
-        // (MLP-overlapped) miss latency plus OS stalls.
-        let compute =
-            (f64::from(access.insts) * self.params.cpi_base).ceil() as u64;
-        let exposed = if access.kind == AccessKind::Read {
-            (raw_latency as f64 / self.params.mlp).ceil() as u64
-        } else {
-            0
-        };
+        // Core model: the instruction gap at the issue width plus the
+        // exposed (MLP-overlapped) miss latency plus OS stalls.
+        let (compute, exposed) = self.params.core_cycles(access.insts, raw_latency, access.kind);
         self.counters.demand_cycles += exposed;
         self.counters.mal_cycles += mal;
         self.counters.stall_cycles += self.plan.stall_cycles;
@@ -335,12 +346,8 @@ impl<C: HybridMemoryController> System<C> {
                 let op = view.background[k];
                 self.device(op.mem).access(op.addr, op.bytes, op.kind, background_at);
             }
-            let compute = (f64::from(batch.insts[i]) * self.params.cpi_base).ceil() as u64;
-            let exposed = if batch.kinds[i] == AccessKind::Read {
-                (raw_latency as f64 / self.params.mlp).ceil() as u64
-            } else {
-                0
-            };
+            let (compute, exposed) =
+                self.params.core_cycles(batch.insts[i], raw_latency, batch.kinds[i]);
             self.counters.demand_cycles += exposed;
             self.counters.mal_cycles += mal;
             self.counters.stall_cycles += view.stall_cycles;

@@ -3,16 +3,17 @@
 //! Nearly every divisor in the simulator's per-access path — page sizes,
 //! interleave units, channel/bank counts, set counts — is a power of two
 //! for real memory parts, but they are runtime values the compiler cannot
-//! fold. [`QuickDiv`] captures the divisor once and turns each `div`/`rem`
-//! into a shift/mask in the power-of-two case, falling back to hardware
-//! division otherwise; results are exactly `v / d` and `v % d` either way
-//! (the paper's design-space sweep includes non-power-of-two 96 KB pages,
-//! so the fallback is load-bearing, not defensive).
+//! fold. [`QuickDiv`] captures the divisor once and turns each `div`/`rem`/
+//! `div_ceil` into a shift/mask in the power-of-two case, falling back to
+//! hardware division otherwise; results are exactly `v / d`, `v % d` and
+//! `v.div_ceil(d)` either way (the paper's design-space sweep includes
+//! non-power-of-two 96 KB pages, so the fallback is load-bearing, not
+//! defensive).
 
 /// Sentinel shift for "divisor is not a power of two — divide for real".
 const NO_SHIFT: u32 = u32::MAX;
 
-/// A divisor captured once for repeated exact `div`/`rem`; see the
+/// A divisor captured once for repeated exact `div`/`rem`/`div_ceil`; see the
 /// [module documentation](self).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QuickDiv {
@@ -71,6 +72,18 @@ impl QuickDiv {
     pub fn div_rem(self, v: u64) -> (u64, u64) {
         (self.div(v), self.rem(v))
     }
+
+    /// `v.div_ceil(divisor)`: the quotient rounded up, without overflow
+    /// for any `v`.
+    #[inline]
+    // audit: hot-path
+    pub fn div_ceil(self, v: u64) -> u64 {
+        if self.shift == NO_SHIFT {
+            v.div_ceil(self.divisor)
+        } else {
+            (v >> self.shift) + u64::from(v & ((1u64 << self.shift) - 1) != 0)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -86,6 +99,7 @@ mod tests {
                 assert_eq!(q.div(v), v / d, "div {v} / {d}");
                 assert_eq!(q.rem(v), v % d, "rem {v} % {d}");
                 assert_eq!(q.div_rem(v), (v / d, v % d));
+                assert_eq!(q.div_ceil(v), v.div_ceil(d), "div_ceil {v} / {d}");
             }
         }
     }
@@ -98,6 +112,7 @@ mod tests {
             for v in [0u64, 1, d - 1, d, d + 1, 12345678901234567, u64::MAX] {
                 assert_eq!(q.div(v), v / d, "div {v} / {d}");
                 assert_eq!(q.rem(v), v % d, "rem {v} % {d}");
+                assert_eq!(q.div_ceil(v), v.div_ceil(d), "div_ceil {v} / {d}");
             }
         }
     }

@@ -16,6 +16,12 @@ cargo build --release
 echo "== tier-1: cargo test -q =="
 cargo test -q
 
+echo "== benchmark: declaration and smoke test (cargo test --manifest-path benchmark/Cargo.toml) =="
+# benchmark/ is its own cargo workspace that calls the simulator only
+# through its public API, so a public-API change in crates/* that breaks
+# it fails here rather than at the next benchmark run.
+cargo test -q --manifest-path benchmark/Cargo.toml
+
 echo "== lint: cargo clippy --workspace --all-targets -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
