@@ -130,9 +130,8 @@ impl AuditReport {
 pub struct FileClass {
     /// Inside crates/obs — the one crate allowed to read wall clocks.
     pub in_obs: bool,
-    /// One of the two audited parallelism modules (the engine's matrix
-    /// executor and the set-shard worker pipeline) — the only places
-    /// allowed to touch `std::thread`.
+    /// The audited parallelism module (the engine's matrix executor) — the
+    /// only place allowed to touch `std::thread`.
     pub threads_allowed: bool,
     /// Inside crates/core or crates/types — pub items must be documented.
     pub docs_required: bool,
@@ -146,8 +145,7 @@ impl FileClass {
         let unix = rel.replace('\\', "/");
         FileClass {
             in_obs: unix.starts_with("crates/obs/"),
-            threads_allowed: unix == "crates/sim/src/engine.rs"
-                || unix == "crates/sim/src/shard.rs",
+            threads_allowed: unix == "crates/sim/src/engine.rs",
             docs_required: unix.starts_with("crates/core/src/")
                 || unix.starts_with("crates/types/src/"),
             is_crate_root: unix.ends_with("src/lib.rs"),
@@ -468,8 +466,8 @@ fn det_thread(
                         rel,
                         t.line,
                         format!(
-                            "{what} outside the engine/shard modules (route parallelism \
-                             through the engine's cell executor or shard workers)"
+                            "{what} outside the engine module (route parallelism \
+                             through the engine's cell executor)"
                         ),
                     ),
                 ));
@@ -677,12 +675,12 @@ fn merge_commutative(rel: &str, toks: &[Token], st: &FileStructure, out: &mut Ve
             let t = &toks[i];
             if t.kind == TokKind::Ident {
                 match t.text.as_str() {
-                    // Shard identity must be invisible to a merge: any
-                    // outcome that depends on *which* shard a partial came
+                    // Partial identity must be invisible to a merge: any
+                    // outcome that depends on *which* worker a partial came
                     // from breaks the any-width byte-identity contract.
-                    "shard" | "shard_id" | "shard_idx" | "sid" | "worker_id" => flag(
+                    "worker" | "worker_id" | "worker_idx" | "sid" => flag(
                         i,
-                        format!("merge fn `{}` references shard identity `{}`", f.name, t.text),
+                        format!("merge fn `{}` references worker identity `{}`", f.name, t.text),
                     ),
                     // Hash-ordered containers make the merge's visitation
                     // order nondeterministic even when each step commutes.
@@ -1230,7 +1228,7 @@ mod tests {
     }
 
     #[test]
-    fn thread_primitives_scoped_to_engine_and_shard() {
+    fn thread_primitives_scoped_to_engine() {
         let spawn = "fn f() { std::thread::spawn(|| {}); }";
         assert_eq!(rules_hit("crates/core/src/x.rs", spawn), vec![("det-thread", 1)]);
         let scope = "use std::thread;\nfn f() { thread::scope(|s| {}); }";
@@ -1238,9 +1236,11 @@ mod tests {
             rules_hit("crates/trace/src/x.rs", scope),
             vec![("det-thread", 1), ("det-thread", 2)]
         );
-        // The two audited parallelism modules are exempt.
+        // The audited parallelism module is exempt; every sibling module is
+        // flagged, including the one path that used to share the exemption.
         assert!(rules_hit("crates/sim/src/engine.rs", spawn).is_empty());
-        assert!(rules_hit("crates/sim/src/shard.rs", scope).is_empty());
+        assert_eq!(rules_hit("crates/sim/src/shard.rs", spawn), vec![("det-thread", 1)]);
+        assert_eq!(rules_hit("crates/sim/src/run.rs", spawn), vec![("det-thread", 1)]);
         // Thread-pool crates are flagged anywhere.
         let pool = "fn f() { rayon::join(|| {}, || {}); }";
         assert_eq!(rules_hit("crates/sim/src/other.rs", pool), vec![("det-thread", 1)]);

@@ -18,9 +18,10 @@
 //! * `hot-path` marks the next `fn` item (only comments, attributes and
 //!   visibility/qualifier keywords may stand between the comment and the
 //!   `fn`). The fn's body is then checked by the `hot-*` rules.
-//! * `merge` marks the next `fn` item as a shard-merge function: its body
-//!   is checked by the `merge-commutative` rule (only order-independent
-//!   accumulation is allowed — see the rule catalog).
+//! * `merge` marks the next `fn` item as a merge function (one that folds
+//!   a partial result into an aggregate): its body is checked by the
+//!   `merge-commutative` rule (only order-independent accumulation is
+//!   allowed — see the rule catalog).
 //! * `unit(<u>)` attaches a measurement unit to the next field or `fn`
 //!   item (or, when trailing a field declaration, to that field). The
 //!   `unit-mismatch` rule flags additive arithmetic and comparisons
@@ -40,7 +41,7 @@ use crate::lexer::{TokKind, Token};
 pub enum Directive {
     /// `// audit: hot-path` — the next fn is a controller hot path.
     HotPath,
-    /// `// audit: merge` — the next fn is a shard-merge function.
+    /// `// audit: merge` — the next fn is a merge function.
     Merge,
     /// `// audit: unit(u)` — the next field/fn carries measurement unit
     /// `u` (one of [`UNITS`]).

@@ -101,24 +101,22 @@ reductions like sums — justify with\n\
     },
     Rule {
         id: "det-thread",
-        summary: "thread::spawn/std::thread outside the engine and shard modules",
+        summary: "thread::spawn/std::thread outside the engine module",
         explain: "\
-All parallelism in this workspace flows through two audited modules:\n\
+All parallelism in this workspace flows through one audited module:\n\
 crates/sim/src/engine.rs (the shared-cursor matrix executor behind\n\
---jobs) and crates/sim/src/shard.rs (the set-sharded worker pipeline\n\
-behind --shards). Both were designed so that thread scheduling cannot\n\
-reach the output: cells land in a slot-indexed result vector, shard\n\
-partials merge in deterministic set order. A thread spawned anywhere\n\
-else has no such merge discipline — whatever it computes reaches the\n\
-results in completion order, which varies run to run and silently\n\
-breaks the byte-identical JSONL contract.\n\
+--jobs). It was designed so that thread scheduling cannot reach the\n\
+output: cells land in a slot-indexed result vector. A thread spawned\n\
+anywhere else has no such merge discipline — whatever it computes\n\
+reaches the results in completion order, which varies run to run and\n\
+silently breaks the byte-identical JSONL contract.\n\
 \n\
-Flagged outside those two files: `thread::spawn`, any `std::thread`\n\
-path (scope, spawn, available_parallelism via the module), and\n\
+Flagged outside that file: `thread::spawn`, any `std::thread` path\n\
+(scope, spawn, available_parallelism via the module), and\n\
 `rayon`/`crossbeam` idents. Not flagged: `#[cfg(test)]` code.\n\
 \n\
-Fix: express the parallelism as engine cells or shard workers so the\n\
-existing merge discipline applies, or justify with\n\
+Fix: express the parallelism as engine cells so the existing merge\n\
+discipline applies, or justify with\n\
 `// audit: allow(det-thread) -- <reason>`.",
     },
     Rule {
@@ -207,21 +205,20 @@ hot-alloc / hot-callee), or declare the cold boundary with an allow.",
     },
     Rule {
         id: "merge-commutative",
-        summary: "shard-merge fn uses an order-dependent operation",
+        summary: "merge fn uses an order-dependent operation",
         explain: "\
-Fns annotated `// audit: merge` fold one shard's partial state into\n\
-another (CtrlStats::merge, EpochPartial::absorb, TrafficMatrix::merge,\n\
-merge_shard_records, …). The engine merges shard partials in set order,\n\
-but the byte-identity contract at any `--shards` width additionally\n\
-requires every merge step to be commutative and associative — then the\n\
-fold's result is independent of how work was sharded in the first\n\
-place.\n\
+Fns annotated `// audit: merge` fold one partial result into an\n\
+aggregate (SpanTree::merge, which bench_harness uses to fold per-cell\n\
+span trees into one suite breakdown). Every merge step must be\n\
+commutative and associative, so the fold's result is independent of\n\
+the order the partials arrive in (cells finish in any order at any\n\
+`--jobs` width).\n\
 \n\
 Flagged inside merge fns: non-commutative compound assigns (`-=`, `*=`,\n\
 `/=`, `%=`, `&=`, `^=`, shifts); a plain `=` overwriting a `self` field\n\
 (last-writer-wins) unless it is a self-referential fold through\n\
-`max`/`min`/`saturating_*`; any reference to shard identity\n\
-(`shard_id`, `worker_id`, …); hash-ordered containers\n\
+`max`/`min`/`saturating_*`; any reference to worker identity\n\
+(`worker_id`, `sid`, …); hash-ordered containers\n\
 (HashMap/HashSet); and order comparison between operands (`Ordering`,\n\
 `.cmp()`, `.partial_cmp()`). Sorting *local* accumulators by a\n\
 deterministic key (`sort_by_key(|r| r.seq)`) is fine — it canonicalizes\n\

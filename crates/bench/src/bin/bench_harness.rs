@@ -5,8 +5,8 @@
 //! cycle-domain invariants, and the span-profiler phase breakdown.
 //!
 //! ```text
-//! bench_harness [--quick] [--repeats N] [--jobs N] [--shards N]
-//!               [--batch N] [--out DIR] [--sha SHA] [--name NAME]
+//! bench_harness [--quick] [--repeats N] [--jobs N] [--batch N]
+//!               [--out DIR] [--sha SHA] [--name NAME]
 //! ```
 //!
 //! * `--quick` — the CI smoke suite (tiny scale, 1 repeat) instead of the
@@ -14,12 +14,6 @@
 //! * `--repeats N` — override the suite's timed repeat count;
 //! * `--jobs N` — engine width (default 1: serial timing is the most
 //!   stable);
-//! * `--shards N` — set-sharded workers inside every cell. Restricts the
-//!   suite to the designs that support sharding (the baselines would
-//!   silently fall back to the serial path and dilute the measurement),
-//!   and records the width in the BENCH header so `bench_tool compare`
-//!   between `--shards 1` and `--shards N` turns the intra-run speedup
-//!   into a diffable artifact;
 //! * `--batch N` — access-pipeline chunk width (recorded in the BENCH
 //!   header; outputs are byte-identical at any width, so this is purely a
 //!   throughput knob — compare `--batch 1` against the default to measure
@@ -49,7 +43,6 @@ struct Args {
     quick: bool,
     repeats: Option<usize>,
     jobs: usize,
-    shards: Option<usize>,
     batch: Option<usize>,
     out: PathBuf,
     sha: Option<String>,
@@ -61,7 +54,6 @@ fn parse_args() -> Args {
         quick: false,
         repeats: None,
         jobs: 1,
-        shards: None,
         batch: None,
         out: memsim_sim::results_dir(),
         sha: None,
@@ -89,14 +81,6 @@ fn parse_args() -> Args {
                     std::process::exit(exitcode::USAGE);
                 });
             }
-            "--shards" => {
-                args.shards = Some(value("--shards").parse().ok().filter(|&s| s > 0).unwrap_or_else(
-                    || {
-                        eprintln!("error: --shards needs a positive number");
-                        std::process::exit(exitcode::USAGE);
-                    },
-                ));
-            }
             "--batch" => {
                 args.batch = Some(value("--batch").parse().ok().filter(|&b| b > 0).unwrap_or_else(
                     || {
@@ -111,8 +95,8 @@ fn parse_args() -> Args {
             other => {
                 eprintln!(
                     "error: unknown argument {other}\n\
-                     usage: bench_harness [--quick] [--repeats N] [--jobs N] [--shards N] \
-                     [--batch N] [--out DIR] [--sha SHA] [--name NAME]"
+                     usage: bench_harness [--quick] [--repeats N] [--jobs N] [--batch N] \
+                     [--out DIR] [--sha SHA] [--name NAME]"
                 );
                 std::process::exit(exitcode::USAGE);
             }
@@ -155,28 +139,19 @@ fn main() {
     if let Some(r) = args.repeats {
         suite.repeats = r.max(1);
     }
-    if args.shards.is_some() {
-        // A sharded timing run measures the sharded pipeline; designs
-        // that would fall back to the serial path only dilute it.
-        suite.designs.retain(memsim_sim::Design::supports_sharding);
-    }
     let matrix =
         ExperimentMatrix::cross("bench", &suite.designs, &suite.profiles, &suite.cfg);
-    let mut engine = Engine::new(args.jobs)
-        .with_shards(args.shards)
-        .with_progress(true)
-        .with_spans(true);
+    let mut engine = Engine::new(args.jobs).with_progress(true).with_spans(true);
     if let Some(b) = args.batch {
         engine = engine.with_batch(b);
     }
     eprintln!(
-        "[bench] suite {}: {} cells, {} warm-up run(s), median of {} repeat(s), jobs {}, {}",
+        "[bench] suite {}: {} cells, {} warm-up run(s), median of {} repeat(s), jobs {}",
         suite.name,
         matrix.len(),
         suite.warmup_runs,
         suite.repeats,
         args.jobs,
-        args.shards.map_or("serial cells".to_string(), |s| format!("{s} shard(s) per cell")),
     );
 
     for w in 0..suite.warmup_runs {
@@ -215,9 +190,8 @@ fn main() {
     // wall-time baseline is unaffected. A failure here only costs the
     // optional fields, never the BENCH report.
     eprintln!("[bench] untimed instrumented pass (sample rate {LAT_SAMPLE_RATE})");
-    let mut lat_engine = Engine::new(args.jobs).with_shards(args.shards).with_metrics(
-        MetricsConfig { sample_rate: LAT_SAMPLE_RATE, ..MetricsConfig::default() },
-    );
+    let mut lat_engine = Engine::new(args.jobs)
+        .with_metrics(MetricsConfig { sample_rate: LAT_SAMPLE_RATE, ..MetricsConfig::default() });
     if let Some(b) = args.batch {
         lat_engine = lat_engine.with_batch(b);
     }
@@ -337,7 +311,6 @@ fn main() {
         suite: suite.name.to_string(),
         repeats: suite.repeats as u64,
         jobs: args.jobs as u64,
-        shards: args.shards.map(|s| s as u64),
         batch: args.batch.map(|b| b as u64),
         scale: suite.cfg.scale,
         accesses: suite.cfg.accesses,
@@ -361,9 +334,8 @@ fn main() {
         report.busy_ms
     );
     println!(
-        "suite wall {:.1} ms at {} — {:.0} accesses/sec aggregate",
+        "suite wall {:.1} ms — {:.0} accesses/sec aggregate",
         report.suite_wall_ms(),
-        report.shards_label(),
         report.suite_accesses_per_sec()
     );
 

@@ -55,15 +55,14 @@ fn main() {
             let r = load(path);
             println!(
                 "BENCH {} — suite {} (scale {}, {} accesses, workloads {}), \
-                 median of {} repeat(s) at {} job(s), {}",
+                 median of {} repeat(s) at {} job(s)",
                 r.sha,
                 r.suite,
                 r.scale,
                 r.accesses,
                 r.workloads,
                 r.repeats,
-                r.jobs,
-                r.shards_label()
+                r.jobs
             );
             println!("{}", r.case_table());
             println!("{}", r.phase_table());
@@ -73,9 +72,8 @@ fn main() {
                 r.busy_ms
             );
             println!(
-                "suite wall {:.1} ms at {} — {:.0} accesses/sec aggregate",
+                "suite wall {:.1} ms — {:.0} accesses/sec aggregate",
                 r.suite_wall_ms(),
-                r.shards_label(),
                 r.suite_accesses_per_sec()
             );
         }
@@ -103,12 +101,9 @@ fn main() {
                 .unwrap_or_else(|e| fail(&e));
             print!("{}", cmp.render());
             println!(
-                "suite wall: {:.1} ms at {} → {:.1} ms at {} \
-                 ({:.0} → {:.0} accesses/sec aggregate)",
+                "suite wall: {:.1} ms → {:.1} ms ({:.0} → {:.0} accesses/sec aggregate)",
                 base_report.suite_wall_ms(),
-                base_report.shards_label(),
                 new_report.suite_wall_ms(),
-                new_report.shards_label(),
                 base_report.suite_accesses_per_sec(),
                 new_report.suite_accesses_per_sec()
             );

@@ -11,13 +11,9 @@
 //! * `--workloads a,b,c` — subset of Table II benchmarks (default: all 14);
 //! * `--jobs N` — parallel experiment cells (default: `BUMBLEBEE_JOBS`
 //!   or the machine's available parallelism; `1` = serial);
-//! * `--shards N` — set-sharded workers *within* each cell for designs
-//!   that support it (default: `BUMBLEBEE_SHARDS` or the serial
-//!   single-controller path); composes multiplicatively with `--jobs`;
 //! * `--batch N` — access-pipeline chunk width (default: `BUMBLEBEE_BATCH`
 //!   or 4096); a pure performance knob — every output is byte-identical
-//!   at any width, and `--batch 1` replays the one-access-at-a-time
-//!   pipeline exactly;
+//!   at any width, `--batch 1` (one access per chunk) included;
 //! * `--metrics` — record per-run observability (epoch time-series, event
 //!   trace, device histograms) and write `<figure>.epochs.jsonl`,
 //!   `<figure>.trace.jsonl` and `<figure>.metrics.jsonl` alongside the
@@ -27,7 +23,7 @@
 //!   path-tagged records to `<figure>.lat.jsonl`; defaults to
 //!   `BUMBLEBEE_TRACE_SAMPLE` when the flag is absent (the variable obeys
 //!   the same strict positive-integer contract as `BUMBLEBEE_JOBS` /
-//!   `BUMBLEBEE_SHARDS` — empty, zero or non-numeric values are hard
+//!   `BUMBLEBEE_BATCH` — empty, zero or non-numeric values are hard
 //!   configuration errors);
 //! * `--spans` — profile wall-clock phase spans per cell (trace-gen,
 //!   controller lookup, migration/swap, DRAM service, epoch sampling) and
@@ -51,8 +47,6 @@ pub struct HarnessOpts {
     pub profiles: Vec<SpecProfile>,
     /// Explicit `--jobs` width, if given.
     pub jobs: Option<usize>,
-    /// Explicit `--shards` width, if given (set-sharded workers per cell).
-    pub shards: Option<usize>,
     /// Explicit `--batch` chunk width, if given (access-pipeline SoA
     /// chunking; outputs are byte-identical at any width).
     pub batch: Option<usize>,
@@ -72,9 +66,8 @@ pub struct HarnessOpts {
 impl HarnessOpts {
     /// The experiment engine these options select: `--jobs` if given,
     /// the environment otherwise, with progress lines enabled and metrics
-    /// recording when `--metrics` was passed. An explicit `--shards`
-    /// overrides `BUMBLEBEE_SHARDS`; without either the cells run
-    /// unsharded. An explicit `--batch` overrides `BUMBLEBEE_BATCH`.
+    /// recording when `--metrics` was passed. An explicit `--batch`
+    /// overrides `BUMBLEBEE_BATCH`.
     pub fn engine(&self) -> Engine {
         let mut engine = match self.jobs {
             Some(j) => Engine::new(j),
@@ -82,9 +75,6 @@ impl HarnessOpts {
         }
         .with_progress(true)
         .with_spans(self.spans);
-        if self.shards.is_some() {
-            engine = engine.with_shards(self.shards);
-        }
         if let Some(b) = self.batch {
             engine = engine.with_batch(b);
         }
@@ -145,7 +135,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> HarnessOpts {
     let mut accesses: Option<u64> = None;
     let mut names: Option<Vec<String>> = None;
     let mut jobs: Option<usize> = None;
-    let mut shards: Option<usize> = None;
     let mut batch: Option<usize> = None;
     let mut metrics = false;
     let mut trace_sample: Option<u64> = None;
@@ -179,14 +168,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> HarnessOpts {
                         .and_then(|v| v.parse().ok())
                         .filter(|&j| j > 0)
                         .unwrap_or_else(|| panic!("--jobs needs a positive number")),
-                );
-            }
-            "--shards" => {
-                shards = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&s| s > 0)
-                        .unwrap_or_else(|| panic!("--shards needs a positive number")),
                 );
             }
             "--batch" => {
@@ -232,7 +213,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> HarnessOpts {
         cfg,
         profiles,
         jobs,
-        shards,
         batch,
         metrics,
         trace_sample,
@@ -245,7 +225,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> HarnessOpts {
 /// Strict `BUMBLEBEE_TRACE_SAMPLE` parsing: unset defers to the
 /// `--trace-sample` flag (`None`); anything else must be a positive
 /// integer. Empty, zero or non-numeric values are hard configuration
-/// errors, the same contract `BUMBLEBEE_JOBS` / `BUMBLEBEE_SHARDS`
+/// errors, the same contract `BUMBLEBEE_JOBS` / `BUMBLEBEE_BATCH`
 /// enforce — a silently ignored typo would silently disable tracing.
 ///
 /// # Panics
@@ -296,7 +276,6 @@ mod tests {
         assert_eq!(o.cfg.accesses, 400_000);
         assert_eq!(o.profiles.len(), 14);
         assert_eq!(o.jobs, None);
-        assert_eq!(o.shards, None);
         assert_eq!(o.batch, None);
         assert!(!o.metrics);
         assert_eq!(o.trace_sample, None);
@@ -390,20 +369,6 @@ mod tests {
     #[should_panic(expected = "--jobs needs a positive number")]
     fn zero_jobs_panics() {
         opts(&["--jobs", "0"]);
-    }
-
-    #[test]
-    fn shards_flag_reaches_the_engine() {
-        let o = opts(&["--shards", "4", "--jobs", "2"]);
-        assert_eq!(o.shards, Some(4));
-        assert_eq!(o.engine().shards(), Some(4));
-        assert_eq!(o.engine().jobs(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "--shards needs a positive number")]
-    fn zero_shards_panics() {
-        opts(&["--shards", "0"]);
     }
 
     #[test]

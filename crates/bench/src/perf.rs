@@ -166,12 +166,6 @@ pub struct BenchReport {
     pub repeats: u64,
     /// Engine width the run used.
     pub jobs: u64,
-    /// Set-shard width per cell (`--shards`), or `None` for the serial
-    /// single-controller path. Sharded harness runs restrict the suite to
-    /// the designs that support sharding, so their case lists line up
-    /// only against other sharded runs — `compare` flags the rest as
-    /// missing cases.
-    pub shards: Option<u64>,
     /// Access-pipeline chunk width (`--batch`), or `None` when the run
     /// predates batching or used the default width. Purely a performance
     /// knob (outputs are byte-identical at any width), recorded so a
@@ -204,7 +198,6 @@ impl BenchReport {
             .str("suite", &self.suite)
             .u64("repeats", self.repeats)
             .u64("jobs", self.jobs)
-            .opt_u64("shards", self.shards)
             .opt_u64("batch", self.batch)
             .u64("scale", self.scale)
             .u64("accesses", self.accesses)
@@ -283,7 +276,6 @@ impl BenchReport {
                         suite: text("suite"),
                         repeats: int("repeats"),
                         jobs: int("jobs"),
-                        shards: get("shards").and_then(JsonValue::as_u64),
                         batch: get("batch").and_then(JsonValue::as_u64),
                         scale: int("scale"),
                         accesses: int("accesses"),
@@ -356,17 +348,7 @@ impl BenchReport {
         (phases, coverage)
     }
 
-    /// `"serial"` or `"N shard(s)"` — the run's intra-cell parallelism,
-    /// for headers and compare footers.
-    pub fn shards_label(&self) -> String {
-        match self.shards {
-            Some(s) => format!("{s} shard(s)"),
-            None => "serial".to_string(),
-        }
-    }
-
     /// Total suite wall time — the sum of the per-case medians, in ms.
-    /// This is the number the `--shards` speedup gate compares.
     pub fn suite_wall_ms(&self) -> f64 {
         self.cases.iter().map(|c| c.wall_ms).sum()
     }
@@ -844,7 +826,6 @@ mod tests {
             suite: "quick".to_string(),
             repeats: 1,
             jobs: 1,
-            shards: None,
             batch: None,
             scale: 256,
             accesses: 20_000,
@@ -868,16 +849,9 @@ mod tests {
     fn bench_report_round_trips_through_jsonl() {
         let r = report();
         let body = r.to_lines().join("\n");
-        assert!(body.contains("\"shards\":null"), "serial runs record shards as null");
         let parsed = BenchReport::parse(&body).unwrap();
         assert_eq!(parsed, r);
-        // A sharded run round-trips its width too.
-        let mut sharded = report();
-        sharded.shards = Some(4);
-        let body = sharded.to_lines().join("\n");
-        assert!(body.contains("\"shards\":4"));
-        assert_eq!(BenchReport::parse(&body).unwrap(), sharded);
-        // And so does an explicit batch width (None for older files).
+        // An explicit batch width round-trips too (None for older files).
         let mut batched = report();
         batched.batch = Some(4096);
         let body = batched.to_lines().join("\n");
@@ -929,18 +903,29 @@ mod tests {
     }
 
     #[test]
-    fn suite_aggregates_and_shard_labels() {
+    fn committed_bench_files_still_parse() {
+        // Older reports carry header keys this version no longer writes;
+        // parsing ignores them.
+        for body in [
+            include_str!("../../../results/bench_baseline.json"),
+            include_str!("../../../results/BENCH_da11b8d.json"),
+            include_str!("../../../results/BENCH_e5bcdcd.json"),
+        ] {
+            let r = BenchReport::parse(body).unwrap();
+            assert_eq!(r.schema, BENCH_SCHEMA);
+            assert!(!r.cases.is_empty());
+        }
+    }
+
+    #[test]
+    fn suite_aggregates() {
         let r = report();
-        assert_eq!(r.shards_label(), "serial");
         // 50 ms + 70 ms of case medians.
         assert!((r.suite_wall_ms() - 120.0).abs() < 1e-9);
         // Both cases pin 1e6 accesses (aps = 1e6 / wall_ms with wall in
         // ms-as-seconds units cancels out): 2e3 accesses over 0.12 s.
         let aps = r.suite_accesses_per_sec();
         assert!((aps - 2e3 / 0.12).abs() < 1e-6, "{aps}");
-        let mut sharded = r.clone();
-        sharded.shards = Some(8);
-        assert_eq!(sharded.shards_label(), "8 shard(s)");
         let empty = BenchReport { cases: Vec::new(), ..r };
         assert_eq!(empty.suite_accesses_per_sec(), 0.0);
     }

@@ -11,14 +11,14 @@ use memsim_types::{
 };
 
 /// Accesses between two global pressure-flush rounds (rule 5 batching).
-pub(crate) const PRESSURE_COOLDOWN: u64 = 8192;
+const PRESSURE_COOLDOWN: u64 = 8192;
 
 /// Bandwidth credit in bytes granted to the asynchronous data-movement
 /// module per demand access (a finite mover, not an infinite DMA engine).
-pub(crate) const MOVEMENT_CREDIT_PER_ACCESS: i64 = 512;
+const MOVEMENT_CREDIT_PER_ACCESS: i64 = 512;
 
 /// Credit accumulation cap (idle phases cannot bank unlimited bandwidth).
-pub(crate) const MOVEMENT_CREDIT_CAP: i64 = 8 << 20;
+const MOVEMENT_CREDIT_CAP: i64 = 8 << 20;
 
 /// The Bumblebee hybrid memory management controller (paper §III).
 ///
@@ -292,7 +292,7 @@ impl HybridMemoryController for BumblebeeController {
     /// The grouped batch fast path. Accesses are processed strictly in
     /// stream order (reordering would perturb the metadata spill schedule,
     /// the global pressure-flush cooldown, the shared movement-credit pool
-    /// and mid-stream epoch samples — see DESIGN.md §11); the grouping win
+    /// and mid-stream epoch samples — see DESIGN.md §10); the grouping win
     /// comes from detecting *consecutive same-page runs*, which the
     /// run-based workload generator makes long, and hoisting the page→set
     /// resolution, the set-header borrow and the pressure-flush gate out

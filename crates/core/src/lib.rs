@@ -47,7 +47,6 @@ pub mod hot_table;
 pub mod metadata;
 pub mod prt;
 pub mod set;
-pub mod shard;
 
 pub use bitmap::BlockBitmap;
 pub use ble::{Ble, FrameMode};
@@ -57,4 +56,3 @@ pub use hot_table::{HotEntry, HotTable};
 pub use metadata::MetadataBreakdown;
 pub use prt::Prt;
 pub use set::RemapSet;
-pub use shard::{ControllerShard, EpochPartial};

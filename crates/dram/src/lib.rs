@@ -38,7 +38,5 @@ pub mod power;
 pub mod presets;
 
 pub use config::{DeviceConfig, Timing};
-pub use device::{
-    background_energy_pj_for, dynamic_energy_pj_for, DeviceCounters, DramDevice,
-};
+pub use device::{DeviceCounters, DramDevice};
 pub use power::PowerParams;

@@ -6,15 +6,12 @@
 //!
 //! * [`TrafficMatrix`] — per-device-class
 //!   ([`TrafficDevice`]: mHBM / cHBM / off-chip) per-cause byte and op
-//!   counters, pure integers with a commutative [`merge`](TrafficMatrix::merge)
-//!   so shard workers can accumulate independently and sum;
+//!   counters, pure integers;
 //! * [`TrafficAccum`] — the matrix plus per-class op-size
 //!   [`Pow2Histogram`]s and a per-access DRAM-op fan-out (MLP proxy)
 //!   histogram;
 //! * [`BwPoint`] — one epoch boundary's cumulative snapshot of class
-//!   bytes, sim cycles and per-channel data-bus busy cycles, with an
-//!   elementwise [`absorb`](BwPoint::absorb) so per-shard partials merge
-//!   into the exact global series at any shard width;
+//!   bytes, sim cycles and per-channel data-bus busy cycles;
 //! * [`reconcile`] — the hard exact check that the cause-attributed byte
 //!   sums equal the devices' undifferentiated
 //!   `DeviceCounters::total_bytes` totals (an unclassified or
@@ -22,7 +19,7 @@
 //!
 //! Everything here lives in the simulated cycle domain and is a pure
 //! function of the access stream — `.bw.jsonl` output derived from it is
-//! byte-identical at any `--jobs`/`--shards` width.
+//! byte-identical at any `--jobs`/`--batch` width.
 
 use crate::hist::Pow2Histogram;
 use memsim_types::{AccessPlan, DeviceOp, TrafficCause, TrafficDevice};
@@ -32,11 +29,7 @@ pub const NUM_CAUSES: usize = TrafficCause::ALL.len();
 /// Number of traffic device classes (mHBM / cHBM / off-chip).
 pub const NUM_DEVICE_CLASSES: usize = TrafficDevice::ALL.len();
 
-/// Per-device-class, per-cause byte and op counters.
-///
-/// Integers only: merging per-shard matrices with [`merge`](Self::merge)
-/// is commutative and associative, so the merged matrix is independent of
-/// shard grouping.
+/// Per-device-class, per-cause byte and op counters (integers only).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrafficMatrix {
     bytes: [[u64; NUM_CAUSES]; NUM_DEVICE_CLASSES],
@@ -88,18 +81,6 @@ impl TrafficMatrix {
     pub fn total_bytes(&self) -> u64 {
         self.bytes.iter().flatten().sum()
     }
-
-    /// Adds every counter of `other` into `self` (commutative shard
-    /// merge).
-    // audit: merge
-    pub fn merge(&mut self, other: &TrafficMatrix) {
-        for (dst, src) in self.bytes.iter_mut().flatten().zip(other.bytes.iter().flatten()) {
-            *dst += src;
-        }
-        for (dst, src) in self.ops.iter_mut().flatten().zip(other.ops.iter().flatten()) {
-            *dst += src;
-        }
-    }
 }
 
 /// Hard exact reconciliation of the cause-attributed byte sums against
@@ -137,7 +118,7 @@ pub fn reconcile(
     Ok(())
 }
 
-/// The full traffic-accounting state of one run (or one shard of it):
+/// The full traffic-accounting state of one run:
 /// the cause matrix, per-class op-size distributions, and the per-access
 /// DRAM-op fan-out histogram (a memory-level-parallelism proxy — how many
 /// transactions one LLC miss expands into).
@@ -168,21 +149,9 @@ impl TrafficAccum {
         self.size[device.index()].record(u64::from(op.bytes));
     }
 
-    /// Records every transaction of one access's plan plus its fan-out
-    /// sample. Call exactly once per access, after the controller filled
-    /// the plan.
-    // audit: hot-path
-    pub fn record_plan(&mut self, plan: &AccessPlan) {
-        for op in plan.critical.iter().chain(&plan.background) {
-            self.record_op(op);
-        }
-        self.mlp.record((plan.critical.len() + plan.background.len()) as u64);
-    }
-
-    /// [`record_plan`](Self::record_plan) for one sealed entry of a
-    /// batched plan buffer: the same per-access transaction fold plus
-    /// fan-out sample, taken from the entry's op slices instead of an
-    /// owned [`AccessPlan`].
+    /// Records every transaction of one access's plan (its critical and
+    /// background op slices) plus its fan-out sample. Call exactly once
+    /// per access, after the controller sealed the plan.
     // audit: hot-path
     pub fn record_view(&mut self, critical: &[DeviceOp], background: &[DeviceOp]) {
         for op in critical.iter().chain(background) {
@@ -199,33 +168,19 @@ impl TrafficAccum {
             self.record_op(op);
         }
     }
-
-    /// Adds every counter of `other` into `self` (commutative shard
-    /// merge).
-    // audit: merge
-    pub fn merge(&mut self, other: &TrafficAccum) {
-        self.matrix.merge(&other.matrix);
-        for (dst, src) in self.size.iter_mut().zip(&other.size) {
-            dst.merge(src);
-        }
-        self.mlp.merge(&other.mlp);
-    }
 }
 
 /// One epoch boundary's cumulative bandwidth snapshot: class bytes, sim
 /// cycles, and per-channel data-bus busy cycles.
 ///
-/// Everything is cumulative-from-zero and integer, so per-shard partials
-/// [`absorb`](Self::absorb) into the exact global snapshot regardless of
-/// shard grouping (the sharded engine's cycle domain is the *sum* of
-/// per-set clocks, matching the merged `cycles` here). Utilization is
-/// derived at emit time from consecutive snapshots' deltas.
+/// Everything is cumulative-from-zero and integer. Utilization is derived
+/// at emit time from consecutive snapshots' deltas.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BwPoint {
     /// Cumulative bytes per device class, indexed by
     /// [`TrafficDevice::index`].
     pub class_bytes: [u64; NUM_DEVICE_CLASSES], // audit: unit(bytes)
-    /// Cumulative simulated cycles (summed per-set clocks when sharded).
+    /// Cumulative simulated cycles.
     pub cycles: u64, // audit: unit(cycles)
     /// Cumulative per-channel busy cycles of the HBM stack's data buses.
     pub hbm_busy: Vec<u64>, // audit: unit(cycles)
@@ -242,29 +197,6 @@ impl BwPoint {
             cycles: 0,
             hbm_busy: vec![0; hbm_channels],
             dram_busy: vec![0; dram_channels],
-        }
-    }
-
-    /// Adds every component of `other` into `self` (commutative shard
-    /// merge of same-boundary partials).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the channel counts disagree — partials of one run always
-    /// share the device configuration.
-    // audit: merge
-    pub fn absorb(&mut self, other: &BwPoint) {
-        assert_eq!(self.hbm_busy.len(), other.hbm_busy.len(), "hbm channel count");
-        assert_eq!(self.dram_busy.len(), other.dram_busy.len(), "dram channel count");
-        for (dst, src) in self.class_bytes.iter_mut().zip(&other.class_bytes) {
-            *dst += src;
-        }
-        self.cycles += other.cycles;
-        for (dst, src) in self.hbm_busy.iter_mut().zip(&other.hbm_busy) {
-            *dst += src;
-        }
-        for (dst, src) in self.dram_busy.iter_mut().zip(&other.dram_busy) {
-            *dst += src;
         }
     }
 }
@@ -298,26 +230,13 @@ mod tests {
     }
 
     #[test]
-    fn matrix_merge_is_a_field_wise_sum() {
-        let mut a = TrafficMatrix::new();
-        a.record(TrafficDevice::MHbm, TrafficCause::MigrationPromote, 100);
-        let mut b = TrafficMatrix::new();
-        b.record(TrafficDevice::MHbm, TrafficCause::MigrationPromote, 23);
-        b.record(TrafficDevice::CHbm, TrafficCause::ZombieEvict, 7);
-        a.merge(&b);
-        assert_eq!(a.bytes(TrafficDevice::MHbm, TrafficCause::MigrationPromote), 123);
-        assert_eq!(a.ops(TrafficDevice::MHbm, TrafficCause::MigrationPromote), 2);
-        assert_eq!(a.bytes(TrafficDevice::CHbm, TrafficCause::ZombieEvict), 7);
-    }
-
-    #[test]
     fn accum_records_plans_and_reconciles() {
         let mut acc = TrafficAccum::new();
         let mut plan = AccessPlan::new();
         plan.critical.push(op(Mem::Hbm, 64, TrafficCause::DemandRead, true));
         plan.background.push(op(Mem::OffChip, 2048, TrafficCause::MissFill, false));
         plan.background.push(op(Mem::Hbm, 2048, TrafficCause::MissFill, false));
-        acc.record_plan(&plan);
+        acc.record_view(&plan.critical, &plan.background);
         assert_eq!(acc.matrix.device_bytes(TrafficDevice::MHbm), 64);
         assert_eq!(acc.matrix.device_bytes(TrafficDevice::CHbm), 2048);
         assert_eq!(acc.matrix.device_bytes(TrafficDevice::OffChip), 2048);
@@ -338,7 +257,7 @@ mod tests {
         let mut plan = AccessPlan::new();
         plan.critical.push(op(Mem::Hbm, 64, TrafficCause::DemandRead, false));
         plan.background.push(op(Mem::OffChip, 4096, TrafficCause::Writeback, false));
-        acc.record_plan(&plan);
+        acc.record_view(&plan.critical, &plan.background);
         reconcile(&acc.matrix, 64, 4096).unwrap();
         // Doctor the device side: pretend a 64-byte transaction reached the
         // off-chip device without being attributed to any cause.
@@ -347,53 +266,5 @@ mod tests {
         // And the HBM side reports its class split in the message.
         let err = reconcile(&acc.matrix, 128, 4096).unwrap_err();
         assert!(err.contains("hbm cause-sum 64 != device total 128"), "{err}");
-    }
-
-    #[test]
-    fn accum_merge_matches_single_stream() {
-        let ops = [
-            op(Mem::Hbm, 64, TrafficCause::DemandRead, true),
-            op(Mem::Hbm, 2048, TrafficCause::MigrationDemote, false),
-            op(Mem::OffChip, 2048, TrafficCause::PressureFlush, false),
-            op(Mem::OffChip, 64, TrafficCause::Metadata, false),
-        ];
-        let mut global = TrafficAccum::new();
-        let mut shards = [TrafficAccum::new(), TrafficAccum::new()];
-        for (i, o) in ops.iter().enumerate() {
-            let mut plan = AccessPlan::new();
-            plan.critical.push(*o);
-            global.record_plan(&plan);
-            shards[i % 2].record_plan(&plan);
-        }
-        let mut merged = TrafficAccum::new();
-        // Merge in either order: commutative.
-        merged.merge(&shards[1]);
-        merged.merge(&shards[0]);
-        assert_eq!(merged, global);
-    }
-
-    #[test]
-    fn bw_points_absorb_elementwise() {
-        let mut a = BwPoint::zeroed(2, 1);
-        a.class_bytes = [10, 20, 30];
-        a.cycles = 100;
-        a.hbm_busy = vec![5, 6];
-        a.dram_busy = vec![7];
-        let mut b = BwPoint::zeroed(2, 1);
-        b.class_bytes = [1, 2, 3];
-        b.cycles = 11;
-        b.hbm_busy = vec![1, 1];
-        b.dram_busy = vec![2];
-        a.absorb(&b);
-        assert_eq!(a.class_bytes, [11, 22, 33]);
-        assert_eq!(a.cycles, 111);
-        assert_eq!(a.hbm_busy, vec![6, 7]);
-        assert_eq!(a.dram_busy, vec![9]);
-    }
-
-    #[test]
-    #[should_panic(expected = "hbm channel count")]
-    fn bw_points_reject_mismatched_channel_counts() {
-        BwPoint::zeroed(2, 1).absorb(&BwPoint::zeroed(8, 1));
     }
 }

@@ -230,36 +230,6 @@ impl EventRing {
     }
 }
 
-/// Merges per-shard event collections into the single stream a global ring
-/// of `capacity` would have kept.
-///
-/// Each part is `(events_kept_oldest_first, dropped)` from one shard's
-/// ring. Because every shard keeps its own newest `capacity` events, the
-/// union always contains the globally newest `capacity` — so sorting the
-/// union by `seq` (stable: all events of one seq come from one shard, in
-/// emission order) and keeping the tail reproduces the same kept set at
-/// any shard count. Returns `(merged_events, dropped)` where `dropped`
-/// counts everything recorded but not kept.
-// audit: merge
-pub fn merge_shard_events(
-    parts: Vec<(Vec<TimedEvent>, u64)>,
-    capacity: usize,
-) -> (Vec<TimedEvent>, u64) {
-    let capacity = capacity.max(1);
-    let mut recorded: u64 = 0;
-    let mut all: Vec<TimedEvent> = Vec::new();
-    for (events, dropped) in parts {
-        recorded += events.len() as u64 + dropped;
-        all.extend(events);
-    }
-    all.sort_by_key(|e| e.seq);
-    if all.len() > capacity {
-        all.drain(..all.len() - capacity);
-    }
-    let dropped = recorded.saturating_sub(all.len() as u64);
-    (all, dropped)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,39 +285,6 @@ mod tests {
         assert_eq!(r.dropped(), 0);
         assert_eq!(r.iter().count(), 2);
         assert!(!r.is_empty());
-    }
-
-    #[test]
-    fn merged_shards_match_a_single_global_ring() {
-        // Partition seqs 0..40 across 3 "shards" by seq % 3, push each
-        // shard's events through its own capacity-8 ring, merge, and
-        // compare with one ring that saw the full stream in order.
-        let mut global = EventRing::new(8);
-        let mut shards = vec![EventRing::new(8), EventRing::new(8), EventRing::new(8)];
-        for s in 0..40u64 {
-            global.push(ev(s));
-            shards[(s % 3) as usize].push(ev(s));
-        }
-        let parts: Vec<(Vec<TimedEvent>, u64)> =
-            shards.into_iter().map(|r| { let d = r.dropped(); (r.into_vec(), d) }).collect();
-        let (merged, dropped) = merge_shard_events(parts, 8);
-        assert_eq!(merged, global.clone().into_vec());
-        assert_eq!(dropped, global.dropped());
-    }
-
-    #[test]
-    fn merge_is_shard_count_independent() {
-        let one = vec![((0..10).map(ev).collect::<Vec<_>>(), 5u64)];
-        let two = vec![
-            ((0..10).filter(|s| s % 2 == 0).map(ev).collect::<Vec<_>>(), 2u64),
-            ((0..10).filter(|s| s % 2 == 1).map(ev).collect::<Vec<_>>(), 3u64),
-        ];
-        let (a, da) = merge_shard_events(one, 4);
-        let (b, db) = merge_shard_events(two, 4);
-        assert_eq!(a, b);
-        assert_eq!(da, db);
-        assert_eq!(a.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![6, 7, 8, 9]);
-        assert_eq!(da, 11, "15 recorded, 4 kept");
     }
 
     #[test]

@@ -50,17 +50,6 @@ impl Pow2Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Adds every count of `other` into `self`.
-    // audit: merge
-    pub fn merge(&mut self, other: &Pow2Histogram) {
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-        self.total += other.total;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
-    }
-
     /// Raw bucket counts.
     pub fn buckets(&self) -> &[u64; 64] {
         &self.buckets
@@ -178,19 +167,6 @@ mod tests {
         assert_eq!(h.buckets()[9], 1);
         let nz: Vec<_> = h.nonzero().collect();
         assert_eq!(nz, vec![(0, 0, 1), (1, 2, 2), (9, 512, 1)]);
-    }
-
-    #[test]
-    fn merge_adds_counts() {
-        let mut a = Pow2Histogram::new();
-        a.record(5);
-        let mut b = Pow2Histogram::new();
-        b.record(5);
-        b.record(100);
-        a.merge(&b);
-        assert_eq!(a.total(), 3);
-        assert_eq!(a.buckets()[2], 2);
-        assert_eq!(a.max(), 100);
     }
 
     #[test]

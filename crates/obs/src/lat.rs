@@ -7,11 +7,10 @@
 //! classification ([`AccessPath`]) plus the cycle-domain breakdown of the
 //! critical path (metadata lookup, channel queue wait, bank service, and
 //! non-device stall). Records live in a bounded [`LatRing`] (newest-kept,
-//! drop-counted, exactly like the event ring) and merge across set shards
-//! with [`merge_shard_records`], so `.lat.jsonl` output is byte-identical
-//! at any `--jobs`/`--shards` width. [`LatCollector`] aggregates records
-//! into path-tagged power-of-two latency histograms and per-epoch
-//! queue-wait gauges for reports.
+//! drop-counted, exactly like the event ring), so `.lat.jsonl` output is
+//! byte-identical at any `--jobs`/`--batch` width. [`LatCollector`]
+//! aggregates records into path-tagged power-of-two latency histograms and
+//! per-epoch queue-wait gauges for reports.
 
 use crate::hist::Pow2Histogram;
 use memsim_types::AccessPath;
@@ -19,7 +18,7 @@ use memsim_types::AccessPath;
 /// The SplitMix64 finalizer: a full-avalanche bijection on `u64`. The
 /// same mixer the trace PRNG and the over-fetch hasher use — hashing the
 /// access sequence number gives an unbiased, deterministic sample of the
-/// stream that is independent of shard or job partitioning.
+/// stream that is independent of job or chunk partitioning.
 // audit: hot-path
 #[inline]
 fn mix64(mut z: u64) -> u64 {
@@ -32,7 +31,7 @@ fn mix64(mut z: u64) -> u64 {
 /// Whether global access `seq` is selected at sampling rate `rate`
 /// (roughly one access in `rate`; 0 disables sampling entirely).
 ///
-/// Purely a function of `(seq, rate)` — every shard and job width selects
+/// Purely a function of `(seq, rate)` — every job and batch width selects
 /// the same accesses.
 // audit: hot-path
 #[inline]
@@ -119,31 +118,6 @@ impl LatRing {
         v.rotate_left(self.head);
         v
     }
-}
-
-/// Merges per-shard record collections into the single stream a global
-/// ring of `capacity` would have kept — the same discipline as
-/// [`merge_shard_events`](crate::merge_shard_events): each shard keeps its
-/// own newest `capacity`, so the seq-sorted union always contains the
-/// globally newest `capacity`. Returns `(merged, dropped)`.
-// audit: merge
-pub fn merge_shard_records(
-    parts: Vec<(Vec<AccessRecord>, u64)>,
-    capacity: usize,
-) -> (Vec<AccessRecord>, u64) {
-    let capacity = capacity.max(1);
-    let mut recorded: u64 = 0;
-    let mut all: Vec<AccessRecord> = Vec::new();
-    for (records, dropped) in parts {
-        recorded += records.len() as u64 + dropped;
-        all.extend(records);
-    }
-    all.sort_by_key(|r| r.seq);
-    if all.len() > capacity {
-        all.drain(..all.len() - capacity);
-    }
-    let dropped = recorded.saturating_sub(all.len() as u64);
-    (all, dropped)
 }
 
 /// Per-path aggregate of the sampled records: component sums for the
@@ -273,21 +247,6 @@ mod tests {
         tiny.push(rec(9, AccessPath::MhbmHit, 0));
         assert_eq!(tiny.len(), 1, "capacity clamps to 1");
         assert!(!tiny.is_empty());
-    }
-
-    #[test]
-    fn merged_shards_match_a_single_global_ring() {
-        let mut global = LatRing::new(8);
-        let mut shards = vec![LatRing::new(8), LatRing::new(8), LatRing::new(8)];
-        for s in 0..40u64 {
-            global.push(rec(s, AccessPath::ChbmHit, s));
-            shards[(s % 3) as usize].push(rec(s, AccessPath::ChbmHit, s));
-        }
-        let parts: Vec<(Vec<AccessRecord>, u64)> =
-            shards.into_iter().map(|r| { let d = r.dropped(); (r.into_vec(), d) }).collect();
-        let (merged, dropped) = merge_shard_records(parts, 8);
-        assert_eq!(merged, global.clone().into_vec());
-        assert_eq!(dropped, global.dropped());
     }
 
     #[test]

@@ -25,13 +25,12 @@
 //! * [`lat`] — sampled per-access request tracing: a deterministic
 //!   SplitMix64 sampler over the global access sequence, cycle-domain
 //!   [`lat::AccessRecord`]s (path + lookup/queue/service/stall), a bounded
-//!   [`lat::LatRing`] with shard-merge, and the [`lat::LatCollector`]
-//!   report aggregator;
+//!   [`lat::LatRing`], and the [`lat::LatCollector`] report aggregator;
 //! * [`bw`] — cause-attributed traffic accounting: the per-device-class
 //!   per-cause [`bw::TrafficMatrix`], the [`bw::TrafficAccum`] op-size /
-//!   MLP histograms, cumulative [`bw::BwPoint`] epoch snapshots with a
-//!   commutative shard merge, and the hard [`bw::reconcile`] check
-//!   against the devices' undifferentiated byte totals;
+//!   MLP histograms, cumulative [`bw::BwPoint`] epoch snapshots, and the
+//!   hard [`bw::reconcile`] check against the devices' undifferentiated
+//!   byte totals;
 //! * [`span`] — a scoped wall-clock span profiler (thread-local RAII
 //!   guards aggregated into a per-phase tree), answering *where simulator
 //!   wall time goes*; disabled it costs one thread-local flag check.
@@ -75,11 +74,9 @@ pub mod snapshot;
 pub mod span;
 
 pub use bw::{reconcile, BwPoint, TrafficAccum, TrafficMatrix};
-pub use event::{merge_shard_events, EventRing, TimedEvent, TraceEvent};
+pub use event::{EventRing, TimedEvent, TraceEvent};
 pub use hist::{DeviceHistograms, Pow2Histogram};
-pub use lat::{
-    merge_shard_records, sampled, AccessRecord, LatCollector, LatRing, PathLatency, QueueGauge,
-};
+pub use lat::{sampled, AccessRecord, LatCollector, LatRing, PathLatency, QueueGauge};
 pub use recorder::{MetricsConfig, MetricsRecorder, NoopRecorder, RunRecorder, Telemetry};
 pub use snapshot::{EpochGauges, EpochSnapshot, OCC_BUCKETS};
 pub use span::{Phase, SpanNode, SpanTree};

@@ -174,17 +174,6 @@ impl Telemetry {
         self.accesses
     }
 
-    /// Sets the access counter to `n` without ticking.
-    ///
-    /// Sharded runs use this to stamp events with the *global* access
-    /// index of the access being processed (each worker sees only the
-    /// accesses it owns, so counting ticks locally would produce
-    /// shard-relative timestamps). Epoch sampling in that mode is driven
-    /// by the merge step, never by per-shard [`tick`](Self::tick)s.
-    pub fn sync_accesses(&mut self, n: u64) {
-        self.accesses = n;
-    }
-
     /// Counts one access; `true` when an epoch boundary was reached and
     /// the caller should gather gauges and [`sample`](Self::sample).
     #[inline]

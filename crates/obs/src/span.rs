@@ -262,49 +262,6 @@ pub fn collect() -> SpanTree {
     tree
 }
 
-/// Grafts a tree collected on another thread into the current session,
-/// under the innermost open span.
-///
-/// Shard workers profile on their own threads (the span state is
-/// thread-local) and hand their collected trees back to the spawning
-/// thread, which absorbs them while its `Cell` span is still open — so
-/// worker phases appear on the same `cell/...` paths a serial run
-/// produces. Absorbed root spans contribute their total time to the open
-/// parent's child accounting; because workers run concurrently, a
-/// parent's child time may exceed its own wall time (self time saturates
-/// at zero, and coverage ratios can exceed 1).
-///
-/// Without an active session, or with `other` empty, this is a no-op.
-// audit: merge
-pub fn absorb(other: &SpanTree) {
-    if !profiling() || other.is_empty() {
-        return;
-    }
-    STATE.with(|s| {
-        let state = &mut *s.borrow_mut();
-        let parent = state.stack.last().map(|&(i, _)| i);
-        let mut map = Vec::with_capacity(other.nodes.len());
-        for n in &other.nodes {
-            let mapped_parent = match n.parent {
-                Some(p) => Some(map[p]),
-                None => parent,
-            };
-            let i = state.tree.find_or_create(mapped_parent, n.phase);
-            state.tree.nodes[i].calls += n.calls;
-            state.tree.nodes[i].total_nanos += n.total_nanos;
-            state.tree.nodes[i].child_nanos += n.child_nanos;
-            if n.parent.is_none() {
-                if let Some(p) = parent {
-                    state.tree.nodes[p].child_nanos += n.total_nanos;
-                }
-            }
-            map.push(i);
-        }
-        state.tree.spans += other.spans;
-        state.tree.overhead_nanos += other.overhead_nanos;
-    });
-}
-
 /// Calibrates the cost of the two `Instant::now()` reads each span pays.
 fn estimate_overhead(spans: u64) -> u64 {
     if spans == 0 {
@@ -508,54 +465,6 @@ mod tests {
         assert_eq!(merged.get("cell/dram_service").unwrap().calls, 1);
         assert_eq!(merged.spans(), a.spans() + b.spans());
         assert_eq!(merged.total_nanos(), a.total_nanos() + b.total_nanos());
-    }
-
-    #[test]
-    fn absorb_grafts_a_worker_tree_under_the_open_span() {
-        // "Worker" session: roots are the run phases, no Cell span.
-        enable();
-        {
-            let _t = span(Phase::TraceGen);
-        }
-        {
-            let _l = span(Phase::CtrlLookup);
-            let _d = span(Phase::DramService);
-        }
-        let worker = collect();
-        assert!(worker.get("trace_gen").is_some(), "worker phases are roots");
-
-        // "Parent" session: absorb while the Cell span is open.
-        enable();
-        {
-            let _cell = span(Phase::Cell);
-            absorb(&worker);
-            absorb(&worker);
-        }
-        let tree = collect();
-        assert_eq!(tree.get("cell/trace_gen").unwrap().calls, 2);
-        assert_eq!(tree.get("cell/ctrl_lookup").unwrap().calls, 2);
-        assert_eq!(tree.get("cell/ctrl_lookup/dram_service").unwrap().calls, 2);
-        assert!(tree.get("trace_gen").is_none(), "absorbed roots are re-parented");
-        let cell = tree.get("cell").unwrap();
-        assert_eq!(
-            cell.child_nanos,
-            2 * (worker.get("trace_gen").unwrap().total_nanos
-                + worker.get("ctrl_lookup").unwrap().total_nanos),
-            "absorbed root totals count as the parent's child time"
-        );
-        assert_eq!(tree.spans(), 1 + 2 * worker.spans());
-    }
-
-    #[test]
-    fn absorb_without_a_session_is_inert() {
-        enable();
-        {
-            let _t = span(Phase::TraceGen);
-        }
-        let worker = collect();
-        assert!(!profiling());
-        absorb(&worker); // no session: must not arm or record anything
-        assert!(collect().is_empty());
     }
 
     #[test]

@@ -62,17 +62,6 @@ impl Design {
         !matches!(self, Design::NoHbm)
     }
 
-    /// Whether the design can run set-sharded
-    /// ([`run_design_sharded`](crate::shard::run_design_sharded)).
-    ///
-    /// True exactly for the designs built on the Bumblebee controller,
-    /// whose per-access state is confined to the accessed remapping set.
-    /// The baselines keep globally coupled state (fault queues, global
-    /// clocks) and fall back to the serial path under `--shards`.
-    pub fn supports_sharding(&self) -> bool {
-        matches!(self, Design::Bumblebee | Design::Ablation(_))
-    }
-
     /// Builds the controller for this design.
     pub fn build(&self, geometry: Geometry, sram_budget: u64) -> AnyController {
         match self {

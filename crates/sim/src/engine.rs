@@ -2,9 +2,9 @@
 //!
 //! A shared-cursor executor over `std::thread::scope` (no external
 //! dependencies): workers pop the next unclaimed cell from an atomic
-//! cursor, run it with [`run_design`], and slot the [`SimReport`] into the
-//! cell's position, so the assembled [`ResultSet`] is independent of
-//! worker count and scheduling. Width comes from `--jobs N`, the
+//! cursor, run it with [`run_design_batched`], and slot the [`SimReport`]
+//! into the cell's position, so the assembled [`ResultSet`] is independent
+//! of worker count and scheduling. Width comes from `--jobs N`, the
 //! `BUMBLEBEE_JOBS` environment variable, or the machine's available
 //! parallelism; `1` reproduces the old sequential behavior exactly — and,
 //! because per-cell seeds are derived in the matrix rather than at run
@@ -14,7 +14,6 @@ use crate::jsonl::JsonObj;
 use crate::matrix::{Cell, ExperimentMatrix};
 use crate::report::SimReport;
 use crate::run::{run_design_batched, RunObservations};
-use crate::shard::run_design_sharded;
 use memsim_dram::presets;
 use memsim_obs::{span, BwPoint, LatCollector, MetricsConfig, Pow2Histogram, SpanTree};
 use memsim_types::{AccessPath, GeometryError, TrafficCause, TrafficDevice};
@@ -36,7 +35,6 @@ pub const DEFAULT_BATCH: usize = 4096;
 #[derive(Debug, Clone)]
 pub struct Engine {
     jobs: usize,
-    shards: Option<usize>,
     batch: usize,
     progress: bool,
     heartbeat_nanos: u64,
@@ -46,12 +44,11 @@ pub struct Engine {
 
 impl Engine {
     /// An engine running `jobs` cells concurrently (clamped to ≥ 1),
-    /// without intra-run sharding, progress output or metrics recording,
-    /// at the default batch width ([`DEFAULT_BATCH`]).
+    /// without progress output or metrics recording, at the default batch
+    /// width ([`DEFAULT_BATCH`]).
     pub fn new(jobs: usize) -> Engine {
         Engine {
             jobs: jobs.max(1),
-            shards: None,
             batch: DEFAULT_BATCH,
             progress: false,
             heartbeat_nanos: DEFAULT_HEARTBEAT_NANOS,
@@ -61,10 +58,9 @@ impl Engine {
     }
 
     /// Widths from the environment: `BUMBLEBEE_JOBS` (cells run
-    /// concurrently; defaults to the machine's available parallelism),
-    /// `BUMBLEBEE_SHARDS` (set-shards within each cell; defaults to none,
-    /// i.e. the unsharded per-cell pipeline), and `BUMBLEBEE_BATCH`
-    /// (access-pipeline chunk width; defaults to [`DEFAULT_BATCH`]).
+    /// concurrently; defaults to the machine's available parallelism) and
+    /// `BUMBLEBEE_BATCH` (access-pipeline chunk width; defaults to
+    /// [`DEFAULT_BATCH`]).
     ///
     /// # Panics
     ///
@@ -74,35 +70,18 @@ impl Engine {
     pub fn from_env() -> Engine {
         let jobs = positive_env("BUMBLEBEE_JOBS", std::env::var("BUMBLEBEE_JOBS").ok().as_deref())
             .unwrap_or_else(available_parallelism);
-        let shards =
-            positive_env("BUMBLEBEE_SHARDS", std::env::var("BUMBLEBEE_SHARDS").ok().as_deref());
         let batch =
             positive_env("BUMBLEBEE_BATCH", std::env::var("BUMBLEBEE_BATCH").ok().as_deref())
                 .unwrap_or(DEFAULT_BATCH);
-        Engine::new(jobs).with_shards(shards).with_batch(batch)
-    }
-
-    /// Sets the intra-run shard count: every cell whose design supports
-    /// set-sharding ([`Design::supports_sharding`](crate::Design::supports_sharding))
-    /// runs as `Some(n)` deterministic sub-runs plus a merge
-    /// ([`run_design_sharded`]); other designs keep the serial pipeline.
-    /// `None` (the default) keeps the serial pipeline everywhere.
-    pub fn with_shards(mut self, shards: Option<usize>) -> Engine {
-        self.shards = shards;
-        self
-    }
-
-    /// The configured intra-run shard count, if sharding is enabled.
-    pub fn shards(&self) -> Option<usize> {
-        self.shards
+        Engine::new(jobs).with_batch(batch)
     }
 
     /// Sets the access-pipeline chunk width (clamped to ≥ 1): every cell
     /// generates, looks up, and services accesses in chunks of up to
     /// `batch`. Purely a performance knob — chunks are cut at epoch
     /// boundaries and the warm-up point, so every output stays
-    /// byte-identical at any width (`1` replays the one-access-at-a-time
-    /// pipeline exactly).
+    /// byte-identical at any width (`1`, one access per chunk, is the
+    /// unstaged reference wider chunks are compared against).
     pub fn with_batch(mut self, batch: usize) -> Engine {
         self.batch = batch.max(1);
         self
@@ -204,23 +183,13 @@ impl Engine {
                 span::enable();
             }
             let start = Instant::now(); // audit: allow(det-clock) -- per-cell wall-time telemetry, excluded from determinism diffs
-            let outcome = match self.shards {
-                Some(n) if cell.design.supports_sharding() => run_design_sharded(
-                    cell.design,
-                    &cell.cfg,
-                    &cell.profile,
-                    self.metrics.as_ref(),
-                    n,
-                    self.batch,
-                ),
-                _ => run_design_batched(
-                    cell.design,
-                    &cell.cfg,
-                    &cell.profile,
-                    self.metrics.as_ref(),
-                    self.batch,
-                ),
-            };
+            let outcome = run_design_batched(
+                cell.design,
+                &cell.cfg,
+                &cell.profile,
+                self.metrics.as_ref(),
+                self.batch,
+            );
             let nanos = start.elapsed().as_nanos() as u64;
             let tree = if self.spans { Some(span::collect()) } else { None };
             if self.progress {
@@ -268,13 +237,7 @@ impl Engine {
             reports.push(report);
             cell_nanos.push(nanos);
         }
-        let telemetry = EngineTelemetry {
-            jobs: self.jobs,
-            shards: self.shards,
-            wall_nanos,
-            cell_nanos,
-            cell_spans,
-        };
+        let telemetry = EngineTelemetry { jobs: self.jobs, wall_nanos, cell_nanos, cell_spans };
         Ok(ResultSet::new(matrix, self.jobs, reports, observations, telemetry, self.metrics))
     }
 }
@@ -308,7 +271,7 @@ fn available_parallelism() -> usize {
     std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
 }
 
-/// Parses a width override (`BUMBLEBEE_JOBS` / `BUMBLEBEE_SHARDS`).
+/// Parses a width override (`BUMBLEBEE_JOBS` / `BUMBLEBEE_BATCH`).
 /// `None` means the variable is unset and the caller's default applies.
 ///
 /// # Panics
@@ -333,8 +296,6 @@ fn positive_env(name: &str, var: Option<&str>) -> Option<usize> {
 pub struct EngineTelemetry {
     /// Worker width the run used.
     pub jobs: usize,
-    /// Intra-run shard count, when set-sharding was enabled.
-    pub shards: Option<usize>,
     /// Wall time of the whole matrix, in nanoseconds.
     pub wall_nanos: u64,
     /// Per-cell wall time, in cell order, in nanoseconds.
@@ -568,7 +529,7 @@ impl ResultSet {
     /// `kind=lat_hist` per-path latency histograms with p50/p95/p99, and a
     /// closing `kind=lat_summary` line whose per-path totals reconcile
     /// exactly against the cell's controller counters. Purely cycle-domain —
-    /// byte-identical across `--jobs` and `--shards` widths. Empty when the
+    /// byte-identical across `--jobs` and `--batch` widths. Empty when the
     /// run recorded no metrics or sampling was disabled (`sample_rate` 0).
     pub fn lat_jsonl_lines(&self) -> Vec<String> {
         let Some(all) = self.observations.as_deref() else { return Vec::new() };
@@ -692,7 +653,7 @@ impl ResultSet {
     /// `hbm_bytes` / `dram_bytes` device totals (`trace_tool bandwidth`
     /// enforces this). All counters are integers in the simulated cycle
     /// domain and every float is derived from them at emit time, so the
-    /// stream is byte-identical across `--jobs` and `--shards` widths.
+    /// stream is byte-identical across `--jobs` and `--batch` widths.
     /// Empty when the run recorded no metrics.
     pub fn bw_jsonl_lines(&self) -> Vec<String> {
         let Some(all) = self.observations.as_deref() else { return Vec::new() };
@@ -875,7 +836,6 @@ impl ResultSet {
                 .str("kind", "engine")
                 .str("figure", &self.name)
                 .u64("jobs", self.engine.jobs as u64)
-                .opt_u64("shards", self.engine.shards.map(|s| s as u64))
                 .f64("wall_ms", self.engine.wall_nanos as f64 / 1e6)
                 .f64("utilization", self.engine.utilization())
                 .finish(),
@@ -909,7 +869,7 @@ mod tests {
     #[test]
     fn positive_env_accepts_positive_and_defers_when_unset() {
         assert_eq!(positive_env("BUMBLEBEE_JOBS", Some("3")), Some(3));
-        assert_eq!(positive_env("BUMBLEBEE_SHARDS", Some(" 8 ")), Some(8), "whitespace tolerated");
+        assert_eq!(positive_env("BUMBLEBEE_BATCH", Some(" 8 ")), Some(8), "whitespace tolerated");
         assert_eq!(positive_env("BUMBLEBEE_JOBS", None), None, "unset means default");
     }
 
@@ -920,9 +880,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "BUMBLEBEE_SHARDS=\"0\": expected a positive integer")]
+    #[should_panic(expected = "BUMBLEBEE_JOBS=\"0\": expected a positive integer")]
     fn positive_env_rejects_zero() {
-        positive_env("BUMBLEBEE_SHARDS", Some("0"));
+        positive_env("BUMBLEBEE_JOBS", Some("0"));
     }
 
     #[test]
@@ -959,7 +919,7 @@ mod tests {
             ..MetricsConfig::default()
         };
         let m = metrics_matrix();
-        // batch=1 replays the one-access-at-a-time pipeline exactly.
+        // batch=1, one access per chunk, is the unstaged reference.
         let serial = Engine::new(2).with_metrics(cfg).with_batch(1).run(&m).unwrap();
         assert!(!serial.lat_jsonl_lines().is_empty());
         assert!(!serial.bw_jsonl_lines().is_empty());
@@ -971,27 +931,6 @@ mod tests {
             assert_eq!(serial.lat_jsonl_lines(), b.lat_jsonl_lines(), "batch={batch}");
             assert_eq!(serial.bw_jsonl_lines(), b.bw_jsonl_lines(), "batch={batch}");
         }
-        // And batching composes with set-sharding bit-for-bit: at a fixed
-        // shard width, the batch width must not show in any output.
-        let shardable = ExperimentMatrix::cross(
-            "batch-shards",
-            &[Design::Bumblebee],
-            &[SpecProfile::mcf()],
-            &RunConfig::tiny(),
-        );
-        let sharded = |batch| {
-            Engine::new(1)
-                .with_metrics(cfg)
-                .with_batch(batch)
-                .with_shards(Some(2))
-                .run(&shardable)
-                .unwrap()
-        };
-        let base = sharded(1);
-        let combo = sharded(64);
-        assert_eq!(base.jsonl_lines(), combo.jsonl_lines());
-        assert_eq!(base.lat_jsonl_lines(), combo.lat_jsonl_lines());
-        assert_eq!(base.bw_jsonl_lines(), combo.bw_jsonl_lines());
     }
 
     fn metrics_matrix() -> ExperimentMatrix {
@@ -1126,49 +1065,6 @@ mod tests {
         assert!(epochs.iter().any(|l| l.contains("\"device\":\"dram\"")));
         // No metrics, no stream.
         assert!(Engine::new(2).run(&m).unwrap().bw_jsonl_lines().is_empty());
-    }
-
-    #[test]
-    fn sharded_engine_output_is_byte_identical_at_any_shard_count() {
-        // A shardable-only matrix: every cell takes the sharded pipeline.
-        let profiles = [SpecProfile::mcf()];
-        let m = ExperimentMatrix::cross(
-            "shards",
-            &[Design::Bumblebee, Design::Ablation("M-Only")],
-            &profiles,
-            &RunConfig::tiny(),
-        );
-        let cfg = MetricsConfig {
-            epoch_interval: 1000,
-            event_capacity: 128,
-            sample_rate: 16,
-            ..MetricsConfig::default()
-        };
-        let one = Engine::new(2).with_metrics(cfg).with_shards(Some(1)).run(&m).unwrap();
-        assert!(!one.lat_jsonl_lines().is_empty());
-        assert!(!one.bw_jsonl_lines().is_empty());
-        for shards in [2usize, 8] {
-            let n = Engine::new(2).with_metrics(cfg).with_shards(Some(shards)).run(&m).unwrap();
-            assert_eq!(one.jsonl_lines(), n.jsonl_lines(), "{shards} shards");
-            assert_eq!(one.epochs_jsonl_lines(), n.epochs_jsonl_lines(), "{shards} shards");
-            assert_eq!(one.trace_jsonl_lines(), n.trace_jsonl_lines(), "{shards} shards");
-            assert_eq!(one.lat_jsonl_lines(), n.lat_jsonl_lines(), "{shards} shards");
-            assert_eq!(one.bw_jsonl_lines(), n.bw_jsonl_lines(), "{shards} shards");
-        }
-        // Non-shardable designs fall back to the serial pipeline untouched.
-        let mixed = ExperimentMatrix::cross(
-            "fallback",
-            &[Design::NoHbm, Design::Alloy],
-            &profiles,
-            &RunConfig::tiny(),
-        );
-        let serial = Engine::new(1).run(&mixed).unwrap();
-        let sharded = Engine::new(1).with_shards(Some(4)).run(&mixed).unwrap();
-        assert_eq!(serial.jsonl_lines(), sharded.jsonl_lines());
-        // The engine telemetry line records the shard count.
-        let last = sharded.metrics_jsonl_lines().pop().unwrap();
-        assert!(last.contains("\"shards\":4"), "{last}");
-        assert!(serial.metrics_jsonl_lines().pop().unwrap().contains("\"shards\":null"));
     }
 
     #[test]

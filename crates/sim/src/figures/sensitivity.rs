@@ -6,15 +6,14 @@
 //! T = smallest resident hotness, majority mode-switch threshold). These
 //! sweeps regenerate the trade-off curves behind those choices.
 
-use crate::designs::{AnyController, Design};
-use crate::engine::Engine;
+use crate::designs::Design;
+use crate::engine::{Engine, DEFAULT_BATCH};
 use crate::jsonl::JsonObj;
 use crate::report::{render_table, SimReport};
-use crate::run::{geomean, run_reference, RunConfig};
-use crate::system::System;
+use crate::run::{geomean, run_controller, run_reference, RunConfig};
 use bumblebee_core::BumblebeeConfig;
 use memsim_trace::SpecProfile;
-use memsim_types::{Geometry, GeometryError, HybridMemoryController};
+use memsim_types::{Geometry, GeometryError};
 
 /// One swept parameter point.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,6 +37,9 @@ fn baselines_with(
     engine.par_map(profiles, |p| run_reference(cfg, p)).into_iter().collect()
 }
 
+/// Runs a Bumblebee controller configured by `bee` on `geometry` over
+/// every profile, through the shared driver loop, and returns the geomean
+/// normalized IPC and the metadata footprint in KB.
 fn run_point(
     cfg: &RunConfig,
     geometry: Geometry,
@@ -45,27 +47,15 @@ fn run_point(
     profiles: &[SpecProfile],
     baselines: &[SimReport],
 ) -> (f64, f64) {
+    let point = RunConfig { geometry, ..cfg.clone() };
     let mut speedups = Vec::with_capacity(profiles.len());
     let mut metadata_kb = 0.0;
     for (p, base) in profiles.iter().zip(baselines) {
-        let controller = AnyController::Bumblebee(bumblebee_core::BumblebeeController::new(
-            geometry,
-            bee.clone(),
-        ));
-        metadata_kb = controller.metadata_bytes() as f64 / 1024.0;
-        let mut system = System::new(controller, &geometry, cfg.params, true);
-        let mut w = memsim_trace::Workload::new(p.spec(cfg.scale), geometry.flat_bytes(), cfg.seed);
-        for _ in 0..cfg.warmup {
-            system.step(w.next_access());
-        }
-        let warm_insts = system.counters().instructions;
-        let warm_cycles = system.now();
-        for _ in 0..cfg.accesses {
-            system.step(w.next_access());
-        }
-        let insts = system.counters().instructions - warm_insts;
-        let cycles = (system.now() - warm_cycles).max(1);
-        speedups.push((insts as f64 / cycles as f64) / base.ipc);
+        let controller = Design::build_bumblebee(geometry, bee.clone());
+        let (report, _) =
+            run_controller(controller, Design::Bumblebee, &point, p, None, DEFAULT_BATCH);
+        metadata_kb = report.metadata_bytes as f64 / 1024.0;
+        speedups.push(report.ipc / base.ipc);
     }
     (geomean(&speedups), metadata_kb)
 }
@@ -248,12 +238,6 @@ pub fn jsonl_lines(points: &[SweepPoint]) -> Vec<String> {
                 .finish()
         })
         .collect()
-}
-
-/// The `Design` hook so the binary can reuse shared plumbing. (Sweeps build
-/// Bumblebee variants directly; this is here for discoverability.)
-pub fn design() -> Design {
-    Design::Bumblebee
 }
 
 #[cfg(test)]

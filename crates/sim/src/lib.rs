@@ -43,7 +43,6 @@ pub mod jsonl;
 pub mod matrix;
 pub mod report;
 pub mod run;
-pub mod shard;
 pub mod system;
 
 pub use designs::Design;
@@ -53,8 +52,7 @@ pub use matrix::{cell_seed, Cell, ExperimentMatrix};
 pub use memsim_obs::{MetricsConfig, SpanTree};
 pub use report::SimReport;
 pub use run::{
-    geomean, geomean_diag, run_design, run_design_batched, run_design_with, run_reference,
-    Geomean, RunConfig, RunObservations,
+    geomean, geomean_diag, run_design, run_design_batched, run_reference, Geomean, RunConfig,
+    RunObservations,
 };
-pub use shard::{run_design_sharded, ShardPlan};
 pub use system::{SimParams, System};

@@ -1,17 +1,16 @@
 //! Run configuration and the single-run entry point.
 
 use crate::designs::{AnyController, Design};
+use crate::engine::DEFAULT_BATCH;
 use crate::report::SimReport;
-use crate::system::{SimParams, StepProbe, System, SystemCounters};
+use crate::system::{SimParams, System, SystemCounters};
 use memsim_obs::span::{self, Phase};
 use memsim_obs::{
-    sampled, AccessRecord, BwPoint, DeviceHistograms, EpochSnapshot, LatRing, MetricsConfig,
-    RunRecorder, TimedEvent, TrafficAccum,
+    AccessRecord, BwPoint, DeviceHistograms, EpochSnapshot, LatRing, MetricsConfig, RunRecorder,
+    TimedEvent, TrafficAccum,
 };
 use memsim_trace::{SpecProfile, Workload};
-use memsim_types::{
-    Access, AccessBatch, Geometry, GeometryError, HybridMemoryController, PlanBuffer,
-};
+use memsim_types::{AccessBatch, Geometry, GeometryError, HybridMemoryController, PlanBuffer};
 
 /// Scale, geometry, SRAM budget and access volume of one experiment.
 #[derive(Debug, Clone)]
@@ -139,7 +138,8 @@ pub struct RunObservations {
     pub bw_points: Vec<BwPoint>,
 }
 
-/// Runs `design` on `profile` under `cfg` and reports.
+/// Runs `design` on `profile` under `cfg` and reports: the plain
+/// (unobserved) case of [`run_design_batched`] at [`DEFAULT_BATCH`].
 ///
 /// # Errors
 ///
@@ -150,28 +150,54 @@ pub fn run_design(
     cfg: &RunConfig,
     profile: &SpecProfile,
 ) -> Result<SimReport, GeometryError> {
-    run_design_with(design, cfg, profile, None).map(|(report, _)| report)
+    run_design_batched(design, cfg, profile, None, DEFAULT_BATCH).map(|(report, _)| report)
 }
 
-/// Like [`run_design`], but installs a [`RunRecorder`] when `metrics` is
-/// given and returns the harvested [`RunObservations`] alongside the
-/// report. The recorder counts from access 0, so warm-up epochs appear in
-/// the time-series (useful: that is where the cache fills).
+/// Runs `design` on `profile` under `cfg` through the staged batch
+/// pipeline, the simulator's one driver loop: the workload generates
+/// chunks of up to `batch` accesses straight into a flat
+/// [`AccessBatch`], the controller plans each whole chunk
+/// ([`HybridMemoryController::access_batch`]) and the system services the
+/// sealed plans in stream order ([`System::step_batch`]). Chunks are cut
+/// at epoch boundaries and the warm-up snapshot point, so cycles and
+/// every JSONL stream are byte-identical at any `batch ≥ 1` (enforced by
+/// `tests/batch_differential.rs`).
+///
+/// When `metrics` is given, a [`RunRecorder`] is installed and the
+/// harvested [`RunObservations`] are returned alongside the report. The
+/// recorder counts from access 0, so warm-up epochs appear in the
+/// time-series (useful: that is where the cache fills).
 ///
 /// # Errors
 ///
 /// See [`run_design`].
-pub fn run_design_with(
+pub fn run_design_batched(
     design: Design,
     cfg: &RunConfig,
     profile: &SpecProfile,
     metrics: Option<&MetricsConfig>,
+    batch: usize,
 ) -> Result<(SimReport, Option<RunObservations>), GeometryError> {
     // Root span of the whole cell: everything below nests under it, so the
     // collected tree's self times sum to (nearly all of) the cell's wall
     // time. Inert unless a `span` profiling session is active.
     let _cell = span::span(Phase::Cell);
-    let mut controller = design.build(cfg.geometry, cfg.sram_budget);
+    let controller = design.build(cfg.geometry, cfg.sram_budget);
+    Ok(run_controller(controller, design, cfg, profile, metrics, batch))
+}
+
+/// The driver loop behind [`run_design_batched`], on an already-built
+/// `controller` (`design` supplies the report label and whether HBM
+/// background energy counts). Sweeps that build controllers from explicit
+/// configurations run through here too.
+pub(crate) fn run_controller(
+    mut controller: AnyController,
+    design: Design,
+    cfg: &RunConfig,
+    profile: &SpecProfile,
+    metrics: Option<&MetricsConfig>,
+    batch: usize,
+) -> (SimReport, Option<RunObservations>) {
     if let Some(m) = metrics {
         controller.install_recorder(Box::new(RunRecorder::new(m)));
     }
@@ -185,87 +211,12 @@ pub fn run_design_with(
         .filter(|m| m.sample_rate > 0)
         .map(|m| LatRing::new(m.record_capacity));
     // Epoch-boundary bandwidth snapshots: boundary B captures the state
-    // after accesses 0..B — the same discipline as the sharded path's
-    // boundary catch-up, so the two series line up epoch for epoch.
+    // after accesses 0..B.
     let interval = metrics.map_or(0, |m| m.epoch_interval);
     let mut next_boundary = if interval > 0 { interval } else { u64::MAX };
     let mut bw_points: Vec<BwPoint> = Vec::new();
 
-    // Warm-up: run, then reset instruction/cycle accounting by snapshotting.
-    // `seq` is the 0-based global access index — the same timeline the
-    // sharded path's ShardStream produces, so the sampler selects
-    // identical accesses in both modes.
-    let mut seq: u64 = 0;
-    for _ in 0..cfg.warmup {
-        while next_boundary <= seq {
-            bw_points.push(system.bw_point());
-            next_boundary += interval;
-        }
-        let access = {
-            let _gen = span::span(Phase::TraceGen);
-            workload.next_access()
-        };
-        step_sampled(&mut system, lat_ring.as_mut(), sample_rate, seq, access);
-        seq += 1;
-    }
-    let warm_cycles = system.now();
-    let warm = *system.counters();
-    for _ in 0..cfg.accesses {
-        while next_boundary <= seq {
-            bw_points.push(system.bw_point());
-            next_boundary += interval;
-        }
-        let access = {
-            let _gen = span::span(Phase::TraceGen);
-            workload.next_access()
-        };
-        step_sampled(&mut system, lat_ring.as_mut(), sample_rate, seq, access);
-        seq += 1;
-    }
-    while next_boundary <= seq {
-        bw_points.push(system.bw_point());
-        next_boundary += interval;
-    }
-    Ok(harvest(system, design, cfg, profile, warm, warm_cycles, lat_ring, sample_rate, bw_points))
-}
-
-/// Like [`run_design_with`], but drives the staged batch pipeline:
-/// the workload generates chunks of up to `batch` accesses straight into
-/// a flat [`AccessBatch`], the controller plans each whole chunk
-/// ([`HybridMemoryController::access_batch`]) and the system services the
-/// sealed plans in stream order ([`System::step_batch`]). Chunks are cut
-/// at epoch boundaries and the warm-up snapshot point, so cycles and
-/// every JSONL stream are byte-identical to the serial path at any
-/// `batch ≥ 1` (enforced by `tests/batch_differential.rs`).
-///
-/// # Errors
-///
-/// See [`run_design`].
-pub fn run_design_batched(
-    design: Design,
-    cfg: &RunConfig,
-    profile: &SpecProfile,
-    metrics: Option<&MetricsConfig>,
-    batch: usize,
-) -> Result<(SimReport, Option<RunObservations>), GeometryError> {
-    let _cell = span::span(Phase::Cell);
-    let mut controller = design.build(cfg.geometry, cfg.sram_budget);
-    if let Some(m) = metrics {
-        controller.install_recorder(Box::new(RunRecorder::new(m)));
-    }
-    let mut system = System::new(controller, &cfg.geometry, cfg.params, design.uses_hbm());
-    if metrics.is_some() {
-        system.enable_traffic_accounting();
-    }
-    let mut workload = cfg.workload(profile);
-    let sample_rate = metrics.map_or(0, |m| m.sample_rate);
-    let mut lat_ring = metrics
-        .filter(|m| m.sample_rate > 0)
-        .map(|m| LatRing::new(m.record_capacity));
-    let interval = metrics.map_or(0, |m| m.epoch_interval);
-    let mut next_boundary = if interval > 0 { interval } else { u64::MAX };
-    let mut bw_points: Vec<BwPoint> = Vec::new();
-
+    // `seq` is the 0-based global access index the sampler keys on.
     let total = cfg.warmup + cfg.accesses;
     let width = batch.max(1) as u64;
     let mut soa = AccessBatch::with_capacity(batch.max(1));
@@ -298,9 +249,11 @@ pub fn run_design_batched(
         bw_points.push(system.bw_point());
         next_boundary += interval;
     }
+    // Warm-up ends by snapshotting instruction/cycle accounting; the
+    // report measures deltas against it.
     let (warm_counters, warm_cycles) =
         warm.unwrap_or_else(|| (*system.counters(), system.now()));
-    Ok(harvest(
+    harvest(
         system,
         design,
         cfg,
@@ -310,12 +263,11 @@ pub fn run_design_batched(
         lat_ring,
         sample_rate,
         bw_points,
-    ))
+    )
 }
 
-// End-of-run harvest shared by the serial and batched drivers: measured
-// deltas against the warm snapshot, controller drain, observability
-// assembly and the report. Factored out so the two paths cannot drift.
+// End-of-run harvest: measured deltas against the warm snapshot,
+// controller drain, observability assembly and the report.
 #[allow(clippy::too_many_arguments)]
 fn harvest(
     mut system: System<AnyController>,
@@ -384,37 +336,6 @@ fn harvest(
         stats: controller.stats().clone(),
     };
     (report, observations)
-}
-
-/// Advances the system by one access, recording a latency record when the
-/// deterministic sampler selects global index `seq`. With sampling off
-/// (`ring` = `None`) this is exactly [`System::step`].
-// audit: hot-path
-fn step_sampled<C: HybridMemoryController>(
-    system: &mut System<C>,
-    ring: Option<&mut LatRing>,
-    rate: u64,
-    seq: u64,
-    access: Access,
-) {
-    match ring {
-        Some(ring) if sampled(seq, rate) => {
-            let mut p = StepProbe::default();
-            system.step_probed(access, Some(&mut p));
-            ring.push(AccessRecord {
-                seq,
-                path: p.path,
-                lookup: p.lookup,
-                queue: p.queue,
-                service: p.service,
-                stall: p.stall,
-                total: p.total,
-            });
-        }
-        _ => {
-            system.step(access);
-        }
-    }
 }
 
 /// Runs the no-HBM reference on `profile` (the normalization denominator).
@@ -533,8 +454,14 @@ mod tests {
         let cfg = RunConfig::tiny();
         let metrics =
             MetricsConfig { epoch_interval: 1000, event_capacity: 128, ..MetricsConfig::default() };
-        let (report, obs) =
-            run_design_with(Design::Bumblebee, &cfg, &SpecProfile::mcf(), Some(&metrics)).unwrap();
+        let (report, obs) = run_design_batched(
+            Design::Bumblebee,
+            &cfg,
+            &SpecProfile::mcf(),
+            Some(&metrics),
+            DEFAULT_BATCH,
+        )
+        .unwrap();
         let obs = obs.expect("metrics requested");
         // Epochs cover warm-up + measured accesses.
         assert_eq!(obs.epochs.len() as u64, (cfg.warmup + cfg.accesses) / 1000);
@@ -550,7 +477,8 @@ mod tests {
         assert_eq!(report.hbm_bytes, plain.hbm_bytes);
         // And without metrics there is nothing to harvest.
         let (_, none) =
-            run_design_with(Design::Bumblebee, &cfg, &SpecProfile::mcf(), None).unwrap();
+            run_design_batched(Design::Bumblebee, &cfg, &SpecProfile::mcf(), None, DEFAULT_BATCH)
+                .unwrap();
         assert!(none.is_none());
     }
 
@@ -563,8 +491,14 @@ mod tests {
             sample_rate: 64,
             record_capacity: 65536,
         };
-        let (report, obs) =
-            run_design_with(Design::Bumblebee, &cfg, &SpecProfile::mcf(), Some(&metrics)).unwrap();
+        let (report, obs) = run_design_batched(
+            Design::Bumblebee,
+            &cfg,
+            &SpecProfile::mcf(),
+            Some(&metrics),
+            DEFAULT_BATCH,
+        )
+        .unwrap();
         let obs = obs.expect("metrics requested");
         assert_eq!(obs.sample_rate, 64);
         assert!(!obs.records.is_empty(), "rate 64 over 24k accesses must sample");

@@ -5,32 +5,9 @@ use memsim_dram::{presets, DramDevice};
 use memsim_obs::span::{self, Phase};
 use memsim_obs::{sampled, AccessRecord, BwPoint, LatRing, TrafficAccum};
 use memsim_types::{
-    Access, AccessBatch, AccessKind, AccessPath, AccessPlan, Geometry, HybridMemoryController, Mem,
-    PlanBuffer, QuickDiv, TrafficCause,
+    Access, AccessBatch, AccessKind, AccessPlan, Geometry, HybridMemoryController, Mem, PlanBuffer,
+    QuickDiv, TrafficCause,
 };
-
-/// Cycle-domain decomposition of one access, filled by
-/// [`System::step_probed`] for sampled request tracing.
-///
-/// The components partition the charged time exactly:
-/// `lookup + queue + service` equals the raw critical-path latency and
-/// `total` adds the non-device `stall`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StepProbe {
-    /// Serve-path classification the controller put on the plan.
-    pub path: AccessPath,
-    /// Metadata cycles: SRAM lookup plus the full device time of
-    /// `TrafficCause::Metadata` critical ops.
-    pub lookup: u64,
-    /// Channel bus-queue wait of the non-metadata critical ops.
-    pub queue: u64,
-    /// Remaining device service time of the critical path.
-    pub service: u64,
-    /// Non-device stall cycles (OS page faults, swap penalties).
-    pub stall: u64,
-    /// `lookup + queue + service + stall`.
-    pub total: u64,
-}
 
 /// Core-side timing parameters, held as exact integer divisors so the
 /// per-access clock update is integer-only.
@@ -93,7 +70,9 @@ pub struct System<C> {
     hbm: DramDevice,
     dram: DramDevice,
     params: SimParams,
-    plan: AccessPlan,
+    // Width-1 buffers that `step` recycles, so it allocates nothing.
+    one: AccessBatch,
+    one_plan: PlanBuffer,
     now: u64,
     counters: SystemCounters,
     path_counts: [u64; 5],
@@ -111,7 +90,8 @@ impl<C: HybridMemoryController> System<C> {
             hbm: DramDevice::new(presets::hbm2(geometry.hbm_bytes())),
             dram: DramDevice::new(presets::ddr4_3200(geometry.dram_bytes())),
             params,
-            plan: AccessPlan::new(),
+            one: AccessBatch::with_capacity(1),
+            one_plan: PlanBuffer::new(),
             now: 0,
             counters: SystemCounters::default(),
             path_counts: [0; 5],
@@ -184,107 +164,38 @@ impl<C: HybridMemoryController> System<C> {
         &self.path_counts
     }
 
-    /// Runs one LLC-miss access through the controller and the devices,
-    /// returning the exposed latency in cycles.
+    /// Runs one LLC-miss access through the controller and the devices:
+    /// a width-1 [`step_batch`](Self::step_batch) on buffers the system
+    /// owns, so it allocates nothing per call.
     // audit: hot-path
-    pub fn step(&mut self, access: Access) -> u64 {
-        self.step_probed(access, None)
-    }
-
-    /// [`step`](Self::step) with an optional cycle-domain probe: when
-    /// `probe` is `Some`, the critical-path time is decomposed into
-    /// lookup / queue-wait / service / stall (the latency-attribution
-    /// record of a sampled access). With `None` the extra accounting
-    /// compiles down to dead branches on the hot path.
-    // audit: hot-path
-    pub fn step_probed(&mut self, access: Access, probe: Option<&mut StepProbe>) -> u64 {
-        self.plan.clear();
-        {
-            let _lookup = span::span(Phase::CtrlLookup);
-            self.controller.access(&access, &mut self.plan);
-        }
-        self.counters.accesses += 1;
-        self.counters.instructions += u64::from(access.insts);
-        self.path_counts[self.plan.path.index()] += 1;
-        if let Some(acc) = self.traffic.as_deref_mut() {
-            acc.record_plan(&self.plan);
-        }
-
-        let service = span::span(Phase::DramService);
-        // Critical path: metadata, then each op in order.
-        let mut t = self.now + u64::from(self.plan.metadata_cycles);
-        let mut mal = u64::from(self.plan.metadata_cycles);
-        // Bus-queue wait of non-metadata critical ops, measured only for
-        // sampled accesses by snapshotting the device's exact running
-        // queue-wait sum around each op (zero extra device state).
-        let mut queue = 0u64;
-        let probing = probe.is_some();
-        for i in 0..self.plan.critical.len() {
-            let op = self.plan.critical[i];
-            let start = t;
-            let q0 = if probing && op.cause != TrafficCause::Metadata {
-                self.device(op.mem).histograms().queue_wait.sum()
-            } else {
-                0
-            };
-            t = self.device(op.mem).access(op.addr, op.bytes, op.kind, t);
-            if op.cause == TrafficCause::Metadata {
-                mal += t - start;
-            } else if probing {
-                queue += self.device(op.mem).histograms().queue_wait.sum() - q0;
-            }
-        }
-        let raw_latency = t - self.now;
-        if let Some(p) = probe {
-            p.path = self.plan.path;
-            p.lookup = mal;
-            p.queue = queue;
-            p.service = raw_latency - mal - queue;
-            p.stall = self.plan.stall_cycles;
-            p.total = raw_latency + self.plan.stall_cycles;
-        }
-        // Background movement consumes bandwidth/energy but does not stall
-        // this request. It is issued at the current clock (not at the raw
-        // completion time): the clock advances by the MLP-overlapped
-        // exposed latency, so issuing background work further in the
-        // future would let device cursors drift unboundedly ahead of sim
-        // time and charge every later demand for queueing that never
-        // happens in a real (reordering, demand-first) memory controller.
-        let background_at = self.now;
-        for i in 0..self.plan.background.len() {
-            let op = self.plan.background[i];
-            self.device(op.mem).access(op.addr, op.bytes, op.kind, background_at);
-        }
-        drop(service);
-
-        // Core model: the instruction gap at the issue width plus the
-        // exposed (MLP-overlapped) miss latency plus OS stalls.
-        let (compute, exposed) = self.params.core_cycles(access.insts, raw_latency, access.kind);
-        self.counters.demand_cycles += exposed;
-        self.counters.mal_cycles += mal;
-        self.counters.stall_cycles += self.plan.stall_cycles;
-        self.now += compute + exposed + self.plan.stall_cycles;
-        raw_latency
+    pub fn step(&mut self, access: Access) {
+        let mut one = std::mem::take(&mut self.one);
+        let mut plans = std::mem::take(&mut self.one_plan);
+        one.clear();
+        one.push(access.addr.0, access.kind, access.insts);
+        self.step_batch(&one, &mut plans, 0, None, 0);
+        self.one = one;
+        self.one_plan = plans;
     }
 
     /// Runs one chunk of accesses through the staged batch pipeline:
     /// the controller plans every access of `batch` into `plans`
     /// (CtrlLookup), then each access is serviced against the devices in
-    /// strict stream order (DramService), with the same clock math,
-    /// counter updates, traffic recording and sampled-probe discipline as
-    /// calling [`step_probed`](Self::step_probed) per access — cycles and
-    /// every observability stream are byte-identical at any chunk width.
+    /// strict stream order (DramService). This is the simulator's only
+    /// service loop; cycles and every observability stream are
+    /// byte-identical at any chunk width, width 1 included.
     ///
-    /// `base_seq` is the global index of `batch`'s first access; the
-    /// deterministic sampler records into `ring` at `rate` exactly as the
-    /// serial driver's sampling wrapper does. The caller must cut chunks
-    /// so no epoch boundary or warm-up snapshot point falls strictly
-    /// inside one (the per-chunk plan staging would otherwise reorder
-    /// controller work across the snapshot).
+    /// `base_seq` is the global index of `batch`'s first access. When
+    /// `ring` is given, every access the deterministic sampler selects at
+    /// `rate` ([`sampled`]) gets an [`AccessRecord`]: its critical-path
+    /// time split exactly into lookup / queue-wait / service / stall. The
+    /// caller must cut chunks so no epoch boundary or warm-up snapshot
+    /// point falls strictly inside one (the per-chunk plan staging would
+    /// otherwise reorder controller work across the snapshot).
     ///
     /// Staging is legal because the controller never reads the clock or
     /// the devices, and servicing access `i` never mutates controller
-    /// state — see DESIGN.md §11 for the full argument.
+    /// state — see DESIGN.md §10 for the full argument.
     // audit: hot-path
     pub fn step_batch(
         &mut self,
@@ -311,6 +222,9 @@ impl<C: HybridMemoryController> System<C> {
             let probing = ring.is_some() && sampled(seq, rate);
             let mut t = self.now + u64::from(view.metadata_cycles);
             let mut mal = u64::from(view.metadata_cycles);
+            // Bus-queue wait of non-metadata critical ops, measured only
+            // for sampled accesses by snapshotting the device's exact
+            // running queue-wait sum around each op.
             let mut queue = 0u64;
             for k in 0..view.critical.len() {
                 let op = view.critical[k];
@@ -341,6 +255,14 @@ impl<C: HybridMemoryController> System<C> {
                     });
                 }
             }
+            // Background movement consumes bandwidth/energy but does not
+            // stall this request. It is issued at the current clock (not
+            // at the raw completion time): the clock advances by the
+            // MLP-overlapped exposed latency, so issuing background work
+            // further in the future would let device cursors drift
+            // unboundedly ahead of sim time and charge every later demand
+            // for queueing that never happens in a real (reordering,
+            // demand-first) memory controller.
             let background_at = self.now;
             for k in 0..view.background.len() {
                 let op = view.background[k];
@@ -367,14 +289,13 @@ impl<C: HybridMemoryController> System<C> {
     /// Finalizes the run (controller drain) and returns
     /// `(hbm, dram)` device references for reporting.
     pub fn finish(&mut self) -> (&DramDevice, &DramDevice) {
-        self.plan.clear();
-        self.controller.finish(&mut self.plan);
+        let mut plan = AccessPlan::new();
+        self.controller.finish(&mut plan);
         if let Some(acc) = self.traffic.as_deref_mut() {
-            acc.record_drain(&self.plan);
+            acc.record_drain(&plan);
         }
         let t = self.now;
-        for i in 0..self.plan.background.len() {
-            let op = self.plan.background[i];
+        for op in &plan.background {
             self.device(op.mem).access(op.addr, op.bytes, op.kind, t);
         }
         (&self.hbm, &self.dram)
@@ -407,7 +328,7 @@ impl<C: HybridMemoryController> System<C> {
 mod tests {
     use super::*;
     use bumblebee_core::{BumblebeeConfig, BumblebeeController};
-    use memsim_types::Addr;
+    use memsim_types::{Addr, TrafficDevice};
 
     fn geometry() -> Geometry {
         Geometry::paper(256)
@@ -423,26 +344,78 @@ mod tests {
         )
     }
 
+    /// Steps one access as a width-1 chunk with a rate-1 latency ring
+    /// (every access is sampled) and returns its record.
+    fn traced(s: &mut System<BumblebeeController>, access: Access) -> AccessRecord {
+        let mut batch = AccessBatch::new();
+        batch.push(access.addr.0, access.kind, access.insts);
+        let mut ring = LatRing::new(1);
+        let seq = s.counters().accesses;
+        s.step_batch(&batch, &mut PlanBuffer::new(), seq, Some(&mut ring), 1);
+        ring.into_vec().pop().expect("rate 1 samples every access")
+    }
+
+    /// Raw critical-path latency of a record (its total minus OS stalls).
+    fn raw(r: &AccessRecord) -> u64 {
+        r.total - r.stall
+    }
+
+    /// A mixed read/write stream over a small footprint.
+    fn stream() -> Vec<Access> {
+        (0..500u64)
+            .map(|i| Access {
+                addr: Addr(((i * 37) % 300) * 64),
+                kind: if i % 5 == 0 { AccessKind::Write } else { AccessKind::Read },
+                insts: (i % 40) as u32,
+            })
+            .collect()
+    }
+
+    /// Feeds `accesses` through `step_batch` in chunks of `width`,
+    /// sampling into `ring` at `rate` when one is given.
+    fn run_chunks(
+        s: &mut System<BumblebeeController>,
+        accesses: &[Access],
+        width: usize,
+        mut ring: Option<&mut LatRing>,
+        rate: u64,
+    ) {
+        let mut plans = PlanBuffer::new();
+        let mut batch = AccessBatch::new();
+        let mut base = 0u64;
+        for chunk in accesses.chunks(width) {
+            batch.clear();
+            for a in chunk {
+                batch.push(a.addr.0, a.kind, a.insts);
+            }
+            s.step_batch(&batch, &mut plans, base, ring.as_deref_mut(), rate);
+            base += chunk.len() as u64;
+        }
+    }
+
     #[test]
     fn step_advances_clock_and_counts() {
         let mut s = system();
-        let lat = s.step(Access { addr: Addr(0), kind: AccessKind::Read, insts: 100 });
-        assert!(lat > 0);
+        s.step(Access { addr: Addr(0), kind: AccessKind::Read, insts: 100 });
         assert!(s.now() > 0);
         assert_eq!(s.counters().accesses, 1);
         assert_eq!(s.counters().instructions, 100);
+        let r = traced(&mut s, Access::read(Addr(64)));
+        assert!(raw(&r) > 0);
+        assert_eq!(s.counters().accesses, 2);
     }
 
     #[test]
     fn hbm_hits_are_faster_than_offchip_misses() {
         let mut s = system();
-        let miss = s.step(Access::read(Addr(0)));
+        let miss = raw(&traced(&mut s, Access::read(Addr(0))));
         // The immediately following hit may wait for the in-flight block
         // fill (real bandwidth contention); once the fill drains, steady
         // HBM hits must be faster than the cold off-chip miss.
         let mut hit = u64::MAX;
         for _ in 0..8 {
-            hit = s.step(Access { addr: Addr(0), kind: AccessKind::Read, insts: 1000 });
+            let again = Access { addr: Addr(0), kind: AccessKind::Read, insts: 1000 };
+            hit = raw(&traced(&mut s, again));
         }
         assert!(hit < miss, "steady hit {hit} vs cold miss {miss}");
     }
@@ -476,14 +449,21 @@ mod tests {
     }
 
     #[test]
-    fn probe_decomposition_is_exact_and_paths_reconcile() {
+    fn sampled_decomposition_is_exact_and_paths_reconcile() {
         let mut s = system();
-        for i in 0..200u64 {
-            let mut p = StepProbe::default();
-            let raw = s.step_probed(Access::read(Addr((i % 40) * 64)), Some(&mut p));
-            assert_eq!(p.lookup + p.queue + p.service, raw, "decomposition partitions raw");
-            assert_eq!(p.total, raw + p.stall);
+        let accesses: Vec<Access> =
+            (0..200u64).map(|i| Access::read(Addr((i % 40) * 64))).collect();
+        let mut ring = LatRing::new(1024);
+        run_chunks(&mut s, &accesses, 16, Some(&mut ring), 1);
+        let records = ring.into_vec();
+        assert_eq!(records.len(), accesses.len(), "rate 1 samples every access");
+        let mut demand = 0u64;
+        for (seq, r) in records.iter().enumerate() {
+            assert_eq!(r.seq, seq as u64);
+            assert_eq!(r.lookup + r.queue + r.service + r.stall, r.total, "parts partition total");
+            demand += SimParams::default().mlp.div_ceil(raw(r));
         }
+        assert_eq!(demand, s.counters().demand_cycles, "records reproduce the exposed latency");
         assert_eq!(s.path_counts().iter().sum::<u64>(), s.counters().accesses);
         let st = s.controller().stats().clone();
         assert_eq!(s.path_counts()[0] + s.path_counts()[1], st.hbm_hits);
@@ -494,70 +474,68 @@ mod tests {
     }
 
     #[test]
-    fn probed_and_plain_steps_agree() {
-        let mut a = system();
-        let mut b = system();
-        for i in 0..50u64 {
-            let addr = Addr((i % 16) * 4096);
-            let mut p = StepProbe::default();
-            assert_eq!(a.step(Access::read(addr)), b.step_probed(Access::read(addr), Some(&mut p)));
-        }
-        assert_eq!(a.now(), b.now(), "probing never perturbs the clock");
+    fn sampling_never_perturbs_the_cycle_domain() {
+        let accesses = stream();
+        let mut plain = system();
+        let mut sampled = system();
+        run_chunks(&mut plain, &accesses, 13, None, 0);
+        let mut ring = LatRing::new(1024);
+        run_chunks(&mut sampled, &accesses, 13, Some(&mut ring), 1);
+        assert_eq!(ring.len(), accesses.len());
+        assert_eq!(plain.now(), sampled.now(), "probing never perturbs the clock");
+        assert_eq!(plain.counters(), sampled.counters());
+        assert_eq!(plain.path_counts(), sampled.path_counts());
+        assert_eq!(plain.hbm().counters(), sampled.hbm().counters());
+        assert_eq!(plain.dram().counters(), sampled.dram().counters());
     }
 
     #[test]
     fn step_batch_matches_per_access_stepping() {
+        let accesses = stream();
         let mut serial = system();
         let mut batched = system();
-        serial.enable_traffic_accounting();
-        batched.enable_traffic_accounting();
-        let accesses: Vec<Access> = (0..500u64)
-            .map(|i| Access {
-                addr: Addr(((i * 37) % 300) * 64),
-                kind: if i % 5 == 0 { AccessKind::Write } else { AccessKind::Read },
-                insts: (i % 40) as u32,
-            })
-            .collect();
-        // Serial reference replicating the driver's sampling wrapper.
+        let mut one_wide = system();
+        for s in [&mut serial, &mut batched, &mut one_wide] {
+            s.enable_traffic_accounting();
+        }
+        for a in &accesses {
+            serial.step(*a);
+        }
+        // Awkward chunk width (ends mid-stream, short tail), sampled,
+        // against the width-1 reference sampled at the same rate.
         let rate = 8u64;
-        let mut ring_s = LatRing::new(1024);
-        for (seq, a) in accesses.iter().enumerate() {
-            if sampled(seq as u64, rate) {
-                let mut p = StepProbe::default();
-                serial.step_probed(*a, Some(&mut p));
-                ring_s.push(AccessRecord {
-                    seq: seq as u64,
-                    path: p.path,
-                    lookup: p.lookup,
-                    queue: p.queue,
-                    service: p.service,
-                    stall: p.stall,
-                    total: p.total,
-                });
-            } else {
-                serial.step(*a);
-            }
-        }
-        // Batched in awkward chunk widths (ends mid-stream, width 1 tail).
         let mut ring_b = LatRing::new(1024);
-        let mut plans = PlanBuffer::new();
-        let mut batch = AccessBatch::new();
-        let mut base = 0usize;
-        for chunk in accesses.chunks(13) {
-            batch.clear();
-            for a in chunk {
-                batch.push(a.addr.0, a.kind, a.insts);
-            }
-            batched.step_batch(&batch, &mut plans, base as u64, Some(&mut ring_b), rate);
-            base += chunk.len();
+        run_chunks(&mut batched, &accesses, 13, Some(&mut ring_b), rate);
+        let mut ring_1 = LatRing::new(1024);
+        run_chunks(&mut one_wide, &accesses, 1, Some(&mut ring_1), rate);
+        for other in [&batched, &one_wide] {
+            assert_eq!(serial.now(), other.now(), "clock domain identical");
+            assert_eq!(serial.counters(), other.counters());
+            assert_eq!(serial.path_counts(), other.path_counts());
+            assert_eq!(serial.traffic(), other.traffic());
+            assert_eq!(serial.hbm().histograms(), other.hbm().histograms());
+            assert_eq!(serial.dram().histograms(), other.dram().histograms());
         }
-        assert_eq!(serial.now(), batched.now(), "clock domain identical");
-        assert_eq!(serial.counters(), batched.counters());
-        assert_eq!(serial.path_counts(), batched.path_counts());
-        assert_eq!(serial.traffic(), batched.traffic());
-        assert_eq!(ring_s.into_vec(), ring_b.into_vec(), "sampled records identical");
-        assert_eq!(serial.hbm().histograms(), batched.hbm().histograms());
-        assert_eq!(serial.dram().histograms(), batched.dram().histograms());
+        let (b, one) = (ring_b.into_vec(), ring_1.into_vec());
+        assert!(!b.is_empty());
+        assert_eq!(b, one, "sampled records identical");
+    }
+
+    #[test]
+    fn bw_point_class_bytes_reconcile_with_the_devices() {
+        let mut s = system();
+        s.enable_traffic_accounting();
+        for a in stream() {
+            s.step(a);
+        }
+        let p = s.bw_point();
+        let class = |d: TrafficDevice| p.class_bytes[d.index()];
+        let hbm = class(TrafficDevice::MHbm) + class(TrafficDevice::CHbm);
+        assert!(hbm > 0);
+        assert_eq!(hbm, s.hbm().counters().total_bytes());
+        assert_eq!(class(TrafficDevice::OffChip), s.dram().counters().total_bytes());
+        assert_eq!(p.cycles, s.now());
+        assert_eq!(p.hbm_busy, s.hbm().channel_busy_cycles());
     }
 
     #[test]

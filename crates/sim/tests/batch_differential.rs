@@ -8,9 +8,9 @@
 //! cause-attributed traffic/bandwidth stream. Batching is a pure
 //! performance transform: chunks are cut at epoch boundaries and the
 //! warm-up point, and planned device operations are serviced strictly in
-//! access order, so `--batch 1` (the one-access-at-a-time pipeline) is
-//! the ground truth every wider chunk must reproduce exactly — composed
-//! with set-sharding (`--shards {1, 2, 8}`) and `--jobs` widths.
+//! access order, so `--batch 1` (one access per chunk) is the unstaged
+//! reference every wider chunk must reproduce exactly, at any `--jobs`
+//! width.
 //!
 //! Runs only with `--features proptest` (the in-repo shim), like the
 //! other differential suites.
@@ -19,20 +19,14 @@ use memsim_sim::{Design, Engine, ExperimentMatrix, MetricsConfig, RunConfig};
 use memsim_trace::SpecProfile;
 use proptest::prelude::*;
 
-/// Runs the matrix at one (batch, shards) point with metrics on.
+/// Runs the matrix at one (jobs, batch) point with metrics on.
 fn run(
     m: &ExperimentMatrix,
     metrics: MetricsConfig,
     jobs: usize,
     batch: usize,
-    shards: Option<usize>,
 ) -> memsim_sim::ResultSet {
-    Engine::new(jobs)
-        .with_metrics(metrics)
-        .with_batch(batch)
-        .with_shards(shards)
-        .run(m)
-        .unwrap()
+    Engine::new(jobs).with_metrics(metrics).with_batch(batch).run(m).unwrap()
 }
 
 proptest! {
@@ -45,7 +39,7 @@ proptest! {
         interval in 500u64..2_000,
     ) {
         let profile = if xz { SpecProfile::named("xz") } else { SpecProfile::mcf() };
-        // One shardable design and one baseline: the baseline exercises
+        // Bumblebee and one baseline: the baseline exercises
         // the default (per-access) trait batch implementation, Bumblebee
         // the grouped override.
         let m = ExperimentMatrix::cross(
@@ -61,8 +55,8 @@ proptest! {
             ..MetricsConfig::default()
         };
 
-        // Ground truth: the one-access-at-a-time pipeline.
-        let reference = run(&m, metrics, 1, 1, None);
+        // Ground truth: one access per chunk.
+        let reference = run(&m, metrics, 1, 1);
         prop_assert!(!reference.jsonl_lines().is_empty());
         prop_assert!(!reference.epochs_jsonl_lines().is_empty());
         prop_assert!(!reference.trace_jsonl_lines().is_empty());
@@ -77,7 +71,7 @@ proptest! {
         }
 
         for batch in [7usize, 64, 4096] {
-            let b = run(&m, metrics, 1, batch, None);
+            let b = run(&m, metrics, 1, batch);
             prop_assert_eq!(reference.jsonl_lines(), b.jsonl_lines());
             prop_assert_eq!(reference.epochs_jsonl_lines(), b.epochs_jsonl_lines());
             prop_assert_eq!(reference.trace_jsonl_lines(), b.trace_jsonl_lines());
@@ -96,28 +90,8 @@ proptest! {
             }
         }
 
-        // Composed with set-sharding: at each shard width, the sharded
-        // batch=1 run is the ground truth for wider chunks.
-        let shardable = ExperimentMatrix::cross(
-            "batch_diff_sharded",
-            &[Design::Bumblebee],
-            &[profile],
-            &RunConfig::at_scale(256, accesses),
-        );
-        for shards in [1usize, 2, 8] {
-            let narrow = run(&shardable, metrics, 1, 1, Some(shards));
-            for batch in [7usize, 4096] {
-                let wide = run(&shardable, metrics, 1, batch, Some(shards));
-                prop_assert_eq!(narrow.jsonl_lines(), wide.jsonl_lines());
-                prop_assert_eq!(narrow.epochs_jsonl_lines(), wide.epochs_jsonl_lines());
-                prop_assert_eq!(narrow.trace_jsonl_lines(), wide.trace_jsonl_lines());
-                prop_assert_eq!(narrow.lat_jsonl_lines(), wide.lat_jsonl_lines());
-                prop_assert_eq!(narrow.bw_jsonl_lines(), wide.bw_jsonl_lines());
-            }
-        }
-
         // And across --jobs widths at a fixed batch.
-        let wide = run(&m, metrics, 4, 64, None);
+        let wide = run(&m, metrics, 4, 64);
         prop_assert_eq!(reference.jsonl_lines(), wide.jsonl_lines());
         prop_assert_eq!(reference.lat_jsonl_lines(), wide.lat_jsonl_lines());
         prop_assert_eq!(reference.bw_jsonl_lines(), wide.bw_jsonl_lines());
@@ -143,9 +117,9 @@ fn non_divisible_tail_and_boundary_cuts_stay_identical() {
         sample_rate: 32,
         ..MetricsConfig::default()
     };
-    let reference = run(&m, metrics, 1, 1, None);
+    let reference = run(&m, metrics, 1, 1);
     for batch in [2usize, 100, 1000, 1 << 20] {
-        let b = run(&m, metrics, 1, batch, None);
+        let b = run(&m, metrics, 1, batch);
         assert_eq!(reference.jsonl_lines(), b.jsonl_lines(), "batch={batch}");
         assert_eq!(reference.epochs_jsonl_lines(), b.epochs_jsonl_lines(), "batch={batch}");
         assert_eq!(reference.lat_jsonl_lines(), b.lat_jsonl_lines(), "batch={batch}");

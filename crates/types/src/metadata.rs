@@ -137,38 +137,6 @@ impl MetadataModel {
         }
         self.sram_cycles
     }
-
-    /// Stateless variant of [`lookup`](Self::lookup) for sharded runs: the
-    /// cost of the lookup at 0-based global index `index`, independent of
-    /// any per-model counter state.
-    ///
-    /// The serial spill schedule is a Bresenham accumulator — after `k`
-    /// lookups exactly `floor(k · miss_fraction)` have spilled — so lookup
-    /// `k` spills iff `floor(k·mf) > floor((k−1)·mf)`. Evaluating that
-    /// predicate from the index alone lets N shard workers each charge
-    /// exactly the lookups of the accesses they own while reproducing the
-    /// global schedule, with no shared counter.
-    pub fn lookup_at(&self, index: u64, plan: &mut AccessPlan, around: Addr) -> u32 {
-        if self.sram_hit_fraction >= 1.0 {
-            return self.sram_cycles;
-        }
-        let miss_fraction = 1.0 - self.sram_hit_fraction;
-        let k = index + 1;
-        let due = (k as f64 * miss_fraction).floor() as u64;
-        let prev_due = ((k - 1) as f64 * miss_fraction).floor() as u64;
-        if due > prev_due {
-            plan.background.push(DeviceOp {
-                mem: self.in_memory,
-                addr: around.align_down(64.max(u64::from(self.entry_bytes.max(1)))),
-                bytes: self.entry_bytes.max(64),
-                kind: OpKind::Read,
-                cause: TrafficCause::Metadata,
-                mhbm: false,
-            });
-            return Self::IN_MEMORY_LOOKUP_CYCLES;
-        }
-        self.sram_cycles
-    }
 }
 
 #[cfg(test)]
@@ -224,28 +192,6 @@ mod tests {
         let mut plan = AccessPlan::new();
         m.lookup(&mut plan, Addr(0));
         assert!(plan.background.is_empty());
-    }
-
-    #[test]
-    fn lookup_at_matches_serial_schedule() {
-        // Cover fits-in-SRAM, partial-spill and all-in-memory regimes.
-        let models = [
-            MetadataModel::new(300 << 10, MetadataModel::PAPER_SRAM_BUDGET, Mem::Hbm, 64),
-            MetadataModel::new(32 << 20, 512 << 10, Mem::Hbm, 64),
-            MetadataModel::all_in_memory(1 << 20, Mem::OffChip, 8),
-        ];
-        for model in models {
-            let mut serial = model.clone();
-            let mut plan_a = AccessPlan::new();
-            let mut plan_b = AccessPlan::new();
-            for i in 0..5_000u64 {
-                let around = Addr(i * 64);
-                let a = serial.lookup(&mut plan_a, around);
-                let b = model.lookup_at(i, &mut plan_b, around);
-                assert_eq!(a, b, "cycles diverge at lookup {i}");
-            }
-            assert_eq!(plan_a.background, plan_b.background);
-        }
     }
 
     #[test]

@@ -52,23 +52,6 @@ impl CtrlStats {
         self.hbm_hits + self.offchip_serves
     }
 
-    /// Adds every counter of `other` into `self` (commutative shard merge).
-    // audit: merge
-    pub fn merge(&mut self, other: &CtrlStats) {
-        self.hbm_hits += other.hbm_hits;
-        self.offchip_serves += other.offchip_serves;
-        self.block_fills += other.block_fills;
-        self.page_migrations += other.page_migrations;
-        self.evictions += other.evictions;
-        self.switch_to_mhbm += other.switch_to_mhbm;
-        self.switch_to_chbm += other.switch_to_chbm;
-        self.zombie_evictions += other.zombie_evictions;
-        self.pressure_flushes += other.pressure_flushes;
-        self.threshold_rejections += other.threshold_rejections;
-        self.allocations += other.allocations;
-        self.alloc_in_hbm += other.alloc_in_hbm;
-    }
-
     /// HBM hit rate over all demand requests (0 when idle).
     // audit: hot-path
     pub fn hbm_hit_rate(&self) -> f64 {
@@ -248,31 +231,6 @@ mod tests {
         assert_eq!(s.total_accesses(), 4);
         assert!((s.hbm_hit_rate() - 0.75).abs() < 1e-12);
         assert!(s.to_string().contains("hbm_hit_rate=0.750"));
-    }
-
-    #[test]
-    fn merge_sums_every_counter() {
-        let mut a = CtrlStats::new();
-        a.hbm_hits = 1;
-        a.allocations = 2;
-        let mut b = CtrlStats::new();
-        b.hbm_hits = 10;
-        b.offchip_serves = 4;
-        b.block_fills = 5;
-        b.page_migrations = 6;
-        b.evictions = 7;
-        b.switch_to_mhbm = 8;
-        b.switch_to_chbm = 9;
-        b.zombie_evictions = 10;
-        b.pressure_flushes = 11;
-        b.threshold_rejections = 12;
-        b.allocations = 13;
-        b.alloc_in_hbm = 14;
-        a.merge(&b);
-        assert_eq!(a.hbm_hits, 11);
-        assert_eq!(a.allocations, 15);
-        assert_eq!(a.alloc_in_hbm, 14);
-        assert_eq!(a.total_accesses(), 15);
     }
 
     #[test]
