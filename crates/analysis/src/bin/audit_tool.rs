@@ -199,12 +199,11 @@ fn render(report: &AuditReport, format: Format, ratchet: Option<Ratchet>) -> i32
     };
     let verdict = if failed { "FAIL" } else { "clean" };
     eprintln!(
-        "audit: {} — {} file(s), {} finding(s), {} hot-path fn(s) audited, {} merge fn(s), {} unit annotation(s), {} call edge(s), {} audited exception(s)",
+        "audit: {} — {} file(s), {} finding(s), {} hot-path fn(s) audited, {} unit annotation(s), {} call edge(s), {} audited exception(s)",
         verdict,
         report.files,
         report.findings.len(),
         report.hot_fns,
-        report.merge_fns,
         report.unit_annotations,
         report.call_edges,
         report.exceptions.len(),

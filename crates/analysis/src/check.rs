@@ -7,8 +7,7 @@
 //! Pass two runs the rules:
 //!
 //! * per-file rules (`det-*`, `hot-panic`/`hot-alloc`/`hot-callee`,
-//!   `struct-*`, `merge-commutative`) see one file at a time, exactly as
-//!   the PR 5 engine did;
+//!   `struct-*`) see one file at a time, exactly as the PR 5 engine did;
 //! * workspace rules see the whole corpus: `unit-mismatch` resolves names
 //!   against the global [`units::UnitTable`], `hot-transitive` walks the
 //!   cross-crate [`CallGraph`] from the controller/channel roots, and
@@ -63,8 +62,6 @@ pub struct AuditReport {
     pub allows_declared: usize,
     /// Number of `// audit: hot-path` fns audited.
     pub hot_fns: usize,
-    /// Number of `// audit: merge` fns audited for commutativity.
-    pub merge_fns: usize,
     /// Number of `// audit: unit(...)` annotations (fields + fns).
     pub unit_annotations: usize,
     /// Resolved call-graph edges in the workspace pass.
@@ -92,7 +89,6 @@ impl AuditReport {
         out.push_str("  \"version\": 1,\n");
         out.push_str(&format!("  \"files\": {},\n", self.files));
         out.push_str(&format!("  \"hot_fns\": {},\n", self.hot_fns));
-        out.push_str(&format!("  \"merge_fns\": {},\n", self.merge_fns));
         out.push_str(&format!("  \"unit_annotations\": {},\n", self.unit_annotations));
         out.push_str(&format!("  \"call_edges\": {},\n", self.call_edges));
         out.push_str(&format!("  \"allows_declared\": {},\n", self.allows_declared));
@@ -176,7 +172,6 @@ fn file_rules(rel: &str, toks: &[Token], st: &FileStructure, raw: &mut Vec<(usiz
     det_unordered_iter(rel, toks, st, raw);
     det_thread(rel, class, toks, st, raw);
     hot_rules(rel, toks, st, raw);
-    merge_commutative(rel, toks, st, raw);
     if class.is_crate_root {
         struct_attrs(rel, toks, raw);
     }
@@ -221,7 +216,6 @@ pub fn check_ws(ws: &Workspace, aux_idents: &BTreeSet<String>) -> AuditReport {
         report.files += 1;
         report.allows_declared += st.allows.len();
         report.hot_fns += st.fns.iter().filter(|f| f.hot && !f.in_test).count();
-        report.merge_fns += st.fns.iter().filter(|f| f.merge && !f.in_test).count();
         report.unit_annotations +=
             st.unit_fields.len() + st.fns.iter().filter(|f| f.unit.is_some()).count();
         // An allow counts as an audited exception when declared with a
@@ -662,173 +656,6 @@ fn hot_callee(
     }
 }
 
-/// `merge-commutative`: fns annotated `// audit: merge` may only mutate
-/// self state through order-insensitive operations.
-fn merge_commutative(rel: &str, toks: &[Token], st: &FileStructure, out: &mut Vec<(usize, Finding)>) {
-    for f in st.fns.iter().filter(|f| f.merge && !f.in_test) {
-        let Some((start, end)) = f.body else { continue };
-        let mut flag = |i: usize, msg: String| {
-            out.push((i, finding("merge-commutative", rel, toks[i].line, msg)));
-        };
-        let mut i = start;
-        while i <= end.min(toks.len() - 1) {
-            let t = &toks[i];
-            if t.kind == TokKind::Ident {
-                match t.text.as_str() {
-                    // Partial identity must be invisible to a merge: any
-                    // outcome that depends on *which* worker a partial came
-                    // from breaks the any-width byte-identity contract.
-                    "worker" | "worker_id" | "worker_idx" | "sid" => flag(
-                        i,
-                        format!("merge fn `{}` references worker identity `{}`", f.name, t.text),
-                    ),
-                    // Hash-ordered containers make the merge's visitation
-                    // order nondeterministic even when each step commutes.
-                    "HashMap" | "HashSet" => flag(
-                        i,
-                        format!("merge fn `{}` touches hash-ordered `{}`", f.name, t.text),
-                    ),
-                    // Explicit order comparison between partials is the
-                    // classic non-commutative merge bug.
-                    "Ordering" => flag(
-                        i,
-                        format!("merge fn `{}` branches on an `Ordering`", f.name),
-                    ),
-                    "cmp" | "partial_cmp"
-                        if i > 0
-                            && toks[i - 1].is_punct('.')
-                            && toks.get(i + 1).is_some_and(|n| n.is_punct('(')) =>
-                    {
-                        flag(i, format!("merge fn `{}` compares merge operands with `.{}`", f.name, t.text))
-                    }
-                    _ => {}
-                }
-                i += 1;
-                continue;
-            }
-            // Compound assigns: only the commutative-monoid set is
-            // admissible in a merge (`+=`, `|=`).
-            if let Some((op, w)) = compound_assign(toks, i) {
-                if !matches!(op, "+=" | "|=") {
-                    flag(i, format!("merge fn `{}` uses non-commutative `{op}`", f.name));
-                }
-                i += w;
-                continue;
-            }
-            // A plain `=` overwriting a self field is last-writer-wins —
-            // order-dependent — unless it is a self-referential fold
-            // through max/min/saturating_add (`self.f = self.f.max(…)`).
-            if plain_assign(toks, i) && assign_target_is_self(toks, start, i) {
-                let folds = {
-                    let rhs_ok = next_code(toks, i + 1).is_some_and(|(_, t)| t.is_ident("self"));
-                    let mut fold = false;
-                    let mut j = i + 1;
-                    while j <= end.min(toks.len() - 1) && !toks[j].is_punct(';') {
-                        if matches!(toks[j].text.as_str(), "max" | "min")
-                            || toks[j].text.starts_with("saturating_")
-                        {
-                            fold = true;
-                        }
-                        j += 1;
-                    }
-                    rhs_ok && fold
-                };
-                if !folds {
-                    flag(
-                        i,
-                        format!(
-                            "merge fn `{}` overwrites a self field with `=` (use `+=`, `|=`, or a \
-                             `self.f = self.f.max/min/saturating_*` fold)",
-                            f.name
-                        ),
-                    );
-                }
-            }
-            i += 1;
-        }
-    }
-}
-
-/// At token `i`: `Some((op, width))` when a compound-assign operator
-/// starts here (`+=`, `-=`, `*=`, `/=`, `%=`, `&=`, `|=`, `^=`, `<<=`,
-/// `>>=`).
-fn compound_assign(toks: &[Token], i: usize) -> Option<(&'static str, usize)> {
-    let c = toks[i].text.chars().next()?;
-    if toks[i].kind != TokKind::Punct {
-        return None;
-    }
-    let p = |k: usize, c: char| toks.get(i + k).is_some_and(|t| t.is_punct(c));
-    match c {
-        '+' if p(1, '=') => Some(("+=", 2)),
-        '-' if p(1, '=') => Some(("-=", 2)),
-        '*' if p(1, '=') => Some(("*=", 2)),
-        '/' if p(1, '=') => Some(("/=", 2)),
-        '%' if p(1, '=') => Some(("%=", 2)),
-        '&' if p(1, '=') => Some(("&=", 2)),
-        '|' if p(1, '=') => Some(("|=", 2)),
-        '^' if p(1, '=') => Some(("^=", 2)),
-        '<' if p(1, '<') && p(2, '=') => Some(("<<=", 3)),
-        '>' if p(1, '>') && p(2, '=') => Some((">>=", 3)),
-        _ => None,
-    }
-}
-
-/// At token `i`: a standalone assignment `=` (not `==`, `<=`, `=>`, or
-/// the tail of a compound assign).
-fn plain_assign(toks: &[Token], i: usize) -> bool {
-    if !toks[i].is_punct('=') {
-        return false;
-    }
-    if toks.get(i + 1).is_some_and(|n| n.is_punct('=') || n.is_punct('>')) {
-        return false;
-    }
-    !toks
-        .get(i.wrapping_sub(1))
-        .is_some_and(|p| "+-*/%&|^<>=!".chars().any(|c| p.is_punct(c)))
-}
-
-/// Walks the assignment target ending just before `=` at token `i` back
-/// to its chain head (`self.nodes[k].calls` → `self`); true when the
-/// head is `self` — i.e. the assignment mutates persistent merge state.
-fn assign_target_is_self(toks: &[Token], start: usize, i: usize) -> bool {
-    let Some((mut j, _)) = prev_code(toks, i) else { return false };
-    loop {
-        if j <= start {
-            return toks[j].is_ident("self");
-        }
-        let t = &toks[j];
-        if t.is_punct(']') {
-            // Balance back over the index expression.
-            let mut depth = 0i64;
-            while j > start {
-                if toks[j].is_punct(']') {
-                    depth += 1;
-                } else if toks[j].is_punct('[') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                j -= 1;
-            }
-            match prev_code(toks, j) {
-                Some((k, _)) => j = k,
-                None => return false,
-            }
-        } else if t.kind == TokKind::Ident {
-            match prev_code(toks, j) {
-                Some((k, p)) if p.is_punct('.') => match prev_code(toks, k) {
-                    Some((k2, _)) => j = k2,
-                    None => return false,
-                },
-                _ => return t.is_ident("self"),
-            }
-        } else {
-            return false;
-        }
-    }
-}
-
 /// `hot-transitive`: BFS the call graph from the controller/channel roots
 /// and flag every reachable fn that is neither annotated hot-path nor
 /// covered by an `allow(hot-transitive)` cold boundary. Returns the
@@ -1216,7 +1043,7 @@ mod tests {
     fn clock_scoped_to_obs() {
         let src = "fn f() { let t = Instant::now(); }";
         assert_eq!(rules_hit("crates/sim/src/e.rs", src), vec![("det-clock", 1)]);
-        assert!(rules_hit("crates/obs/src/span.rs", src).is_empty());
+        assert!(rules_hit("crates/obs/src/e.rs", src).is_empty());
     }
 
     #[test]

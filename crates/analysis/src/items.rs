@@ -10,7 +10,6 @@
 //!
 //! ```text
 //! // audit: hot-path
-//! // audit: merge
 //! // audit: unit(cycles|bytes|accesses|ns)
 //! // audit: allow(<rule-id>) -- <reason>
 //! ```
@@ -18,10 +17,6 @@
 //! * `hot-path` marks the next `fn` item (only comments, attributes and
 //!   visibility/qualifier keywords may stand between the comment and the
 //!   `fn`). The fn's body is then checked by the `hot-*` rules.
-//! * `merge` marks the next `fn` item as a merge function (one that folds
-//!   a partial result into an aggregate): its body is checked by the
-//!   `merge-commutative` rule (only order-independent accumulation is
-//!   allowed — see the rule catalog).
 //! * `unit(<u>)` attaches a measurement unit to the next field or `fn`
 //!   item (or, when trailing a field declaration, to that field). The
 //!   `unit-mismatch` rule flags additive arithmetic and comparisons
@@ -41,8 +36,6 @@ use crate::lexer::{TokKind, Token};
 pub enum Directive {
     /// `// audit: hot-path` — the next fn is a controller hot path.
     HotPath,
-    /// `// audit: merge` — the next fn is a merge function.
-    Merge,
     /// `// audit: unit(u)` — the next field/fn carries measurement unit
     /// `u` (one of [`UNITS`]).
     Unit(String),
@@ -105,8 +98,6 @@ pub struct FnItem {
     pub trait_name: Option<String>,
     /// Marked `// audit: hot-path`.
     pub hot: bool,
-    /// Marked `// audit: merge`.
-    pub merge: bool,
     /// Unit of the fn's return value, from `// audit: unit(...)`.
     pub unit: Option<String>,
     /// Inside a `#[cfg(test)]` region (rules skip it).
@@ -178,9 +169,6 @@ pub fn parse_directive(text: &str) -> Option<Result<Directive, String>> {
     let rest = body.strip_prefix("audit:")?.trim();
     if rest == "hot-path" {
         return Some(Ok(Directive::HotPath));
-    }
-    if rest == "merge" {
-        return Some(Ok(Directive::Merge));
     }
     if let Some(args) = rest.strip_prefix("unit") {
         let args = args.trim();
@@ -455,7 +443,6 @@ fn collect_fns(toks: &[Token], owners: &[OwnerRegion], st: &mut FileStructure) {
                     owner: region.map(|r| r.owner.clone()),
                     trait_name: region.and_then(|r| r.trait_name.clone()),
                     hot: false,
-                    merge: false,
                     unit: None,
                     in_test: st.in_test(i),
                 });
@@ -488,13 +475,6 @@ fn collect_directives(toks: &[Token], st: &mut FileStructure) {
                 _ => st.errors.push(SyntaxError {
                     line: t.line,
                     msg: "hot-path must be on its own line directly above a fn item".into(),
-                }),
-            },
-            Directive::Merge => match binds_fn {
-                Some(fi) if !trailing => st.fns[fi].merge = true,
-                _ => st.errors.push(SyntaxError {
-                    line: t.line,
-                    msg: "merge must be on its own line directly above a fn item".into(),
                 }),
             },
             Directive::Unit(unit) => {
@@ -795,16 +775,6 @@ fn tail() -> impl Iterator<Item = u32> { 0..1 }
         assert_eq!(by_name("get").owner.as_deref(), Some("Wrap"));
         // `-> impl Iterator` is type position, not an impl block.
         assert_eq!(by_name("tail").owner, None);
-    }
-
-    #[test]
-    fn merge_directive_binds_next_fn() {
-        let src = "// audit: merge\npub fn merge(&mut self, o: &S) {}\nfn other() {}";
-        let st = analyze(&lex(src));
-        assert!(st.fns[0].merge && !st.fns[1].merge);
-        // Trailing placement is malformed, like hot-path.
-        let st = analyze(&lex("fn f() {} // audit: merge"));
-        assert_eq!(st.errors.len(), 1);
     }
 
     #[test]

@@ -39,18 +39,18 @@ pub mod units;
 
 pub use check::{check_source, check_workspace, AuditReport, Finding};
 
-/// Process exit-code conventions shared by every workspace CLI tool
-/// (`audit_tool`, `bench_tool`, `trace_tool`, `bench_harness`).
+/// Process exit-code conventions shared by the workspace CLI tools
+/// (`audit_tool`, `trace_tool`).
 ///
 /// * [`OK`](exitcode::OK) — clean run, nothing to report;
 /// * [`FINDINGS`](exitcode::FINDINGS) — the tool ran correctly and found
-///   real problems (lint findings, regressions, diffs);
+///   real problems (lint findings, reconciliation failures, diffs);
 /// * [`USAGE`](exitcode::USAGE) — bad arguments or unreadable/invalid
 ///   input; the check itself never ran.
 pub mod exitcode {
     /// Clean run.
     pub const OK: i32 = 0;
-    /// The tool ran and found problems (findings, regressions, diffs).
+    /// The tool ran and found problems (findings, failed checks, diffs).
     pub const FINDINGS: i32 = 1;
     /// Usage or I/O error — the check never ran.
     pub const USAGE: i32 = 2;

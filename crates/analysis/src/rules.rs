@@ -58,9 +58,9 @@ or justify with `// audit: allow(det-hashmap) -- <reason>`.",
         id: "det-clock",
         summary: "Instant::now/SystemTime::now outside crates/obs",
         explain: "\
-Wall-clock reads are inherently nondeterministic. All timing telemetry\n\
-is supposed to flow through crates/obs (span profiler, engine telemetry)\n\
-where it is kept out of the deterministic result fields; a clock read\n\
+Wall-clock reads are inherently nondeterministic. Timing telemetry (the\n\
+engine's per-cell wall times) belongs only in the `.metrics.jsonl`\n\
+stream, kept out of the deterministic result fields; a clock read\n\
 anywhere else tends to leak into output or, worse, into control flow.\n\
 \n\
 Flagged: `Instant::now` and `SystemTime::now` in any crate other than\n\
@@ -204,40 +204,16 @@ Fix: annotate the fn `// audit: hot-path` (subjecting it to hot-panic /\n\
 hot-alloc / hot-callee), or declare the cold boundary with an allow.",
     },
     Rule {
-        id: "merge-commutative",
-        summary: "merge fn uses an order-dependent operation",
-        explain: "\
-Fns annotated `// audit: merge` fold one partial result into an\n\
-aggregate (SpanTree::merge, which bench_harness uses to fold per-cell\n\
-span trees into one suite breakdown). Every merge step must be\n\
-commutative and associative, so the fold's result is independent of\n\
-the order the partials arrive in (cells finish in any order at any\n\
-`--jobs` width).\n\
-\n\
-Flagged inside merge fns: non-commutative compound assigns (`-=`, `*=`,\n\
-`/=`, `%=`, `&=`, `^=`, shifts); a plain `=` overwriting a `self` field\n\
-(last-writer-wins) unless it is a self-referential fold through\n\
-`max`/`min`/`saturating_*`; any reference to worker identity\n\
-(`worker_id`, `sid`, …); hash-ordered containers\n\
-(HashMap/HashSet); and order comparison between operands (`Ordering`,\n\
-`.cmp()`, `.partial_cmp()`). Sorting *local* accumulators by a\n\
-deterministic key (`sort_by_key(|r| r.seq)`) is fine — it canonicalizes\n\
-order rather than depending on it.\n\
-\n\
-Fix: express the merge as `+=`/`|=` folds and max/min/saturating\n\
-updates, or justify with `// audit: allow(merge-commutative) -- <reason>`.",
-    },
-    Rule {
         id: "unit-mismatch",
         summary: "arithmetic mixes annotated cycle/byte/access/ns domains",
         explain: "\
 The simulator keeps four integer domains in bare u64 fields: `cycles`\n\
 (simulated DRAM time), `bytes` (traffic), `accesses` (event counts) and\n\
-`ns` (wall-clock profiler time). `// audit: unit(<domain>)` annotations\n\
+`ns` (wall-clock telemetry). `// audit: unit(<domain>)` annotations\n\
 on fields and fns put their *names* in a workspace-wide unit table;\n\
 this rule then flags `+`, `-`, compound adds and comparisons whose two\n\
 operands resolve to different annotated domains — adding bytes to\n\
-cycles, or comparing span wall-ns against sim cycles — in crates/core,\n\
+cycles, or comparing wall-clock ns against sim cycles — in crates/core,\n\
 crates/dram, crates/obs and crates/sim.\n\
 \n\
 The model is name-keyed and lexical: operands resolve through field\n\

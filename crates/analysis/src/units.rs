@@ -3,9 +3,9 @@
 //!
 //! The simulator mixes four integer domains — `cycles` (simulated DRAM
 //! time), `bytes` (traffic), `accesses` (event counts) and `ns`
-//! (wall-clock profiler time) — all stored as bare `u64`s. Nothing in the
+//! (wall-clock telemetry) — all stored as bare `u64`s. Nothing in the
 //! type system stops `total_cycles + total_bytes`, and the one historical
-//! near-miss (comparing span wall-ns against sim cycles in a bandwidth
+//! near-miss (comparing wall-clock ns against sim cycles in a bandwidth
 //! figure) motivated annotating the domains explicitly.
 //!
 //! The model is deliberately name-keyed and lexical: an annotation

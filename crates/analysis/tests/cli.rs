@@ -77,7 +77,7 @@ fn every_listed_rule_explains_successfully() {
 
 #[test]
 fn json_report_is_parseable_and_versioned() {
-    let out = audit_tool(&["check", "--format", "json", &fixture("merge-commutative.doctored.rs")]);
+    let out = audit_tool(&["check", "--format", "json", &fixture("hot-panic.doctored.rs")]);
     assert_eq!(out.status.code(), Some(1));
     let doc = json::parse(&String::from_utf8(out.stdout).unwrap()).expect("valid JSON");
     assert_eq!(doc.get("version").and_then(|v| v.as_u64()), Some(1));
@@ -86,7 +86,7 @@ fn json_report_is_parseable_and_versioned() {
     assert_eq!(findings.len(), 1);
     assert_eq!(
         findings[0].get("rule").and_then(|v| v.as_str()),
-        Some("merge-commutative")
+        Some("hot-panic")
     );
     assert!(findings[0].get("line").and_then(|v| v.as_u64()).is_some());
 }

@@ -46,7 +46,6 @@ const RULES: &[&str] = &[
     "hot-alloc",
     "hot-callee",
     "hot-transitive",
-    "merge-commutative",
     "unit-mismatch",
     "obs-counter-reconcile",
     "struct-attrs",

@@ -1,13 +1,12 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-//! Shared harness plumbing for the figure/table binaries and the timing
-//! benches.
+//! Shared harness plumbing for the figure/table binaries.
 //!
 //! Every binary accepts the same flags:
 //!
 //! * `--full` — paper-scale geometry (1 GB HBM / 10 GB DRAM; slow);
-//! * `--scale N` — capacity divisor (default 16);
-//! * `--accesses N` — LLC-miss requests per run;
+//! * `--scale N` — capacity divisor (default 16; must be positive);
+//! * `--accesses N` — LLC-miss requests per run (must be positive);
 //! * `--workloads a,b,c` — subset of Table II benchmarks (default: all 14);
 //! * `--jobs N` — parallel experiment cells (default: `BUMBLEBEE_JOBS`
 //!   or the machine's available parallelism; `1` = serial);
@@ -25,18 +24,12 @@
 //!   the same strict positive-integer contract as `BUMBLEBEE_JOBS` /
 //!   `BUMBLEBEE_BATCH` — empty, zero or non-numeric values are hard
 //!   configuration errors);
-//! * `--spans` — profile wall-clock phase spans per cell (trace-gen,
-//!   controller lookup, migration/swap, DRAM service, epoch sampling) and
-//!   write them as `kind=span` lines into `<figure>.metrics.jsonl`;
 //! * `--out DIR` — directory for `*.jsonl` artifacts (default:
 //!   `BUMBLEBEE_RESULTS_DIR` or `./results`).
 
 use memsim_sim::{Engine, MetricsConfig, ResultSet, RunConfig};
 use memsim_trace::SpecProfile;
 use std::path::PathBuf;
-use std::time::Instant;
-
-pub mod perf;
 
 /// Parsed harness options.
 #[derive(Debug, Clone)]
@@ -55,8 +48,6 @@ pub struct HarnessOpts {
     /// `--trace-sample N`: sampled latency attribution at rate one in ~N
     /// accesses (implies `--metrics`); `None` disables the record stream.
     pub trace_sample: Option<u64>,
-    /// Whether `--spans` wall-clock phase profiling is on.
-    pub spans: bool,
     /// Directory for JSONL artifacts.
     pub out: PathBuf,
     /// Positional (non-flag) arguments left over.
@@ -73,8 +64,7 @@ impl HarnessOpts {
             Some(j) => Engine::new(j),
             None => Engine::from_env(),
         }
-        .with_progress(true)
-        .with_spans(self.spans);
+        .with_progress(true);
         if let Some(b) = self.batch {
             engine = engine.with_batch(b);
         }
@@ -94,9 +84,8 @@ impl HarnessOpts {
     /// carries the cause-attributed traffic matrix and per-epoch
     /// bandwidth-utilization gauges); with `--trace-sample`,
     /// `<figure>.lat.jsonl` (sampled latency-attribution records, also
-    /// deterministic); with `--metrics` or `--spans`,
-    /// `<figure>.metrics.jsonl` (wall-clock engine telemetry and span
-    /// phase trees).
+    /// deterministic); with `--metrics`, also `<figure>.metrics.jsonl`
+    /// (wall-clock engine telemetry).
     pub fn write_telemetry(&self, figure: &str, results: &ResultSet) {
         if self.metrics {
             self.write_jsonl(&format!("{figure}.epochs"), &results.epochs_jsonl_lines());
@@ -106,7 +95,7 @@ impl HarnessOpts {
         if self.trace_sample.is_some() {
             self.write_jsonl(&format!("{figure}.lat"), &results.lat_jsonl_lines());
         }
-        if self.metrics || self.spans {
+        if self.metrics {
             self.write_jsonl(&format!("{figure}.metrics"), &results.metrics_jsonl_lines());
         }
     }
@@ -138,7 +127,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> HarnessOpts {
     let mut batch: Option<usize> = None;
     let mut metrics = false;
     let mut trace_sample: Option<u64> = None;
-    let mut spans = false;
     let mut out: Option<PathBuf> = None;
     let mut rest = Vec::new();
     let mut it = args.into_iter();
@@ -149,13 +137,15 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> HarnessOpts {
                 scale = it
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| panic!("--scale needs a number"));
+                    .filter(|&s| s > 0)
+                    .unwrap_or_else(|| panic!("--scale needs a positive number"));
             }
             "--accesses" => {
                 accesses = Some(
                     it.next()
                         .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--accesses needs a number")),
+                        .filter(|&n| n > 0)
+                        .unwrap_or_else(|| panic!("--accesses needs a positive number")),
                 );
             }
             "--workloads" => {
@@ -188,7 +178,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> HarnessOpts {
                 );
                 metrics = true; // records ride on the metrics pipeline
             }
-            "--spans" => spans = true,
             "--out" => {
                 out = Some(PathBuf::from(
                     it.next().unwrap_or_else(|| panic!("--out needs a directory")),
@@ -216,7 +205,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> HarnessOpts {
         batch,
         metrics,
         trace_sample,
-        spans,
         out: out.unwrap_or_else(memsim_sim::results_dir),
         rest,
     }
@@ -244,23 +232,6 @@ pub fn parse_env() -> HarnessOpts {
     parse_args(std::env::args().skip(1))
 }
 
-/// Times `f` over `iters` iterations after one warm-up call and prints a
-/// `name  total  per-iter` line — the plain-`fn main()` replacement for
-/// the former Criterion harness, keeping `cargo bench` registry-free.
-pub fn bench_case<R>(name: &str, iters: u64, mut f: impl FnMut() -> R) {
-    std::hint::black_box(f());
-    let start = Instant::now(); // audit: allow(det-clock) -- bench timing is the product here, not simulated state
-    for _ in 0..iters {
-        std::hint::black_box(f());
-    }
-    let total = start.elapsed();
-    println!(
-        "{name:40} {iters:>9} iters  {:>10.1} ms total  {:>12.0} ns/iter",
-        total.as_secs_f64() * 1e3,
-        total.as_secs_f64() * 1e9 / iters as f64
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,7 +250,6 @@ mod tests {
         assert_eq!(o.batch, None);
         assert!(!o.metrics);
         assert_eq!(o.trace_sample, None);
-        assert!(!o.spans);
         assert!(o.rest.is_empty());
     }
 
@@ -329,13 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn spans_flag_enables_profiling() {
-        let o = opts(&["--spans"]);
-        assert!(o.spans);
-        assert!(!o.metrics, "--spans alone does not imply --metrics");
-    }
-
-    #[test]
     fn full_flag_switches_to_paper_scale() {
         let o = opts(&["--full"]);
         assert_eq!(o.cfg.scale, 1);
@@ -360,7 +323,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "--scale needs a number")]
+    #[should_panic(expected = "--scale needs a positive number")]
     fn bad_scale_panics() {
         opts(&["--scale", "abc"]);
     }
@@ -369,6 +332,18 @@ mod tests {
     #[should_panic(expected = "--jobs needs a positive number")]
     fn zero_jobs_panics() {
         opts(&["--jobs", "0"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--scale needs a positive number")]
+    fn zero_scale_panics() {
+        opts(&["--scale", "0"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--accesses needs a positive number")]
+    fn zero_accesses_panics() {
+        opts(&["--accesses", "0"]);
     }
 
     #[test]

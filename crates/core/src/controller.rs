@@ -3,7 +3,6 @@
 use crate::config::BumblebeeConfig;
 use crate::metadata::MetadataBreakdown;
 use crate::set::{RemapSet, ServedFrom, SetCtx};
-use memsim_obs::span::{self, Phase};
 use memsim_obs::{EpochGauges, Telemetry, OCC_BUCKETS};
 use memsim_types::{
     Access, AccessBatch, AccessPlan, Addr, CtrlStats, Geometry, HybridMemoryController, Mem,
@@ -202,9 +201,6 @@ impl BumblebeeController {
         if wrapped < self.geometry.dram_bytes() || self.accesses < self.next_flush_ok {
             return;
         }
-        // Only the (rare) actual flush rounds are spanned, not the
-        // per-access early-out above.
-        let _swap = span::span(Phase::MigrationSwap);
         self.next_flush_ok = self.accesses + PRESSURE_COOLDOWN;
         let batch = u64::from(self.cfg.flush_batch_sets).min(self.geometry.num_sets());
         for i in 0..batch {
@@ -283,7 +279,6 @@ impl HybridMemoryController for BumblebeeController {
         #[cfg(feature = "checked")]
         self.checked_tick(); // audit: allow(hot-callee) -- compiled out unless --features checked; the sweep is read-only and off the per-access path
         if self.telemetry.tick() {
-            let _sample = span::span(Phase::EpochSample);
             let gauges = self.gauges();
             self.telemetry.sample(&self.stats, gauges);
         }
@@ -359,7 +354,6 @@ impl HybridMemoryController for BumblebeeController {
                 #[cfg(feature = "checked")]
                 self.checked_tick(); // audit: allow(hot-callee) -- compiled out unless --features checked; the sweep is read-only and off the per-access path
                 if self.telemetry.tick() {
-                    let _sample = span::span(Phase::EpochSample);
                     let gauges = self.gauges();
                     self.telemetry.sample(&self.stats, gauges);
                 }
@@ -397,7 +391,6 @@ impl HybridMemoryController for BumblebeeController {
     }
 
     fn finish(&mut self, plan: &mut AccessPlan) {
-        let _swap = span::span(Phase::MigrationSwap);
         for s in 0..self.sets.len() {
             let set = &mut self.sets[s];
             let mut ctx = SetCtx {

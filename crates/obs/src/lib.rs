@@ -30,16 +30,12 @@
 //!   per-cause [`bw::TrafficMatrix`], the [`bw::TrafficAccum`] op-size /
 //!   MLP histograms, cumulative [`bw::BwPoint`] epoch snapshots, and the
 //!   hard [`bw::reconcile`] check against the devices' undifferentiated
-//!   byte totals;
-//! * [`span`] — a scoped wall-clock span profiler (thread-local RAII
-//!   guards aggregated into a per-phase tree), answering *where simulator
-//!   wall time goes*; disabled it costs one thread-local flag check.
+//!   byte totals.
 //!
-//! Everything recorded by the recorder/event/snapshot machinery is a pure
-//! function of the access stream, so epoch/trace output is byte-identical
-//! at any `--jobs` width. The [`span`] profiler is the deliberate
-//! exception: it measures wall time and its output belongs only in the
-//! nondeterministic `.metrics.jsonl` / `BENCH_*.json` artifacts.
+//! Everything recorded here is a pure function of the access stream, so
+//! epoch/trace output is byte-identical at any `--jobs` width. Wall-clock
+//! time is measured outside this crate: the engine's per-cell telemetry
+//! and the separate `benchmark/` cargo workspace.
 //!
 //! # Example
 //!
@@ -71,7 +67,6 @@ pub mod hist;
 pub mod lat;
 pub mod recorder;
 pub mod snapshot;
-pub mod span;
 
 pub use bw::{reconcile, BwPoint, TrafficAccum, TrafficMatrix};
 pub use event::{EventRing, TimedEvent, TraceEvent};
@@ -79,4 +74,3 @@ pub use hist::{DeviceHistograms, Pow2Histogram};
 pub use lat::{sampled, AccessRecord, LatCollector, LatRing, PathLatency, QueueGauge};
 pub use recorder::{MetricsConfig, MetricsRecorder, NoopRecorder, RunRecorder, Telemetry};
 pub use snapshot::{EpochGauges, EpochSnapshot, OCC_BUCKETS};
-pub use span::{Phase, SpanNode, SpanTree};

@@ -15,7 +15,7 @@ use crate::matrix::{Cell, ExperimentMatrix};
 use crate::report::SimReport;
 use crate::run::{run_design_batched, RunObservations};
 use memsim_dram::presets;
-use memsim_obs::{span, BwPoint, LatCollector, MetricsConfig, Pow2Histogram, SpanTree};
+use memsim_obs::{BwPoint, LatCollector, MetricsConfig, Pow2Histogram};
 use memsim_types::{AccessPath, GeometryError, TrafficCause, TrafficDevice};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -23,8 +23,8 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// Nanoseconds between two progress heartbeat lines (see
-/// [`Engine::with_heartbeat_nanos`]).
-const DEFAULT_HEARTBEAT_NANOS: u64 = 5_000_000_000;
+/// [`Engine::with_progress`]).
+const HEARTBEAT_NANOS: u64 = 5_000_000_000;
 
 /// Default access-pipeline chunk width ([`Engine::with_batch`]): large
 /// enough to amortize per-chunk dispatch to noise, small enough that the
@@ -37,9 +37,7 @@ pub struct Engine {
     jobs: usize,
     batch: usize,
     progress: bool,
-    heartbeat_nanos: u64,
     metrics: Option<MetricsConfig>,
-    spans: bool,
 }
 
 impl Engine {
@@ -51,9 +49,7 @@ impl Engine {
             jobs: jobs.max(1),
             batch: DEFAULT_BATCH,
             progress: false,
-            heartbeat_nanos: DEFAULT_HEARTBEAT_NANOS,
             metrics: None,
-            spans: false,
         }
     }
 
@@ -93,27 +89,10 @@ impl Engine {
     }
 
     /// Enables or disables per-cell progress lines on stderr. With
-    /// progress on, the engine also emits a periodic heartbeat line
-    /// (cells done, elapsed, ETA, accesses/sec, worker utilization).
+    /// progress on, the engine also emits a heartbeat line at most every
+    /// 5 s (cells done, elapsed, ETA, accesses/sec, worker utilization).
     pub fn with_progress(mut self, progress: bool) -> Engine {
         self.progress = progress;
-        self
-    }
-
-    /// Sets the minimum interval between two heartbeat lines (default 5 s);
-    /// `0` disables heartbeats while keeping per-cell progress lines.
-    pub fn with_heartbeat_nanos(mut self, nanos: u64) -> Engine {
-        self.heartbeat_nanos = nanos;
-        self
-    }
-
-    /// Enables the wall-clock span profiler for every cell: each run gets
-    /// its own thread-local profiling session, and the per-cell
-    /// [`SpanTree`]s land in [`EngineTelemetry::cell_spans`] (exported as
-    /// `kind=span` lines by
-    /// [`metrics_jsonl_lines`](ResultSet::metrics_jsonl_lines)).
-    pub fn with_spans(mut self, spans: bool) -> Engine {
-        self.spans = spans;
         self
     }
 
@@ -179,9 +158,6 @@ impl Engine {
         let last_beat = AtomicU64::new(0);
         let wall = Instant::now(); // audit: allow(det-clock) -- engine wall-time telemetry, excluded from determinism diffs
         let results = self.par_map(matrix.cells(), |cell| {
-            if self.spans {
-                span::enable();
-            }
             let start = Instant::now(); // audit: allow(det-clock) -- per-cell wall-time telemetry, excluded from determinism diffs
             let outcome = run_design_batched(
                 cell.design,
@@ -191,7 +167,6 @@ impl Engine {
                 self.batch,
             );
             let nanos = start.elapsed().as_nanos() as u64;
-            let tree = if self.spans { Some(span::collect()) } else { None };
             if self.progress {
                 let n = done.fetch_add(1, Ordering::Relaxed) + 1;
                 eprintln!(
@@ -206,9 +181,8 @@ impl Engine {
                 let elapsed = wall.elapsed().as_nanos() as u64;
                 let prev = last_beat.load(Ordering::Relaxed);
                 // One worker wins the right to print each heartbeat.
-                if self.heartbeat_nanos > 0
-                    && n < total
-                    && elapsed.saturating_sub(prev) >= self.heartbeat_nanos
+                if n < total
+                    && elapsed.saturating_sub(prev) >= HEARTBEAT_NANOS
                     && last_beat
                         .compare_exchange(prev, elapsed, Ordering::Relaxed, Ordering::Relaxed)
                         .is_ok()
@@ -219,25 +193,21 @@ impl Engine {
                     );
                 }
             }
-            (outcome, nanos, tree)
+            (outcome, nanos)
         });
         let wall_nanos = wall.elapsed().as_nanos() as u64;
         let mut reports = Vec::with_capacity(total);
         let mut observations = self.metrics.map(|_| Vec::with_capacity(total));
         let mut cell_nanos = Vec::with_capacity(total);
-        let mut cell_spans = self.spans.then(|| Vec::with_capacity(total));
-        for (r, nanos, tree) in results {
+        for (r, nanos) in results {
             let (report, obs) = r?;
             if let Some(all) = observations.as_mut() {
                 all.push(obs.expect("metrics requested, so every run observes"));
             }
-            if let Some(all) = cell_spans.as_mut() {
-                all.push(tree.expect("spans requested, so every run profiles"));
-            }
             reports.push(report);
             cell_nanos.push(nanos);
         }
-        let telemetry = EngineTelemetry { jobs: self.jobs, wall_nanos, cell_nanos, cell_spans };
+        let telemetry = EngineTelemetry { jobs: self.jobs, wall_nanos, cell_nanos };
         Ok(ResultSet::new(matrix, self.jobs, reports, observations, telemetry, self.metrics))
     }
 }
@@ -300,9 +270,6 @@ pub struct EngineTelemetry {
     pub wall_nanos: u64,
     /// Per-cell wall time, in cell order, in nanoseconds.
     pub cell_nanos: Vec<u64>,
-    /// Per-cell span profiler trees, in cell order, when the run was made
-    /// with [`Engine::with_spans`].
-    pub cell_spans: Option<Vec<SpanTree>>,
 }
 
 impl EngineTelemetry {
@@ -780,9 +747,8 @@ impl ResultSet {
     }
 
     /// Wall-clock engine telemetry as JSONL: one `kind=cell_metrics` line
-    /// per cell (wall ms, accesses/sec), per-cell `kind=span` phase-tree
-    /// lines and a `kind=span_summary` line when the run profiled spans,
-    /// and a final `kind=engine` line (jobs, wall, worker utilization).
+    /// per cell (wall ms, accesses/sec) and a final `kind=engine` line
+    /// (jobs, wall, worker utilization).
     /// Nondeterministic — write it to its own `.metrics.jsonl`, never a
     /// byte-compared artifact.
     pub fn metrics_jsonl_lines(&self) -> Vec<String> {
@@ -801,35 +767,6 @@ impl ResultSet {
                     .f64("accesses_per_sec", per_sec)
                     .finish(),
             );
-        }
-        if let Some(trees) = self.engine.cell_spans.as_deref() {
-            for ((c, tree), &nanos) in
-                self.cells.iter().zip(trees).zip(&self.engine.cell_nanos)
-            {
-                for (path, node) in tree.flatten() {
-                    lines.push(
-                        self.cell_obj("span", c)
-                            .str("path", &path)
-                            .str("phase", node.phase.name())
-                            .u64("calls", node.calls)
-                            .f64("total_ms", node.total_nanos as f64 / 1e6)
-                            .f64("self_ms", node.self_nanos() as f64 / 1e6)
-                            .finish(),
-                    );
-                }
-                let coverage = if nanos == 0 {
-                    0.0
-                } else {
-                    tree.self_nanos_sum() as f64 / nanos as f64
-                };
-                lines.push(
-                    self.cell_obj("span_summary", c)
-                        .u64("spans", tree.spans())
-                        .f64("overhead_ms", tree.overhead_nanos() as f64 / 1e6)
-                        .f64("self_coverage", coverage)
-                        .finish(),
-                );
-            }
         }
         lines.push(
             JsonObj::new()
@@ -1117,40 +1054,6 @@ mod tests {
         assert_eq!(get("rh").as_f64(), Some(snap.gauges.rh));
         assert_eq!(get("overfetch_ratio").as_f64(), Some(snap.gauges.overfetch_ratio));
         assert_eq!(get("occ0").as_u64(), Some(u64::from(snap.gauges.occupancy[0])));
-    }
-
-    #[test]
-    fn span_profiling_collects_a_tree_per_cell() {
-        let m = metrics_matrix();
-        let rs = Engine::new(2).with_spans(true).run(&m).unwrap();
-        let trees = rs.engine_telemetry().cell_spans.as_deref().unwrap();
-        assert_eq!(trees.len(), m.len());
-        for (tree, &nanos) in trees.iter().zip(&rs.engine_telemetry().cell_nanos) {
-            let cell = tree.get("cell").expect("root span wraps the run");
-            assert_eq!(cell.calls, 1);
-            assert!(tree.get("cell/trace_gen").is_some());
-            assert!(tree.get("cell/ctrl_lookup").is_some());
-            assert!(tree.get("cell/dram_service").is_some());
-            // Self times must cover the bulk of the measured cell wall time.
-            let coverage = tree.self_nanos_sum() as f64 / nanos.max(1) as f64;
-            assert!(coverage > 0.5, "coverage {coverage}");
-        }
-        // Span lines appear in the metrics JSONL.
-        let lines = rs.metrics_jsonl_lines();
-        assert!(lines.iter().any(|l| l.contains("\"kind\":\"span\"")));
-        assert!(lines.iter().any(|l| l.contains("\"kind\":\"span_summary\"")));
-        // And a plain run has neither trees nor span lines.
-        let plain = Engine::new(2).run(&m).unwrap();
-        assert!(plain.engine_telemetry().cell_spans.is_none());
-        assert!(!plain.metrics_jsonl_lines().iter().any(|l| l.contains("\"kind\":\"span\"")));
-    }
-
-    #[test]
-    fn span_profiling_leaves_reports_unchanged() {
-        let m = metrics_matrix();
-        let plain = Engine::new(1).run(&m).unwrap();
-        let profiled = Engine::new(1).with_spans(true).run(&m).unwrap();
-        assert_eq!(plain.jsonl_lines(), profiled.jsonl_lines());
     }
 
     #[test]

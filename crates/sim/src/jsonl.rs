@@ -278,7 +278,6 @@ impl Parser<'_> {
 ///
 /// Propagates filesystem errors from directory creation or the write.
 pub fn write_jsonl(dir: &Path, name: &str, lines: &[String]) -> io::Result<PathBuf> {
-    let _write = memsim_obs::span::span(memsim_obs::span::Phase::JsonlWrite);
     fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.jsonl"));
     let mut body = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());

@@ -49,7 +49,7 @@ pub use designs::Design;
 pub use engine::{Engine, EngineTelemetry, ResultSet, DEFAULT_BATCH};
 pub use jsonl::{parse_flat, results_dir, write_jsonl, JsonObj, JsonValue};
 pub use matrix::{cell_seed, Cell, ExperimentMatrix};
-pub use memsim_obs::{MetricsConfig, SpanTree};
+pub use memsim_obs::MetricsConfig;
 pub use report::SimReport;
 pub use run::{
     geomean, geomean_diag, run_design, run_design_batched, run_reference, Geomean, RunConfig,

@@ -4,7 +4,6 @@ use crate::designs::{AnyController, Design};
 use crate::engine::DEFAULT_BATCH;
 use crate::report::SimReport;
 use crate::system::{SimParams, System, SystemCounters};
-use memsim_obs::span::{self, Phase};
 use memsim_obs::{
     AccessRecord, BwPoint, DeviceHistograms, EpochSnapshot, LatRing, MetricsConfig, RunRecorder,
     TimedEvent, TrafficAccum,
@@ -178,10 +177,6 @@ pub fn run_design_batched(
     metrics: Option<&MetricsConfig>,
     batch: usize,
 ) -> Result<(SimReport, Option<RunObservations>), GeometryError> {
-    // Root span of the whole cell: everything below nests under it, so the
-    // collected tree's self times sum to (nearly all of) the cell's wall
-    // time. Inert unless a `span` profiling session is active.
-    let _cell = span::span(Phase::Cell);
     let controller = design.build(cfg.geometry, cfg.sram_budget);
     Ok(run_controller(controller, design, cfg, profile, metrics, batch))
 }
@@ -238,10 +233,7 @@ pub(crate) fn run_controller(
         if seq < cfg.warmup {
             end = end.min(cfg.warmup);
         }
-        {
-            let _gen = span::span(Phase::TraceGen);
-            workload.fill_batch(&mut soa, (end - seq) as usize);
-        }
+        workload.fill_batch(&mut soa, (end - seq) as usize);
         system.step_batch(&soa, &mut plans, seq, lat_ring.as_mut(), sample_rate);
         seq = end;
     }

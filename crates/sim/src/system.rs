@@ -2,7 +2,6 @@
 //! accounting.
 
 use memsim_dram::{presets, DramDevice};
-use memsim_obs::span::{self, Phase};
 use memsim_obs::{sampled, AccessRecord, BwPoint, LatRing, TrafficAccum};
 use memsim_types::{
     Access, AccessBatch, AccessKind, AccessPlan, Geometry, HybridMemoryController, Mem, PlanBuffer,
@@ -179,9 +178,9 @@ impl<C: HybridMemoryController> System<C> {
     }
 
     /// Runs one chunk of accesses through the staged batch pipeline:
-    /// the controller plans every access of `batch` into `plans`
-    /// (CtrlLookup), then each access is serviced against the devices in
-    /// strict stream order (DramService). This is the simulator's only
+    /// the controller plans every access of `batch` into `plans`, then
+    /// each access is serviced against the devices in strict stream
+    /// order. This is the simulator's only
     /// service loop; cycles and every observability stream are
     /// byte-identical at any chunk width, width 1 included.
     ///
@@ -205,11 +204,7 @@ impl<C: HybridMemoryController> System<C> {
         mut ring: Option<&mut LatRing>,
         rate: u64,
     ) {
-        {
-            let _lookup = span::span(Phase::CtrlLookup);
-            self.controller.access_batch(batch, plans);
-        }
-        let service = span::span(Phase::DramService);
+        self.controller.access_batch(batch, plans);
         for i in 0..batch.len() {
             let view = plans.entry(i);
             self.counters.accesses += 1;
@@ -275,7 +270,6 @@ impl<C: HybridMemoryController> System<C> {
             self.counters.stall_cycles += view.stall_cycles;
             self.now += compute + exposed + view.stall_cycles;
         }
-        drop(service);
     }
 
     // audit: hot-path

@@ -10,7 +10,10 @@
 //! - the results JSONL, with and without metrics recording;
 //! - the observability streams (epochs, trace, sampled latency and
 //!   bandwidth JSONL) of the instrumented run;
-//! - the sensitivity sweeps' JSONL.
+//! - the sensitivity sweeps' JSONL;
+//! - the results, sampled latency and bandwidth JSONL of the seven designs
+//!   on mcf and xz with one access in 64 latency-sampled, at chunk width 1
+//!   and at the default width.
 //!
 //! A change that moves any cycle, byte, energy or attribution figure fails
 //! here; one that means to move them must update the constants on purpose.
@@ -28,6 +31,10 @@ const FIG8_SMALL_OBS_DIGEST: u64 = 0x66e6_21f6_1a5f_f511;
 
 /// FNV-1a over the four sensitivity sweeps' JSONL lines, in sweep order.
 const SENSITIVITY_SMALL_DIGEST: u64 = 0x5b86_766a_8f4d_386a;
+
+/// FNV-1a over `results ++ lat ++ bw` JSONL lines of the seven designs on
+/// mcf and xz at test scale, sampled as in [`sampled_metrics`].
+const FIG8_MCF_XZ_DIGEST: u64 = 0x5a38_9865_f4b7_95a6;
 
 fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -111,4 +118,34 @@ fn sensitivity_sweeps_are_byte_identical() {
          {SENSITIVITY_SMALL_DIGEST:016x}",
         lines.len()
     );
+}
+
+/// Latency sampling at one access in 64, every other stream at its default.
+fn sampled_metrics() -> MetricsConfig {
+    MetricsConfig { sample_rate: 64, ..MetricsConfig::default() }
+}
+
+/// Pins every design's cycles, IPC, hit rate, migrations, over-fetch,
+/// per-path latency tails and cause-attributed traffic on mcf and xz, and
+/// checks that the chunked pipeline is a pure speed transform: width 1
+/// (one access per chunk) and the default width give the same bytes.
+#[test]
+fn fig8_mcf_xz_matrix_is_byte_identical_at_any_batch_width() {
+    let cfg = RunConfig::tiny();
+    let profiles = [SpecProfile::mcf(), SpecProfile::xz()];
+    for engine in [Engine::new(1).with_batch(1), Engine::new(1)] {
+        let width = engine.batch();
+        let engine = engine.with_metrics(sampled_metrics());
+        let rs = fig8::run_with(&engine, &cfg, &profiles).expect("fig8 runs").results;
+        let mut lines = rs.jsonl_lines();
+        lines.extend(rs.lat_jsonl_lines());
+        lines.extend(rs.bw_jsonl_lines());
+        let d = digest(&lines);
+        assert_eq!(
+            d, FIG8_MCF_XZ_DIGEST,
+            "mcf/xz digest {d:016x} over {} lines at batch width {width} differs from the \
+             pinned {FIG8_MCF_XZ_DIGEST:016x}",
+            lines.len()
+        );
+    }
 }
