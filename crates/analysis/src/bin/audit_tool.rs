@@ -21,7 +21,8 @@
 //! [`memsim_analysis::exitcode`]: 0 clean, 1 findings, 2 usage/IO error.
 
 use memsim_analysis::check::{check_files, check_workspace, AuditReport};
-use memsim_analysis::{exitcode, json, rules};
+use memsim_analysis::{exitcode, rules};
+use memsim_types::json;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 

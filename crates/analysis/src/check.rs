@@ -28,6 +28,7 @@ use crate::items::{FileStructure, FnItem};
 use crate::lexer::{TokKind, Token};
 use crate::rules::{self, CALLEE_SKIP};
 use crate::units;
+use memsim_types::json::escape_into;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -83,7 +84,11 @@ impl AuditReport {
     /// then `findings` and `exceptions` arrays in the same deterministic
     /// order the text renderer uses.
     pub fn to_json(&self) -> String {
-        use crate::json::escape;
+        let escape = |s: &str| {
+            let mut escaped = String::with_capacity(s.len());
+            escape_into(&mut escaped, s);
+            escaped
+        };
         let mut out = String::with_capacity(1024);
         out.push_str("{\n");
         out.push_str("  \"version\": 1,\n");
@@ -602,7 +607,7 @@ fn hot_callee(
                 // A `self.` receiver always resolves to this file's impl, so
                 // even skip-listed ubiquitous names (push, clear, …) stay in
                 // the closure — that is how ring-buffer samplers named like
-                // std collections (`LatRing::push`) keep hot-* coverage.
+                // std collections (`Ring::push`) keep hot-* coverage.
                 let own_method = matches!(&receiver, Some((_, r)) if r.is_ident("self"));
                 // Likewise, when a same-file type defines a *method* with
                 // this name, an unknown receiver is far more likely that

@@ -1,7 +1,9 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
-//! Zero-dependency determinism & hot-path static analysis for the
-//! Bumblebee workspace.
+//! Registry-free determinism & hot-path static analysis for the
+//! Bumblebee workspace. Its one dependency is `memsim-types`, whose
+//! [`json`](memsim_types::json) module writes the report and reads the
+//! baseline back.
 //!
 //! The evaluation substrate rests on two properties `cargo clippy` cannot
 //! check: **bit-identical simulation output** at any `--jobs` width, and an
@@ -32,7 +34,6 @@
 pub mod check;
 pub mod graph;
 pub mod items;
-pub mod json;
 pub mod lexer;
 pub mod rules;
 pub mod units;

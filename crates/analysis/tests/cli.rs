@@ -3,7 +3,8 @@
 //! [`memsim_analysis::exitcode`]), the stability of `list-rules`, the
 //! JSON report format, and the baseline ratchet.
 
-use memsim_analysis::{json, rules};
+use memsim_analysis::rules;
+use memsim_types::json;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 

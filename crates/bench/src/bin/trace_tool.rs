@@ -21,9 +21,10 @@
 //! devices' undifferentiated counters.
 
 use memsim_sim::report::render_table;
-use memsim_sim::{parse_flat, Design, JsonObj, JsonValue, SimParams, System};
-use memsim_trace::io::{read_trace, write_trace};
 use memsim_analysis::exitcode;
+use memsim_sim::{Design, SimParams, System};
+use memsim_trace::io::{read_trace, write_trace};
+use memsim_types::json::{parse, Json, JsonObj};
 use memsim_types::HybridMemoryController;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -33,10 +34,21 @@ fn fail(msg: &str) -> ! {
     std::process::exit(exitcode::USAGE);
 }
 
+/// One observability JSONL line: its fields in emission order.
+type Row = Vec<(String, Json)>;
+
+/// The fields of `line` when it is a flat object of scalars — the shape
+/// every observability stream emits; `None` for anything else (malformed
+/// JSON, nested objects or arrays).
+fn flat_row(line: &str) -> Option<Row> {
+    let Json::Obj(fields) = parse(line).ok()? else { return None };
+    fields.iter().all(|(_, v)| !matches!(v, Json::Arr(_) | Json::Obj(_))).then_some(fields)
+}
+
 /// Parses every line of a JSONL file, skipping unparsable lines with a
 /// stderr warning. Exits with a clear error when the file cannot be read
 /// or contains no parsable lines at all.
-fn read_jsonl(path: &str) -> Vec<Vec<(String, JsonValue)>> {
+fn read_jsonl(path: &str) -> Vec<Row> {
     let body = std::fs::read_to_string(path)
         .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
     let mut rows = Vec::new();
@@ -44,7 +56,7 @@ fn read_jsonl(path: &str) -> Vec<Vec<(String, JsonValue)>> {
         if line.trim().is_empty() {
             continue;
         }
-        match parse_flat(line) {
+        match flat_row(line) {
             Some(fields) => rows.push(fields),
             None => eprintln!("warning: {path}:{}: unparsable line skipped", i + 1),
         }
@@ -55,26 +67,26 @@ fn read_jsonl(path: &str) -> Vec<Vec<(String, JsonValue)>> {
     rows
 }
 
-fn get<'a>(row: &'a [(String, JsonValue)], key: &str) -> Option<&'a JsonValue> {
+fn get<'a>(row: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
     row.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-fn get_str<'a>(row: &'a [(String, JsonValue)], key: &str) -> &'a str {
-    get(row, key).and_then(JsonValue::as_str).unwrap_or("?")
+fn get_str<'a>(row: &'a [(String, Json)], key: &str) -> &'a str {
+    get(row, key).and_then(Json::as_str).unwrap_or("?")
 }
 
-fn get_u64(row: &[(String, JsonValue)], key: &str) -> u64 {
-    get(row, key).and_then(JsonValue::as_u64).unwrap_or(0)
+fn get_u64(row: &[(String, Json)], key: &str) -> u64 {
+    get(row, key).and_then(Json::as_u64).unwrap_or(0)
 }
 
-fn get_f64(row: &[(String, JsonValue)], key: &str) -> f64 {
-    get(row, key).and_then(JsonValue::as_f64).unwrap_or(0.0)
+fn get_f64(row: &[(String, Json)], key: &str) -> f64 {
+    get(row, key).and_then(Json::as_f64).unwrap_or(0.0)
 }
 
 /// `summarize`: line counts by `kind`, event counts by event name, the
 /// per-cell drop totals of `trace_summary` lines, and the sampled-latency
 /// volume of `lat_summary` lines.
-fn summarize(rows: &[Vec<(String, JsonValue)>]) {
+fn summarize(rows: &[Row]) {
     let mut kinds: Vec<(String, u64)> = Vec::new();
     let mut events: Vec<(String, u64)> = Vec::new();
     let bump = |list: &mut Vec<(String, u64)>, name: &str| {
@@ -140,7 +152,7 @@ fn summarize(rows: &[Vec<(String, JsonValue)>]) {
 }
 
 /// `timeline`: the epoch time-series of one cell (or all) as a table.
-fn timeline(path: &str, rows: &[Vec<(String, JsonValue)>], cell: Option<u64>) {
+fn timeline(path: &str, rows: &[Row], cell: Option<u64>) {
     let mut table = vec![
         ["cell", "design", "workload", "epoch", "accesses", "hit%", "cum%", "fills", "migr", "evict", "Rh"]
             .map(str::to_string)
@@ -177,7 +189,7 @@ fn timeline(path: &str, rows: &[Vec<(String, JsonValue)>], cell: Option<u64>) {
 }
 
 /// `histo`: every `kind=histogram` line as a power-of-two bucket chart.
-fn histo(path: &str, rows: &[Vec<(String, JsonValue)>]) {
+fn histo(path: &str, rows: &[Row]) {
     let mut any = false;
     for row in rows {
         if get_str(row, "kind") != "histogram" {
@@ -221,7 +233,7 @@ fn histo(path: &str, rows: &[Vec<(String, JsonValue)>]) {
 /// counts against the controller's hit/miss/bypass counters. Exits `1`
 /// when any cell's paths do not reconcile — the sampled taxonomy then
 /// disagrees with the simulation it claims to describe.
-fn latency(path: &str, rows: &[Vec<(String, JsonValue)>]) {
+fn latency(path: &str, rows: &[Row]) {
     let mut tails = vec![
         ["cell", "design", "workload", "path", "samples", "p50", "p95", "p99"]
             .map(str::to_string)
@@ -331,7 +343,7 @@ const CAUSE_COLUMNS: [(&str, &str); 9] = [
 /// undifferentiated counters. Exits `1` when any cell does not reconcile
 /// — an unclassified or double-counted transaction means the taxonomy
 /// disagrees with the simulation it claims to describe.
-fn bandwidth(path: &str, rows: &[Vec<(String, JsonValue)>]) {
+fn bandwidth(path: &str, rows: &[Row]) {
     let mut breakdown = vec![
         ["cell", "design", "workload", "device"]
             .into_iter()
@@ -467,15 +479,15 @@ const DIFF_KEY_FIELDS: [&str; 9] =
 
 /// The identity of one diffable JSONL line: its kind plus every present
 /// coordinate field, serialized to a stable string key.
-fn diff_key(row: &[(String, JsonValue)]) -> String {
+fn diff_key(row: &[(String, Json)]) -> String {
     let mut key = String::new();
     for field in DIFF_KEY_FIELDS {
         if let Some(v) = get(row, field) {
             let part = match v {
-                JsonValue::Str(s) => s.clone(),
-                JsonValue::Num(n) => format!("{n}"),
-                JsonValue::Bool(b) => b.to_string(),
-                JsonValue::Null => "null".to_string(),
+                Json::Str(s) => s.clone(),
+                Json::Num(n) => format!("{n}"),
+                Json::Bool(b) => b.to_string(),
+                _ => "null".to_string(),
             };
             key.push_str(&part);
             key.push('|');
@@ -490,7 +502,7 @@ fn diff_key(row: &[(String, JsonValue)]) -> String {
 fn diff(a_path: &str, b_path: &str, threshold: f64) {
     let a_rows = read_jsonl(a_path);
     let b_rows = read_jsonl(b_path);
-    let mut b_index: std::collections::BTreeMap<String, &Vec<(String, JsonValue)>> =
+    let mut b_index: std::collections::BTreeMap<String, &Row> =
         b_rows.iter().map(|r| (diff_key(r), r)).collect();
     // metric -> (lines differing, max |delta|)
     let mut metrics: Vec<(String, u64, f64)> = Vec::new();
@@ -543,10 +555,13 @@ fn diff(a_path: &str, b_path: &str, threshold: f64) {
     println!("ok: no deltas over threshold {threshold}");
 }
 
-/// A `--flag value` parse out of the leftover positional args.
+/// A `--flag value` parse out of the leftover positional args: `None`
+/// when the flag is absent; a missing or malformed value is a usage error
+/// naming the flag, never a silent fallback to the default.
 fn flag_value<T: std::str::FromStr>(rest: &[String], flag: &str) -> Option<T> {
     let pos = rest.iter().position(|a| a == flag)?;
-    rest.get(pos + 1)?.parse().ok()
+    let raw = rest.get(pos + 1).unwrap_or_else(|| fail(&format!("{flag} needs a value")));
+    Some(raw.parse().unwrap_or_else(|_| fail(&format!("{flag}: cannot parse {raw:?}"))))
 }
 
 fn main() -> std::io::Result<()> {
@@ -614,7 +629,8 @@ fn main() -> std::io::Result<()> {
         }
         ("summarize", Some(path)) => summarize(&read_jsonl(&path)),
         ("timeline", Some(path)) => {
-            timeline(&path, &read_jsonl(&path), flag_value(&opts.rest, "--cell"));
+            let cell = flag_value(&opts.rest, "--cell");
+            timeline(&path, &read_jsonl(&path), cell);
         }
         ("histo", Some(path)) => histo(&path, &read_jsonl(&path)),
         ("latency", Some(path)) => latency(&path, &read_jsonl(&path)),
@@ -623,7 +639,8 @@ fn main() -> std::io::Result<()> {
             let b = rest
                 .next()
                 .unwrap_or_else(|| fail("diff needs two JSONL files"));
-            diff(&a, b, flag_value(&opts.rest, "--threshold").unwrap_or(0.0));
+            let threshold = flag_value(&opts.rest, "--threshold").unwrap_or(0.0);
+            diff(&a, b, threshold);
         }
         _ => {
             fail(
@@ -634,4 +651,23 @@ fn main() -> std::io::Result<()> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reader_keeps_flat_scalar_objects_only() {
+        let row = flat_row(r#"{"kind":"epoch","cell":3,"hit_rate":0.5,"ok":true,"x":null}"#)
+            .expect("flat scalar object");
+        assert_eq!(get_str(&row, "kind"), "epoch");
+        assert_eq!(get_u64(&row, "cell"), 3);
+        assert_eq!(get_f64(&row, "hit_rate"), 0.5);
+        assert_eq!(flat_row("{}"), Some(Vec::new()));
+        assert!(flat_row("{\"a\":{}}").is_none(), "nested objects rejected");
+        assert!(flat_row("{\"a\":[1]}").is_none(), "arrays rejected");
+        assert!(flat_row("[1]").is_none(), "top-level arrays rejected");
+        assert!(flat_row("{\"a\":1").is_none(), "malformed lines rejected");
+    }
 }

@@ -10,20 +10,13 @@
 //! * `--workloads a,b,c` — subset of Table II benchmarks (default: all 14);
 //! * `--jobs N` — parallel experiment cells (default: `BUMBLEBEE_JOBS`
 //!   or the machine's available parallelism; `1` = serial);
-//! * `--batch N` — access-pipeline chunk width (default: `BUMBLEBEE_BATCH`
-//!   or 4096); a pure performance knob — every output is byte-identical
-//!   at any width, `--batch 1` (one access per chunk) included;
 //! * `--metrics` — record per-run observability (epoch time-series, event
 //!   trace, device histograms) and write `<figure>.epochs.jsonl`,
 //!   `<figure>.trace.jsonl` and `<figure>.metrics.jsonl` alongside the
 //!   results;
 //! * `--trace-sample N` — deterministically sample one in ~N accesses for
 //!   full-lifecycle latency attribution (implies `--metrics`) and write the
-//!   path-tagged records to `<figure>.lat.jsonl`; defaults to
-//!   `BUMBLEBEE_TRACE_SAMPLE` when the flag is absent (the variable obeys
-//!   the same strict positive-integer contract as `BUMBLEBEE_JOBS` /
-//!   `BUMBLEBEE_BATCH` — empty, zero or non-numeric values are hard
-//!   configuration errors);
+//!   path-tagged records to `<figure>.lat.jsonl`;
 //! * `--out DIR` — directory for `*.jsonl` artifacts (default:
 //!   `BUMBLEBEE_RESULTS_DIR` or `./results`).
 
@@ -40,9 +33,6 @@ pub struct HarnessOpts {
     pub profiles: Vec<SpecProfile>,
     /// Explicit `--jobs` width, if given.
     pub jobs: Option<usize>,
-    /// Explicit `--batch` chunk width, if given (access-pipeline SoA
-    /// chunking; outputs are byte-identical at any width).
-    pub batch: Option<usize>,
     /// Whether `--metrics` observability recording is on.
     pub metrics: bool,
     /// `--trace-sample N`: sampled latency attribution at rate one in ~N
@@ -57,17 +47,13 @@ pub struct HarnessOpts {
 impl HarnessOpts {
     /// The experiment engine these options select: `--jobs` if given,
     /// the environment otherwise, with progress lines enabled and metrics
-    /// recording when `--metrics` was passed. An explicit `--batch`
-    /// overrides `BUMBLEBEE_BATCH`.
+    /// recording when `--metrics` was passed.
     pub fn engine(&self) -> Engine {
-        let mut engine = match self.jobs {
+        let engine = match self.jobs {
             Some(j) => Engine::new(j),
             None => Engine::from_env(),
         }
         .with_progress(true);
-        if let Some(b) = self.batch {
-            engine = engine.with_batch(b);
-        }
         if self.metrics {
             engine.with_metrics(MetricsConfig {
                 sample_rate: self.trace_sample.unwrap_or(0),
@@ -124,7 +110,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> HarnessOpts {
     let mut accesses: Option<u64> = None;
     let mut names: Option<Vec<String>> = None;
     let mut jobs: Option<usize> = None;
-    let mut batch: Option<usize> = None;
     let mut metrics = false;
     let mut trace_sample: Option<u64> = None;
     let mut out: Option<PathBuf> = None;
@@ -160,14 +145,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> HarnessOpts {
                         .unwrap_or_else(|| panic!("--jobs needs a positive number")),
                 );
             }
-            "--batch" => {
-                batch = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&b| b > 0)
-                        .unwrap_or_else(|| panic!("--batch needs a positive number")),
-                );
-            }
             "--metrics" => metrics = true,
             "--trace-sample" => {
                 trace_sample = Some(
@@ -186,12 +163,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> HarnessOpts {
             other => rest.push(other.to_string()),
         }
     }
-    if trace_sample.is_none() {
-        trace_sample = trace_sample_env(std::env::var("BUMBLEBEE_TRACE_SAMPLE").ok().as_deref());
-        if trace_sample.is_some() {
-            metrics = true; // same implication as the --trace-sample flag
-        }
-    }
     let default_accesses = if scale == 1 { 2_000_000 } else { 400_000 };
     let cfg = RunConfig::at_scale(scale, accesses.unwrap_or(default_accesses));
     let profiles = match names {
@@ -202,28 +173,10 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> HarnessOpts {
         cfg,
         profiles,
         jobs,
-        batch,
         metrics,
         trace_sample,
         out: out.unwrap_or_else(memsim_sim::results_dir),
         rest,
-    }
-}
-
-/// Strict `BUMBLEBEE_TRACE_SAMPLE` parsing: unset defers to the
-/// `--trace-sample` flag (`None`); anything else must be a positive
-/// integer. Empty, zero or non-numeric values are hard configuration
-/// errors, the same contract `BUMBLEBEE_JOBS` / `BUMBLEBEE_BATCH`
-/// enforce — a silently ignored typo would silently disable tracing.
-///
-/// # Panics
-///
-/// Panics with the offending value on empty, zero or non-numeric input.
-fn trace_sample_env(value: Option<&str>) -> Option<u64> {
-    let v = value?;
-    match v.trim().parse::<u64>() {
-        Ok(r) if r > 0 => Some(r),
-        _ => panic!("BUMBLEBEE_TRACE_SAMPLE={v:?}: expected a positive integer sampling rate"),
     }
 }
 
@@ -247,7 +200,6 @@ mod tests {
         assert_eq!(o.cfg.accesses, 400_000);
         assert_eq!(o.profiles.len(), 14);
         assert_eq!(o.jobs, None);
-        assert_eq!(o.batch, None);
         assert!(!o.metrics);
         assert_eq!(o.trace_sample, None);
         assert!(o.rest.is_empty());
@@ -264,31 +216,6 @@ mod tests {
     #[should_panic(expected = "--trace-sample needs a positive rate")]
     fn zero_trace_sample_panics() {
         opts(&["--trace-sample", "0"]);
-    }
-
-    #[test]
-    fn trace_sample_env_parses_strictly() {
-        assert_eq!(trace_sample_env(None), None, "unset defers to the flag");
-        assert_eq!(trace_sample_env(Some("64")), Some(64));
-        assert_eq!(trace_sample_env(Some(" 8 ")), Some(8), "whitespace tolerated");
-    }
-
-    #[test]
-    #[should_panic(expected = "BUMBLEBEE_TRACE_SAMPLE=\"0\": expected a positive integer")]
-    fn trace_sample_env_rejects_zero() {
-        trace_sample_env(Some("0"));
-    }
-
-    #[test]
-    #[should_panic(expected = "BUMBLEBEE_TRACE_SAMPLE=\"\": expected a positive integer")]
-    fn trace_sample_env_rejects_empty() {
-        trace_sample_env(Some(""));
-    }
-
-    #[test]
-    #[should_panic(expected = "BUMBLEBEE_TRACE_SAMPLE=\"often\": expected a positive integer")]
-    fn trace_sample_env_rejects_non_numeric() {
-        trace_sample_env(Some("often"));
     }
 
     #[test]
@@ -344,20 +271,5 @@ mod tests {
     #[should_panic(expected = "--accesses needs a positive number")]
     fn zero_accesses_panics() {
         opts(&["--accesses", "0"]);
-    }
-
-    #[test]
-    fn batch_flag_reaches_the_engine() {
-        let o = opts(&["--batch", "64", "--jobs", "2"]);
-        assert_eq!(o.batch, Some(64));
-        assert_eq!(o.engine().batch(), 64);
-        let default = opts(&["--jobs", "2"]);
-        assert_eq!(default.engine().batch(), memsim_sim::DEFAULT_BATCH);
-    }
-
-    #[test]
-    #[should_panic(expected = "--batch needs a positive number")]
-    fn zero_batch_panics() {
-        opts(&["--batch", "0"]);
     }
 }

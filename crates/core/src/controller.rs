@@ -5,8 +5,8 @@ use crate::metadata::MetadataBreakdown;
 use crate::set::{RemapSet, ServedFrom, SetCtx};
 use memsim_obs::{EpochGauges, Telemetry, OCC_BUCKETS};
 use memsim_types::{
-    Access, AccessBatch, AccessPlan, Addr, CtrlStats, Geometry, HybridMemoryController, Mem,
-    MetadataModel, OverfetchTracker, PageSlot, PlanBuffer,
+    Access, AccessBatch, AccessKind, AccessPlan, Addr, CtrlStats, Geometry,
+    HybridMemoryController, Mem, MetadataModel, OverfetchTracker, PageIndex, PageSlot, PlanBuffer,
 };
 
 /// Accesses between two global pressure-flush rounds (rule 5 batching).
@@ -169,36 +169,76 @@ impl BumblebeeController {
         &self.sets[idx as usize]
     }
 
+    /// The remapping set and original page slot of `page`.
     // audit: hot-path
-    fn resolve(&self, addr: Addr) -> (u64, u16, u32, u32) {
-        let wrapped = self.geometry.wrap_flat(addr);
-        let page = self.geometry.page_of(wrapped);
+    fn locate(&self, page: PageIndex) -> (u64, u16) {
         let set = self.geometry.set_of_page(page);
         let o = match self.geometry.slot_of_page(page) {
             PageSlot::OffChip(i) => i as u16,
             PageSlot::Hbm(i) => self.geometry.dram_slots_in_set(set) as u16 + i as u16,
         };
+        (set, o)
+    }
+
+    /// One access through the controller, the sequence both
+    /// [`access`](HybridMemoryController::access) and the grouped
+    /// [`access_batch`](HybridMemoryController::access_batch) run: movement
+    /// credit, metadata lookup and spill, the rule-5 pressure flush, the
+    /// set access, the checked-build tick and the epoch sample. `wrapped`
+    /// is `addr` wrapped into the flat address space and `(set_id, o)` its
+    /// set and page slot, which the batched path resolves once per
+    /// same-page run.
+    // audit: hot-path
+    #[inline]
+    fn step(
+        &mut self,
+        addr: Addr,
+        kind: AccessKind,
+        wrapped: Addr,
+        (set_id, o): (u64, u16),
+        plan: &mut AccessPlan,
+    ) {
+        self.accesses += 1;
+        self.movement_credit =
+            (self.movement_credit + MOVEMENT_CREDIT_PER_ACCESS).min(MOVEMENT_CREDIT_CAP);
+        let spills_before = plan.background.len();
+        plan.metadata_cycles += self.metadata.lookup(plan, addr);
+        self.metadata_spill_bytes +=
+            plan.background[spills_before..].iter().map(|op| u64::from(op.bytes)).sum::<u64>();
+        self.pressure_flush(wrapped, plan);
+        let block = self.geometry.block_of(wrapped).0;
         let line = self.geometry.line_of(wrapped) as u32;
-        (set, o, self.geometry.block_of(wrapped).0, line)
-    }
-
-    // audit: hot-path
-    fn maybe_pressure_flush(&mut self, addr: Addr, plan: &mut AccessPlan) {
-        if !self.cfg.hmf_enabled {
-            return;
+        let set = &mut self.sets[set_id as usize];
+        let mut ctx = SetCtx {
+            geometry: &self.geometry,
+            cfg: &self.cfg,
+            set_id,
+            plan,
+            stats: &mut self.stats,
+            overfetch: self.overfetch.as_mut(),
+            mode_switch_bytes: &mut self.mode_switch_bytes,
+            movement_credit: &mut self.movement_credit,
+            telemetry: self.telemetry.active(),
+        };
+        let _served: ServedFrom = set.access(o, block, line, kind, &mut ctx);
+        #[cfg(feature = "checked")]
+        self.checked_tick(); // audit: allow(hot-callee) -- compiled out unless --features checked; the sweep is read-only and off the per-access path
+        if self.telemetry.tick() {
+            let gauges = self.gauges();
+            self.telemetry.sample(&self.stats, gauges);
         }
-        // Rule 5 trigger: the OS is handing out addresses beyond off-chip
-        // capacity — the global footprint is high.
-        let wrapped = self.geometry.wrap_flat(addr).0;
-        self.pressure_flush_wrapped(wrapped, plan);
     }
 
-    /// [`maybe_pressure_flush`](Self::maybe_pressure_flush) past the
-    /// `hmf_enabled` check, on an already-wrapped address — the batched
-    /// path hoists both the flag and the wrap out of its per-access loop.
+    /// Rule 5: an address beyond off-chip capacity means the OS is handing
+    /// out HBM-region addresses — the global footprint is high — so flush
+    /// the next `flush_batch_sets` sets' cHBM frames, at most once per
+    /// cooldown.
     // audit: hot-path
-    fn pressure_flush_wrapped(&mut self, wrapped: u64, plan: &mut AccessPlan) {
-        if wrapped < self.geometry.dram_bytes() || self.accesses < self.next_flush_ok {
+    fn pressure_flush(&mut self, wrapped: Addr, plan: &mut AccessPlan) {
+        if !self.cfg.hmf_enabled
+            || wrapped.0 < self.geometry.dram_bytes()
+            || self.accesses < self.next_flush_ok
+        {
             return;
         }
         self.next_flush_ok = self.accesses + PRESSURE_COOLDOWN;
@@ -254,113 +294,37 @@ impl BumblebeeController {
 impl HybridMemoryController for BumblebeeController {
     // audit: hot-path
     fn access(&mut self, req: &Access, plan: &mut AccessPlan) {
-        self.accesses += 1;
-        self.movement_credit =
-            (self.movement_credit + MOVEMENT_CREDIT_PER_ACCESS).min(MOVEMENT_CREDIT_CAP);
-        let spills_before = plan.background.len();
-        plan.metadata_cycles += self.metadata.lookup(plan, req.addr);
-        self.metadata_spill_bytes +=
-            plan.background[spills_before..].iter().map(|op| u64::from(op.bytes)).sum::<u64>();
-        self.maybe_pressure_flush(req.addr, plan);
-        let (set_id, o, block, line) = self.resolve(req.addr);
-        let set = &mut self.sets[set_id as usize];
-        let mut ctx = SetCtx {
-            geometry: &self.geometry,
-            cfg: &self.cfg,
-            set_id,
-            plan,
-            stats: &mut self.stats,
-            overfetch: self.overfetch.as_mut(),
-            mode_switch_bytes: &mut self.mode_switch_bytes,
-            movement_credit: &mut self.movement_credit,
-            telemetry: self.telemetry.active(),
-        };
-        let _served: ServedFrom = set.access(o, block, line, req.kind, &mut ctx);
-        #[cfg(feature = "checked")]
-        self.checked_tick(); // audit: allow(hot-callee) -- compiled out unless --features checked; the sweep is read-only and off the per-access path
-        if self.telemetry.tick() {
-            let gauges = self.gauges();
-            self.telemetry.sample(&self.stats, gauges);
-        }
+        let wrapped = self.geometry.wrap_flat(req.addr);
+        let slot = self.locate(self.geometry.page_of(wrapped));
+        self.step(req.addr, req.kind, wrapped, slot, plan);
     }
 
     /// The grouped batch fast path. Accesses are processed strictly in
     /// stream order (reordering would perturb the metadata spill schedule,
     /// the global pressure-flush cooldown, the shared movement-credit pool
     /// and mid-stream epoch samples — see DESIGN.md §10); the grouping win
-    /// comes from detecting *consecutive same-page runs*, which the
-    /// run-based workload generator makes long, and hoisting the page→set
-    /// resolution, the set-header borrow and the pressure-flush gate out
-    /// of the per-access loop while the set's PRT/BLE/hot-table metadata
-    /// stays cache-resident.
+    /// comes from *consecutive same-page runs*, which the run-based
+    /// workload generator makes long: the page→set/slot resolution is done
+    /// once per run while the set's PRT/BLE/hot-table metadata stays
+    /// cache-resident.
     // audit: hot-path
     fn access_batch(&mut self, batch: &AccessBatch, plans: &mut PlanBuffer) {
         plans.begin_chunk();
-        let n = batch.len();
-        let flush_enabled = self.cfg.hmf_enabled;
-        let mut i = 0;
-        while i < n {
-            // Resolve the group head's page once; the group extends while
-            // subsequent accesses stay in the same page (same set, same
-            // slot — only the block/line coordinates vary).
-            let head = self.geometry.wrap_flat(Addr(batch.addrs[i]));
-            let page = self.geometry.page_of(head);
-            let set_id = self.geometry.set_of_page(page);
-            let o = match self.geometry.slot_of_page(page) {
-                PageSlot::OffChip(x) => x as u16,
-                PageSlot::Hbm(x) => self.geometry.dram_slots_in_set(set_id) as u16 + x as u16,
+        let mut run: Option<(PageIndex, (u64, u16))> = None;
+        for (&a, &kind) in batch.addrs.iter().zip(&batch.kinds) {
+            let addr = Addr(a);
+            let wrapped = self.geometry.wrap_flat(addr);
+            let page = self.geometry.page_of(wrapped);
+            let slot = match run {
+                Some((p, slot)) if p == page => slot,
+                _ => {
+                    let slot = self.locate(page);
+                    run = Some((page, slot));
+                    slot
+                }
             };
-            let mut j = i;
-            while j < n {
-                let wrapped = if j == i {
-                    head
-                } else {
-                    let w = self.geometry.wrap_flat(Addr(batch.addrs[j]));
-                    if self.geometry.page_of(w) != page {
-                        break;
-                    }
-                    w
-                };
-                // Exactly the per-access sequence of `access`, with the
-                // resolution above hoisted.
-                self.accesses += 1;
-                self.movement_credit =
-                    (self.movement_credit + MOVEMENT_CREDIT_PER_ACCESS).min(MOVEMENT_CREDIT_CAP);
-                let plan = plans.plan_mut();
-                let spills_before = plan.background.len();
-                plan.metadata_cycles += self.metadata.lookup(plan, Addr(batch.addrs[j]));
-                self.metadata_spill_bytes += plan.background[spills_before..]
-                    .iter()
-                    .map(|op| u64::from(op.bytes))
-                    .sum::<u64>();
-                if flush_enabled {
-                    self.pressure_flush_wrapped(wrapped.0, plan);
-                }
-                let block = self.geometry.block_of(wrapped).0;
-                let line = self.geometry.line_of(wrapped) as u32;
-                let set = &mut self.sets[set_id as usize];
-                let mut ctx = SetCtx {
-                    geometry: &self.geometry,
-                    cfg: &self.cfg,
-                    set_id,
-                    plan,
-                    stats: &mut self.stats,
-                    overfetch: self.overfetch.as_mut(),
-                    mode_switch_bytes: &mut self.mode_switch_bytes,
-                    movement_credit: &mut self.movement_credit,
-                    telemetry: self.telemetry.active(),
-                };
-                let _served: ServedFrom = set.access(o, block, line, batch.kinds[j], &mut ctx);
-                #[cfg(feature = "checked")]
-                self.checked_tick(); // audit: allow(hot-callee) -- compiled out unless --features checked; the sweep is read-only and off the per-access path
-                if self.telemetry.tick() {
-                    let gauges = self.gauges();
-                    self.telemetry.sample(&self.stats, gauges);
-                }
-                plans.seal();
-                j += 1;
-            }
-            i = j;
+            self.step(addr, kind, wrapped, slot, plans.plan_mut());
+            plans.seal();
         }
     }
 
@@ -415,7 +379,6 @@ impl HybridMemoryController for BumblebeeController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memsim_types::AccessKind;
 
     fn tiny_geometry() -> Geometry {
         Geometry::builder()
@@ -533,17 +496,17 @@ mod tests {
     fn recorder_collects_epochs_and_events() {
         use memsim_obs::{MetricsConfig, RunRecorder};
         let mut c = BumblebeeController::new(tiny_geometry(), BumblebeeConfig::default());
-        c.telemetry_mut().install(Box::new(RunRecorder::new(&MetricsConfig {
+        c.telemetry_mut().install(RunRecorder::new(&MetricsConfig {
             epoch_interval: 4,
             event_capacity: 64,
             ..MetricsConfig::default()
-        })));
+        }));
         let mut plan = AccessPlan::new();
         for i in 0..10u64 {
             plan.clear();
             c.access(&Access::read(Addr(i * 64)), &mut plan);
         }
-        let run = c.telemetry_mut().take().unwrap().into_run().unwrap();
+        let run = c.telemetry_mut().take().unwrap();
         assert_eq!(run.epochs().len(), 2, "boundaries at accesses 4 and 8");
         assert_eq!(run.epochs()[0].accesses, 4);
         assert!(run.epochs()[1].cum_hit_rate > 0.0, "repeat touches hit HBM");
@@ -551,12 +514,15 @@ mod tests {
     }
 
     #[test]
-    fn noop_recorder_leaves_stats_unchanged() {
-        use memsim_obs::NoopRecorder;
+    fn recorder_leaves_stats_unchanged() {
+        use memsim_obs::{MetricsConfig, RunRecorder};
         let run = |install: bool| {
             let mut c = BumblebeeController::new(tiny_geometry(), BumblebeeConfig::default());
             if install {
-                c.telemetry_mut().install(Box::new(NoopRecorder));
+                c.telemetry_mut().install(RunRecorder::new(&MetricsConfig {
+                    epoch_interval: 8,
+                    ..MetricsConfig::default()
+                }));
             }
             let mut plan = AccessPlan::new();
             for i in 0..64u64 {

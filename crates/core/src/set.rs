@@ -1707,10 +1707,10 @@ mod tests {
     fn events_are_recorded_when_a_recorder_is_installed() {
         use memsim_obs::{MetricsConfig, RunRecorder};
         let mut h = Harness::new(BumblebeeConfig::default());
-        h.telemetry.install(Box::new(RunRecorder::new(&MetricsConfig::default())));
+        h.telemetry.install(RunRecorder::new(&MetricsConfig::default()));
         h.access(0, 0, AccessKind::Read); // allocate + fill
         h.access(0, 0, AccessKind::Read); // cHBM hit
-        let run = h.telemetry.take().unwrap().into_run().unwrap();
+        let run = h.telemetry.take().unwrap();
         let kinds: Vec<&str> = run.ring().iter().map(|e| e.event.kind()).collect();
         assert!(kinds.contains(&"prt_miss"), "kinds {kinds:?}");
         assert!(kinds.contains(&"block_fill"), "kinds {kinds:?}");

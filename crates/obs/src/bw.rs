@@ -19,7 +19,7 @@
 //!
 //! Everything here lives in the simulated cycle domain and is a pure
 //! function of the access stream — `.bw.jsonl` output derived from it is
-//! byte-identical at any `--jobs`/`--batch` width.
+//! byte-identical at any `--jobs` or batch width.
 
 use crate::hist::Pow2Histogram;
 use memsim_types::{AccessPlan, DeviceOp, TrafficCause, TrafficDevice};

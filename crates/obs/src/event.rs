@@ -1,4 +1,4 @@
-//! Typed controller events and the bounded ring buffer that stores them.
+//! Typed controller events, as stored in the bounded [`Ring`](crate::Ring).
 
 /// One structured event on a controller's access path.
 ///
@@ -173,70 +173,9 @@ pub struct TimedEvent {
     pub event: TraceEvent,
 }
 
-/// A bounded ring of [`TimedEvent`]s: the newest `capacity` events are
-/// kept, older ones are dropped (and counted), so tracing a long run costs
-/// fixed memory.
-#[derive(Debug, Clone)]
-pub struct EventRing {
-    buf: Vec<TimedEvent>,
-    head: usize,
-    dropped: u64,
-    capacity: usize,
-}
-
-impl EventRing {
-    /// A ring keeping the newest `capacity` events (at least 1).
-    pub fn new(capacity: usize) -> EventRing {
-        let capacity = capacity.max(1);
-        EventRing { buf: Vec::with_capacity(capacity), head: 0, dropped: 0, capacity }
-    }
-
-    /// Appends an event, evicting (and counting) the oldest when full.
-    pub fn push(&mut self, ev: TimedEvent) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(ev);
-        } else {
-            self.buf[self.head] = ev;
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
-        }
-    }
-
-    /// Events currently held, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &TimedEvent> {
-        self.buf[self.head..].iter().chain(self.buf[..self.head].iter())
-    }
-
-    /// Events held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Events dropped because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Drains the ring into a `Vec`, oldest first.
-    pub fn into_vec(self) -> Vec<TimedEvent> {
-        let mut v = self.buf;
-        v.rotate_left(self.head);
-        v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ev(seq: u64) -> TimedEvent {
-        TimedEvent { seq, event: TraceEvent::PrtMiss { set: 0, page: seq as u16 } }
-    }
 
     #[test]
     fn kind_names_are_stable() {
@@ -262,37 +201,5 @@ mod tests {
         let s = TraceEvent::Swap { set: 1, page: 2, victim: 5 };
         assert_eq!(s.victim(), Some(5));
         assert_eq!(TraceEvent::PressureFlush { set: 0 }.page(), None);
-    }
-
-    #[test]
-    fn ring_keeps_newest_and_counts_drops() {
-        let mut r = EventRing::new(3);
-        for s in 0..5 {
-            r.push(ev(s));
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.dropped(), 2);
-        let seqs: Vec<u64> = r.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![2, 3, 4]);
-        assert_eq!(r.into_vec().iter().map(|e| e.seq).collect::<Vec<_>>(), vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn ring_under_capacity_keeps_all() {
-        let mut r = EventRing::new(8);
-        r.push(ev(1));
-        r.push(ev(2));
-        assert_eq!(r.dropped(), 0);
-        assert_eq!(r.iter().count(), 2);
-        assert!(!r.is_empty());
-    }
-
-    #[test]
-    fn zero_capacity_is_clamped() {
-        let mut r = EventRing::new(0);
-        r.push(ev(1));
-        r.push(ev(2));
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.iter().next().unwrap().seq, 2);
     }
 }

@@ -6,9 +6,9 @@
 //! access the simulator captures one [`AccessRecord`] — the serve path
 //! classification ([`AccessPath`]) plus the cycle-domain breakdown of the
 //! critical path (metadata lookup, channel queue wait, bank service, and
-//! non-device stall). Records live in a bounded [`LatRing`] (newest-kept,
-//! drop-counted, exactly like the event ring), so `.lat.jsonl` output is
-//! byte-identical at any `--jobs`/`--batch` width. [`LatCollector`]
+//! non-device stall). Records live in a bounded [`Ring`](crate::Ring)
+//! (newest-kept, drop-counted, the same ring as the event trace), so
+//! `.lat.jsonl` output is byte-identical at any `--jobs` width. [`LatCollector`]
 //! aggregates records into path-tagged power-of-two latency histograms and
 //! per-epoch queue-wait gauges for reports.
 
@@ -64,60 +64,6 @@ pub struct AccessRecord {
     pub stall: u64, // audit: unit(cycles)
     /// End-to-end charged latency: `lookup + queue + service + stall`.
     pub total: u64,
-}
-
-/// A bounded ring of [`AccessRecord`]s: the newest `capacity` records are
-/// kept, older ones dropped (and counted) — fixed memory however long the
-/// run.
-#[derive(Debug, Clone)]
-pub struct LatRing {
-    buf: Vec<AccessRecord>,
-    head: usize,
-    dropped: u64,
-    capacity: usize,
-}
-
-impl LatRing {
-    /// A ring keeping the newest `capacity` records (at least 1).
-    pub fn new(capacity: usize) -> LatRing {
-        let capacity = capacity.max(1);
-        LatRing { buf: Vec::with_capacity(capacity), head: 0, dropped: 0, capacity }
-    }
-
-    /// Appends a record, evicting (and counting) the oldest when full.
-    // audit: hot-path
-    pub fn push(&mut self, rec: AccessRecord) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(rec);
-        } else {
-            self.buf[self.head] = rec;
-            self.head = (self.head + 1) % self.capacity;
-            self.dropped += 1;
-        }
-    }
-
-    /// Records held.
-    // audit: hot-path
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Records dropped because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Drains the ring into a `Vec`, oldest first.
-    pub fn into_vec(self) -> Vec<AccessRecord> {
-        let mut v = self.buf;
-        v.rotate_left(self.head);
-        v
-    }
 }
 
 /// Per-path aggregate of the sampled records: component sums for the
@@ -232,21 +178,6 @@ mod tests {
         assert!((0..100).all(|s| sampled(s, 1)));
         let hits = (0..100_000).filter(|&s| sampled(s, 64)).count();
         assert!((1000..2200).contains(&hits), "~1/64 of 100k, got {hits}");
-    }
-
-    #[test]
-    fn ring_keeps_newest_and_counts_drops() {
-        let mut r = LatRing::new(3);
-        for s in 0..5 {
-            r.push(rec(s, AccessPath::MissFill, 0));
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.dropped(), 2);
-        assert_eq!(r.into_vec().iter().map(|x| x.seq).collect::<Vec<_>>(), vec![2, 3, 4]);
-        let mut tiny = LatRing::new(0);
-        tiny.push(rec(9, AccessPath::MhbmHit, 0));
-        assert_eq!(tiny.len(), 1, "capacity clamps to 1");
-        assert!(!tiny.is_empty());
     }
 
     #[test]

@@ -10,22 +10,23 @@
 //! * [`hist::Pow2Histogram`] — 64 power-of-two buckets for latency and
 //!   queue-wait distributions, cheap enough to stay always-on in the DRAM
 //!   device model;
-//! * [`event::TraceEvent`] / [`event::EventRing`] — typed controller
-//!   events (PRT misses, BLE hits, migrations, mode switches, zombie
-//!   evictions, pressure flushes…) in a bounded ring buffer;
+//! * [`ring::Ring`] — the one bounded ring buffer: keeps the newest
+//!   `capacity` items and counts the ones it drops;
+//! * [`event::TraceEvent`] — typed controller events (PRT misses, BLE
+//!   hits, migrations, mode switches, zombie evictions, pressure
+//!   flushes…), kept in a `Ring`;
 //! * [`snapshot::EpochSnapshot`] — one sampled point of the per-epoch
 //!   time-series (hit rate, mHBM fraction, Rh, T, movement deltas,
 //!   occupancy heatmap buckets);
-//! * [`recorder::MetricsRecorder`] — the sink trait, with
-//!   [`recorder::NoopRecorder`] (one virtual call per access) and
-//!   [`recorder::RunRecorder`] (collects everything for JSONL export);
+//! * [`recorder::RunRecorder`] — collects a run's epoch time-series and
+//!   event ring for JSONL export;
 //! * [`recorder::Telemetry`] — the controller-side handle. With no
 //!   recorder installed (the default) the fast path costs a single
-//!   `Option` discriminant check and **zero** virtual calls;
+//!   `Option` discriminant check;
 //! * [`lat`] — sampled per-access request tracing: a deterministic
 //!   SplitMix64 sampler over the global access sequence, cycle-domain
-//!   [`lat::AccessRecord`]s (path + lookup/queue/service/stall), a bounded
-//!   [`lat::LatRing`], and the [`lat::LatCollector`] report aggregator;
+//!   [`lat::AccessRecord`]s (path + lookup/queue/service/stall), kept in a
+//!   `Ring`, and the [`lat::LatCollector`] report aggregator;
 //! * [`bw`] — cause-attributed traffic accounting: the per-device-class
 //!   per-cause [`bw::TrafficMatrix`], the [`bw::TrafficAccum`] op-size /
 //!   MLP histograms, cumulative [`bw::BwPoint`] epoch snapshots, and the
@@ -45,11 +46,11 @@
 //!
 //! let mut t = Telemetry::default();          // disabled: near-zero cost
 //! assert!(!t.enabled());
-//! t.install(Box::new(RunRecorder::new(&MetricsConfig {
+//! t.install(RunRecorder::new(&MetricsConfig {
 //!     epoch_interval: 2,
 //!     event_capacity: 16,
 //!     ..MetricsConfig::default()
-//! })));
+//! }));
 //! let mut stats = CtrlStats::new();
 //! for _ in 0..4 {
 //!     stats.hbm_hits += 1;
@@ -57,7 +58,7 @@
 //!         t.sample(&stats, Default::default());
 //!     }
 //! }
-//! let run = t.take().unwrap().into_run().unwrap();
+//! let run = t.take().unwrap();
 //! assert_eq!(run.epochs().len(), 2);
 //! ```
 
@@ -66,11 +67,13 @@ pub mod event;
 pub mod hist;
 pub mod lat;
 pub mod recorder;
+pub mod ring;
 pub mod snapshot;
 
 pub use bw::{reconcile, BwPoint, TrafficAccum, TrafficMatrix};
-pub use event::{EventRing, TimedEvent, TraceEvent};
+pub use event::{TimedEvent, TraceEvent};
 pub use hist::{DeviceHistograms, Pow2Histogram};
-pub use lat::{sampled, AccessRecord, LatCollector, LatRing, PathLatency, QueueGauge};
-pub use recorder::{MetricsConfig, MetricsRecorder, NoopRecorder, RunRecorder, Telemetry};
+pub use lat::{sampled, AccessRecord, LatCollector, PathLatency, QueueGauge};
+pub use recorder::{MetricsConfig, RunRecorder, Telemetry};
+pub use ring::Ring;
 pub use snapshot::{EpochGauges, EpochSnapshot, OCC_BUCKETS};

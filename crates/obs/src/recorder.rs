@@ -1,7 +1,7 @@
-//! The recorder trait, its implementations, and the controller-side
-//! [`Telemetry`] handle.
+//! The run recorder and the controller-side [`Telemetry`] handle.
 
-use crate::event::{EventRing, TimedEvent, TraceEvent};
+use crate::event::{TimedEvent, TraceEvent};
+use crate::ring::Ring;
 use crate::snapshot::{EpochGauges, EpochSnapshot};
 use memsim_types::CtrlStats;
 
@@ -32,47 +32,15 @@ impl Default for MetricsConfig {
     }
 }
 
-/// A sink for controller telemetry.
-///
-/// Implementations must be deterministic functions of the recorded
-/// sequence — engine output built from a recorder is byte-compared across
-/// `--jobs` widths.
-pub trait MetricsRecorder: std::fmt::Debug + Send {
-    /// Accesses per epoch sample this recorder wants (0 = none).
-    fn epoch_interval(&self) -> u64 {
-        0
-    }
-
-    /// Receives one event, stamped with the controller access counter.
-    // audit: hot-path
-    fn record_event(&mut self, _seq: u64, _ev: &TraceEvent) {}
-
-    /// Receives one epoch snapshot.
-    // audit: hot-path
-    fn record_epoch(&mut self, _snap: &EpochSnapshot) {}
-
-    /// Downcasts into the collecting [`RunRecorder`], when this is one.
-    fn into_run(self: Box<Self>) -> Option<RunRecorder> {
-        None
-    }
-}
-
-/// A recorder that discards everything: one virtual call per recorded
-/// item. Installing it exercises the full recording path at near-zero
-/// cost; leaving [`Telemetry`] empty (the default) costs even less — a
-/// single `Option` check and no virtual call at all.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopRecorder;
-
-impl MetricsRecorder for NoopRecorder {}
-
 /// Collects the full epoch time-series and event ring of one run for
-/// JSONL export.
+/// JSONL export. Everything it records is a deterministic function of the
+/// access stream — engine output built from it is byte-compared across
+/// `--jobs` widths.
 #[derive(Debug)]
 pub struct RunRecorder {
     interval: u64,
     epochs: Vec<EpochSnapshot>,
-    ring: EventRing,
+    ring: Ring<TimedEvent>,
 }
 
 impl RunRecorder {
@@ -81,7 +49,7 @@ impl RunRecorder {
         RunRecorder {
             interval: cfg.epoch_interval,
             epochs: Vec::new(),
-            ring: EventRing::new(cfg.event_capacity),
+            ring: Ring::new(cfg.event_capacity),
         }
     }
 
@@ -91,7 +59,7 @@ impl RunRecorder {
     }
 
     /// The event ring.
-    pub fn ring(&self) -> &EventRing {
+    pub fn ring(&self) -> &Ring<TimedEvent> {
         &self.ring
     }
 
@@ -102,37 +70,16 @@ impl RunRecorder {
     }
 }
 
-impl MetricsRecorder for RunRecorder {
-    fn epoch_interval(&self) -> u64 {
-        self.interval
-    }
-
-    // audit: hot-path
-    fn record_event(&mut self, seq: u64, ev: &TraceEvent) {
-        self.ring.push(TimedEvent { seq, event: *ev });
-    }
-
-    // audit: hot-path
-    fn record_epoch(&mut self, snap: &EpochSnapshot) {
-        self.epochs.push(snap.clone());
-    }
-
-    fn into_run(self: Box<Self>) -> Option<RunRecorder> {
-        Some(*self)
-    }
-}
-
 /// The controller-side telemetry handle.
 ///
 /// Every controller owns one. With no recorder installed (the default)
 /// [`tick`](Self::tick) is a branch on an `Option` discriminant and
 /// [`active`](Self::active) returns `None`, so event payloads are never
-/// even constructed — the disabled fast path costs less than one virtual
-/// call.
+/// even constructed. The recorder is boxed, so it costs every controller
+/// one pointer while disabled.
 #[derive(Debug, Default)]
 pub struct Telemetry {
-    rec: Option<Box<dyn MetricsRecorder>>,
-    interval: u64,
+    rec: Option<Box<RunRecorder>>,
     accesses: u64,
     epoch: u64,
     last: CtrlStats,
@@ -140,17 +87,16 @@ pub struct Telemetry {
 
 impl Telemetry {
     /// Installs `rec`, resetting the epoch clock.
-    pub fn install(&mut self, rec: Box<dyn MetricsRecorder>) {
-        self.interval = rec.epoch_interval();
-        self.rec = Some(rec);
+    pub fn install(&mut self, rec: RunRecorder) {
+        self.rec = Some(Box::new(rec));
         self.accesses = 0;
         self.epoch = 0;
         self.last = CtrlStats::new();
     }
 
     /// Removes and returns the recorder, disabling telemetry.
-    pub fn take(&mut self) -> Option<Box<dyn MetricsRecorder>> {
-        self.rec.take()
+    pub fn take(&mut self) -> Option<RunRecorder> {
+        self.rec.take().map(|r| *r)
     }
 
     /// Whether a recorder is installed.
@@ -179,18 +125,16 @@ impl Telemetry {
     #[inline]
     // audit: hot-path
     pub fn tick(&mut self) -> bool {
-        if self.rec.is_none() {
-            return false;
-        }
+        let Some(r) = self.rec.as_deref() else { return false };
         self.accesses += 1;
-        self.interval > 0 && self.accesses.is_multiple_of(self.interval)
+        r.interval > 0 && self.accesses.is_multiple_of(r.interval)
     }
 
     /// Emits one event stamped with the current access count.
     // audit: hot-path
     pub fn event(&mut self, ev: TraceEvent) {
         if let Some(r) = self.rec.as_deref_mut() {
-            r.record_event(self.accesses, &ev);
+            r.ring.push(TimedEvent { seq: self.accesses, event: ev });
         }
     }
 
@@ -201,7 +145,7 @@ impl Telemetry {
     pub fn sample(&mut self, stats: &CtrlStats, gauges: EpochGauges) {
         let Some(r) = self.rec.as_deref_mut() else { return };
         let snap = EpochSnapshot::from_delta(self.epoch, self.accesses, stats, &self.last, gauges);
-        r.record_epoch(&snap);
+        r.epochs.push(snap);
         self.last = stats.clone();
         self.epoch += 1;
     }
@@ -224,26 +168,13 @@ mod tests {
     }
 
     #[test]
-    fn noop_recorder_enables_the_path_but_keeps_nothing() {
-        let mut t = Telemetry::default();
-        t.install(Box::new(NoopRecorder));
-        assert!(t.enabled());
-        assert!(t.active().is_some());
-        assert!(!t.tick(), "interval 0: no epoch boundaries");
-        t.event(TraceEvent::Migrate { set: 1, page: 2 });
-        let rec = t.take().unwrap();
-        assert!(rec.into_run().is_none());
-        assert!(!t.enabled(), "take() disables");
-    }
-
-    #[test]
     fn run_recorder_collects_epochs_and_events() {
         let mut t = Telemetry::default();
-        t.install(Box::new(RunRecorder::new(&MetricsConfig {
+        t.install(RunRecorder::new(&MetricsConfig {
             epoch_interval: 3,
             event_capacity: 2,
             ..MetricsConfig::default()
-        })));
+        }));
         let mut stats = CtrlStats::new();
         for i in 0..7u64 {
             stats.hbm_hits += 1;
@@ -252,7 +183,7 @@ mod tests {
             }
             t.event(TraceEvent::BleHit { set: 0, page: 0, block: i as u32 });
         }
-        let run = t.take().unwrap().into_run().unwrap();
+        let run = t.take().unwrap();
         assert_eq!(run.epochs().len(), 2, "boundaries at access 3 and 6");
         assert_eq!(run.epochs()[0].accesses, 3);
         assert_eq!(run.epochs()[1].epoch, 1);
@@ -266,11 +197,11 @@ mod tests {
     #[test]
     fn sample_resets_the_delta_baseline() {
         let mut t = Telemetry::default();
-        t.install(Box::new(RunRecorder::new(&MetricsConfig {
+        t.install(RunRecorder::new(&MetricsConfig {
             epoch_interval: 1,
             event_capacity: 1,
             ..MetricsConfig::default()
-        })));
+        }));
         let mut stats = CtrlStats::new();
         stats.hbm_hits = 4;
         assert!(t.tick());
@@ -278,7 +209,7 @@ mod tests {
         stats.offchip_serves = 4; // second epoch: 0 hits of 4
         assert!(t.tick());
         t.sample(&stats, EpochGauges::default());
-        let run = t.take().unwrap().into_run().unwrap();
+        let run = t.take().unwrap();
         assert_eq!(run.epochs()[0].hit_rate, 1.0);
         assert_eq!(run.epochs()[1].hit_rate, 0.0);
         assert!((run.epochs()[1].cum_hit_rate - 0.5).abs() < 1e-12);

@@ -4,7 +4,7 @@ use bumblebee_core::{BumblebeeConfig, BumblebeeController};
 use memsim_baselines::{
     ablations, AlloyCache, Banshee, Chameleon, Hybrid2, OffChipOnly, UnisonCache,
 };
-use memsim_obs::MetricsRecorder;
+use memsim_obs::RunRecorder;
 use memsim_types::{
     Access, AccessBatch, AccessPlan, CtrlStats, Geometry, HybridMemoryController, PlanBuffer,
 };
@@ -145,12 +145,12 @@ impl AnyController {
     }
 
     /// Installs a telemetry recorder on the concrete controller.
-    pub fn install_recorder(&mut self, rec: Box<dyn MetricsRecorder>) {
+    pub fn install_recorder(&mut self, rec: RunRecorder) {
         delegate!(self, c => c.telemetry_mut().install(rec));
     }
 
     /// Removes and returns the telemetry recorder, if one was installed.
-    pub fn take_recorder(&mut self) -> Option<Box<dyn MetricsRecorder>> {
+    pub fn take_recorder(&mut self) -> Option<RunRecorder> {
         delegate!(self, c => c.telemetry_mut().take())
     }
 

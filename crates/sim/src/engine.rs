@@ -10,12 +10,12 @@
 //! because per-cell seeds are derived in the matrix rather than at run
 //! time, every width produces byte-identical reports.
 
-use crate::jsonl::JsonObj;
 use crate::matrix::{Cell, ExperimentMatrix};
 use crate::report::SimReport;
 use crate::run::{run_design_batched, RunObservations};
 use memsim_dram::presets;
 use memsim_obs::{BwPoint, LatCollector, MetricsConfig, Pow2Histogram};
+use memsim_types::json::JsonObj;
 use memsim_types::{AccessPath, GeometryError, TrafficCause, TrafficDevice};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -53,31 +53,27 @@ impl Engine {
         }
     }
 
-    /// Widths from the environment: `BUMBLEBEE_JOBS` (cells run
-    /// concurrently; defaults to the machine's available parallelism) and
-    /// `BUMBLEBEE_BATCH` (access-pipeline chunk width; defaults to
-    /// [`DEFAULT_BATCH`]).
+    /// The width from the environment: `BUMBLEBEE_JOBS` cells run
+    /// concurrently (defaults to the machine's available parallelism), at
+    /// the default batch width.
     ///
     /// # Panics
     ///
-    /// A set-but-unusable value (zero or non-numeric) of any variable
-    /// panics with a message naming it — a silent fallback would run the
+    /// A set-but-unusable value (zero or non-numeric) panics with a
+    /// message naming the variable — a silent fallback would run the
     /// wrong experiment shape without anyone noticing.
     pub fn from_env() -> Engine {
         let jobs = positive_env("BUMBLEBEE_JOBS", std::env::var("BUMBLEBEE_JOBS").ok().as_deref())
             .unwrap_or_else(available_parallelism);
-        let batch =
-            positive_env("BUMBLEBEE_BATCH", std::env::var("BUMBLEBEE_BATCH").ok().as_deref())
-                .unwrap_or(DEFAULT_BATCH);
-        Engine::new(jobs).with_batch(batch)
+        Engine::new(jobs)
     }
 
     /// Sets the access-pipeline chunk width (clamped to ≥ 1): every cell
     /// generates, looks up, and services accesses in chunks of up to
-    /// `batch`. Purely a performance knob — chunks are cut at epoch
-    /// boundaries and the warm-up point, so every output stays
-    /// byte-identical at any width (`1`, one access per chunk, is the
-    /// unstaged reference wider chunks are compared against).
+    /// `batch`. Chunks are cut at epoch boundaries and the warm-up point,
+    /// so every output stays byte-identical at any width; tests use width
+    /// `1` (one access per chunk) as the unstaged reference wider chunks
+    /// are compared against, and every figure runs at [`DEFAULT_BATCH`].
     pub fn with_batch(mut self, batch: usize) -> Engine {
         self.batch = batch.max(1);
         self
@@ -241,7 +237,7 @@ fn available_parallelism() -> usize {
     std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
 }
 
-/// Parses a width override (`BUMBLEBEE_JOBS` / `BUMBLEBEE_BATCH`).
+/// Parses a width override (`BUMBLEBEE_JOBS`).
 /// `None` means the variable is unset and the caller's default applies.
 ///
 /// # Panics
@@ -496,7 +492,7 @@ impl ResultSet {
     /// `kind=lat_hist` per-path latency histograms with p50/p95/p99, and a
     /// closing `kind=lat_summary` line whose per-path totals reconcile
     /// exactly against the cell's controller counters. Purely cycle-domain —
-    /// byte-identical across `--jobs` and `--batch` widths. Empty when the
+    /// byte-identical across `--jobs` and batch widths. Empty when the
     /// run recorded no metrics or sampling was disabled (`sample_rate` 0).
     pub fn lat_jsonl_lines(&self) -> Vec<String> {
         let Some(all) = self.observations.as_deref() else { return Vec::new() };
@@ -620,7 +616,7 @@ impl ResultSet {
     /// `hbm_bytes` / `dram_bytes` device totals (`trace_tool bandwidth`
     /// enforces this). All counters are integers in the simulated cycle
     /// domain and every float is derived from them at emit time, so the
-    /// stream is byte-identical across `--jobs` and `--batch` widths.
+    /// stream is byte-identical across `--jobs` and batch widths.
     /// Empty when the run recorded no metrics.
     pub fn bw_jsonl_lines(&self) -> Vec<String> {
         let Some(all) = self.observations.as_deref() else { return Vec::new() };
@@ -787,6 +783,7 @@ mod tests {
     use crate::designs::Design;
     use crate::run::RunConfig;
     use memsim_trace::SpecProfile;
+    use memsim_types::json::{parse, Json};
 
     #[test]
     fn par_map_preserves_order_at_any_width() {
@@ -806,7 +803,7 @@ mod tests {
     #[test]
     fn positive_env_accepts_positive_and_defers_when_unset() {
         assert_eq!(positive_env("BUMBLEBEE_JOBS", Some("3")), Some(3));
-        assert_eq!(positive_env("BUMBLEBEE_BATCH", Some(" 8 ")), Some(8), "whitespace tolerated");
+        assert_eq!(positive_env("BUMBLEBEE_JOBS", Some(" 8 ")), Some(8), "whitespace tolerated");
         assert_eq!(positive_env("BUMBLEBEE_JOBS", None), None, "unset means default");
     }
 
@@ -826,18 +823,6 @@ mod tests {
     #[should_panic(expected = "BUMBLEBEE_JOBS=\"\": expected a positive integer")]
     fn positive_env_rejects_empty() {
         positive_env("BUMBLEBEE_JOBS", Some(""));
-    }
-
-    #[test]
-    #[should_panic(expected = "BUMBLEBEE_BATCH=\"0\": expected a positive integer")]
-    fn positive_env_rejects_zero_batch() {
-        positive_env("BUMBLEBEE_BATCH", Some("0"));
-    }
-
-    #[test]
-    #[should_panic(expected = "BUMBLEBEE_BATCH=\"many\": expected a positive integer")]
-    fn positive_env_rejects_non_numeric_batch() {
-        positive_env("BUMBLEBEE_BATCH", Some("many"));
     }
 
     #[test]
@@ -904,7 +889,6 @@ mod tests {
 
     #[test]
     fn lat_jsonl_carries_every_record_kind_and_reconciles() {
-        use crate::jsonl::parse_flat;
         let cfg = MetricsConfig {
             epoch_interval: 1000,
             event_capacity: 256,
@@ -921,12 +905,9 @@ mod tests {
             lines.iter().filter(|l| l.contains("\"kind\":\"lat_summary\"")).collect();
         assert_eq!(summaries.len(), m.len(), "one summary per cell");
         for line in summaries {
-            let row = parse_flat(line).unwrap();
+            let row = parse(line).unwrap();
             let get = |k: &str| {
-                row.iter()
-                    .find(|(key, _)| key == k)
-                    .and_then(|(_, v)| v.as_u64())
-                    .unwrap_or_else(|| panic!("field {k} in {line}"))
+                row.get(k).and_then(Json::as_u64).unwrap_or_else(|| panic!("field {k} in {line}"))
             };
             // Path-count totals reconcile EXACTLY against the controller's
             // hit/miss/bypass counters — the tentpole acceptance invariant.
@@ -946,7 +927,6 @@ mod tests {
 
     #[test]
     fn bw_jsonl_carries_every_record_kind_and_reconciles() {
-        use crate::jsonl::parse_flat;
         let cfg = MetricsConfig {
             epoch_interval: 1000,
             event_capacity: 256,
@@ -967,12 +947,9 @@ mod tests {
             lines.iter().filter(|l| l.contains("\"kind\":\"bw_summary\"")).collect();
         assert_eq!(summaries.len(), m.len(), "one summary per cell");
         for line in summaries {
-            let row = parse_flat(line).unwrap();
+            let row = parse(line).unwrap();
             let get = |k: &str| {
-                row.iter()
-                    .find(|(key, _)| key == k)
-                    .and_then(|(_, v)| v.as_u64())
-                    .unwrap_or_else(|| panic!("field {k} in {line}"))
+                row.get(k).and_then(Json::as_u64).unwrap_or_else(|| panic!("field {k} in {line}"))
             };
             // The tentpole acceptance invariant: cause-attributed byte
             // sums reconcile EXACTLY against the devices' counters.
@@ -1025,8 +1002,7 @@ mod tests {
     }
 
     #[test]
-    fn epoch_jsonl_round_trips_through_parse_flat() {
-        use crate::jsonl::parse_flat;
+    fn epoch_jsonl_round_trips_through_the_json_parser() {
         let cfg = MetricsConfig {
             epoch_interval: 1000,
             event_capacity: 256,
@@ -1037,15 +1013,13 @@ mod tests {
         let lines = rs.epochs_jsonl_lines();
         assert!(!lines.is_empty());
         for line in &lines {
-            assert!(parse_flat(line).is_some(), "emitted line must parse: {line}");
+            assert!(parse(line).is_ok(), "emitted line must parse: {line}");
         }
         // The first line is the first cell's first epoch; every field must
         // survive the JSONL round-trip exactly (shortest-roundtrip floats).
         let snap = &rs.observations().unwrap()[0].epochs[0];
-        let row = parse_flat(&lines[0]).unwrap();
-        let get = |k: &str| {
-            row.iter().find(|(key, _)| key == k).map(|(_, v)| v.clone()).unwrap()
-        };
+        let row = parse(&lines[0]).unwrap();
+        let get = |k: &str| row.get(k).unwrap().clone();
         assert_eq!(get("kind").as_str(), Some("epoch"));
         assert_eq!(get("epoch").as_u64(), Some(snap.epoch));
         assert_eq!(get("accesses").as_u64(), Some(snap.accesses));

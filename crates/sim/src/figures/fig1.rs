@@ -8,10 +8,10 @@
 //! 20 ≤ N).
 
 use crate::engine::Engine;
-use crate::jsonl::JsonObj;
 use crate::report::render_table;
 use crate::run::RunConfig;
 use memsim_trace::SpecProfile;
+use memsim_types::json::JsonObj;
 
 /// The line sizes on the figure's x-axis.
 pub const LINE_SIZES: [u64; 6] = [64, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10];

@@ -8,11 +8,11 @@
 
 use crate::designs::Design;
 use crate::engine::{Engine, DEFAULT_BATCH};
-use crate::jsonl::JsonObj;
 use crate::report::{render_table, SimReport};
 use crate::run::{geomean, run_controller, run_reference, RunConfig};
 use bumblebee_core::BumblebeeConfig;
 use memsim_trace::SpecProfile;
+use memsim_types::json::JsonObj;
 use memsim_types::{Geometry, GeometryError};
 
 /// One swept parameter point.

@@ -3,13 +3,13 @@
 
 use crate::designs::Design;
 use crate::engine::{Engine, ResultSet};
-use crate::jsonl::JsonObj;
 use crate::matrix::ExperimentMatrix;
 use crate::report::render_table;
 use crate::run::RunConfig;
 use memsim_cache::Hierarchy;
 use memsim_dram::presets;
 use memsim_trace::SpecProfile;
+use memsim_types::json::JsonObj;
 use memsim_types::{GeometryError, HybridMemoryController};
 
 /// Renders Table I (system configuration) from the actual presets.

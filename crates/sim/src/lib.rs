@@ -16,7 +16,8 @@
 //! * [`engine`] — [`Engine`], the parallel matrix executor
 //!   (`--jobs`/`BUMBLEBEE_JOBS`), and [`ResultSet`], its indexed output.
 //! * [`report`] — [`SimReport`] and text-table rendering.
-//! * [`jsonl`] — the machine-readable `results/<figure>.jsonl` writer.
+//! * [`jsonl`] — writes the machine-readable `results/<figure>.jsonl`
+//!   files, whose lines are built with [`memsim_types::json::JsonObj`].
 //! * [`figures`] — generators for Fig. 1, Fig. 6, Fig. 7, Fig. 8(a–d) and
 //!   the §IV-B tables.
 //!
@@ -47,7 +48,7 @@ pub mod system;
 
 pub use designs::Design;
 pub use engine::{Engine, EngineTelemetry, ResultSet, DEFAULT_BATCH};
-pub use jsonl::{parse_flat, results_dir, write_jsonl, JsonObj, JsonValue};
+pub use jsonl::{results_dir, write_jsonl};
 pub use matrix::{cell_seed, Cell, ExperimentMatrix};
 pub use memsim_obs::MetricsConfig;
 pub use report::SimReport;

@@ -1,6 +1,6 @@
 //! Run reports, text-table rendering and JSONL serialization.
 
-use crate::jsonl::JsonObj;
+use memsim_types::json::JsonObj;
 use memsim_types::CtrlStats;
 
 /// Everything one simulation run produces.

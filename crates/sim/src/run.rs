@@ -5,7 +5,7 @@ use crate::engine::DEFAULT_BATCH;
 use crate::report::SimReport;
 use crate::system::{SimParams, System, SystemCounters};
 use memsim_obs::{
-    AccessRecord, BwPoint, DeviceHistograms, EpochSnapshot, LatRing, MetricsConfig, RunRecorder,
+    AccessRecord, BwPoint, DeviceHistograms, EpochSnapshot, MetricsConfig, Ring, RunRecorder,
     TimedEvent, TrafficAccum,
 };
 use memsim_trace::{SpecProfile, Workload};
@@ -194,7 +194,7 @@ pub(crate) fn run_controller(
     batch: usize,
 ) -> (SimReport, Option<RunObservations>) {
     if let Some(m) = metrics {
-        controller.install_recorder(Box::new(RunRecorder::new(m)));
+        controller.install_recorder(RunRecorder::new(m));
     }
     let mut system = System::new(controller, &cfg.geometry, cfg.params, design.uses_hbm());
     if metrics.is_some() {
@@ -204,7 +204,7 @@ pub(crate) fn run_controller(
     let sample_rate = metrics.map_or(0, |m| m.sample_rate);
     let mut lat_ring = metrics
         .filter(|m| m.sample_rate > 0)
-        .map(|m| LatRing::new(m.record_capacity));
+        .map(|m| Ring::new(m.record_capacity));
     // Epoch-boundary bandwidth snapshots: boundary B captures the state
     // after accesses 0..B.
     let interval = metrics.map_or(0, |m| m.epoch_interval);
@@ -268,7 +268,7 @@ fn harvest(
     profile: &SpecProfile,
     warm: SystemCounters,
     warm_cycles: u64,
-    mut lat_ring: Option<LatRing>,
+    mut lat_ring: Option<Ring<AccessRecord>>,
     sample_rate: u64,
     bw_points: Vec<BwPoint>,
 ) -> (SimReport, Option<RunObservations>) {
@@ -282,8 +282,8 @@ fn harvest(
     let path_counts = *system.path_counts();
     let traffic = system.take_traffic();
 
-    let observations = system.controller_mut().take_recorder().and_then(|rec| {
-        let (epochs, events, dropped_events) = rec.into_run()?.into_parts();
+    let observations = system.controller_mut().take_recorder().map(|rec| {
+        let (epochs, events, dropped_events) = rec.into_parts();
         let (records, dropped_records) = match lat_ring.take() {
             Some(ring) => {
                 let dropped = ring.dropped();
@@ -291,7 +291,7 @@ fn harvest(
             }
             None => (Vec::new(), 0),
         };
-        Some(RunObservations {
+        RunObservations {
             epochs,
             events,
             dropped_events,
@@ -303,7 +303,7 @@ fn harvest(
             dram: dram_hist,
             traffic: traffic.expect("metrics on, so traffic accounting was enabled"),
             bw_points,
-        })
+        }
     });
 
     let controller = system.controller();

@@ -2,7 +2,7 @@
 //! accounting.
 
 use memsim_dram::{presets, DramDevice};
-use memsim_obs::{sampled, AccessRecord, BwPoint, LatRing, TrafficAccum};
+use memsim_obs::{sampled, AccessRecord, BwPoint, Ring, TrafficAccum};
 use memsim_types::{
     Access, AccessBatch, AccessKind, AccessPlan, Geometry, HybridMemoryController, Mem, PlanBuffer,
     QuickDiv, TrafficCause,
@@ -201,7 +201,7 @@ impl<C: HybridMemoryController> System<C> {
         batch: &AccessBatch,
         plans: &mut PlanBuffer,
         base_seq: u64,
-        mut ring: Option<&mut LatRing>,
+        mut ring: Option<&mut Ring<AccessRecord>>,
         rate: u64,
     ) {
         self.controller.access_batch(batch, plans);
@@ -343,7 +343,7 @@ mod tests {
     fn traced(s: &mut System<BumblebeeController>, access: Access) -> AccessRecord {
         let mut batch = AccessBatch::new();
         batch.push(access.addr.0, access.kind, access.insts);
-        let mut ring = LatRing::new(1);
+        let mut ring = Ring::new(1);
         let seq = s.counters().accesses;
         s.step_batch(&batch, &mut PlanBuffer::new(), seq, Some(&mut ring), 1);
         ring.into_vec().pop().expect("rate 1 samples every access")
@@ -371,7 +371,7 @@ mod tests {
         s: &mut System<BumblebeeController>,
         accesses: &[Access],
         width: usize,
-        mut ring: Option<&mut LatRing>,
+        mut ring: Option<&mut Ring<AccessRecord>>,
         rate: u64,
     ) {
         let mut plans = PlanBuffer::new();
@@ -447,7 +447,7 @@ mod tests {
         let mut s = system();
         let accesses: Vec<Access> =
             (0..200u64).map(|i| Access::read(Addr((i % 40) * 64))).collect();
-        let mut ring = LatRing::new(1024);
+        let mut ring = Ring::new(1024);
         run_chunks(&mut s, &accesses, 16, Some(&mut ring), 1);
         let records = ring.into_vec();
         assert_eq!(records.len(), accesses.len(), "rate 1 samples every access");
@@ -473,7 +473,7 @@ mod tests {
         let mut plain = system();
         let mut sampled = system();
         run_chunks(&mut plain, &accesses, 13, None, 0);
-        let mut ring = LatRing::new(1024);
+        let mut ring = Ring::new(1024);
         run_chunks(&mut sampled, &accesses, 13, Some(&mut ring), 1);
         assert_eq!(ring.len(), accesses.len());
         assert_eq!(plain.now(), sampled.now(), "probing never perturbs the clock");
@@ -498,9 +498,9 @@ mod tests {
         // Awkward chunk width (ends mid-stream, short tail), sampled,
         // against the width-1 reference sampled at the same rate.
         let rate = 8u64;
-        let mut ring_b = LatRing::new(1024);
+        let mut ring_b = Ring::new(1024);
         run_chunks(&mut batched, &accesses, 13, Some(&mut ring_b), rate);
-        let mut ring_1 = LatRing::new(1024);
+        let mut ring_1 = Ring::new(1024);
         run_chunks(&mut one_wide, &accesses, 1, Some(&mut ring_1), rate);
         for other in [&batched, &one_wide] {
             assert_eq!(serial.now(), other.now(), "clock domain identical");

@@ -8,12 +8,9 @@
 //! cause-attributed traffic/bandwidth stream. Batching is a pure
 //! performance transform: chunks are cut at epoch boundaries and the
 //! warm-up point, and planned device operations are serviced strictly in
-//! access order, so `--batch 1` (one access per chunk) is the unstaged
+//! access order, so width 1 (one access per chunk) is the unstaged
 //! reference every wider chunk must reproduce exactly, at any `--jobs`
 //! width.
-//!
-//! Runs only with `--features proptest` (the in-repo shim), like the
-//! other differential suites.
 
 use memsim_sim::{Design, Engine, ExperimentMatrix, MetricsConfig, RunConfig};
 use memsim_trace::SpecProfile;

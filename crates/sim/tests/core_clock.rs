@@ -6,9 +6,6 @@
 //! for `u32` instruction gaps and latencies below 2^53, so the integer
 //! `div_ceil` form must agree bit for bit; this pins that for random gaps
 //! and latencies below 2^40 under the default parameters.
-//!
-//! Runs only with `--features proptest` (the in-repo shim), like the
-//! other property suites.
 
 use memsim_sim::SimParams;
 use memsim_types::AccessKind;

@@ -2,8 +2,8 @@
 //! byte-identical results at any `--jobs` width, and the figure wrappers
 //! must agree with the serial legacy path.
 
-use memsim_sim::figures::fig8;
-use memsim_sim::{Design, Engine, ExperimentMatrix, RunConfig};
+use memsim_sim::figures::{fig6, fig8};
+use memsim_sim::{Design, Engine, ExperimentMatrix, MetricsConfig, RunConfig, DEFAULT_BATCH};
 use memsim_trace::SpecProfile;
 
 fn small_matrix() -> ExperimentMatrix {
@@ -63,4 +63,34 @@ fn workload_types_are_send_and_sync_enough_for_the_engine() {
     fn assert_send<T: Send>() {}
     assert_sync::<memsim_sim::Cell>();
     assert_send::<memsim_sim::SimReport>();
+}
+
+#[test]
+fn fig6_sweep_is_byte_identical_at_any_batch_width() {
+    // One sweep over all nine block/page geometries, every stream on: the
+    // chunked pipeline must reproduce width 1 (one access per chunk)
+    // byte for byte in the results, epochs, trace, lat and bw JSONL.
+    let cfg = RunConfig::at_scale(256, 20_000);
+    let metrics = MetricsConfig { sample_rate: 64, ..MetricsConfig::default() };
+    let run = |batch: usize| {
+        let engine = Engine::new(2).with_metrics(metrics).with_batch(batch);
+        let (_, rs) = fig6::run_with(&engine, &cfg, &[SpecProfile::mcf()]).expect("fig6 runs");
+        [
+            rs.jsonl_lines(),
+            rs.epochs_jsonl_lines(),
+            rs.trace_jsonl_lines(),
+            rs.lat_jsonl_lines(),
+            rs.bw_jsonl_lines(),
+        ]
+    };
+    let streams = ["results", "epochs", "trace", "lat", "bw"];
+    let reference = run(1);
+    for (name, lines) in streams.iter().zip(&reference) {
+        assert!(!lines.is_empty(), "no {name} lines");
+    }
+    for batch in [64, DEFAULT_BATCH] {
+        for (name, (a, b)) in streams.iter().zip(reference.iter().zip(run(batch))) {
+            assert!(*a == b, "fig6 {name} lines differ between batch 1 and {batch}");
+        }
+    }
 }

@@ -18,6 +18,8 @@
 //!   ([`stats`]).
 //! * [`MetadataModel`] — the shared SRAM-budget model that decides whether a
 //!   design's metadata fits on chip or spills into HBM ([`metadata`]).
+//! * [`json`] — the workspace's one JSON writer, escaper and parser, for
+//!   the results streams and the audit baseline.
 //!
 //! # Example
 //!
@@ -44,6 +46,7 @@ pub mod controller;
 pub mod error;
 pub mod fastdiv;
 pub mod geometry;
+pub mod json;
 pub mod metadata;
 pub mod plan;
 pub mod stats;
