@@ -129,8 +129,6 @@ impl AuditReport {
 /// Path-derived facts that change which rules apply to a file.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FileClass {
-    /// Inside crates/obs — the one crate allowed to read wall clocks.
-    pub in_obs: bool,
     /// The audited parallelism module (the engine's matrix executor) — the
     /// only place allowed to touch `std::thread`.
     pub threads_allowed: bool,
@@ -145,7 +143,6 @@ impl FileClass {
     pub fn of(rel: &str) -> FileClass {
         let unix = rel.replace('\\', "/");
         FileClass {
-            in_obs: unix.starts_with("crates/obs/"),
             threads_allowed: unix == "crates/sim/src/engine.rs",
             docs_required: unix.starts_with("crates/core/src/")
                 || unix.starts_with("crates/types/src/"),
@@ -172,7 +169,7 @@ pub fn check_source(rel: &str, src: &str) -> (Vec<Finding>, FileStructure) {
 fn file_rules(rel: &str, toks: &[Token], st: &FileStructure, raw: &mut Vec<(usize, Finding)>) {
     let class = FileClass::of(rel);
     det_hashmap(rel, toks, st, raw);
-    det_clock(rel, class, toks, st, raw);
+    det_clock(rel, toks, st, raw);
     det_entropy(rel, toks, st, raw);
     det_unordered_iter(rel, toks, st, raw);
     det_thread(rel, class, toks, st, raw);
@@ -328,16 +325,7 @@ fn generic_args_missing_hasher(toks: &[Token], open: usize, is_map: bool) -> boo
     commas < if is_map { 2 } else { 1 }
 }
 
-fn det_clock(
-    rel: &str,
-    class: FileClass,
-    toks: &[Token],
-    st: &FileStructure,
-    out: &mut Vec<(usize, Finding)>,
-) {
-    if class.in_obs {
-        return;
-    }
+fn det_clock(rel: &str, toks: &[Token], st: &FileStructure, out: &mut Vec<(usize, Finding)>) {
     for (i, t) in toks.iter().enumerate() {
         if (t.is_ident("Instant") || t.is_ident("SystemTime"))
             && !st.in_test(i)
@@ -351,7 +339,7 @@ fn det_clock(
                     "det-clock",
                     rel,
                     t.line,
-                    format!("{}::now() outside crates/obs", t.text),
+                    format!("{}::now() reads the wall clock", t.text),
                 ),
             ));
         }
@@ -1048,7 +1036,7 @@ mod tests {
     fn clock_scoped_to_obs() {
         let src = "fn f() { let t = Instant::now(); }";
         assert_eq!(rules_hit("crates/sim/src/e.rs", src), vec![("det-clock", 1)]);
-        assert!(rules_hit("crates/obs/src/e.rs", src).is_empty());
+        assert_eq!(rules_hit("crates/obs/src/e.rs", src), vec![("det-clock", 1)]);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! rule engine ([`check`]) driven by the catalog in [`rules`]:
 //!
 //! * `det-*` — bans `HashMap`/`HashSet` with the default `RandomState`,
-//!   wall-clock reads outside `crates/obs`, ambient entropy, and iteration
-//!   over unordered maps;
+//!   unannotated wall-clock reads, ambient entropy, and iteration over
+//!   unordered maps;
 //! * `hot-*` — bans panics and heap allocation in functions annotated
 //!   `// audit: hot-path` (the controller access flow), and keeps the
 //!   annotation closure honest within a file;

@@ -56,15 +56,15 @@ or justify with `// audit: allow(det-hashmap) -- <reason>`.",
     },
     Rule {
         id: "det-clock",
-        summary: "Instant::now/SystemTime::now outside crates/obs",
+        summary: "Instant::now/SystemTime::now in any crate",
         explain: "\
 Wall-clock reads are inherently nondeterministic. Timing telemetry (the\n\
 engine's per-cell wall times) belongs only in the `.metrics.jsonl`\n\
 stream, kept out of the deterministic result fields; a clock read\n\
 anywhere else tends to leak into output or, worse, into control flow.\n\
 \n\
-Flagged: `Instant::now` and `SystemTime::now` in any crate other than\n\
-crates/obs. Wall-time measurement sites that only feed telemetry fields\n\
+Flagged: `Instant::now` and `SystemTime::now` in every crate, crates/obs\n\
+included. Wall-time measurement sites that only feed telemetry fields\n\
 excluded from determinism diffs carry\n\
 `// audit: allow(det-clock) -- <reason>`.",
     },

@@ -4,7 +4,7 @@
 use memsim_sim::figures::fig1;
 
 fn main() {
-    let mut opts = bumblebee_bench::parse_env();
+    let mut opts = bumblebee_bench::parse_env(&[]);
     // Per-line reuse needs run lengths well beyond the figure-8 default
     // (the paper's slices run billions of instructions).
     opts.cfg.accesses = opts.cfg.accesses.max(4_000_000);

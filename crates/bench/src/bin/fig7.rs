@@ -4,7 +4,7 @@
 use memsim_sim::figures::fig7;
 
 fn main() {
-    let opts = bumblebee_bench::parse_env();
+    let opts = bumblebee_bench::parse_env(&[]);
     let engine = opts.engine();
     println!(
         "Fig. 7 — performance factors over {} workloads (scale 1/{}, {} jobs)",

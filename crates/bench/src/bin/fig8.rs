@@ -6,8 +6,9 @@
 use memsim_sim::figures::fig8::{self, Panel};
 
 fn main() {
-    let opts = bumblebee_bench::parse_env();
-    let which = opts.rest.first().map(String::as_str).unwrap_or("all");
+    let opts =
+        bumblebee_bench::parse_env(&["ipc", "hbm-traffic", "dram-traffic", "energy", "aux", "all"]);
+    let which = opts.selection.as_deref().unwrap_or("all");
     let engine = opts.engine();
     println!(
         "Fig. 8 — comparison over {} workloads (scale 1/{}, {} jobs)",

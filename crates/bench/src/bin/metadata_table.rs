@@ -5,7 +5,7 @@
 use memsim_sim::figures::tables;
 
 fn main() {
-    let opts = bumblebee_bench::parse_env();
+    let opts = bumblebee_bench::parse_env(&[]);
     opts.write_jsonl("metadata", &tables::metadata_jsonl(&opts.cfg));
     println!("{}", tables::metadata_table(&opts.cfg));
 }

@@ -4,7 +4,7 @@
 use memsim_sim::figures::tables;
 
 fn main() {
-    let opts = bumblebee_bench::parse_env();
+    let opts = bumblebee_bench::parse_env(&[]);
     let (rows, results) =
         tables::overfetch_with(&opts.engine(), &opts.cfg, &opts.profiles).expect("runs complete");
     opts.write_jsonl("overfetch", &results.jsonl_lines());

@@ -6,8 +6,9 @@
 use memsim_sim::figures::sensitivity;
 
 fn main() {
-    let opts = bumblebee_bench::parse_env();
-    let which = opts.rest.first().map(String::as_str).unwrap_or("all");
+    let opts =
+        bumblebee_bench::parse_env(&["hot-queue", "switch-fraction", "ways", "zombie", "all"]);
+    let which = opts.selection.as_deref().unwrap_or("all");
     let engine = opts.engine();
     if opts.metrics {
         eprintln!("note: --metrics has no per-cell telemetry here; sweeps aggregate over many matrices");

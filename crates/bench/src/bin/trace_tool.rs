@@ -1,9 +1,6 @@
-//! Record and replay LLC-miss traces; inspect and diff observability JSONL.
+//! Inspect and diff observability JSONL.
 //!
 //! ```text
-//! trace_tool record <file> [--workloads mcf] [--accesses N] [--scale N]
-//! trace_tool replay <file> [--scale N]        # runs Bumblebee vs no-HBM
-//! trace_tool info   <file>
 //! trace_tool summarize <file.jsonl>           # line/event-kind counts
 //! trace_tool timeline  <file.epochs.jsonl> [--cell N]
 //! trace_tool histo     <file.epochs.jsonl>    # device latency/queue histograms
@@ -12,22 +9,18 @@
 //! trace_tool diff      <a.epochs.jsonl> <b.epochs.jsonl> [--threshold X]
 //! ```
 //!
-//! The inspection subcommands exit `2` with a clear error on unreadable,
-//! empty, or non-matching input instead of printing an empty table. `diff`
-//! exits `1` when any matched metric differs by more than `--threshold`
-//! (default 0 — the epoch time-series is deterministic, so any delta means
-//! the simulation changed behavior). `bandwidth` exits `1` when any
-//! cell's cause-attributed byte sums do not reconcile exactly against the
-//! devices' undifferentiated counters.
+//! Every subcommand exits `2` with a clear error on a missing, extra or
+//! unknown argument and on unreadable, empty, or non-matching input
+//! instead of printing an empty table. `diff` exits `1` when any matched
+//! metric differs by more than `--threshold` (default 0 — the epoch
+//! time-series is deterministic, so any delta means the simulation changed
+//! behavior). `bandwidth` exits `1` when any cell's cause-attributed byte
+//! sums do not reconcile exactly against the devices' undifferentiated
+//! counters.
 
-use memsim_sim::report::render_table;
 use memsim_analysis::exitcode;
-use memsim_sim::{Design, SimParams, System};
-use memsim_trace::io::{read_trace, write_trace};
-use memsim_types::json::{parse, Json, JsonObj};
-use memsim_types::HybridMemoryController;
-use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use memsim_sim::report::render_table;
+use memsim_types::json::{parse, Json};
 
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -555,102 +548,42 @@ fn diff(a_path: &str, b_path: &str, threshold: f64) {
     println!("ok: no deltas over threshold {threshold}");
 }
 
-/// A `--flag value` parse out of the leftover positional args: `None`
-/// when the flag is absent; a missing or malformed value is a usage error
+/// The value after `flag`: a missing or malformed value is a usage error
 /// naming the flag, never a silent fallback to the default.
-fn flag_value<T: std::str::FromStr>(rest: &[String], flag: &str) -> Option<T> {
-    let pos = rest.iter().position(|a| a == flag)?;
-    let raw = rest.get(pos + 1).unwrap_or_else(|| fail(&format!("{flag} needs a value")));
-    Some(raw.parse().unwrap_or_else(|_| fail(&format!("{flag}: cannot parse {raw:?}"))))
+fn flag_value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    let raw = args.next().unwrap_or_else(|| fail(&format!("{flag} needs a value")));
+    raw.parse().unwrap_or_else(|_| fail(&format!("{flag}: cannot parse {raw:?}")))
 }
 
-fn main() -> std::io::Result<()> {
-    let opts = bumblebee_bench::parse_env();
-    let mut rest = opts.rest.iter();
-    let cmd = rest.next().map(String::as_str).unwrap_or("help");
-    let path = rest.next().cloned();
-
-    match (cmd, path) {
-        ("record", Some(path)) => {
-            let profile = opts.profiles.first().expect("at least one workload");
-            let stream = opts.cfg.workload(profile);
-            let writer = BufWriter::new(File::create(&path)?);
-            let n = write_trace(writer, stream.take(opts.cfg.accesses as usize))?;
-            println!("recorded {n} accesses of {} to {path}", profile.name);
-        }
-        ("replay", Some(path)) => {
-            let mut lines = Vec::new();
-            for design in [Design::NoHbm, Design::Bumblebee] {
-                let reader = BufReader::new(File::open(&path)?);
-                let controller = design.build(opts.cfg.geometry, opts.cfg.sram_budget);
-                let mut system =
-                    System::new(controller, opts.cfg.geometry(), SimParams::default(), design.uses_hbm());
-                let mut n = 0u64;
-                for rec in read_trace(reader)? {
-                    system.step(rec?);
-                    n += 1;
-                }
-                let ipc = system.counters().instructions as f64 / system.now().max(1) as f64;
-                let hit = system.controller().stats().hbm_hit_rate();
-                println!(
-                    "{:10}  {} accesses  {} cycles  IPC {:.3}  HBM hit {:.1}%",
-                    design.label(),
-                    n,
-                    system.now(),
-                    ipc,
-                    hit * 100.0,
-                );
-                lines.push(
-                    JsonObj::new()
-                        .str("kind", "trace_replay")
-                        .str("trace", &path)
-                        .str("design", design.label())
-                        .u64("accesses", n)
-                        .u64("cycles", system.now())
-                        .f64("ipc", ipc)
-                        .f64("hbm_hit_rate", hit)
-                        .finish(),
-                );
+fn main() {
+    let mut args = std::env::args().skip(1);
+    let cmd = args.next().unwrap_or_default();
+    let mut files = Vec::new();
+    let mut cell: Option<u64> = None;
+    let mut threshold: Option<f64> = None;
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--cell" if cmd == "timeline" => cell = Some(flag_value(&mut args, "--cell")),
+            "--threshold" if cmd == "diff" => {
+                threshold = Some(flag_value(&mut args, "--threshold"));
             }
-            opts.write_jsonl("trace_replay", &lines);
-        }
-        ("info", Some(path)) => {
-            let reader = BufReader::new(File::open(&path)?);
-            let mut n = 0u64;
-            let mut writes = 0u64;
-            let mut max_addr = 0u64;
-            for rec in read_trace(reader)? {
-                let a = rec?;
-                n += 1;
-                writes += u64::from(a.kind.is_write());
-                max_addr = max_addr.max(a.addr.0);
-            }
-            println!("{n} accesses, {:.1}% writes, max addr {:#x}", writes as f64 * 100.0 / n.max(1) as f64, max_addr);
-        }
-        ("summarize", Some(path)) => summarize(&read_jsonl(&path)),
-        ("timeline", Some(path)) => {
-            let cell = flag_value(&opts.rest, "--cell");
-            timeline(&path, &read_jsonl(&path), cell);
-        }
-        ("histo", Some(path)) => histo(&path, &read_jsonl(&path)),
-        ("latency", Some(path)) => latency(&path, &read_jsonl(&path)),
-        ("bandwidth", Some(path)) => bandwidth(&path, &read_jsonl(&path)),
-        ("diff", Some(a)) => {
-            let b = rest
-                .next()
-                .unwrap_or_else(|| fail("diff needs two JSONL files"));
-            let threshold = flag_value(&opts.rest, "--threshold").unwrap_or(0.0);
-            diff(&a, b, threshold);
-        }
-        _ => {
-            fail(
-                "usage: trace_tool record|replay|info <file> [--workloads w] [--accesses N] [--scale N]\n\
-                 \x20      trace_tool summarize|timeline|histo|latency|bandwidth <file.jsonl> [--cell N]\n\
-                 \x20      trace_tool diff <a.jsonl> <b.jsonl> [--threshold X]",
-            );
+            flag if flag.starts_with("--") => fail(&format!("{cmd} takes no flag {flag}")),
+            _ => files.push(arg),
         }
     }
-    Ok(())
+    match (cmd.as_str(), files.as_slice()) {
+        ("summarize", [path]) => summarize(&read_jsonl(path)),
+        ("timeline", [path]) => timeline(path, &read_jsonl(path), cell),
+        ("histo", [path]) => histo(path, &read_jsonl(path)),
+        ("latency", [path]) => latency(path, &read_jsonl(path)),
+        ("bandwidth", [path]) => bandwidth(path, &read_jsonl(path)),
+        ("diff", [a, b]) => diff(a, b, threshold.unwrap_or(0.0)),
+        _ => fail(
+            "usage: trace_tool summarize|histo|latency|bandwidth <file.jsonl>\n\
+             \x20      trace_tool timeline <file.epochs.jsonl> [--cell N]\n\
+             \x20      trace_tool diff <a.jsonl> <b.jsonl> [--threshold X]",
+        ),
+    }
 }
 
 #[cfg(test)]

@@ -19,6 +19,9 @@
 //!   path-tagged records to `<figure>.lat.jsonl`;
 //! * `--out DIR` — directory for `*.jsonl` artifacts (default:
 //!   `BUMBLEBEE_RESULTS_DIR` or `./results`).
+//!
+//! Any other `--flag` is an error. So is a positional argument, except for
+//! the one panel or sweep name that `fig8` and `sensitivity` accept.
 
 use memsim_sim::{Engine, MetricsConfig, ResultSet, RunConfig};
 use memsim_trace::SpecProfile;
@@ -40,8 +43,8 @@ pub struct HarnessOpts {
     pub trace_sample: Option<u64>,
     /// Directory for JSONL artifacts.
     pub out: PathBuf,
-    /// Positional (non-flag) arguments left over.
-    pub rest: Vec<String>,
+    /// The positional argument, if any: one of the names the binary accepts.
+    pub selection: Option<String>,
 }
 
 impl HarnessOpts {
@@ -99,13 +102,15 @@ impl HarnessOpts {
     }
 }
 
-/// Parses command-line style arguments.
+/// Parses command-line style arguments. `selections` lists the positional
+/// names the binary accepts (empty: none).
 ///
 /// # Panics
 ///
-/// Panics with a usage message on malformed flags — appropriate for the
-/// experiment binaries these options drive.
-pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> HarnessOpts {
+/// Panics with a usage message on a malformed or unknown flag and on a
+/// positional not in `selections` or after another one — before the
+/// binary runs or writes anything.
+pub fn parse_args<I: IntoIterator<Item = String>>(args: I, selections: &[&str]) -> HarnessOpts {
     let mut scale = 16u64;
     let mut accesses: Option<u64> = None;
     let mut names: Option<Vec<String>> = None;
@@ -113,7 +118,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> HarnessOpts {
     let mut metrics = false;
     let mut trace_sample: Option<u64> = None;
     let mut out: Option<PathBuf> = None;
-    let mut rest = Vec::new();
+    let mut selection: Option<String> = None;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -160,7 +165,14 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> HarnessOpts {
                     it.next().unwrap_or_else(|| panic!("--out needs a directory")),
                 ));
             }
-            other => rest.push(other.to_string()),
+            flag if flag.starts_with("--") => panic!(
+                "unknown flag {flag}; flags: --full --scale N --accesses N --workloads a,b \
+                 --jobs N --metrics --trace-sample N --out DIR"
+            ),
+            name if selection.is_none() && selections.contains(&name) => {
+                selection = Some(name.to_string());
+            }
+            name => panic!("unexpected argument {name:?}; accepted: at most one of {selections:?}"),
         }
     }
     let default_accesses = if scale == 1 { 2_000_000 } else { 400_000 };
@@ -176,21 +188,22 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> HarnessOpts {
         metrics,
         trace_sample,
         out: out.unwrap_or_else(memsim_sim::results_dir),
-        rest,
+        selection,
     }
 }
 
-/// Parses `std::env::args()` (skipping the binary name).
-pub fn parse_env() -> HarnessOpts {
-    parse_args(std::env::args().skip(1))
+/// Parses `std::env::args()` (skipping the binary name); see [`parse_args`].
+pub fn parse_env(selections: &[&str]) -> HarnessOpts {
+    parse_args(std::env::args().skip(1), selections)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Parses `args` for a binary whose positional is `ipc` or `all`.
     fn opts(args: &[&str]) -> HarnessOpts {
-        parse_args(args.iter().map(|s| s.to_string()))
+        parse_args(args.iter().map(|s| s.to_string()), &["ipc", "all"])
     }
 
     #[test]
@@ -202,7 +215,7 @@ mod tests {
         assert_eq!(o.jobs, None);
         assert!(!o.metrics);
         assert_eq!(o.trace_sample, None);
-        assert!(o.rest.is_empty());
+        assert_eq!(o.selection, None);
     }
 
     #[test]
@@ -238,7 +251,7 @@ mod tests {
         assert_eq!(o.cfg.scale, 64);
         assert_eq!(o.cfg.accesses, 1234);
         assert_eq!(o.profiles.len(), 2);
-        assert_eq!(o.rest, vec!["ipc".to_string()]);
+        assert_eq!(o.selection.as_deref(), Some("ipc"));
     }
 
     #[test]
@@ -271,5 +284,23 @@ mod tests {
     #[should_panic(expected = "--accesses needs a positive number")]
     fn zero_accesses_panics() {
         opts(&["--accesses", "0"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown flag --no-such-flag")]
+    fn unknown_flag_panics() {
+        opts(&["--no-such-flag"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unexpected argument \"hotqueue\"")]
+    fn unknown_selection_panics() {
+        opts(&["hotqueue"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "unexpected argument \"all\"")]
+    fn second_selection_panics() {
+        opts(&["ipc", "all"]);
     }
 }

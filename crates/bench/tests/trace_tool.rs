@@ -1,6 +1,6 @@
 //! End-to-end tests of `trace_tool`'s flag handling: a malformed flag
 //! value is a usage error (exit 2) that names the flag, never a silent
-//! fallback to the default.
+//! fallback to the default. So is a flag the subcommand does not take.
 
 use std::path::PathBuf;
 use std::process::Output;
@@ -46,4 +46,13 @@ fn diff_rejects_a_malformed_threshold() {
     let f = epochs_file("diff_threshold.epochs.jsonl");
     assert_eq!(trace_tool(&["diff", &f, &f, "--threshold", "0.5"]).status.code(), Some(0));
     assert_usage_error(&trace_tool(&["diff", &f, &f, "--threshold", "abc"]), "--threshold");
+}
+
+#[test]
+fn flags_and_files_a_subcommand_does_not_take_are_rejected() {
+    let f = epochs_file("unused_args.epochs.jsonl");
+    assert_usage_error(&trace_tool(&["summarize", &f, "--cell", "1"]), "--cell");
+    assert_usage_error(&trace_tool(&["timeline", &f, "--scale", "16"]), "--scale");
+    assert_usage_error(&trace_tool(&["summarize", &f, &f]), "usage");
+    assert_usage_error(&trace_tool(&["record", &f]), "usage");
 }

@@ -1325,7 +1325,7 @@ impl RemapSet {
                         return Err(format!("cHBM frame {f} is marked free in the bitmap"));
                     }
                     let home = self.prt.location(ble.ple);
-                    if !home.is_some_and(|p| p < m) {
+                    if home.is_none_or(|p| p >= m) {
                         return Err(format!(
                             "cHBM frame {f}: cached page {} has home {home:?}, not off-chip",
                             ble.ple

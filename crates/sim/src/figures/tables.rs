@@ -6,7 +6,6 @@ use crate::engine::{Engine, ResultSet};
 use crate::matrix::ExperimentMatrix;
 use crate::report::render_table;
 use crate::run::RunConfig;
-use memsim_cache::Hierarchy;
 use memsim_dram::presets;
 use memsim_trace::SpecProfile;
 use memsim_types::json::JsonObj;
@@ -63,8 +62,7 @@ pub fn table1(cfg: &RunConfig) -> String {
     render_table(&rows)
 }
 
-/// One Table II row, measured from the synthetic workload through the
-/// Table I cache hierarchy.
+/// One Table II row, measured from the synthetic LLC-miss stream.
 #[derive(Debug, Clone)]
 pub struct Table2Row {
     /// Benchmark name.
@@ -144,20 +142,6 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
         ]);
     }
     render_table(&t)
-}
-
-/// Sanity-checks Table II MPKI through the real cache hierarchy on one
-/// profile (used by tests and the table2 binary's `--hierarchy` mode):
-/// replays the miss stream as memory accesses and returns the hierarchy's
-/// own MPKI measure.
-pub fn hierarchy_mpki(cfg: &RunConfig, profile: &SpecProfile, accesses: u64) -> f64 {
-    let mut h = Hierarchy::table1();
-    let mut w = cfg.workload(profile);
-    for _ in 0..accesses {
-        let a = w.next_access();
-        h.access(a.addr, a.kind.is_write(), u64::from(a.insts));
-    }
-    h.mpki()
 }
 
 /// Metadata budget per design (§IV-B).
@@ -326,12 +310,5 @@ mod tests {
         for (_, v) in rows {
             assert!((0.0..=1.0).contains(&v));
         }
-    }
-
-    #[test]
-    fn hierarchy_mpki_is_positive() {
-        let cfg = RunConfig::tiny();
-        let mpki = hierarchy_mpki(&cfg, &SpecProfile::mcf(), 5_000);
-        assert!(mpki > 0.0);
     }
 }

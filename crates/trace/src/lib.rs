@@ -33,13 +33,10 @@
 //! assert!(a.insts > 0);
 //! ```
 
-pub mod io;
-pub mod mix;
 pub mod rng;
 pub mod spec;
 pub mod workload;
 
-pub use mix::MixWorkload;
 pub use rng::SplitMix64;
 pub use spec::{LocalityClass, SpecProfile, WorkloadSpec};
 pub use workload::Workload;

@@ -20,14 +20,6 @@ pub enum AccessKind {
     Write,
 }
 
-impl AccessKind {
-    /// Whether this is a write.
-    #[inline]
-    pub fn is_write(self) -> bool {
-        matches!(self, AccessKind::Write)
-    }
-}
-
 /// One LLC-miss memory request presented to a controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Access {
@@ -406,9 +398,8 @@ mod tests {
     fn access_constructors() {
         let r = Access::read(Addr(64));
         assert_eq!(r.kind, AccessKind::Read);
-        assert!(!r.kind.is_write());
         let w = Access::write(Addr(64));
-        assert!(w.kind.is_write());
+        assert_eq!(w.kind, AccessKind::Write);
     }
 
     #[test]

@@ -30,6 +30,8 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 
 echo "== lint: cargo clippy --workspace --all-targets -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
+# The checked build compiles invariant sweeps the default build leaves out.
+cargo clippy -p bumblebee-core --features checked --all-targets -- -D warnings
 
 echo "== audit: workspace pass vs committed baseline (audit_tool check) =="
 # Hard gate: the two-pass auditor (crates/analysis) runs every rule —

@@ -12,7 +12,6 @@
 //!
 //! * [`types`] — addresses, geometry, the controller trait, plans, stats.
 //! * [`dram`] — HBM2/DDR4 channel/bank timing and IDD-based energy models.
-//! * [`cache`] — SRAM cache hierarchy (L1/L2/L3; LRU/SRRIP/DRRIP).
 //! * [`trace`] — synthetic workloads with calibrated locality and
 //!   SPEC CPU2017-like profiles.
 //! * [`core`] — the Bumblebee HMMC itself (PRT, BLE array, hotness tracker,
@@ -39,7 +38,6 @@
 
 pub use bumblebee_core as core;
 pub use memsim_baselines as baselines;
-pub use memsim_cache as cache;
 pub use memsim_dram as dram;
 pub use memsim_sim as sim;
 pub use memsim_trace as trace;

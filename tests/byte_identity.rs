@@ -13,12 +13,14 @@
 //! - the sensitivity sweeps' JSONL;
 //! - the results, sampled latency and bandwidth JSONL of the seven designs
 //!   on mcf and xz with one access in 64 latency-sampled, at chunk width 1
-//!   and at the default width.
+//!   and at the default width;
+//! - the JSONL of Table I, Table II and the §IV-B metadata table, pinned
+//!   before the unused L1/L2/L3 cache model was deleted.
 //!
 //! A change that moves any cycle, byte, energy or attribution figure fails
 //! here; one that means to move them must update the constants on purpose.
 
-use bumblebee::sim::figures::{fig8, sensitivity};
+use bumblebee::sim::figures::{fig8, sensitivity, tables};
 use bumblebee::sim::{Engine, MetricsConfig, RunConfig};
 use bumblebee::trace::SpecProfile;
 
@@ -35,6 +37,9 @@ const SENSITIVITY_SMALL_DIGEST: u64 = 0x5b86_766a_8f4d_386a;
 /// FNV-1a over `results ++ lat ++ bw` JSONL lines of the seven designs on
 /// mcf and xz at test scale, sampled as in [`sampled_metrics`].
 const FIG8_MCF_XZ_DIGEST: u64 = 0x5a38_9865_f4b7_95a6;
+
+/// FNV-1a over `table1 ++ table2 ++ metadata` JSONL lines at test scale.
+const TABLES_DIGEST: u64 = 0x67de_6eff_45e5_eaee;
 
 fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -148,4 +153,19 @@ fn fig8_mcf_xz_matrix_is_byte_identical_at_any_batch_width() {
             lines.len()
         );
     }
+}
+
+#[test]
+fn tables_are_byte_identical() {
+    let cfg = RunConfig::tiny();
+    let mut lines = tables::table1_jsonl(&cfg);
+    lines.extend(tables::table2_jsonl(&tables::table2(&cfg)));
+    lines.extend(tables::metadata_jsonl(&cfg));
+    assert_eq!(lines.len(), 1 + 14 + 6, "one Table I line, 14 Table II rows, 6 designs");
+    let d = digest(&lines);
+    assert_eq!(
+        d, TABLES_DIGEST,
+        "tables digest {d:016x} over {} lines differs from the pinned {TABLES_DIGEST:016x}",
+        lines.len()
+    );
 }
