@@ -42,12 +42,6 @@ struct CacheWay {
     counter: u32,
 }
 
-#[derive(Debug, Clone)]
-struct PomGroup {
-    resident: u32,
-    counters: Vec<u32>,
-}
-
 /// The Hybrid2 controller; see the [module documentation](self).
 #[derive(Debug)]
 pub struct Hybrid2 {
@@ -57,7 +51,11 @@ pub struct Hybrid2 {
     cache_set_div: QuickDiv,
     cache: Vec<CacheWay>,
     cache_lru: LruRanks,
-    pom_groups: Vec<PomGroup>,
+    /// The member of each mHBM frame's group currently resident in it.
+    pom_resident: Vec<u32>,
+    /// Access counter of every member of every mHBM frame, row-major:
+    /// frame `f`'s counters are `f * members..(f + 1) * members`.
+    pom_counters: Vec<u32>,
     frame_div: QuickDiv,
     member_div: QuickDiv,
     dram_div: QuickDiv,
@@ -80,15 +78,13 @@ impl Hybrid2 {
         let mhbm_frames = (mhbm_bytes / GROUP_BYTES).max(1);
         let total_groups = (os_visible / GROUP_BYTES).max(1);
         let members = (total_groups / mhbm_frames).max(2) as u32;
-        let pom_groups = (0..mhbm_frames)
-            .map(|_| PomGroup { resident: members - 1, counters: vec![0; members as usize] })
-            .collect();
         // Metadata: ~4 B per cache block tag + 2 B per 2 KB remap entry.
         let metadata_bytes = (chbm_bytes / BLOCK_BYTES) * 4 + total_groups * 2;
         Hybrid2 {
             cache: vec![CacheWay::default(); cache_sets * CACHE_WAYS as usize],
             cache_lru: LruRanks::new(cache_sets, CACHE_WAYS),
-            pom_groups,
+            pom_resident: vec![members - 1; mhbm_frames as usize],
+            pom_counters: vec![0; mhbm_frames as usize * members as usize],
             metadata: MetadataModel::new(metadata_bytes, sram_budget, Mem::Hbm, 64),
             faults: FaultModel::with_default_table(os_visible),
             cache_set_div: QuickDiv::new(cache_sets as u64),
@@ -135,6 +131,12 @@ impl Hybrid2 {
         (frame as usize, self.member_div.rem(vgroup) as u32)
     }
 
+    /// Index of `member`'s counter of mHBM frame `frame` in `pom_counters`.
+    // audit: hot-path
+    fn pom_counter(&self, frame: usize, member: u32) -> usize {
+        frame * self.member_div.divisor() as usize + member as usize
+    }
+
     // audit: hot-path
     fn dram_group_addr(&self, addr: Addr) -> Addr {
         Addr(self.dram_div.rem(addr.0) & !(GROUP_BYTES - 1))
@@ -165,10 +167,9 @@ impl Hybrid2 {
         // 1. mHBM residency check (POM region).
         let (pg, member) = self.pom_locate(addr);
         {
-            let g = &mut self.pom_groups[pg];
-            let c = &mut g.counters[member as usize];
-            *c = (*c + 1).min(COUNTER_CAP);
-            if g.resident == member {
+            let ci = self.pom_counter(pg, member);
+            self.pom_counters[ci] = (self.pom_counters[ci] + 1).min(COUNTER_CAP);
+            if self.pom_resident[pg] == member {
                 let base = self.pom_hbm_addr(pg);
                 let op = DeviceOp {
                     mem: Mem::Hbm,
@@ -377,9 +378,9 @@ impl Hybrid2 {
         pg: usize,
         member: u32,
     ) {
-        let g = &self.pom_groups[pg];
-        let resident_count = g.counters[g.resident as usize];
-        let member_count = g.counters[member as usize];
+        let old_resident = self.pom_resident[pg];
+        let resident_count = self.pom_counters[self.pom_counter(pg, old_resident)];
+        let member_count = self.pom_counters[self.pom_counter(pg, member)];
         if member_count <= resident_count + SWAP_MARGIN {
             return;
         }
@@ -387,9 +388,8 @@ impl Hybrid2 {
         let dram = self.dram_group_addr(addr);
         let hbm_cache = self.cache_hbm_addr(set, way, 0);
         let hbm_pom = self.pom_hbm_addr(pg);
-        let old_resident = self.pom_groups[pg].resident;
         let dram_old = Addr(
-            ((u64::from(old_resident) * self.pom_groups.len() as u64 + pg as u64) * GROUP_BYTES)
+            ((u64::from(old_resident) * self.pom_resident.len() as u64 + pg as u64) * GROUP_BYTES)
                 % self.geometry.dram_bytes(),
         );
         // 1. Write the cached group back to DRAM (separate spaces).
@@ -417,10 +417,10 @@ impl Hybrid2 {
             evict_block_lines(&mut self.overfetch, group, b);
         }
         self.cache[idx] = CacheWay::default();
-        let g = &mut self.pom_groups[pg];
-        g.resident = member;
-        g.counters[old_resident as usize] = 0;
-        g.counters[member as usize] = 1;
+        self.pom_resident[pg] = member;
+        let (old_ci, new_ci) = (self.pom_counter(pg, old_resident), self.pom_counter(pg, member));
+        self.pom_counters[old_ci] = 0;
+        self.pom_counters[new_ci] = 1;
         self.stats.switch_to_mhbm += 1;
         self.stats.page_migrations += 1;
         // Promotion can fire from a cHBM-hit-served access too; only an

@@ -57,8 +57,6 @@ pub struct BumblebeeConfig {
     /// movement (buffered eviction, zombies, swap mode, pressure flush) and
     /// simply evict popped-out pages.
     pub hmf_enabled: bool,
-    /// Track the over-fetch ratio (costs a hash map; on by default).
-    pub track_overfetch: bool,
     /// On-chip SRAM budget for metadata in bytes (paper: 512 KB for every
     /// design). Scale together with the geometry so the fits-in-SRAM
     /// regime of each design is preserved at reduced capacities.
@@ -79,7 +77,6 @@ impl Default for BumblebeeConfig {
             metadata_in_hbm: false,
             alloc_policy: AllocPolicy::Hotness,
             hmf_enabled: true,
-            track_overfetch: true,
             sram_budget: 512 << 10,
         }
     }

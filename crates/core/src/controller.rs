@@ -30,14 +30,14 @@ pub struct BumblebeeController {
     /// One fixed-size header per remapping set, stored contiguously; each
     /// header owns its metadata (packed PRT words, BLE array, hot-table
     /// arena) in fixed boxed slices sized at construction. Sequential set
-    /// walks (epoch gauges, finish) therefore stride through memory
+    /// walks (epoch gauges) therefore stride through memory
     /// without chasing resizable-Vec indirections, and the per-access
     /// lookup touches exactly one header.
     sets: Box<[RemapSet]>,
     metadata: MetadataModel,
     metadata_breakdown: MetadataBreakdown,
     stats: CtrlStats,
-    overfetch: Option<OverfetchTracker>,
+    overfetch: OverfetchTracker,
     mode_switch_bytes: u64,
     metadata_spill_bytes: u64,
     flush_cursor: u64,
@@ -70,7 +70,7 @@ impl BumblebeeController {
             metadata,
             metadata_breakdown: breakdown,
             stats: CtrlStats::new(),
-            overfetch: cfg.track_overfetch.then(OverfetchTracker::new),
+            overfetch: OverfetchTracker::new(),
             mode_switch_bytes: 0,
             metadata_spill_bytes: 0,
             flush_cursor: 0,
@@ -107,10 +107,7 @@ impl BumblebeeController {
             mhbm_fraction: self.mhbm_fraction(),
             rh: rh_sum / n,
             threshold: threshold_sum as f64 / n,
-            overfetch_ratio: self
-                .overfetch
-                .as_ref()
-                .map_or(0.0, OverfetchTracker::overfetch_ratio),
+            overfetch_ratio: self.overfetch.overfetch_ratio(),
             occupancy,
         }
     }
@@ -215,7 +212,7 @@ impl BumblebeeController {
             set_id,
             plan,
             stats: &mut self.stats,
-            overfetch: self.overfetch.as_mut(),
+            overfetch: &mut self.overfetch,
             mode_switch_bytes: &mut self.mode_switch_bytes,
             movement_credit: &mut self.movement_credit,
             telemetry: self.telemetry.active(),
@@ -252,7 +249,7 @@ impl BumblebeeController {
                 set_id: s,
                 plan,
                 stats: &mut self.stats,
-                overfetch: self.overfetch.as_mut(),
+                overfetch: &mut self.overfetch,
                 mode_switch_bytes: &mut self.mode_switch_bytes,
                 movement_credit: &mut self.movement_credit,
                 telemetry: self.telemetry.active(),
@@ -351,28 +348,11 @@ impl HybridMemoryController for BumblebeeController {
 
     // audit: hot-path
     fn overfetch_ratio(&self) -> Option<f64> {
-        self.overfetch.as_ref().map(OverfetchTracker::overfetch_ratio)
+        Some(self.overfetch.overfetch_ratio())
     }
 
-    fn finish(&mut self, plan: &mut AccessPlan) {
-        for s in 0..self.sets.len() {
-            let set = &mut self.sets[s];
-            let mut ctx = SetCtx {
-                geometry: &self.geometry,
-                cfg: &self.cfg,
-                set_id: s as u64,
-                plan,
-                stats: &mut self.stats,
-                overfetch: self.overfetch.as_mut(),
-                mode_switch_bytes: &mut self.mode_switch_bytes,
-                movement_credit: &mut self.movement_credit,
-                telemetry: self.telemetry.active(),
-            };
-            set.finish(&mut ctx);
-        }
-        if let Some(t) = self.overfetch.as_mut() {
-            t.evict_all();
-        }
+    fn finish(&mut self, _plan: &mut AccessPlan) {
+        self.overfetch.evict_all();
     }
 }
 

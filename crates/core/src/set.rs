@@ -40,8 +40,8 @@ pub struct SetCtx<'a> {
     pub plan: &'a mut AccessPlan,
     /// Shared statistics.
     pub stats: &'a mut CtrlStats,
-    /// Optional over-fetch tracking.
-    pub overfetch: Option<&'a mut OverfetchTracker>,
+    /// Over-fetch tracking (§IV-B).
+    pub overfetch: &'a mut OverfetchTracker,
     /// Accumulator for §IV-D mode-switch traffic accounting.
     pub mode_switch_bytes: &'a mut u64,
     /// Remaining bandwidth credit of the asynchronous data-movement module
@@ -96,35 +96,25 @@ impl SetCtx<'_> {
     // audit: hot-path
     fn of_fetched_block(&mut self, o: u16, block: u32) {
         let lines = (self.geometry.block_bytes() / 64) as u32;
-        if let Some(t) = self.overfetch.as_deref_mut() {
-            for l in 0..lines {
-                let key = (((self.set_id << 16) | u64::from(o)) << 14)
-                    | (u64::from(block) << 6)
-                    | u64::from(l);
-                t.fetched(key, 64);
-            }
+        for l in 0..lines {
+            let key = self.of_key(o, block, l);
+            self.overfetch.fetched(key, 64);
         }
     }
 
     // audit: hot-path
     fn of_used(&mut self, o: u16, block: u32, line: u32) {
         let key = self.of_key(o, block, line);
-        if let Some(t) = self.overfetch.as_deref_mut() {
-            t.used(key);
-        }
+        self.overfetch.used(key);
     }
 
     /// Drains every 64 B line of `block` from the tracker.
     // audit: hot-path
     fn of_evicted_block(&mut self, o: u16, block: u32) {
         let lines = (self.geometry.block_bytes() / 64) as u32;
-        if let Some(t) = self.overfetch.as_deref_mut() {
-            for l in 0..lines {
-                let key = (((self.set_id << 16) | u64::from(o)) << 14)
-                    | (u64::from(block) << 6)
-                    | u64::from(l);
-                t.evicted(key);
-            }
+        for l in 0..lines {
+            let key = self.of_key(o, block, l);
+            self.overfetch.evicted(key);
         }
     }
 }
@@ -1139,19 +1129,6 @@ impl RemapSet {
         ctx.emit(|| TraceEvent::PressureFlush { set });
     }
 
-    /// End-of-run: drain over-fetch state for every HBM-resident chunk.
-    pub fn finish(&mut self, ctx: &mut SetCtx<'_>) {
-        let bpp = ctx.geometry.blocks_per_page();
-        for fi in 0..self.bles.len() {
-            if self.bles[fi].mode != FrameMode::Free {
-                let o = self.bles[fi].ple;
-                for b in 0..bpp {
-                    ctx.of_evicted_block(o, b);
-                }
-            }
-        }
-    }
-
     // ---- §III-D page allocation -----------------------------------------
 
     // audit: hot-path
@@ -1429,7 +1406,7 @@ mod tests {
                 set_id: 0,
                 plan: &mut self.plan,
                 stats: &mut self.stats,
-                overfetch: Some(&mut self.overfetch),
+                overfetch: &mut self.overfetch,
                 mode_switch_bytes: &mut self.mode_switch_bytes,
                 movement_credit: &mut self.movement_credit,
                 telemetry: self.telemetry.active(),
@@ -1653,7 +1630,7 @@ mod tests {
             set_id: 0,
             plan: &mut h.plan,
             stats: &mut h.stats,
-            overfetch: Some(&mut h.overfetch),
+            overfetch: &mut h.overfetch,
             mode_switch_bytes: &mut h.mode_switch_bytes,
             movement_credit: &mut h.movement_credit,
             telemetry: None,
@@ -1687,13 +1664,14 @@ mod tests {
         let mut h = Harness::new(BumblebeeConfig::m_only());
         h.access(0, 0, AccessKind::Read);
         h.plan.clear();
+        let mut overfetch = OverfetchTracker::new();
         let mut ctx = SetCtx {
             geometry: &h.geometry,
             cfg: &h.cfg,
             set_id: 0,
             plan: &mut h.plan,
             stats: &mut h.stats,
-            overfetch: None,
+            overfetch: &mut overfetch,
             mode_switch_bytes: &mut h.mode_switch_bytes,
             movement_credit: &mut h.movement_credit,
             telemetry: None,
@@ -1721,19 +1699,6 @@ mod tests {
     fn overfetch_tracks_migrated_pages() {
         let mut h = Harness::new(BumblebeeConfig::m_only());
         h.access(0, 0, AccessKind::Read); // migrate whole page, use 1 block
-        h.plan.clear();
-        let mut ctx = SetCtx {
-            geometry: &h.geometry,
-            cfg: &h.cfg,
-            set_id: 0,
-            plan: &mut h.plan,
-            stats: &mut h.stats,
-            overfetch: Some(&mut h.overfetch),
-            mode_switch_bytes: &mut h.mode_switch_bytes,
-            movement_credit: &mut h.movement_credit,
-            telemetry: None,
-        };
-        h.set.finish(&mut ctx);
         h.overfetch.evict_all();
         // 1023 of 1024 64 B lines of the migrated 64 KB page were unused.
         assert!((h.overfetch.overfetch_ratio() - 1023.0 / 1024.0).abs() < 1e-9);

@@ -40,6 +40,7 @@ impl QuickDiv {
 
     /// The captured divisor.
     #[inline]
+    // audit: hot-path
     pub fn divisor(self) -> u64 {
         self.divisor
     }

@@ -111,7 +111,7 @@ impl fmt::Display for CtrlStats {
 /// only affects speed, never results — and the default SipHash costs more
 /// than the rest of the [`used`](OverfetchTracker::used) call combined on
 /// the per-access demand-touch path. The splitmix64 finalizer gives full
-/// avalanche over block/line numbers at a few arithmetic ops.
+/// avalanche over leaf numbers at a few arithmetic ops.
 #[derive(Debug, Clone, Copy, Default)]
 struct ChunkKeyHasher(u64);
 
@@ -138,13 +138,46 @@ impl Hasher for ChunkKeyHasher {
     }
 }
 
+/// Keys per leaf: the low six bits of a chunk key pick a bit in the leaf's
+/// masks, the rest pick the leaf.
+const LEAF_KEYS: u64 = 64;
+
+/// State of 64 consecutive chunk keys. Controllers number the 64 B lines of
+/// a page or block consecutively, so one fill lands in one or a few leaves.
+#[derive(Debug, Clone)]
+struct Leaf {
+    /// Keys currently resident in HBM.
+    present: u64,
+    /// Resident keys touched by a demand request; always a subset of
+    /// `present`.
+    used: u64,
+    /// Bytes fetched per resident key (stale for absent keys).
+    bytes: [u32; LEAF_KEYS as usize],
+}
+
+impl Leaf {
+    const EMPTY: Leaf = Leaf {
+        present: 0,
+        used: 0,
+        bytes: [0; LEAF_KEYS as usize],
+    };
+}
+
 /// Measures over-fetch: the fraction of bytes brought into HBM that were
 /// evicted without a single use (the paper's §IV-E metric). Keys are any
-/// stable chunk id the controller chooses; hashing is the deterministic
-/// in-repo SplitMix64 mix, not `RandomState`.
+/// stable chunk id the controller chooses.
+///
+/// Resident keys are grouped into 64-key leaves held in an arena; a small
+/// map from `key / 64` to arena slot finds a leaf, and an emptied leaf goes
+/// back on a free list for the next fill to reuse. Hashing is the
+/// deterministic in-repo SplitMix64 mix, not `RandomState`, and no output
+/// depends on map order: [`evict_all`](Self::evict_all) walks the arena in
+/// slot order.
 #[derive(Debug, Clone, Default)]
 pub struct OverfetchTracker {
-    resident: HashMap<u64, (u32, bool), BuildHasherDefault<ChunkKeyHasher>>,
+    slots: HashMap<u64, u32, BuildHasherDefault<ChunkKeyHasher>>,
+    leaves: Vec<Leaf>,
+    free: Vec<u32>,
     fetched_bytes: u64,
     wasted_bytes: u64,
 }
@@ -155,6 +188,15 @@ impl OverfetchTracker {
         OverfetchTracker::default()
     }
 
+    /// The arena slot of `key`'s leaf and `key`'s bit in it, if the leaf
+    /// holds any resident key.
+    // audit: hot-path
+    #[inline]
+    fn find(&self, key: u64) -> Option<(usize, u64)> {
+        let slot = *self.slots.get(&(key / LEAF_KEYS))?;
+        Some((slot as usize, 1 << (key % LEAF_KEYS)))
+    }
+
     /// Records that the chunk identified by `key` (any stable id the
     /// controller chooses — e.g. a global block number) was brought into HBM.
     ///
@@ -163,17 +205,29 @@ impl OverfetchTracker {
     // audit: hot-path
     pub fn fetched(&mut self, key: u64, bytes: u32) {
         self.fetched_bytes += u64::from(bytes);
-        self.resident
-            .entry(key)
-            .and_modify(|(b, _)| *b += bytes)
-            .or_insert((bytes, false));
+        let (leaves, free) = (&mut self.leaves, &mut self.free);
+        let slot = *self.slots.entry(key / LEAF_KEYS).or_insert_with(|| {
+            free.pop().unwrap_or_else(|| {
+                leaves.push(Leaf::EMPTY);
+                (leaves.len() - 1) as u32
+            })
+        });
+        let leaf = &mut self.leaves[slot as usize];
+        let (i, bit) = ((key % LEAF_KEYS) as usize, 1 << (key % LEAF_KEYS));
+        if leaf.present & bit == 0 {
+            leaf.present |= bit;
+            leaf.bytes[i] = bytes;
+        } else {
+            leaf.bytes[i] += bytes;
+        }
     }
 
     /// Records a demand touch of chunk `key` (no-op if not resident).
     // audit: hot-path
     pub fn used(&mut self, key: u64) {
-        if let Some((_, used)) = self.resident.get_mut(&key) {
-            *used = true;
+        if let Some((slot, bit)) = self.find(key) {
+            let leaf = &mut self.leaves[slot];
+            leaf.used |= leaf.present & bit;
         }
     }
 
@@ -181,20 +235,36 @@ impl OverfetchTracker {
     /// byte count.
     // audit: hot-path
     pub fn evicted(&mut self, key: u64) {
-        if let Some((bytes, used)) = self.resident.remove(&key) {
-            if !used {
-                self.wasted_bytes += u64::from(bytes);
-            }
+        let Some((slot, bit)) = self.find(key) else {
+            return;
+        };
+        let leaf = &mut self.leaves[slot];
+        if leaf.present & bit == 0 {
+            return;
+        }
+        if leaf.used & bit == 0 {
+            self.wasted_bytes += u64::from(leaf.bytes[(key % LEAF_KEYS) as usize]);
+        }
+        leaf.present &= !bit;
+        leaf.used &= !bit;
+        if leaf.present == 0 {
+            self.slots.remove(&(key / LEAF_KEYS));
+            self.free.push(slot as u32);
         }
     }
 
     /// Drains every resident chunk as if evicted (end-of-run accounting).
     pub fn evict_all(&mut self) {
-        // audit: allow(det-unordered-iter) -- order-insensitive reduction; only summed counters survive
-        let keys: Vec<u64> = self.resident.keys().copied().collect();
-        for k in keys {
-            self.evicted(k);
+        for leaf in &self.leaves {
+            let mut unused = leaf.present & !leaf.used;
+            while unused != 0 {
+                self.wasted_bytes += u64::from(leaf.bytes[unused.trailing_zeros() as usize]);
+                unused &= unused - 1;
+            }
         }
+        self.slots.clear();
+        self.leaves.clear();
+        self.free.clear();
     }
 
     /// Total bytes fetched into HBM.

@@ -1,9 +1,11 @@
-//! Property-based tests for plan accounting and the metadata model.
+//! Property-based tests for plan accounting, the metadata model and the
+//! over-fetch tracker.
 
 use memsim_types::{
     AccessPlan, Addr, DeviceOp, Mem, MetadataModel, OpKind, OverfetchTracker, TrafficCause,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn ops() -> impl Strategy<Value = Vec<DeviceOp>> {
     proptest::collection::vec(
@@ -25,6 +27,138 @@ fn ops() -> impl Strategy<Value = Vec<DeviceOp>> {
             }),
         0..64,
     )
+}
+
+/// First key of the tracker property test's four adjacent 64-key leaves;
+/// high enough that the leaf index needs more than 32 bits.
+const LEAF_BASE: u64 = 7 << 40;
+
+/// One step of a call sequence against the over-fetch tracker.
+#[derive(Debug, Clone, Copy)]
+enum TrackerOp {
+    Fetched(u64, u32),
+    Used(u64),
+    Evicted(u64),
+    /// `fetched` on all 64 keys of a leaf, as a page fill does.
+    FetchLeaf(u64, u32),
+    /// `evicted` on all 64 keys of a leaf, as a page eviction does.
+    EvictLeaf(u64),
+    EvictAll,
+}
+
+fn tracker_ops() -> impl Strategy<Value = Vec<TrackerOp>> {
+    // Three in four single-key ops hit one of three lanes per leaf, so
+    // leaves also empty one key at a time and go back on the free list.
+    let lane = prop_oneof![0u64..64, Just(0u64), Just(1u64), Just(63u64)];
+    let bytes = prop_oneof![Just(0u32), Just(64u32), 1u32..4096];
+    proptest::collection::vec(
+        (0u8..100, 0u64..4, lane, bytes).prop_map(|(op, leaf, lane, bytes)| {
+            let key = LEAF_BASE + leaf * 64 + lane;
+            match op {
+                0..=34 => TrackerOp::Fetched(key, bytes),
+                35..=59 => TrackerOp::Used(key),
+                60..=89 => TrackerOp::Evicted(key),
+                90..=94 => TrackerOp::FetchLeaf(leaf, bytes),
+                95..=97 => TrackerOp::EvictLeaf(leaf),
+                _ => TrackerOp::EvictAll,
+            }
+        }),
+        1..400,
+    )
+}
+
+/// Reference model of the tracker: one `(bytes, used)` entry per resident
+/// key.
+#[derive(Default)]
+struct TrackerModel {
+    resident: BTreeMap<u64, (u32, bool)>,
+    fetched: u64,
+    wasted: u64,
+}
+
+impl TrackerModel {
+    fn fetched(&mut self, key: u64, bytes: u32) {
+        self.fetched += u64::from(bytes);
+        self.resident
+            .entry(key)
+            .and_modify(|(b, _)| *b += bytes)
+            .or_insert((bytes, false));
+    }
+
+    fn used(&mut self, key: u64) {
+        if let Some((_, used)) = self.resident.get_mut(&key) {
+            *used = true;
+        }
+    }
+
+    fn evicted(&mut self, key: u64) {
+        if let Some((bytes, used)) = self.resident.remove(&key) {
+            if !used {
+                self.wasted += u64::from(bytes);
+            }
+        }
+    }
+
+    fn evict_all(&mut self) {
+        for (_, (bytes, used)) in std::mem::take(&mut self.resident) {
+            if !used {
+                self.wasted += u64::from(bytes);
+            }
+        }
+    }
+
+    fn ratio(&self) -> f64 {
+        if self.fetched == 0 {
+            0.0
+        } else {
+            self.wasted as f64 / self.fetched as f64
+        }
+    }
+}
+
+/// Applies `op` to both the tracker and the model and checks every
+/// reported figure after each tracker call.
+fn tracker_step(
+    t: &mut OverfetchTracker,
+    m: &mut TrackerModel,
+    op: TrackerOp,
+) -> Result<(), TestCaseError> {
+    match op {
+        TrackerOp::Fetched(key, bytes) => {
+            t.fetched(key, bytes);
+            m.fetched(key, bytes);
+        }
+        TrackerOp::Used(key) => {
+            t.used(key);
+            m.used(key);
+        }
+        TrackerOp::Evicted(key) => {
+            t.evicted(key);
+            m.evicted(key);
+        }
+        TrackerOp::EvictAll => {
+            t.evict_all();
+            m.evict_all();
+        }
+        TrackerOp::FetchLeaf(leaf, bytes) => {
+            for lane in 0..64 {
+                tracker_step(
+                    t,
+                    m,
+                    TrackerOp::Fetched(LEAF_BASE + leaf * 64 + lane, bytes),
+                )?;
+            }
+        }
+        TrackerOp::EvictLeaf(leaf) => {
+            for lane in 0..64 {
+                tracker_step(t, m, TrackerOp::Evicted(LEAF_BASE + leaf * 64 + lane))?;
+            }
+        }
+    }
+    prop_assert_eq!(t.fetched_bytes(), m.fetched, "after {:?}", op);
+    prop_assert_eq!(t.wasted_bytes(), m.wasted, "after {:?}", op);
+    prop_assert_eq!(t.overfetch_ratio(), m.ratio(), "after {:?}", op);
+    Ok(())
 }
 
 proptest! {
@@ -128,5 +262,17 @@ proptest! {
         }
         prop_assert_eq!(t.fetched_bytes(), fetched);
         prop_assert_eq!(t.wasted_bytes(), wasted);
+    }
+
+    #[test]
+    fn overfetch_tracker_matches_reference_model(ops in tracker_ops()) {
+        let mut t = OverfetchTracker::new();
+        let mut m = TrackerModel::default();
+        for op in ops {
+            tracker_step(&mut t, &mut m, op)?;
+        }
+        // Drain what is left; every byte ever fetched is now accounted for.
+        tracker_step(&mut t, &mut m, TrackerOp::EvictAll)?;
+        prop_assert!(m.resident.is_empty());
     }
 }
