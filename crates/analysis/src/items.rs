@@ -708,10 +708,10 @@ mod tests {
     fn directive_parsing() {
         assert_eq!(parse_directive("// audit: hot-path"), Some(Ok(Directive::HotPath)));
         assert_eq!(
-            parse_directive("// audit: allow(det-clock) -- wall time only"),
+            parse_directive("// audit: allow(hot-panic) -- constructor invariant"),
             Some(Ok(Directive::Allow {
-                rule: "det-clock".into(),
-                reason: "wall time only".into()
+                rule: "hot-panic".into(),
+                reason: "constructor invariant".into()
             }))
         );
         assert!(parse_directive("// plain comment").is_none());

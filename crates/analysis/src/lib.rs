@@ -1,31 +1,27 @@
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 //! Registry-free determinism & hot-path static analysis for the
-//! Bumblebee workspace. Its one dependency is `memsim-types`, whose
-//! [`json`](memsim_types::json) module writes the report and reads the
-//! baseline back.
+//! Bumblebee workspace. It has no dependencies, and no crate depends on it.
 //!
-//! The evaluation substrate rests on two properties `cargo clippy` cannot
-//! check: **bit-identical simulation output** at any `--jobs` width, and an
-//! **allocation/panic-free controller hot path**. This crate enforces both
-//! offline, with no syntax-tree dependency — a hand-rolled lexer
-//! ([`lexer`]), a thin item-structure recovery pass ([`items`]), and a
-//! rule engine ([`check`]) driven by the catalog in [`rules`]:
+//! The evaluation substrate rests on two properties: **bit-identical
+//! simulation output** at any `--jobs` width, and an **allocation/panic-free
+//! controller hot path**. rustc and clippy enforce the bans they can
+//! express — the `[workspace.lints]` table in the root `Cargo.toml` and the
+//! `disallowed-types`/`disallowed-methods` lists in `clippy.toml`. This crate
+//! checks the rest offline, with no syntax-tree dependency — a hand-rolled
+//! lexer ([`lexer`]), a thin item-structure recovery pass ([`items`]), and
+//! a rule engine ([`check`]) driven by the catalog in [`rules`]:
 //!
-//! * `det-*` — bans `HashMap`/`HashSet` with the default `RandomState`,
-//!   unannotated wall-clock reads, ambient entropy, and iteration over
-//!   unordered maps;
+//! * `det-unordered-iter` — bans iteration over hash-based collections,
+//!   through any method and not only `for` loops;
 //! * `hot-*` — bans panics and heap allocation in functions annotated
 //!   `// audit: hot-path` (the controller access flow), and keeps the
-//!   annotation closure honest within a file;
-//! * `struct-*` — crate roots must `#![forbid(unsafe_code)]` and
-//!   `#![deny(missing_docs)]`; every pub item in `crates/core` and
-//!   `crates/types` must be documented.
+//!   annotation closure honest within a file and across the workspace;
+//! * `unit-mismatch` and `obs-counter-reconcile` — workspace passes over
+//!   unit-annotated names and the obs counters.
 //!
 //! Audited exceptions use `// audit: allow(<rule>) -- <reason>`; the tool
 //! counts and reports them (see [`items`] for the grammar). The CLI lives
 //! in `bin/audit_tool` (`check` / `list-rules` / `explain <rule>`) and is
-//! a hard gate in `scripts/verify.sh`.
+//! a hard gate in `scripts/verify.sh`: any finding fails it.
 //!
 //! The dynamic complement — cross-structure invariant sweeps behind
 //! `--features checked` in `bumblebee-core` — is documented in DESIGN.md
@@ -40,8 +36,8 @@ pub mod units;
 
 pub use check::{check_source, check_workspace, AuditReport, Finding};
 
-/// Process exit-code conventions shared by the workspace CLI tools
-/// (`audit_tool`, `trace_tool`).
+/// Process exit codes of `audit_tool` (`trace_tool` follows the same
+/// convention).
 ///
 /// * [`OK`](exitcode::OK) — clean run, nothing to report;
 /// * [`FINDINGS`](exitcode::FINDINGS) — the tool ran correctly and found

@@ -1,14 +1,18 @@
 //! The audit rule catalog: stable ids, one-line summaries and the long
 //! explanations behind `audit_tool explain <rule>`.
 //!
-//! Rules come in three families mirroring the failure modes that matter to
-//! this workspace (see DESIGN.md "Static analysis & checked builds"):
+//! The catalog holds only what rustc and clippy cannot express (see
+//! DESIGN.md "Static analysis & checked builds"); the type, method and
+//! crate-attribute bans run as the workspace lint table and `clippy.toml`:
 //!
-//! * `det-*` — determinism: anything that could make two runs of the same
-//!   experiment matrix produce different JSONL bytes;
+//! * `det-unordered-iter` — determinism: iteration over a hash-based
+//!   collection, through any method and not only `for` loops;
 //! * `hot-*` — hot-path hygiene: panics and heap allocation in functions
-//!   annotated `// audit: hot-path` (the controller access flow);
-//! * `struct-*` — structural conventions every crate must carry.
+//!   annotated `// audit: hot-path` (the controller access flow), and the
+//!   closure of that annotation within a file and across the workspace;
+//! * `unit-mismatch` and `obs-counter-reconcile` — workspace-wide unit
+//!   domains and counter reconciliation;
+//! * `audit-syntax` — the `// audit:` directives themselves.
 
 /// Common std method names never treated as resolvable callees when the
 /// receiver is unknown (`recv.name(…)` / chained calls): the receiver is
@@ -37,51 +41,6 @@ pub struct Rule {
 /// The full catalog, in reporting order.
 pub const RULES: &[Rule] = &[
     Rule {
-        id: "det-hashmap",
-        summary: "std HashMap/HashSet with the default RandomState hasher",
-        explain: "\
-std::collections::HashMap and HashSet default to RandomState, which is\n\
-seeded from OS entropy per process: iteration order — and therefore any\n\
-output derived from it — varies run to run. In a simulator whose tier-1\n\
-contract is bit-identical JSONL at any --jobs width, that is a latent\n\
-nondeterminism bug even when today's call sites never iterate.\n\
-\n\
-Flagged: `HashMap::new`, `HashSet::default`, `with_capacity`, and any\n\
-`HashMap<K, V>` / `HashSet<T>` type with no explicit hasher parameter.\n\
-Not flagged: maps with a named hasher (e.g. `BuildHasherDefault<...>`)\n\
-and `with_hasher` / `with_capacity_and_hasher` constructors.\n\
-\n\
-Fix: use BTreeMap/BTreeSet (deterministic order), a fixed-seed hasher,\n\
-or justify with `// audit: allow(det-hashmap) -- <reason>`.",
-    },
-    Rule {
-        id: "det-clock",
-        summary: "Instant::now/SystemTime::now in any crate",
-        explain: "\
-Wall-clock reads are inherently nondeterministic. Timing telemetry (the\n\
-engine's per-cell wall times) belongs only in the `.metrics.jsonl`\n\
-stream, kept out of the deterministic result fields; a clock read\n\
-anywhere else tends to leak into output or, worse, into control flow.\n\
-\n\
-Flagged: `Instant::now` and `SystemTime::now` in every crate, crates/obs\n\
-included. Wall-time measurement sites that only feed telemetry fields\n\
-excluded from determinism diffs carry\n\
-`// audit: allow(det-clock) -- <reason>`.",
-    },
-    Rule {
-        id: "det-entropy",
-        summary: "ambient entropy sources (thread_rng, RandomState, getrandom)",
-        explain: "\
-The workspace's only legitimate randomness is the in-repo SplitMix64\n\
-stream, seeded deterministically per experiment cell. Ambient entropy —\n\
-`thread_rng`, `ThreadRng`, `from_entropy`, `getrandom`, an explicit\n\
-`RandomState` — reintroduces run-to-run variation that the engine's\n\
-byte-identical contract cannot tolerate.\n\
-\n\
-Fix: derive randomness from the cell's workload seed (see\n\
-crates/trace/src/rng.rs).",
-    },
-    Rule {
         id: "det-unordered-iter",
         summary: "iteration over a hash-based collection",
         explain: "\
@@ -98,26 +57,6 @@ bound to a HashMap/HashSet in the same file.\n\
 Fix: iterate a BTreeMap, sort the keys first, or — for order-insensitive\n\
 reductions like sums — justify with\n\
 `// audit: allow(det-unordered-iter) -- <reason>`.",
-    },
-    Rule {
-        id: "det-thread",
-        summary: "thread::spawn/std::thread outside the engine module",
-        explain: "\
-All parallelism in this workspace flows through one audited module:\n\
-crates/sim/src/engine.rs (the shared-cursor matrix executor behind\n\
---jobs). It was designed so that thread scheduling cannot reach the\n\
-output: cells land in a slot-indexed result vector. A thread spawned\n\
-anywhere else has no such merge discipline — whatever it computes\n\
-reaches the results in completion order, which varies run to run and\n\
-silently breaks the byte-identical JSONL contract.\n\
-\n\
-Flagged outside that file: `thread::spawn`, any `std::thread` path\n\
-(scope, spawn, available_parallelism via the module), and\n\
-`rayon`/`crossbeam` idents. Not flagged: `#[cfg(test)]` code.\n\
-\n\
-Fix: express the parallelism as engine cells so the existing merge\n\
-discipline applies, or justify with\n\
-`// audit: allow(det-thread) -- <reason>`.",
     },
     Rule {
         id: "hot-panic",
@@ -245,31 +184,6 @@ A counter no check ever reads is a counter whose drift nobody notices.\n\
 Fix: extend a reconciliation invariant or test to cover the counter, or\n\
 justify with `// audit: allow(obs-counter-reconcile) -- <reason>` on\n\
 the field's line.",
-    },
-    Rule {
-        id: "struct-attrs",
-        summary: "crate root missing #![forbid(unsafe_code)] / #![deny(missing_docs)]",
-        explain: "\
-Every crate root (src/lib.rs) must carry `#![forbid(unsafe_code)]` and\n\
-`#![deny(missing_docs)]`. The first makes the no-unsafe policy\n\
-machine-checked forever; the second keeps rustc enforcing API docs so\n\
-this tool only has to double-check. A crate that genuinely cannot deny\n\
-missing_docs may carry `#![allow(missing_docs)]` plus\n\
-`// audit: allow(struct-attrs) -- <reason>` at the top of the root.",
-    },
-    Rule {
-        id: "struct-pub-docs",
-        summary: "undocumented pub item in crates/core or crates/types",
-        explain: "\
-crates/core and crates/types are the paper-facing API surface: every\n\
-`pub` item (fn, struct, enum, trait, mod, const, static, type, field)\n\
-there must have a doc comment. This overlaps with rustc's missing_docs\n\
-lint by design — the audit pass still reports it so the finding shows\n\
-up in `audit_tool check` output with the rest, and keeps working if a\n\
-root ever switches missing_docs off.\n\
-\n\
-Not flagged: `pub use` re-exports, `pub(crate)`/`pub(super)` items,\n\
-and anything under `#[cfg(test)]`.",
     },
     Rule {
         id: "audit-syntax",

@@ -12,13 +12,11 @@ use memsim_analysis::check_source;
 use memsim_analysis::graph::Workspace;
 use std::collections::BTreeSet;
 
-/// The repo-relative path a fixture is audited *as*, per rule: hot/struct
-/// rules need specific path classes (crate roots, docs-required crates),
-/// det rules a plain simulation-crate path.
+/// The repo-relative path a fixture is audited *as*, per rule:
+/// obs-counter-reconcile scans only crates/obs, every other rule is happy
+/// with a plain simulation-crate path.
 fn rel_for(rule: &str) -> &'static str {
     match rule {
-        "struct-attrs" => "crates/demo/src/lib.rs",
-        "struct-pub-docs" => "crates/core/src/fixture.rs",
         "obs-counter-reconcile" => "crates/obs/src/fixture.rs",
         _ => "crates/sim/src/fixture.rs",
     }
@@ -37,19 +35,13 @@ fn marker_line(src: &str) -> Option<u32> {
 }
 
 const RULES: &[&str] = &[
-    "det-hashmap",
-    "det-clock",
-    "det-entropy",
     "det-unordered-iter",
-    "det-thread",
     "hot-panic",
     "hot-alloc",
     "hot-callee",
     "hot-transitive",
     "unit-mismatch",
     "obs-counter-reconcile",
-    "struct-attrs",
-    "struct-pub-docs",
     "audit-syntax",
 ];
 
@@ -75,9 +67,9 @@ fn doctored_fixtures_trip_their_rule_at_the_marked_line() {
             findings.iter().all(|f| f.rule == *rule),
             "{rule}.doctored.rs tripped other rules too: {findings:?}"
         );
-        // struct-attrs reports against line 1 of the crate root; every
-        // other doctored fixture marks its violating line with `//~`.
-        let expected = marker_line(&src).unwrap_or(1);
+        let expected = marker_line(&src).unwrap_or_else(|| {
+            panic!("{rule}.doctored.rs must mark its violating line with `//~`")
+        });
         assert!(
             findings.iter().any(|f| f.line == expected),
             "{rule}.doctored.rs: expected a finding on line {expected}, got {findings:?}"
@@ -147,6 +139,6 @@ fn audited_exception_grammar_round_trips() {
     let (findings, st) = check_source(rel_for("audit-syntax"), &src);
     assert!(findings.is_empty(), "{findings:?}");
     assert_eq!(st.allows.len(), 1);
-    assert_eq!(st.allows[0].rule, "det-hashmap");
+    assert_eq!(st.allows[0].rule, "det-unordered-iter");
     assert!(st.allows[0].reason.contains("iteration order"));
 }

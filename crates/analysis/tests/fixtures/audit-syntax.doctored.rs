@@ -3,5 +3,5 @@
 
 /// Picks an arbitrary element.
 pub fn any_key(xs: &[u64]) -> Option<u64> {
-    xs.first().copied() // audit: allow(det-hashmap) //~ audit-syntax
+    xs.first().copied() // audit: allow(det-unordered-iter) //~ audit-syntax
 }

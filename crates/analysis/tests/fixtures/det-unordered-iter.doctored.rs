@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
-/// Deterministic hasher: exempt from det-hashmap, not from iteration order.
+/// Deterministic hasher: no RandomState, but no fixed iteration order either.
 pub type Det = BuildHasherDefault<std::collections::hash_map::DefaultHasher>;
 
 /// Sums all keys — in whatever order the buckets yield them.

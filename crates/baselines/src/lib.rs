@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 //! State-of-the-art hybrid-memory baselines.
 //!
 //! Mechanism-faithful reimplementations of every design the paper compares

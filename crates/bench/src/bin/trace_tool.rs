@@ -18,13 +18,18 @@
 //! sums do not reconcile exactly against the devices' undifferentiated
 //! counters.
 
-use memsim_analysis::exitcode;
 use memsim_sim::report::render_table;
 use memsim_types::json::{parse, Json};
 
+/// Exit code when the tool ran and found a problem: a diff, or a failed
+/// reconciliation.
+const FINDINGS: i32 = 1;
+/// Exit code for bad arguments or unreadable input: the check never ran.
+const USAGE: i32 = 2;
+
 fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    std::process::exit(exitcode::USAGE);
+    std::process::exit(USAGE);
 }
 
 /// One observability JSONL line: its fields in emission order.
@@ -309,7 +314,7 @@ fn latency(path: &str, rows: &[Row]) {
     }
     if bad > 0 {
         eprintln!("FAIL: {bad} of {cells} cell(s) do not reconcile");
-        std::process::exit(exitcode::FINDINGS);
+        std::process::exit(FINDINGS);
     }
     println!("ok: path counts reconcile with controller counters in all {cells} cell(s)");
 }
@@ -461,7 +466,7 @@ fn bandwidth(path: &str, rows: &[Row]) {
     }
     if bad > 0 {
         eprintln!("FAIL: {bad} of {cells} cell(s) do not reconcile");
-        std::process::exit(exitcode::FINDINGS);
+        std::process::exit(FINDINGS);
     }
     println!("ok: cause-attributed bytes reconcile with device counters in all {cells} cell(s)");
 }
@@ -543,7 +548,7 @@ fn diff(a_path: &str, b_path: &str, threshold: f64) {
              {} unmatched line(s)",
             only_a + only_b
         );
-        std::process::exit(exitcode::FINDINGS);
+        std::process::exit(FINDINGS);
     }
     println!("ok: no deltas over threshold {threshold}");
 }

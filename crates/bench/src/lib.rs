@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 //! Shared harness plumbing for the figure/table binaries.
 //!
 //! Every binary accepts the same flags:

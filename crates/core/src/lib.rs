@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 //! The Bumblebee Hybrid Memory Management Controller (HMMC).
 //!
 //! This crate implements the paper's contribution: a hybrid memory

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 //! Event-based DRAM/HBM device timing and energy model.
 //!
 //! Replaces the paper's DRAMSim2 substrate. Each [`DramDevice`] models a

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 //! Observability for the simulator: epoch time-series, structured event
 //! tracing and power-of-two histograms.
 //!

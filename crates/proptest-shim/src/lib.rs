@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 //! A minimal, dependency-free property-testing harness exposing the subset
 //! of the `proptest` API this workspace's property tests use.
 //!

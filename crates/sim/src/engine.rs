@@ -120,6 +120,10 @@ impl Engine {
         let cursor = AtomicUsize::new(0);
         let slots: Mutex<Vec<Option<R>>> =
             Mutex::new(std::iter::repeat_with(|| None).take(items.len()).collect());
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the engine is the one place threads run: each result lands in its cell's slot, so scheduling never reaches the output"
+        )]
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
@@ -152,9 +156,17 @@ impl Engine {
         let busy_nanos = AtomicU64::new(0);
         let accesses_done = AtomicU64::new(0);
         let last_beat = AtomicU64::new(0);
-        let wall = Instant::now(); // audit: allow(det-clock) -- engine wall-time telemetry, excluded from determinism diffs
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "engine wall-time telemetry, written only to .metrics.jsonl and excluded from determinism diffs"
+        )]
+        let wall = Instant::now();
         let results = self.par_map(matrix.cells(), |cell| {
-            let start = Instant::now(); // audit: allow(det-clock) -- per-cell wall-time telemetry, excluded from determinism diffs
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "per-cell wall-time telemetry, written only to .metrics.jsonl and excluded from determinism diffs"
+            )]
+            let start = Instant::now();
             let outcome = run_design_batched(
                 cell.design,
                 &cell.cfg,
@@ -233,6 +245,10 @@ fn heartbeat_line(
 }
 
 /// The machine's available parallelism (≥ 1).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "sizes only the engine's default worker count, and every width produces byte-identical reports"
+)]
 fn available_parallelism() -> usize {
     std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
 }

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 //! The system simulator: cores, caches, hybrid-memory controllers and DRAM
 //! devices tied together, plus one experiment runner per paper figure.
 //!

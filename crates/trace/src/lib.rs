@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 //! Synthetic memory-trace generation with calibrated locality.
 //!
 //! Replaces the paper's SPEC CPU2017 + SimPoint substrate. A

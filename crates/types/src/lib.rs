@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 //! Common types for the Bumblebee heterogeneous-memory simulator.
 //!
 //! This crate defines the vocabulary shared by every other crate in the

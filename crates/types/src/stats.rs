@@ -6,7 +6,6 @@
 //! the fraction of data brought into HBM that is evicted without ever being
 //! used.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -175,7 +174,11 @@ impl Leaf {
 /// slot order.
 #[derive(Debug, Clone, Default)]
 pub struct OverfetchTracker {
-    slots: HashMap<u64, u32, BuildHasherDefault<ChunkKeyHasher>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "fixed ChunkKeyHasher, not RandomState, and no output reads map order: evict_all walks the arena"
+    )]
+    slots: std::collections::HashMap<u64, u32, BuildHasherDefault<ChunkKeyHasher>>,
     leaves: Vec<Leaf>,
     free: Vec<u32>,
     fetched_bytes: u64,

@@ -227,7 +227,7 @@ proptest! {
     ) {
         let mut t = OverfetchTracker::new();
         // Shadow model.
-        let mut resident: std::collections::HashMap<u64, (u64, bool)> = Default::default();
+        let mut resident: std::collections::BTreeMap<u64, (u64, bool)> = Default::default();
         let mut fetched = 0u64;
         let mut wasted = 0u64;
         for (key, ev) in events {

@@ -33,29 +33,111 @@ cargo clippy --workspace --all-targets -- -D warnings
 # The checked build compiles invariant sweeps the default build leaves out.
 cargo clippy -p bumblebee-core --features checked --all-targets -- -D warnings
 
-echo "== audit: workspace pass vs committed baseline (audit_tool check) =="
-# Hard gate: the two-pass auditor (crates/analysis) runs every rule —
-# per-file det-*/hot-*/struct-* plus the workspace call-graph,
-# unit-domain and counter-reconciliation passes — and
-# ratchets the findings against results/audit_baseline.json. New findings
-# fail; entries that no longer reproduce fail too (delete them from the
-# baseline so the bar only moves down). Regenerate after intentional
-# changes with:
-#   cargo run --release -p memsim-analysis --bin audit_tool -- \
-#     check --format json > results/audit_baseline.json
-cargo run --release -q -p memsim-analysis --bin audit_tool -- \
-  check --format json --baseline results/audit_baseline.json >/dev/null
+echo "== lint: self-test — doctored inputs must fail clippy with the named lint =="
+# A throwaway crate carrying the repo's own [workspace.lints.rust] table
+# (extracted from Cargo.toml, not retyped) and a copy of clippy.toml. Each
+# doctored lib.rs below is one shape a determinism or structure ban must
+# reject with the named lint; the clean lib.rs at the end must pass.
+lint_smoke="$(mktemp -d)"
+trap 'rm -rf "$lint_smoke"' EXIT
+{
+  printf '[package]\nname = "lint-smoke"\nversion = "0.0.0"\nedition = "2021"\npublish = false\n\n'
+  printf '[lib]\npath = "lib.rs"\n\n[workspace]\n\n[lints.rust]\n'
+  sed -n '/^\[workspace\.lints\.rust\]$/,/^\[/{/^\[/d;p}' Cargo.toml
+} > "$lint_smoke/Cargo.toml"
+cp clippy.toml "$lint_smoke/"
+lint_clippy() { # lint_clippy <items>: clippy a crate made of <items>
+  printf '//! Lint self-test input.\n%s\n' "$1" > "$lint_smoke/lib.rs"
+  cargo clippy --offline -q --manifest-path "$lint_smoke/Cargo.toml" -- -D warnings \
+    2> "$lint_smoke/stderr"
+}
+lint_rejects() { # lint_rejects <lint> <items>
+  if lint_clippy "$2"; then
+    echo "FAIL: clippy accepted a doctored input meant to trip $1:" >&2
+    cat "$lint_smoke/lib.rs" >&2
+    exit 1
+  fi
+  # rustc spells a lint `unsafe-code` on its command line, `unsafe_code` in source.
+  if ! grep -qE "${1//_/[-_]}" "$lint_smoke/stderr"; then
+    echo "FAIL: clippy rejected a doctored input, but not with $1:" >&2
+    cat "$lint_smoke/stderr" >&2
+    exit 1
+  fi
+}
+# det-hashmap: every shape audit_tool flagged, plus HashMap::from.
+lint_rejects disallowed_types '/// D.
+pub fn f() -> usize { let m: std::collections::HashMap<u64, u64> = Default::default(); m.len() }'
+lint_rejects disallowed_types '/// D.
+pub fn f(xs: &[u64]) -> usize { xs.iter().collect::<std::collections::HashSet<_>>().len() }'
+lint_rejects disallowed_types '/// D.
+pub fn f() -> usize { std::collections::HashMap::<u64, u64>::default().len() }'
+lint_rejects disallowed_types '/// D.
+pub fn f(x: u64) -> usize { let mut h = std::collections::HashMap::new(); h.insert(x, ()); h.len() }'
+lint_rejects disallowed_types '/// D.
+pub fn f() -> usize { std::collections::HashMap::from([(1u64, 2u64)]).len() }'
+lint_rejects disallowed_types 'use std::collections::HashSet;
+/// D.
+pub struct S { /// D.
+    pub seen: HashSet<(String, u8)> }
+/// D.
+pub fn f() -> S { S { seen: HashSet::with_capacity(4) } }'
+# det-entropy: the one ambient entropy source std offers.
+lint_rejects disallowed_types '/// D.
+pub fn f() -> std::collections::hash_map::RandomState { std::collections::hash_map::RandomState::new() }'
+# det-clock.
+lint_rejects disallowed_methods 'use std::time::Instant;
+/// D.
+pub fn f() -> u128 { Instant::now().elapsed().as_nanos() }'
+lint_rejects disallowed_methods '/// D.
+pub fn f() -> bool { std::time::SystemTime::now() > std::time::UNIX_EPOCH }'
+# det-thread.
+lint_rejects disallowed_methods '/// D.
+pub fn f(w: Vec<u64>) -> u64 { std::thread::spawn(move || w.iter().sum()).join().unwrap_or(0) }'
+lint_rejects disallowed_methods 'use std::thread;
+/// D.
+pub fn f() { thread::scope(|s| { s.spawn(|| ()); }); }'
+lint_rejects disallowed_methods '/// D.
+pub fn f() -> usize { std::thread::available_parallelism().map_or(1, |n| n.get()) }'
+lint_rejects disallowed_methods '/// D.
+pub fn f() -> bool { std::thread::Builder::new().spawn(|| ()).is_ok() }'
+lint_rejects disallowed_methods '/// D.
+pub fn f() { std::thread::scope(|s| { let _ = std::thread::Builder::new().spawn_scoped(s, || ()); }); }'
+# struct-attrs and struct-pub-docs.
+lint_rejects unsafe_code '/// D.
+pub fn f(x: &u64) -> u64 { unsafe { *(x as *const u64) } }'
+lint_rejects unsafe_code '#![allow(unsafe_code)]
+/// D.
+pub fn f() {}'
+lint_rejects missing_docs 'pub fn f() {}'
+lint_rejects missing_docs '/// D.
+pub struct S { pub x: u64 }'
+lint_rejects missing_docs '#![allow(missing_docs)]
+/// D.
+pub fn f() {}'
+lint_rejects unreachable_pub 'mod inner { pub fn f() {} }
+/// D.
+pub fn g() { inner::f() }'
+if ! lint_clippy 'use std::collections::BTreeMap;
+/// D.
+pub fn f(xs: &[u64]) -> BTreeMap<u64, usize> { xs.iter().map(|&x| (x, 1)).collect() }'; then
+  echo "FAIL: clippy rejected the clean self-test input:" >&2
+  cat "$lint_smoke/stderr" >&2
+  exit 1
+fi
+rm -rf "$lint_smoke"
+trap - EXIT
+echo "ok: every doctored input failed with its lint, the clean one passed"
+
+echo "== audit: zero findings (audit_tool check) =="
+# Hard gate: the two-pass auditor (crates/analysis) runs the rules rustc
+# and clippy cannot express — det-unordered-iter, the hot-* family, the
+# workspace call-graph, unit-domain and counter-reconciliation passes, and
+# audit-syntax. Any finding fails.
+cargo run --release -q -p memsim-analysis --bin audit_tool -- check
 
 echo "== audit: self-test — doctored inputs must be caught =="
 audit_smoke="$(mktemp -d)"
 mkdir -p "$audit_smoke/crates/sim/src" "$audit_smoke/crates/obs/src"
-cat > "$audit_smoke/crates/sim/src/det.rs" <<'RS'
-//! Doctored self-test input: the injected `HashMap::new` below must trip
-//! det-hashmap, proving the verify gate actually runs the auditor.
-fn doctored() -> usize {
-    std::collections::HashMap::<u64, u64>::new().len()
-}
-RS
 cat > "$audit_smoke/crates/sim/src/transitive.rs" <<'RS'
 //! Doctored self-test input: an unannotated controller entry point must
 //! trip the workspace hot-transitive pass.
@@ -82,8 +164,8 @@ pub struct SmokeCounters {
     pub orphaned: u64,
 }
 RS
-for doctored in crates/sim/src/det.rs crates/sim/src/transitive.rs \
-                crates/sim/src/units.rs crates/obs/src/counters.rs; do
+for doctored in crates/sim/src/transitive.rs crates/sim/src/units.rs \
+                crates/obs/src/counters.rs; do
   if cargo run --release -q -p memsim-analysis --bin audit_tool -- \
     check --root "$audit_smoke" "$audit_smoke/$doctored" \
     >/dev/null 2>&1; then
@@ -93,7 +175,7 @@ for doctored in crates/sim/src/det.rs crates/sim/src/transitive.rs \
   fi
 done
 rm -rf "$audit_smoke"
-echo "ok: workspace audit matches baseline, all 4 doctored inputs exit nonzero"
+echo "ok: workspace audit clean, all 3 doctored inputs exit nonzero"
 
 echo "== smoke: fig8 serial vs parallel must be byte-identical =="
 smoke="$(mktemp -d)"

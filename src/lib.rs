@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 //! # Bumblebee — a MemCache design for die-stacked and off-chip heterogeneous memory systems
 //!
 //! A from-scratch Rust reproduction of *Bumblebee* (Hua et al., DAC 2023):
