@@ -21,11 +21,17 @@ const LINE_BYTES: u64 = 64;
 /// design streams (we bill 72 B of HBM bandwidth per probe).
 const TAD_BYTES: u32 = 72;
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
+/// A line's state is one word, `tag << 2 | dirty << 1 | valid`. Zero is an
+/// invalid line, so the line array starts empty on a zeroed allocation and
+/// lines no access reaches cost no host memory.
+const VALID: u32 = 1;
+const DIRTY: u32 = 1 << 1;
+const TAG_SHIFT: u32 = 2;
+
+/// The state word of a valid line holding `tag`.
+// audit: hot-path
+fn line_word(tag: u64, dirty: bool) -> u32 {
+    (tag as u32) << TAG_SHIFT | u32::from(dirty) << 1 | VALID
 }
 
 /// MAP-I style instruction/region-based hit-miss predictor: a table of
@@ -66,7 +72,8 @@ impl MapPredictor {
 #[derive(Debug)]
 pub struct AlloyCache {
     geometry: Geometry,
-    lines: Vec<Line>,
+    /// One state word per HBM line; see [`line_word`].
+    lines: Vec<u32>,
     line_div: QuickDiv,
     map: MapPredictor,
     faults: FaultModel,
@@ -77,10 +84,18 @@ pub struct AlloyCache {
 
 impl AlloyCache {
     /// Creates an Alloy cache filling the whole HBM of `geometry`.
+    ///
+    /// # Panics
+    ///
+    /// If an off-chip line's tag, `line / (hbm_bytes / 64)`, would not fit
+    /// in the 30 bits a line's state word holds: that needs off-chip DRAM
+    /// over 2^30 times the size of HBM.
     pub fn new(geometry: Geometry) -> AlloyCache {
         let lines = (geometry.hbm_bytes() / LINE_BYTES) as usize;
+        let max_tag = (geometry.dram_bytes() - 1) / LINE_BYTES / lines as u64;
+        assert!(max_tag >> (u32::BITS - TAG_SHIFT) == 0, "Alloy tag {max_tag} exceeds 30 bits");
         AlloyCache {
-            lines: vec![Line::default(); lines],
+            lines: vec![0; lines],
             line_div: QuickDiv::new(lines as u64),
             map: MapPredictor::new(),
             faults: FaultModel::with_default_table(geometry.dram_bytes()),
@@ -116,7 +131,7 @@ impl AlloyCache {
         // One TAD probe always goes to HBM (tag + data in a single burst).
         let line = self.lines[idx];
         let predicted_hit = self.map.predict(addr.0);
-        if line.valid && line.tag == tag {
+        if line & VALID != 0 && u64::from(line >> TAG_SHIFT) == tag {
             // Hit: the probe *was* the data access.
             let op = DeviceOp {
                 mem: Mem::Hbm,
@@ -131,7 +146,9 @@ impl AlloyCache {
             } else {
                 plan.background.push(op);
             }
-            self.lines[idx].dirty |= !is_read;
+            if !is_read {
+                self.lines[idx] |= DIRTY;
+            }
             self.stats.hbm_hits += 1;
             plan.path = AccessPath::ChbmHit;
             self.overfetch.used(line_addr);
@@ -172,9 +189,9 @@ impl AlloyCache {
         self.stats.offchip_serves += 1;
 
         // Evict + fill (victim writeback only when dirty).
-        if line.valid {
-            let victim_line = line.tag * self.lines.len() as u64 + idx as u64;
-            if line.dirty {
+        if line & VALID != 0 {
+            let victim_line = u64::from(line >> TAG_SHIFT) * self.lines.len() as u64 + idx as u64;
+            if line & DIRTY != 0 {
                 plan.background.push(DeviceOp {
                     mem: Mem::OffChip,
                     addr: Addr(victim_line * LINE_BYTES),
@@ -195,7 +212,7 @@ impl AlloyCache {
             cause: TrafficCause::MissFill,
             mhbm: false,
         });
-        self.lines[idx] = Line { tag, valid: true, dirty: !is_read };
+        self.lines[idx] = line_word(tag, !is_read);
         self.stats.block_fills += 1;
         self.overfetch.fetched(line_addr, LINE_BYTES as u32);
         self.overfetch.used(line_addr); // demand-fetched block is used
@@ -302,5 +319,43 @@ mod tests {
         plan.clear();
         c.finish(&mut plan);
         assert_eq!(c.overfetch_ratio(), Some(0.0));
+    }
+
+    #[test]
+    fn line_word_round_trips() {
+        for tag in [0, 1, 9, (1 << 30) - 1] {
+            for dirty in [false, true] {
+                let w = line_word(tag, dirty);
+                assert_eq!(w & VALID, VALID, "a filled line is valid");
+                assert_eq!(u64::from(w >> TAG_SHIFT), tag);
+                assert_eq!(w & DIRTY != 0, dirty);
+            }
+        }
+    }
+
+    /// One 64 KB HBM page (1,024 lines) over `dram_bytes` of off-chip DRAM.
+    fn tall_geometry(dram_bytes: u64) -> Geometry {
+        Geometry::builder()
+            .block_bytes(2 << 10)
+            .page_bytes(64 << 10)
+            .hbm_bytes(64 << 10)
+            .dram_bytes(dram_bytes)
+            .hbm_ways(1)
+            .build()
+            .expect("valid geometry")
+    }
+
+    #[test]
+    fn thirty_bit_tags_fit() {
+        // 2^30 off-chip lines per HBM line: the largest tag is 2^30 - 1.
+        let c = AlloyCache::new(tall_geometry((64 << 10) << 30));
+        assert_eq!(c.metadata_bytes(), 1024 * 8 + 1024);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 30 bits")]
+    fn tags_past_thirty_bits_panic() {
+        // One page more than 2^30 off-chip lines per HBM line.
+        AlloyCache::new(tall_geometry(((64 << 10) << 30) + (64 << 10)));
     }
 }

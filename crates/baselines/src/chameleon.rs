@@ -22,19 +22,15 @@ const SECTOR_BYTES: u64 = 4096;
 const SWAP_MARGIN: u32 = 24;
 const COUNTER_CAP: u32 = 255;
 
-#[derive(Debug, Clone)]
-struct Group {
-    /// Which member index currently occupies the HBM sector.
-    resident: u32,
-    /// Access counters per member (member 0..=k; index = member id).
-    counters: Vec<u32>,
-}
-
 /// The Chameleon controller; see the [module documentation](self).
 #[derive(Debug)]
 pub struct Chameleon {
     geometry: Geometry,
-    groups: Vec<Group>,
+    /// The member of each group currently occupying its HBM sector.
+    resident: Vec<u32>,
+    /// Access counter of every member of every group, row-major: group
+    /// `g`'s counters are `g * members..(g + 1) * members`.
+    counters: Vec<u32>,
     group_div: QuickDiv,
     member_div: QuickDiv,
     hbm_div: QuickDiv,
@@ -52,13 +48,6 @@ impl Chameleon {
         let hbm_sectors = (geometry.hbm_bytes() / SECTOR_BYTES).max(1);
         let total_sectors = (geometry.flat_bytes() / SECTOR_BYTES).max(1);
         let members = (total_sectors / hbm_sectors).max(2) as u32;
-        let groups = (0..hbm_sectors)
-            .map(|_| Group {
-                // Member `members - 1` denotes the HBM-native sector.
-                resident: members - 1,
-                counters: vec![0; members as usize],
-            })
-            .collect();
         // Remap table: one entry (~2 B) per sector of the flat space.
         let metadata_bytes = total_sectors * 2;
         Chameleon {
@@ -67,7 +56,9 @@ impl Chameleon {
             hbm_div: QuickDiv::new(geometry.hbm_bytes()),
             dram_div: QuickDiv::new(geometry.dram_bytes()),
             geometry,
-            groups,
+            // Member `members - 1` denotes the HBM-native sector.
+            resident: vec![members - 1; hbm_sectors as usize],
+            counters: vec![0; hbm_sectors as usize * members as usize],
             metadata: MetadataModel::new(metadata_bytes, sram_budget, Mem::Hbm, 64),
             stats: CtrlStats::new(),
             swaps: 0,
@@ -93,6 +84,12 @@ impl Chameleon {
         (group as usize, member, addr.0 % SECTOR_BYTES)
     }
 
+    /// Index of `member`'s counter of `group` in `counters`.
+    // audit: hot-path
+    fn counter(&self, group: usize, member: u32) -> usize {
+        group * self.member_div.divisor() as usize + member as usize
+    }
+
     // audit: hot-path
     fn hbm_sector_addr(&self, group: usize) -> Addr {
         Addr(self.hbm_div.rem(group as u64 * SECTOR_BYTES))
@@ -100,7 +97,7 @@ impl Chameleon {
 
     // audit: hot-path
     fn dram_member_addr(&self, group: usize, member: u32) -> Addr {
-        let sector = u64::from(member) * self.groups.len() as u64 + group as u64;
+        let sector = u64::from(member) * self.resident.len() as u64 + group as u64;
         Addr(self.dram_div.rem(sector * SECTOR_BYTES))
     }
 }
@@ -111,12 +108,12 @@ impl HybridMemoryController for Chameleon {
         plan.metadata_cycles += self.metadata.lookup(plan, req.addr);
         let (group, member, offset) = self.locate(req.addr);
         let is_read = req.kind == AccessKind::Read;
-        let g = &mut self.groups[group];
-        let c = &mut g.counters[member as usize];
-        *c = (*c + 1).min(COUNTER_CAP);
-        let in_hbm = g.resident == member;
-        let resident_count = g.counters[g.resident as usize];
-        let member_count = g.counters[member as usize];
+        let resident = self.resident[group];
+        let (resident_ci, member_ci) = (self.counter(group, resident), self.counter(group, member));
+        self.counters[member_ci] = (self.counters[member_ci] + 1).min(COUNTER_CAP);
+        let in_hbm = resident == member;
+        let resident_count = self.counters[resident_ci];
+        let member_count = self.counters[member_ci];
 
         let target = if in_hbm {
             self.stats.hbm_hits += 1;
@@ -150,10 +147,9 @@ impl HybridMemoryController for Chameleon {
 
         // Swap decision: the touched off-chip sector overtakes the resident.
         if !in_hbm && member_count > resident_count + SWAP_MARGIN {
-            let old_resident = self.groups[group].resident;
             let hbm = self.hbm_sector_addr(group);
             let dram_new = self.dram_member_addr(group, member);
-            let dram_old = self.dram_member_addr(group, old_resident);
+            let dram_old = self.dram_member_addr(group, resident);
             // Swap legs: reading the old resident out of HBM and writing it
             // off-chip is the demotion; pulling the hot sector in is the
             // promotion (the HBM write lands in the OS-visible sector).
@@ -172,11 +168,10 @@ impl HybridMemoryController for Chameleon {
                     mhbm,
                 });
             }
-            let g = &mut self.groups[group];
-            g.resident = member;
+            self.resident[group] = member;
             // Decay both counters to re-arm the hysteresis.
-            g.counters[old_resident as usize] = 0;
-            g.counters[member as usize] = 1;
+            self.counters[resident_ci] = 0;
+            self.counters[member_ci] = 1;
             self.swaps += 1;
             self.stats.page_migrations += 1;
             plan.path = AccessPath::Migration;

@@ -119,9 +119,11 @@ impl Hybrid2 {
         )
     }
 
+    /// HBM address of mHBM frame `frame`. Frames tile the mHBM bytes above
+    /// cHBM, so `frame < mhbm_frames` keeps the offset inside them.
     // audit: hot-path
-    fn pom_hbm_addr(&self, group: usize) -> Addr {
-        Addr(self.chbm_bytes + (group as u64 * GROUP_BYTES) % (self.geometry.hbm_bytes() - self.chbm_bytes))
+    fn pom_hbm_addr(&self, frame: usize) -> Addr {
+        Addr(self.chbm_bytes + frame as u64 * GROUP_BYTES)
     }
 
     // audit: hot-path

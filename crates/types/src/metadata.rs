@@ -121,8 +121,11 @@ impl MetadataModel {
             return self.sram_cycles;
         }
         let miss_fraction = 1.0 - self.sram_hit_fraction;
-        // Deterministic Bresenham-style spill schedule.
-        let due = (self.lookups as f64 * miss_fraction).floor() as u64;
+        // Deterministic Bresenham-style spill schedule: spill once
+        // `floor(lookups * miss_fraction)` passes the spills so far. The
+        // product is finite and non-negative, so the truncating cast is that
+        // floor without a libm call.
+        let due = (self.lookups as f64 * miss_fraction) as u64;
         if due > self.spill_lookups {
             self.spill_lookups += 1;
             plan.background.push(DeviceOp {
@@ -201,5 +204,27 @@ mod tests {
         m.lookup(&mut plan, Addr(12345));
         assert_eq!(plan.background[0].bytes, 64);
         assert_eq!(plan.background[0].mem, Mem::OffChip);
+    }
+
+    #[test]
+    fn spill_schedule_matches_the_floor_formula() {
+        // Miss fractions 7/8 (exact in binary), 2/3 (repeating) and ~0.2
+        // (irregular), a million lookups each.
+        let ratios = [(32 << 20, 512 << 10), (3 << 20, 1 << 17), (1_000_003, 100_000)];
+        for (metadata, budget) in ratios {
+            let mut m = MetadataModel::new(metadata, budget, Mem::Hbm, 64);
+            let miss_fraction = 1.0 - m.sram_hit_fraction();
+            let mut plan = AccessPlan::new();
+            let mut spills = 0u64;
+            for n in 1..=1_000_000u64 {
+                let cycles = m.lookup(&mut plan, Addr(n * 64));
+                let spilled = cycles == MetadataModel::IN_MEMORY_LOOKUP_CYCLES;
+                let due = (n as f64 * miss_fraction).floor() as u64;
+                assert_eq!(spilled, due > spills, "lookup {n}, {metadata} B over {budget} B");
+                spills += u64::from(spilled);
+                plan.clear();
+            }
+            assert_eq!(m.spill_lookups(), spills);
+        }
     }
 }

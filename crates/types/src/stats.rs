@@ -6,6 +6,7 @@
 //! the fraction of data brought into HBM that is evicted without ever being
 //! used.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -84,27 +85,7 @@ impl fmt::Display for CtrlStats {
     }
 }
 
-/// Tracks over-fetching: bytes brought into HBM that are evicted unused.
-///
-/// Controllers call [`fetched`](Self::fetched) when they move a chunk into
-/// HBM, [`used`](Self::used) when a demand request touches it, and
-/// [`evicted`](Self::evicted) when the chunk leaves HBM. Chunks still
-/// resident at the end of a run can be drained with
-/// [`evict_all`](Self::evict_all) so short runs do not under-report.
-///
-/// ```
-/// use memsim_types::OverfetchTracker;
-/// let mut t = OverfetchTracker::new();
-/// t.fetched(1, 2048);
-/// t.fetched(2, 2048);
-/// t.used(1);
-/// t.evicted(1);
-/// t.evicted(2);
-/// assert_eq!(t.fetched_bytes(), 4096);
-/// assert_eq!(t.wasted_bytes(), 2048);
-/// assert!((t.overfetch_ratio() - 0.5).abs() < 1e-12);
-/// ```
-/// Deterministic integer hasher for the tracker's `u64` chunk keys.
+/// Deterministic integer hasher for the tracker's `u64` leaf numbers.
 ///
 /// The tracker's outputs are order-independent byte sums, so hash quality
 /// only affects speed, never results — and the default SipHash costs more
@@ -141,46 +122,62 @@ impl Hasher for ChunkKeyHasher {
 /// masks, the rest pick the leaf.
 const LEAF_KEYS: u64 = 64;
 
+/// Bytes a resident key holds unless [`OverfetchTracker::odd`] lists it:
+/// one 64 B line, the size every controller fills at.
+const LINE_BYTES: u32 = 64;
+
 /// State of 64 consecutive chunk keys. Controllers number the 64 B lines of
 /// a page or block consecutively, so one fill lands in one or a few leaves.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Leaf {
     /// Keys currently resident in HBM.
     present: u64,
     /// Resident keys touched by a demand request; always a subset of
     /// `present`.
     used: u64,
-    /// Bytes fetched per resident key (stale for absent keys).
-    bytes: [u32; LEAF_KEYS as usize],
 }
 
-impl Leaf {
-    const EMPTY: Leaf = Leaf {
-        present: 0,
-        used: 0,
-        bytes: [0; LEAF_KEYS as usize],
-    };
-}
-
-/// Measures over-fetch: the fraction of bytes brought into HBM that were
-/// evicted without a single use (the paper's §IV-E metric). Keys are any
-/// stable chunk id the controller chooses.
+/// Tracks over-fetching: bytes brought into HBM that are evicted unused
+/// (the paper's §IV-B metric).
 ///
-/// Resident keys are grouped into 64-key leaves held in an arena; a small
-/// map from `key / 64` to arena slot finds a leaf, and an emptied leaf goes
-/// back on a free list for the next fill to reuse. Hashing is the
-/// deterministic in-repo SplitMix64 mix, not `RandomState`, and no output
-/// depends on map order: [`evict_all`](Self::evict_all) walks the arena in
-/// slot order.
+/// Controllers call [`fetched`](Self::fetched) when they move a chunk into
+/// HBM, [`used`](Self::used) when a demand request touches it, and
+/// [`evicted`](Self::evicted) when the chunk leaves HBM. Chunks still
+/// resident at the end of a run can be drained with
+/// [`evict_all`](Self::evict_all) so short runs do not under-report. Keys
+/// are any stable chunk id the controller chooses.
+///
+/// ```
+/// use memsim_types::OverfetchTracker;
+/// let mut t = OverfetchTracker::new();
+/// t.fetched(1, 2048);
+/// t.fetched(2, 2048);
+/// t.used(1);
+/// t.evicted(1);
+/// t.evicted(2);
+/// assert_eq!(t.fetched_bytes(), 4096);
+/// assert_eq!(t.wasted_bytes(), 2048);
+/// assert!((t.overfetch_ratio() - 0.5).abs() < 1e-12);
+/// ```
+///
+/// Resident keys are grouped into 16-byte, 64-key leaves, found by
+/// `key / 64` in a map hashed with the deterministic in-repo SplitMix64 mix,
+/// not `RandomState`. A resident key holds one 64 B line unless `odd` lists
+/// its byte count, and a running total of the unused resident bytes makes
+/// [`evict_all`](Self::evict_all) a sum instead of a walk, so no output
+/// depends on map order.
 #[derive(Debug, Clone, Default)]
 pub struct OverfetchTracker {
     #[expect(
         clippy::disallowed_types,
-        reason = "fixed ChunkKeyHasher, not RandomState, and no output reads map order: evict_all walks the arena"
+        reason = "fixed ChunkKeyHasher, not RandomState, and nothing iterates the map"
     )]
-    slots: std::collections::HashMap<u64, u32, BuildHasherDefault<ChunkKeyHasher>>,
-    leaves: Vec<Leaf>,
-    free: Vec<u32>,
+    leaves: std::collections::HashMap<u64, Leaf, BuildHasherDefault<ChunkKeyHasher>>,
+    /// Byte count of each resident key that does not hold exactly one line:
+    /// a fill of another size, or one a refetch grew while resident.
+    odd: BTreeMap<u64, u32>,
+    /// Bytes held by resident keys no demand request has touched.
+    unused_bytes: u64,
     fetched_bytes: u64,
     wasted_bytes: u64,
 }
@@ -191,15 +188,6 @@ impl OverfetchTracker {
         OverfetchTracker::default()
     }
 
-    /// The arena slot of `key`'s leaf and `key`'s bit in it, if the leaf
-    /// holds any resident key.
-    // audit: hot-path
-    #[inline]
-    fn find(&self, key: u64) -> Option<(usize, u64)> {
-        let slot = *self.slots.get(&(key / LEAF_KEYS))?;
-        Some((slot as usize, 1 << (key % LEAF_KEYS)))
-    }
-
     /// Records that the chunk identified by `key` (any stable id the
     /// controller chooses — e.g. a global block number) was brought into HBM.
     ///
@@ -208,29 +196,32 @@ impl OverfetchTracker {
     // audit: hot-path
     pub fn fetched(&mut self, key: u64, bytes: u32) {
         self.fetched_bytes += u64::from(bytes);
-        let (leaves, free) = (&mut self.leaves, &mut self.free);
-        let slot = *self.slots.entry(key / LEAF_KEYS).or_insert_with(|| {
-            free.pop().unwrap_or_else(|| {
-                leaves.push(Leaf::EMPTY);
-                (leaves.len() - 1) as u32
-            })
-        });
-        let leaf = &mut self.leaves[slot as usize];
-        let (i, bit) = ((key % LEAF_KEYS) as usize, 1 << (key % LEAF_KEYS));
+        let leaf = self.leaves.entry(key / LEAF_KEYS).or_default();
+        let bit = 1 << (key % LEAF_KEYS);
         if leaf.present & bit == 0 {
             leaf.present |= bit;
-            leaf.bytes[i] = bytes;
+            if bytes != LINE_BYTES {
+                self.odd.insert(key, bytes);
+            }
+            self.unused_bytes += u64::from(bytes);
         } else {
-            leaf.bytes[i] += bytes;
+            if leaf.used & bit == 0 {
+                self.unused_bytes += u64::from(bytes);
+            }
+            *self.odd.entry(key).or_insert(LINE_BYTES) += bytes;
         }
     }
 
     /// Records a demand touch of chunk `key` (no-op if not resident).
     // audit: hot-path
     pub fn used(&mut self, key: u64) {
-        if let Some((slot, bit)) = self.find(key) {
-            let leaf = &mut self.leaves[slot];
-            leaf.used |= leaf.present & bit;
+        let Some(leaf) = self.leaves.get_mut(&(key / LEAF_KEYS)) else {
+            return;
+        };
+        let bit = leaf.present & !leaf.used & (1 << (key % LEAF_KEYS));
+        if bit != 0 {
+            leaf.used |= bit;
+            self.unused_bytes -= u64::from(self.odd.get(&key).copied().unwrap_or(LINE_BYTES));
         }
     }
 
@@ -238,36 +229,31 @@ impl OverfetchTracker {
     /// byte count.
     // audit: hot-path
     pub fn evicted(&mut self, key: u64) {
-        let Some((slot, bit)) = self.find(key) else {
+        let Some(leaf) = self.leaves.get_mut(&(key / LEAF_KEYS)) else {
             return;
         };
-        let leaf = &mut self.leaves[slot];
+        let bit = 1 << (key % LEAF_KEYS);
         if leaf.present & bit == 0 {
             return;
         }
-        if leaf.used & bit == 0 {
-            self.wasted_bytes += u64::from(leaf.bytes[(key % LEAF_KEYS) as usize]);
-        }
+        let unused = leaf.used & bit == 0;
         leaf.present &= !bit;
         leaf.used &= !bit;
         if leaf.present == 0 {
-            self.slots.remove(&(key / LEAF_KEYS));
-            self.free.push(slot as u32);
+            self.leaves.remove(&(key / LEAF_KEYS));
+        }
+        let bytes = u64::from(self.odd.remove(&key).unwrap_or(LINE_BYTES));
+        if unused {
+            self.unused_bytes -= bytes;
+            self.wasted_bytes += bytes;
         }
     }
 
     /// Drains every resident chunk as if evicted (end-of-run accounting).
     pub fn evict_all(&mut self) {
-        for leaf in &self.leaves {
-            let mut unused = leaf.present & !leaf.used;
-            while unused != 0 {
-                self.wasted_bytes += u64::from(leaf.bytes[unused.trailing_zeros() as usize]);
-                unused &= unused - 1;
-            }
-        }
-        self.slots.clear();
+        self.wasted_bytes += std::mem::take(&mut self.unused_bytes);
         self.leaves.clear();
-        self.free.clear();
+        self.odd.clear();
     }
 
     /// Total bytes fetched into HBM.
@@ -416,5 +402,43 @@ mod tests {
         t.evicted(1);
         t.used(1);
         assert_eq!(t.wasted_bytes(), 64);
+    }
+
+    #[test]
+    fn leaf_is_two_masks() {
+        assert_eq!(std::mem::size_of::<Leaf>(), 16);
+    }
+
+    #[test]
+    fn refetch_of_unused_key_wastes_both_fills() {
+        let mut t = OverfetchTracker::new();
+        t.fetched(5, 64);
+        t.fetched(5, 64); // refetched while resident and still unused
+        t.evicted(5);
+        assert_eq!(t.wasted_bytes(), 128);
+        assert_eq!(t.fetched_bytes(), 128);
+        // The grown byte count left with the key: a new fill is one line.
+        t.fetched(5, 64);
+        t.evicted(5);
+        assert_eq!(t.wasted_bytes(), 192);
+    }
+
+    #[test]
+    fn evict_all_sums_line_and_odd_sized_keys() {
+        let mut t = OverfetchTracker::new();
+        for (key, bytes) in [(0, 64), (1, 256), (2, 64), (64, 0), (65, 4095), (130, 64)] {
+            t.fetched(key, bytes);
+        }
+        t.fetched(2, 32); // grows a one-line key to 96 B
+        t.used(1);
+        t.used(130);
+        t.evicted(0); // an unused line leaves before the drain
+        t.evict_all();
+        assert_eq!(t.fetched_bytes(), 64 + 256 + 64 + 4095 + 64 + 32);
+        assert_eq!(t.wasted_bytes(), 64 + 96 + 4095);
+        // Keys drained by evict_all leave no byte count behind.
+        t.fetched(1, 64);
+        t.evicted(1);
+        assert_eq!(t.wasted_bytes(), 64 + 96 + 4095 + 64);
     }
 }

@@ -13,9 +13,11 @@ cd "$(dirname "$0")/.."
 echo "== tier-1: cargo build --release =="
 cargo build --release
 
-echo "== tier-1: cargo test -q =="
-# default-members covers every crate, property suites included.
-cargo test -q
+echo "== tier-1: cargo test -q --no-fail-fast =="
+# default-members covers every crate, property suites included. Without
+# --no-fail-fast the first failing test target stops cargo and hides every
+# later target's result; cargo still exits nonzero on any failure.
+cargo test -q --no-fail-fast
 
 echo "== checked build: corruption-detection tests (cargo test -p bumblebee-core --features checked) =="
 # The invariant-sweep unit tests and tests/checked_mode.rs compile only

@@ -15,7 +15,10 @@
 //!   on mcf and xz with one access in 64 latency-sampled, at chunk width 1
 //!   and at the default width;
 //! - the JSONL of Table I, Table II and the §IV-B metadata table, pinned
-//!   before the unused L1/L2/L3 cache model was deleted.
+//!   before the unused L1/L2/L3 cache model was deleted;
+//! - the results JSONL of the seven designs on wrf and cam4 at paper
+//!   geometry (scale 1), where Alloy and Chameleon hold their full-size line
+//!   and group arrays, pinned before those arrays were repacked.
 //!
 //! A change that moves any cycle, byte, energy or attribution figure fails
 //! here; one that means to move them must update the constants on purpose.
@@ -40,6 +43,10 @@ const FIG8_MCF_XZ_DIGEST: u64 = 0x5a38_9865_f4b7_95a6;
 
 /// FNV-1a over `table1 ++ table2 ++ metadata` JSONL lines at test scale.
 const TABLES_DIGEST: u64 = 0x67de_6eff_45e5_eaee;
+
+/// FNV-1a over the results JSONL of the seven designs on wrf and cam4 at
+/// scale 1 and 10,000 accesses.
+const FIG8_PAPER_GEOMETRY_DIGEST: u64 = 0x1472_cf81_2b80_2394;
 
 fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -167,5 +174,22 @@ fn tables_are_byte_identical() {
         d, TABLES_DIGEST,
         "tables digest {d:016x} over {} lines differs from the pinned {TABLES_DIGEST:016x}",
         lines.len()
+    );
+}
+
+/// The test-scale digests above run Alloy with 16 K lines and Chameleon
+/// with 1 K groups; this one runs them at Table I size (16 M lines, 256 K
+/// groups) on a short horizon.
+#[test]
+fn fig8_paper_geometry_results_are_byte_identical() {
+    let cfg = RunConfig::at_scale(1, 10_000);
+    let profiles = [SpecProfile::wrf(), SpecProfile::named("cam4")];
+    let data = fig8::run_with(&Engine::new(1), &cfg, &profiles).expect("fig8 runs");
+    let lines = data.results.jsonl_lines();
+    assert_eq!(lines.len(), 7 * profiles.len(), "7 designs x 2 profiles");
+    let d = digest(&lines);
+    assert_eq!(
+        d, FIG8_PAPER_GEOMETRY_DIGEST,
+        "paper-geometry digest {d:016x} differs from the pinned {FIG8_PAPER_GEOMETRY_DIGEST:016x}"
     );
 }
