@@ -29,7 +29,6 @@ const DIRTY: u32 = 1 << 1;
 const TAG_SHIFT: u32 = 2;
 
 /// The state word of a valid line holding `tag`.
-// audit: hot-path
 fn line_word(tag: u64, dirty: bool) -> u32 {
     (tag as u32) << TAG_SHIFT | u32::from(dirty) << 1 | VALID
 }
@@ -46,18 +45,15 @@ impl MapPredictor {
         MapPredictor { counters: vec![4; 1024] }
     }
 
-    // audit: hot-path
     fn idx(addr: u64) -> usize {
         ((addr >> 12) % 1024) as usize
     }
 
     /// `true` = predict hit.
-    // audit: hot-path
     fn predict(&self, addr: u64) -> bool {
         self.counters[Self::idx(addr)] >= 4
     }
 
-    // audit: hot-path
     fn train(&mut self, addr: u64, hit: bool) {
         let c = &mut self.counters[Self::idx(addr)];
         if hit {
@@ -111,7 +107,6 @@ impl AlloyCache {
         &mut self.telemetry
     }
 
-    // audit: hot-path
     fn index(&self, line_addr: u64) -> (usize, u64) {
         let (tag, idx) = self.line_div.div_rem(line_addr);
         (idx as usize, tag)
@@ -119,7 +114,6 @@ impl AlloyCache {
 }
 
 impl AlloyCache {
-    // audit: hot-path
     fn access_inner(&mut self, req: &Access, plan: &mut AccessPlan) {
         let addr = self.faults.translate(req.addr, plan);
         let line_addr = addr.0 / LINE_BYTES;
@@ -220,7 +214,6 @@ impl AlloyCache {
 }
 
 impl HybridMemoryController for AlloyCache {
-    // audit: hot-path
     fn access(&mut self, req: &Access, plan: &mut AccessPlan) {
         self.access_inner(req, plan);
         crate::common::tick_epoch(&mut self.telemetry, &self.stats, || EpochGauges {
@@ -247,7 +240,6 @@ impl HybridMemoryController for AlloyCache {
         &self.stats
     }
 
-    // audit: hot-path
     fn overfetch_ratio(&self) -> Option<f64> {
         Some(self.overfetch.overfetch_ratio())
     }

@@ -68,7 +68,6 @@ impl Banshee {
         }
     }
 
-    // audit: hot-path
     fn hbm_addr(&self, set: usize, way: u32, offset: u64) -> Addr {
         Addr((set as u64 * u64::from(WAYS) + u64::from(way)) * PAGE_BYTES + offset)
     }
@@ -80,7 +79,6 @@ impl Banshee {
         &mut self.telemetry
     }
 
-    // audit: hot-path
     fn access_inner(&mut self, req: &Access, plan: &mut AccessPlan) {
         let addr = self.faults.translate(req.addr, plan);
         let page = addr.0 / PAGE_BYTES;
@@ -152,7 +150,7 @@ impl Banshee {
                     0
                 }
             })
-            .expect("ways > 0"); // audit: allow(hot-panic) -- ways >= 1 is a constructor invariant; min over a non-empty range
+            .expect("ways > 0"); // ways >= 1 is a constructor invariant; min over a non-empty range
         let vs = self.ways[base + victim];
         let should_fill = !vs.valid || cand_count > vs.counter + REPLACE_MARGIN;
         if !should_fill {
@@ -214,7 +212,6 @@ impl Banshee {
 }
 
 impl HybridMemoryController for Banshee {
-    // audit: hot-path
     fn access(&mut self, req: &Access, plan: &mut AccessPlan) {
         self.access_inner(req, plan);
         crate::common::tick_epoch(&mut self.telemetry, &self.stats, || EpochGauges {
@@ -241,7 +238,6 @@ impl HybridMemoryController for Banshee {
         &self.stats
     }
 
-    // audit: hot-path
     fn overfetch_ratio(&self) -> Option<f64> {
         Some(self.overfetch.overfetch_ratio())
     }

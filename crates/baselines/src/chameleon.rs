@@ -76,7 +76,6 @@ impl Chameleon {
         self.swaps
     }
 
-    // audit: hot-path
     fn locate(&self, addr: Addr) -> (usize, u32, u64) {
         let sector = self.geometry.wrap_flat(addr).0 / SECTOR_BYTES;
         let (quot, group) = self.group_div.div_rem(sector);
@@ -85,17 +84,14 @@ impl Chameleon {
     }
 
     /// Index of `member`'s counter of `group` in `counters`.
-    // audit: hot-path
     fn counter(&self, group: usize, member: u32) -> usize {
         group * self.member_div.divisor() as usize + member as usize
     }
 
-    // audit: hot-path
     fn hbm_sector_addr(&self, group: usize) -> Addr {
         Addr(self.hbm_div.rem(group as u64 * SECTOR_BYTES))
     }
 
-    // audit: hot-path
     fn dram_member_addr(&self, group: usize, member: u32) -> Addr {
         let sector = u64::from(member) * self.resident.len() as u64 + group as u64;
         Addr(self.dram_div.rem(sector * SECTOR_BYTES))
@@ -103,7 +99,6 @@ impl Chameleon {
 }
 
 impl HybridMemoryController for Chameleon {
-    // audit: hot-path
     fn access(&mut self, req: &Access, plan: &mut AccessPlan) {
         plan.metadata_cycles += self.metadata.lookup(plan, req.addr);
         let (group, member, offset) = self.locate(req.addr);

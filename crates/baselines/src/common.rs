@@ -51,7 +51,6 @@ impl FaultModel {
     /// swap-in traffic into `plan` and charges the stall. Returns the
     /// address wrapped into the OS-visible range (where the page actually
     /// resides once faulted in).
-    // audit: hot-path
     pub fn translate(&mut self, addr: Addr, plan: &mut AccessPlan) -> Addr {
         if addr.0 < self.os_visible_bytes {
             return addr;
@@ -79,7 +78,6 @@ impl FaultModel {
 /// Epoch tick shared by every baseline: counts one access on `telemetry`
 /// and samples a snapshot at epoch boundaries. `gauges` is only invoked
 /// when a sample is actually due, so the disabled path never computes them.
-// audit: hot-path
 pub fn tick_epoch(
     telemetry: &mut Telemetry,
     stats: &CtrlStats,
@@ -113,7 +111,6 @@ impl LruRanks {
     }
 
     /// Marks `way` of `set` most recently used.
-    // audit: hot-path
     pub fn touch(&mut self, set: usize, way: u32) {
         let base = set * self.ways as usize;
         let old = self.ranks[base + way as usize];
@@ -126,12 +123,11 @@ impl LruRanks {
     }
 
     /// The least recently used way of `set`.
-    // audit: hot-path
     pub fn lru(&self, set: usize) -> u32 {
         let base = set * self.ways as usize;
         (0..self.ways)
             .max_by_key(|&w| self.ranks[base + w as usize])
-            .expect("ways > 0") // audit: allow(hot-panic) -- ways >= 1 is a constructor invariant; max over a non-empty range
+            .expect("ways > 0") // ways >= 1 is a constructor invariant; max over a non-empty range
     }
 }
 

@@ -111,7 +111,6 @@ impl Hybrid2 {
         self.mode_switch_bytes
     }
 
-    // audit: hot-path
     fn cache_hbm_addr(&self, set: usize, way: u32, block: u32) -> Addr {
         Addr(
             (set as u64 * u64::from(CACHE_WAYS) + u64::from(way)) * GROUP_BYTES
@@ -121,12 +120,10 @@ impl Hybrid2 {
 
     /// HBM address of mHBM frame `frame`. Frames tile the mHBM bytes above
     /// cHBM, so `frame < mhbm_frames` keeps the offset inside them.
-    // audit: hot-path
     fn pom_hbm_addr(&self, frame: usize) -> Addr {
         Addr(self.chbm_bytes + frame as u64 * GROUP_BYTES)
     }
 
-    // audit: hot-path
     fn pom_locate(&self, addr: Addr) -> (usize, u32) {
         let group2k = addr.0 / GROUP_BYTES;
         let (vgroup, frame) = self.frame_div.div_rem(group2k);
@@ -134,17 +131,14 @@ impl Hybrid2 {
     }
 
     /// Index of `member`'s counter of mHBM frame `frame` in `pom_counters`.
-    // audit: hot-path
     fn pom_counter(&self, frame: usize, member: u32) -> usize {
         frame * self.member_div.divisor() as usize + member as usize
     }
 
-    // audit: hot-path
     fn dram_group_addr(&self, addr: Addr) -> Addr {
         Addr(self.dram_div.rem(addr.0) & !(GROUP_BYTES - 1))
     }
 
-    // audit: hot-path
     fn serve(&mut self, plan: &mut AccessPlan, op: DeviceOp, is_read: bool) {
         if is_read {
             plan.critical.push(op);
@@ -160,7 +154,6 @@ impl Hybrid2 {
         &mut self.telemetry
     }
 
-    // audit: hot-path
     fn access_inner(&mut self, req: &Access, plan: &mut AccessPlan) {
         plan.metadata_cycles += self.metadata.lookup(plan, req.addr);
         let addr = self.faults.translate(req.addr, plan);
@@ -330,7 +323,6 @@ impl Hybrid2 {
 }
 
 impl HybridMemoryController for Hybrid2 {
-    // audit: hot-path
     fn access(&mut self, req: &Access, plan: &mut AccessPlan) {
         self.access_inner(req, plan);
         crate::common::tick_epoch(&mut self.telemetry, &self.stats, || EpochGauges {
@@ -355,7 +347,6 @@ impl HybridMemoryController for Hybrid2 {
         &self.stats
     }
 
-    // audit: hot-path
     fn overfetch_ratio(&self) -> Option<f64> {
         Some(self.overfetch.overfetch_ratio())
     }
@@ -370,7 +361,6 @@ impl Hybrid2 {
     /// round trip the paper's motivation describes: write the group back to
     /// DRAM, evict it from cHBM, swap the mHBM resident out and migrate the
     /// group in from DRAM.
-    // audit: hot-path
     fn promote(
         &mut self,
         plan: &mut AccessPlan,
@@ -439,13 +429,11 @@ const LINES_PER_BLOCK: u64 = BLOCK_BYTES / 64;
 
 /// Over-fetch key for the 64 B line containing `addr` within
 /// (`group`, `block`) — over-fetching is measured at 64 B granularity.
-// audit: hot-path
 fn line_key(group: u64, block: u32, addr: memsim_types::Addr) -> u64 {
     (group * u64::from(BLOCKS_PER_GROUP) + u64::from(block)) * LINES_PER_BLOCK
         + (addr.0 % BLOCK_BYTES) / 64
 }
 
-// audit: hot-path
 fn fetch_block_lines(t: &mut OverfetchTracker, group: u64, block: u32) {
     let base = (group * u64::from(BLOCKS_PER_GROUP) + u64::from(block)) * LINES_PER_BLOCK;
     for l in 0..LINES_PER_BLOCK {
@@ -453,7 +441,6 @@ fn fetch_block_lines(t: &mut OverfetchTracker, group: u64, block: u32) {
     }
 }
 
-// audit: hot-path
 fn evict_block_lines(t: &mut OverfetchTracker, group: u64, block: u32) {
     let base = (group * u64::from(BLOCKS_PER_GROUP) + u64::from(block)) * LINES_PER_BLOCK;
     for l in 0..LINES_PER_BLOCK {

@@ -40,7 +40,6 @@ impl OffChipOnly {
 }
 
 impl HybridMemoryController for OffChipOnly {
-    // audit: hot-path
     fn access(&mut self, req: &Access, plan: &mut AccessPlan) {
         let addr = self.faults.translate(req.addr, plan);
         let addr = addr.align_down(64);

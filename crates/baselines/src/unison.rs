@@ -67,12 +67,10 @@ impl UnisonCache {
         }
     }
 
-    // audit: hot-path
     fn hbm_page_addr(&self, set: usize, way: u32) -> Addr {
         Addr((set as u64 * u64::from(WAYS) + u64::from(way)) * PAGE_BYTES)
     }
 
-    // audit: hot-path
     fn predict(&self, page: u64) -> u64 {
         let e = self.predictor[(page % PREDICTOR_ENTRIES as u64) as usize];
         if e.0 == page && e.1 != 0 {
@@ -84,12 +82,10 @@ impl UnisonCache {
         }
     }
 
-    // audit: hot-path
     fn train(&mut self, page: u64, touched: u64) {
         self.predictor[(page % PREDICTOR_ENTRIES as u64) as usize] = (page, touched);
     }
 
-    // audit: hot-path
     fn fetch_blocks(
         &mut self,
         plan: &mut AccessPlan,
@@ -128,7 +124,6 @@ impl UnisonCache {
         }
     }
 
-    // audit: hot-path
     fn evict(&mut self, plan: &mut AccessPlan, set: usize, way: u32) {
         let idx = set * WAYS as usize + way as usize;
         let w = self.ways[idx];
@@ -170,7 +165,6 @@ impl UnisonCache {
         &mut self.telemetry
     }
 
-    // audit: hot-path
     fn access_inner(&mut self, req: &Access, plan: &mut AccessPlan) {
         let addr = self.faults.translate(req.addr, plan);
         let page = addr.0 / PAGE_BYTES;
@@ -281,7 +275,6 @@ impl UnisonCache {
 }
 
 impl HybridMemoryController for UnisonCache {
-    // audit: hot-path
     fn access(&mut self, req: &Access, plan: &mut AccessPlan) {
         self.access_inner(req, plan);
         crate::common::tick_epoch(&mut self.telemetry, &self.stats, || EpochGauges {
@@ -308,7 +301,6 @@ impl HybridMemoryController for UnisonCache {
         &self.stats
     }
 
-    // audit: hot-path
     fn overfetch_ratio(&self) -> Option<f64> {
         Some(self.overfetch.overfetch_ratio())
     }

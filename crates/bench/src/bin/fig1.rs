@@ -13,9 +13,8 @@ fn main() {
         eprintln!("note: --metrics has no per-cell telemetry here; Fig. 1 aggregates per-line reuse internally");
     }
     println!(
-        "Fig. 1 — access counts per 64 B before eviction (scale 1/{}, {} jobs)",
-        opts.cfg.scale,
-        engine.jobs()
+        "Fig. 1 — access counts per 64 B before eviction (scale 1/{})",
+        opts.cfg.scale
     );
     let data = fig1::run_with(&engine, &opts.cfg);
     opts.write_jsonl("fig1", &fig1::jsonl_lines(&data));

@@ -7,10 +7,9 @@ fn main() {
     let opts = bumblebee_bench::parse_env(&[]);
     let engine = opts.engine();
     println!(
-        "Fig. 6 — design-space exploration over {} workloads (scale 1/{}, {} jobs)",
+        "Fig. 6 — design-space exploration over {} workloads (scale 1/{})",
         opts.profiles.len(),
-        opts.cfg.scale,
-        engine.jobs()
+        opts.cfg.scale
     );
     let (points, results) =
         fig6::run_with(&engine, &opts.cfg, &opts.profiles).expect("valid design-space geometry");

@@ -11,10 +11,9 @@ fn main() {
     let which = opts.selection.as_deref().unwrap_or("all");
     let engine = opts.engine();
     println!(
-        "Fig. 8 — comparison over {} workloads (scale 1/{}, {} jobs)",
+        "Fig. 8 — comparison over {} workloads (scale 1/{})",
         opts.profiles.len(),
-        opts.cfg.scale,
-        engine.jobs()
+        opts.cfg.scale
     );
     let data = fig8::run_with(&engine, &opts.cfg, &opts.profiles).expect("runs complete");
     opts.write_jsonl("fig8", &data.results.jsonl_lines());

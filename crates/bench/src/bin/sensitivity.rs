@@ -14,10 +14,9 @@ fn main() {
         eprintln!("note: --metrics has no per-cell telemetry here; sweeps aggregate over many matrices");
     }
     println!(
-        "Sensitivity sweeps over {} workloads (scale 1/{}, {} jobs)",
+        "Sensitivity sweeps over {} workloads (scale 1/{})",
         opts.profiles.len(),
-        opts.cfg.scale,
-        engine.jobs()
+        opts.cfg.scale
     );
     let mut points = Vec::new();
     if which == "hot-queue" || which == "all" {

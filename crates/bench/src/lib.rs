@@ -48,13 +48,15 @@ pub struct HarnessOpts {
 impl HarnessOpts {
     /// The experiment engine these options select: `--jobs` if given,
     /// the environment otherwise, with progress lines enabled and metrics
-    /// recording when `--metrics` was passed.
+    /// recording when `--metrics` was passed. Prints the width on stderr,
+    /// so the stdout tables read the same at every width.
     pub fn engine(&self) -> Engine {
         let engine = match self.jobs {
             Some(j) => Engine::new(j),
             None => Engine::from_env(),
         }
         .with_progress(true);
+        eprintln!("jobs: {}", engine.jobs());
         if self.metrics {
             engine.with_metrics(MetricsConfig {
                 sample_rate: self.trace_sample.unwrap_or(0),

@@ -1,5 +1,6 @@
-//! End-to-end test of the figure binaries' argument check: an unknown
-//! sweep fails before the binary runs a cell or writes a file.
+//! End-to-end tests of the figure binaries' command line: an unknown
+//! sweep fails before the binary runs a cell or writes a file, and
+//! `--jobs` changes no byte of the stdout table.
 
 use std::path::PathBuf;
 
@@ -22,4 +23,33 @@ fn sensitivity(sweep: &str) -> (bool, bool) {
 fn unknown_sweep_fails_without_writing() {
     assert_eq!(sensitivity("zombie"), (true, true), "a known sweep runs and writes");
     assert_eq!(sensitivity("hotqueue"), (false, false), "an unknown sweep fails first");
+}
+
+/// Runs `fig8` on mcf at `--jobs jobs` into a fresh `--out` directory and
+/// returns its stdout.
+fn fig8_stdout(jobs: &str) -> Vec<u8> {
+    let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("fig8-jobs-{jobs}"));
+    let _ = std::fs::remove_dir_all(&out);
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_fig8"))
+        .args(["--scale", "256", "--accesses", "2000", "--workloads", "mcf", "--jobs", jobs])
+        .arg("--out")
+        .arg(&out)
+        .output()
+        .expect("spawning fig8");
+    assert!(
+        output.status.success(),
+        "fig8 --jobs {jobs} failed:\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    output.stdout
+}
+
+#[test]
+fn fig8_table_is_identical_at_every_width() {
+    let serial = fig8_stdout("1");
+    assert!(!serial.is_empty(), "fig8 printed no table");
+    assert_eq!(
+        String::from_utf8_lossy(&serial),
+        String::from_utf8_lossy(&fig8_stdout("2"))
+    );
 }

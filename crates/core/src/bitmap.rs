@@ -22,7 +22,6 @@ pub struct BlockBitmap([u64; 4]);
 
 impl BlockBitmap {
     /// An empty bitmap.
-    // audit: hot-path
     pub fn new() -> BlockBitmap {
         BlockBitmap([0; 4])
     }
@@ -32,9 +31,8 @@ impl BlockBitmap {
     /// # Panics
     ///
     /// Panics if `count > 256`.
-    // audit: hot-path
     pub fn full(count: u32) -> BlockBitmap {
-        assert!(count <= MAX_BLOCKS, "bitmap capacity is {MAX_BLOCKS}"); // audit: allow(hot-panic) -- count comes from geometry blocks_per_page, bounded at construction
+        assert!(count <= MAX_BLOCKS, "bitmap capacity is {MAX_BLOCKS}"); // count comes from geometry blocks_per_page, bounded at construction
         let mut b = BlockBitmap::new();
         for i in 0..count {
             b.set(i);
@@ -48,7 +46,6 @@ impl BlockBitmap {
     ///
     /// Debug-panics if `i ≥ 256`.
     #[inline]
-    // audit: hot-path
     pub fn set(&mut self, i: u32) {
         debug_assert!(i < MAX_BLOCKS);
         self.0[(i / 64) as usize] |= 1u64 << (i % 64);
@@ -56,7 +53,6 @@ impl BlockBitmap {
 
     /// Clears bit `i`.
     #[inline]
-    // audit: hot-path
     pub fn clear(&mut self, i: u32) {
         debug_assert!(i < MAX_BLOCKS);
         self.0[(i / 64) as usize] &= !(1u64 << (i % 64));
@@ -64,7 +60,6 @@ impl BlockBitmap {
 
     /// Reads bit `i`.
     #[inline]
-    // audit: hot-path
     pub fn get(&self, i: u32) -> bool {
         debug_assert!(i < MAX_BLOCKS);
         self.0[(i / 64) as usize] & (1u64 << (i % 64)) != 0
@@ -72,27 +67,23 @@ impl BlockBitmap {
 
     /// Number of set bits.
     #[inline]
-    // audit: hot-path
     pub fn count(&self) -> u32 {
         self.0.iter().map(|w| w.count_ones()).sum()
     }
 
     /// Clears every bit.
     #[inline]
-    // audit: hot-path
     pub fn clear_all(&mut self) {
         self.0 = [0; 4];
     }
 
     /// Whether no bit is set.
     #[inline]
-    // audit: hot-path
     pub fn is_empty(&self) -> bool {
         self.0 == [0; 4]
     }
 
     /// Whether every bit of `other` is also set in `self`.
-    // audit: hot-path
     pub fn contains_all(&self, other: &BlockBitmap) -> bool {
         self.0.iter().zip(&other.0).all(|(a, b)| a & b == *b)
     }
@@ -101,7 +92,6 @@ impl BlockBitmap {
     /// `trailing_zeros` rather than probing all 256 bit positions, so cost
     /// scales with the population count. The bitmap is `Copy`: the iterator
     /// owns a snapshot and does not borrow `self`.
-    // audit: hot-path
     pub fn iter_set(&self, limit: u32) -> BitIter {
         BitIter::new(self.0, limit.min(MAX_BLOCKS))
     }
@@ -109,7 +99,6 @@ impl BlockBitmap {
     /// Iterator over clear bit indices below `limit`, ascending (same
     /// word-at-a-time walk as [`iter_set`](Self::iter_set), over the
     /// complement).
-    // audit: hot-path
     pub fn iter_clear(&self, limit: u32) -> BitIter {
         BitIter::new(self.0.map(|w| !w), limit.min(MAX_BLOCKS))
     }
@@ -127,7 +116,6 @@ pub struct BitIter {
 }
 
 impl BitIter {
-    // audit: hot-path
     fn new(words: [u64; 4], limit: u32) -> BitIter {
         BitIter { words, cur: words[0], word: 0, limit }
     }

@@ -37,7 +37,6 @@ pub struct Ble {
 
 impl Ble {
     /// Resets the frame to [`FrameMode::Free`].
-    // audit: hot-path
     pub fn reset(&mut self) {
         *self = Ble::default();
     }
@@ -46,13 +45,11 @@ impl Ble {
     /// set in `valid` — the paper's mode-switch / spatial-strength test.
     /// `fraction` is the configurable majority threshold (paper: most,
     /// i.e. > 1/2).
-    // audit: hot-path
     pub fn mostly_valid(&self, blocks_per_page: u32, fraction: f64) -> bool {
         f64::from(self.valid.count()) > f64::from(blocks_per_page) * fraction
     }
 
     /// Starts caching off-chip page `ple` in this frame (no blocks yet).
-    // audit: hot-path
     pub fn begin_chbm(&mut self, ple: u16) {
         self.mode = FrameMode::Chbm;
         self.ple = ple;
@@ -63,7 +60,6 @@ impl Ble {
     /// Installs page `ple` as an mHBM resident. `accessed_block`, when
     /// given, seeds the access-tracking vector (a migration triggered by a
     /// demand touch).
-    // audit: hot-path
     pub fn begin_mhbm(&mut self, ple: u16, accessed_block: Option<u32>) {
         self.mode = FrameMode::Mhbm;
         self.ple = ple;
@@ -76,7 +72,6 @@ impl Ble {
 
     /// cHBM → mHBM switch: the frame keeps its data; access tracking
     /// restarts from the blocks that were already cached.
-    // audit: hot-path
     pub fn switch_to_mhbm(&mut self) {
         debug_assert_eq!(self.mode, FrameMode::Chbm);
         self.mode = FrameMode::Mhbm;
@@ -86,7 +81,6 @@ impl Ble {
     /// mHBM → cHBM buffered eviction: every block is valid (the whole page
     /// is present) and dirty (off-chip DRAM has no copy yet) — paper
     /// §III-E footprint rule 2.
-    // audit: hot-path
     pub fn switch_to_chbm(&mut self, blocks_per_page: u32) {
         debug_assert_eq!(self.mode, FrameMode::Mhbm);
         self.mode = FrameMode::Chbm;

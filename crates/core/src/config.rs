@@ -135,7 +135,6 @@ impl BumblebeeConfig {
 
     /// cHBM frame quota for a set of `n` frames under a fixed ratio
     /// (`None` when adaptive).
-    // audit: hot-path
     pub fn chbm_quota(&self, n: u32) -> Option<u32> {
         self.fixed_chbm_ratio.map(|r| (f64::from(n) * r).round() as u32)
     }

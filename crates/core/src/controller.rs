@@ -19,6 +19,9 @@ const MOVEMENT_CREDIT_PER_ACCESS: i64 = 512;
 /// Credit accumulation cap (idle phases cannot bank unlimited bandwidth).
 const MOVEMENT_CREDIT_CAP: i64 = 8 << 20;
 
+/// Accesses between two debug-build invariant sweeps.
+const SWEEP_INTERVAL: u64 = 4096;
+
 /// The Bumblebee hybrid memory management controller (paper §III).
 ///
 /// See the [crate documentation](crate) for an example and the
@@ -45,9 +48,6 @@ pub struct BumblebeeController {
     movement_credit: i64,
     accesses: u64,
     telemetry: Telemetry,
-    /// Invariant-sweep schedule; see [`crate::checked`].
-    #[cfg(feature = "checked")]
-    checked: crate::checked::CheckedSweep,
 }
 
 impl BumblebeeController {
@@ -78,8 +78,6 @@ impl BumblebeeController {
             movement_credit: MOVEMENT_CREDIT_CAP,
             accesses: 0,
             telemetry: Telemetry::default(),
-            #[cfg(feature = "checked")]
-            checked: crate::checked::CheckedSweep::from_env(),
             cfg,
         }
     }
@@ -90,7 +88,6 @@ impl BumblebeeController {
     }
 
     /// Instantaneous gauges for an epoch sample.
-    // audit: hot-path
     fn gauges(&self) -> EpochGauges {
         let mut occupancy = [0u32; OCC_BUCKETS];
         let mut rh_sum = 0.0;
@@ -138,7 +135,6 @@ impl BumblebeeController {
     }
 
     /// Current fraction of HBM frames operating as cHBM.
-    // audit: hot-path
     pub fn chbm_fraction(&self) -> f64 {
         let chbm: u32 = self.sets.iter().map(RemapSet::chbm_frames).sum();
         let total = self.geometry.hbm_pages();
@@ -150,7 +146,6 @@ impl BumblebeeController {
     }
 
     /// Current fraction of HBM frames operating as mHBM.
-    // audit: hot-path
     pub fn mhbm_fraction(&self) -> f64 {
         let mhbm: u32 = self.sets.iter().map(RemapSet::mhbm_frames).sum();
         let total = self.geometry.hbm_pages();
@@ -166,8 +161,18 @@ impl BumblebeeController {
         &self.sets[idx as usize]
     }
 
+    /// Validates every remapping set's cross-structure invariants
+    /// ([`RemapSet::validate`]), reporting the first violation. Debug
+    /// builds run it every 4096 accesses and panic on an `Err`; release
+    /// builds compile that call out.
+    pub fn validate(&self) -> Result<(), String> {
+        for (s, set) in self.sets.iter().enumerate() {
+            set.validate().map_err(|e| format!("set {s}: {e}"))?;
+        }
+        Ok(())
+    }
+
     /// The remapping set and original page slot of `page`.
-    // audit: hot-path
     fn locate(&self, page: PageIndex) -> (u64, u16) {
         let set = self.geometry.set_of_page(page);
         let o = match self.geometry.slot_of_page(page) {
@@ -181,11 +186,10 @@ impl BumblebeeController {
     /// [`access`](HybridMemoryController::access) and the grouped
     /// [`access_batch`](HybridMemoryController::access_batch) run: movement
     /// credit, metadata lookup and spill, the rule-5 pressure flush, the
-    /// set access, the checked-build tick and the epoch sample. `wrapped`
-    /// is `addr` wrapped into the flat address space and `(set_id, o)` its
-    /// set and page slot, which the batched path resolves once per
-    /// same-page run.
-    // audit: hot-path
+    /// set access, the debug-build invariant sweep and the epoch sample.
+    /// `wrapped` is `addr` wrapped into the flat address space and
+    /// `(set_id, o)` its set and page slot, which the batched path resolves
+    /// once per same-page run.
     #[inline]
     fn step(
         &mut self,
@@ -218,8 +222,12 @@ impl BumblebeeController {
             telemetry: self.telemetry.active(),
         };
         let _served: ServedFrom = set.access(o, block, line, kind, &mut ctx);
-        #[cfg(feature = "checked")]
-        self.checked_tick(); // audit: allow(hot-callee) -- compiled out unless --features checked; the sweep is read-only and off the per-access path
+        if cfg!(debug_assertions) && self.accesses.is_multiple_of(SWEEP_INTERVAL) {
+            // Read-only, so a debug run simulates exactly what a release run does.
+            if let Err(e) = self.validate() {
+                panic!("debug build: invariant violation after {} accesses: {e}", self.accesses);
+            }
+        }
         if self.telemetry.tick() {
             let gauges = self.gauges();
             self.telemetry.sample(&self.stats, gauges);
@@ -230,7 +238,6 @@ impl BumblebeeController {
     /// out HBM-region addresses — the global footprint is high — so flush
     /// the next `flush_batch_sets` sets' cHBM frames, at most once per
     /// cooldown.
-    // audit: hot-path
     fn pressure_flush(&mut self, wrapped: Addr, plan: &mut AccessPlan) {
         if !self.cfg.hmf_enabled
             || wrapped.0 < self.geometry.dram_bytes()
@@ -260,36 +267,7 @@ impl BumblebeeController {
     }
 }
 
-/// Checked-build invariant sweeps (`--features checked`); see
-/// [`crate::checked`].
-#[cfg(feature = "checked")]
-impl BumblebeeController {
-    /// Validates every remapping set's cross-structure invariants
-    /// ([`RemapSet::validate`]), reporting the first violation.
-    pub fn validate(&self) -> Result<(), String> {
-        for (s, set) in self.sets.iter().enumerate() {
-            set.validate().map_err(|e| format!("set {s}: {e}"))?;
-        }
-        Ok(())
-    }
-
-    /// Counts one access against the sweep schedule and, when a sweep is
-    /// due, validates the whole controller — panicking with a precise
-    /// diagnosis on the first violation. Read-only: results are
-    /// byte-identical with and without the feature.
-    // audit: allow(hot-transitive) -- compiled out unless --features checked; the invariant sweep is read-only and off the per-access path
-    fn checked_tick(&mut self) {
-        if !self.checked.due() {
-            return;
-        }
-        if let Err(e) = self.validate() {
-            panic!("checked build: invariant violation after {} accesses: {e}", self.accesses);
-        }
-    }
-}
-
 impl HybridMemoryController for BumblebeeController {
-    // audit: hot-path
     fn access(&mut self, req: &Access, plan: &mut AccessPlan) {
         let wrapped = self.geometry.wrap_flat(req.addr);
         let slot = self.locate(self.geometry.page_of(wrapped));
@@ -304,7 +282,6 @@ impl HybridMemoryController for BumblebeeController {
     /// workload generator makes long: the page→set/slot resolution is done
     /// once per run while the set's PRT/BLE/hot-table metadata stays
     /// cache-resident.
-    // audit: hot-path
     fn access_batch(&mut self, batch: &AccessBatch, plans: &mut PlanBuffer) {
         plans.begin_chunk();
         let mut run: Option<(PageIndex, (u64, u16))> = None;
@@ -346,7 +323,6 @@ impl HybridMemoryController for BumblebeeController {
         &self.stats
     }
 
-    // audit: hot-path
     fn overfetch_ratio(&self) -> Option<f64> {
         Some(self.overfetch.overfetch_ratio())
     }
@@ -561,6 +537,23 @@ mod tests {
             assert_eq!(batched.os_visible_bytes(), serial.os_visible_bytes());
             assert_eq!(batched.overfetch_ratio(), serial.overfetch_ratio());
             assert_eq!(batched.metadata_spill_bytes, serial.metadata_spill_bytes);
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "invariant violation after 4096 accesses: set 0: mode counters")]
+    fn debug_sweep_catches_a_corrupted_set_at_access_4096() {
+        let g = tiny_geometry();
+        let mut c = BumblebeeController::new(g, BumblebeeConfig::default());
+        let mut plan = AccessPlan::new();
+        c.access(&Access::read(Addr(0)), &mut plan);
+        c.sets[0].skew_mode_counter();
+        // Every later access goes to set 1, so nothing touches set 0
+        // before the sweep at access 4096.
+        for _ in 1..SWEEP_INTERVAL {
+            plan.clear();
+            c.access(&Access::read(Addr(g.page_bytes())), &mut plan);
         }
     }
 

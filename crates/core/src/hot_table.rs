@@ -60,7 +60,6 @@ impl List {
 }
 
 /// Unlinks `idx` from `list` (the node stays allocated).
-// audit: hot-path
 fn unlink(nodes: &mut [Node], list: &mut List, idx: u16) {
     let (prev, next) = {
         let n = &nodes[idx as usize];
@@ -80,7 +79,6 @@ fn unlink(nodes: &mut [Node], list: &mut List, idx: u16) {
 }
 
 /// Links `idx` at the front (MRU end) of `list`.
-// audit: hot-path
 fn link_front(nodes: &mut [Node], list: &mut List, idx: u16) {
     let old = list.head;
     {
@@ -98,7 +96,6 @@ fn link_front(nodes: &mut [Node], list: &mut List, idx: u16) {
 }
 
 /// Links `idx` at the back (LRU end) of `list`.
-// audit: hot-path
 fn link_back(nodes: &mut [Node], list: &mut List, idx: u16) {
     let old = list.tail;
     {
@@ -164,7 +161,6 @@ impl HotTable {
     }
 
     /// Grows the slot maps to cover `ple` (no-op once warmed up).
-    // audit: hot-path
     fn ensure_ple(&mut self, ple: u16) {
         let need = ple as usize + 1;
         if self.hbm_slot.len() < need {
@@ -173,14 +169,13 @@ impl HotTable {
         }
     }
 
-    // audit: hot-path
     fn alloc(&mut self, entry: HotEntry) -> u16 {
         if let Some(i) = self.free.pop() {
             self.nodes[i as usize].entry = entry;
             i
         } else {
             let i = self.nodes.len();
-            assert!(i < NIL as usize, "hot-table arena overflow"); // audit: allow(hot-panic) -- arena capacity is sized at construction; overflow means metadata corruption, fail fast
+            assert!(i < NIL as usize, "hot-table arena overflow"); // arena capacity is sized at construction; overflow means metadata corruption, fail fast
             self.nodes.push(Node { entry, prev: NIL, next: NIL });
             i as u16
         }
@@ -188,7 +183,6 @@ impl HotTable {
 
     /// Rescans the HBM queue for the minimum counter (rare: only when the
     /// last minimal entry left; the queue holds at most `hbm_cap` nodes).
-    // audit: hot-path
     fn recompute_hbm_min(&mut self) {
         self.hbm_min = u32::MAX;
         self.hbm_min_count = 0;
@@ -211,7 +205,6 @@ impl HotTable {
     }
 
     /// Min-tracking hook: an entry with counter `c` joined the HBM queue.
-    // audit: hot-path
     fn note_hbm_insert(&mut self, c: u32) {
         if self.hbm.len == 1 || c < self.hbm_min {
             self.hbm_min = c;
@@ -223,7 +216,6 @@ impl HotTable {
 
     /// Min-tracking hook: an entry that had counter `c` left the HBM queue
     /// (call after unlinking).
-    // audit: hot-path
     fn note_hbm_remove(&mut self, c: u32) {
         if self.hbm.len == 0 {
             self.hbm_min = 0;
@@ -240,7 +232,6 @@ impl HotTable {
     /// after the node holds the new counter). A counter can only grow, so
     /// the minimum needs attention only when the last `old == min` entry
     /// moved up.
-    // audit: hot-path
     fn note_hbm_increment(&mut self, old: u32) {
         if old == self.hbm_min {
             self.hbm_min_count -= 1;
@@ -251,7 +242,6 @@ impl HotTable {
     }
 
     /// Unlinks and frees the DRAM-queue LRU node, returning its entry.
-    // audit: hot-path
     fn pop_dram_lru(&mut self) -> Option<HotEntry> {
         let idx = self.dram.tail;
         if idx == NIL {
@@ -265,7 +255,6 @@ impl HotTable {
     }
 
     /// Unlinks and frees `ple`'s HBM node if present, with min upkeep.
-    // audit: hot-path
     fn take_hbm(&mut self, ple: u16) -> Option<HotEntry> {
         let idx = *self.hbm_slot.get(ple as usize)?;
         if idx == NIL {
@@ -280,7 +269,6 @@ impl HotTable {
     }
 
     /// Unlinks and frees `ple`'s DRAM node if present.
-    // audit: hot-path
     fn take_dram(&mut self, ple: u16) -> Option<HotEntry> {
         let idx = *self.dram_slot.get(ple as usize)?;
         if idx == NIL {
@@ -298,7 +286,6 @@ impl HotTable {
     /// touch while already at MRU does not increment (see [`HotEntry`]).
     /// A pre-existing entry keeps its counter; the LRU entry is silently
     /// dropped when the queue overflows.
-    // audit: hot-path
     pub fn touch_dram(&mut self, ple: u16) -> u32 {
         self.ensure_ple(ple);
         let idx = self.dram_slot[ple as usize];
@@ -325,7 +312,6 @@ impl HotTable {
     /// counter (re-reference counting, as for
     /// [`touch_dram`](Self::touch_dram)). Inserts the page if it is
     /// somehow untracked.
-    // audit: hot-path
     pub fn touch_hbm(&mut self, ple: u16) -> u32 {
         self.ensure_ple(ple);
         let idx = self.hbm_slot[ple as usize];
@@ -351,7 +337,6 @@ impl HotTable {
     /// carrying its counter — used when a page is cached or migrated into
     /// HBM. Returns the LRU HBM entry popped out if the HBM queue was full;
     /// per the paper that popped page must be evicted from HBM.
-    // audit: hot-path
     pub fn promote(&mut self, ple: u16) -> Option<HotEntry> {
         self.ensure_ple(ple);
         self.take_hbm(ple); // defensive: a promoted page is never HBM-tracked
@@ -367,7 +352,6 @@ impl HotTable {
     /// Removes `ple` from the HBM queue and pushes it onto the DRAM queue
     /// front (the paper's "popped-out HBM page entries are pushed back into
     /// the off-chip DRAM queue"). No-op if absent.
-    // audit: hot-path
     pub fn demote(&mut self, ple: u16) {
         if let Some(e) = self.take_hbm(ple) {
             self.take_dram(ple); // defensive: never tracked in both queues
@@ -383,7 +367,6 @@ impl HotTable {
     /// Re-inserts an entry at the MRU position of the HBM queue (used when
     /// a popped mHBM page takes the buffered cHBM second chance and thus
     /// stays resident in HBM).
-    // audit: hot-path
     pub fn push_hbm_front(&mut self, entry: HotEntry) {
         self.ensure_ple(entry.ple);
         self.take_hbm(entry.ple);
@@ -398,7 +381,6 @@ impl HotTable {
 
     /// Re-inserts an entry at the LRU end of the HBM queue (restoring an
     /// entry that was popped but could not be processed).
-    // audit: hot-path
     pub fn push_lru_hbm(&mut self, entry: HotEntry) {
         self.ensure_ple(entry.ple);
         self.take_hbm(entry.ple);
@@ -412,7 +394,6 @@ impl HotTable {
 
     /// Pushes an entry (typically one popped from the HBM queue) onto the
     /// DRAM queue front, dropping the DRAM LRU entry if full.
-    // audit: hot-path
     pub fn push_dram_front(&mut self, entry: HotEntry) {
         self.ensure_ple(entry.ple);
         self.take_dram(entry.ple);
@@ -425,14 +406,12 @@ impl HotTable {
     }
 
     /// Removes `ple` from both queues (page freed / swapped out).
-    // audit: hot-path
     pub fn remove(&mut self, ple: u16) {
         self.take_hbm(ple);
         self.take_dram(ple);
     }
 
     /// The hotness counter of `ple` in the DRAM queue (0 if untracked).
-    // audit: hot-path
     pub fn dram_hotness(&self, ple: u16) -> u32 {
         match self.dram_slot.get(ple as usize) {
             Some(&idx) if idx != NIL => self.nodes[idx as usize].entry.counter,
@@ -441,7 +420,6 @@ impl HotTable {
     }
 
     /// The hotness counter of `ple` in the HBM queue (0 if untracked).
-    // audit: hot-path
     pub fn hbm_hotness(&self, ple: u16) -> u32 {
         match self.hbm_slot.get(ple as usize) {
             Some(&idx) if idx != NIL => self.nodes[idx as usize].entry.counter,
@@ -450,20 +428,17 @@ impl HotTable {
     }
 
     /// Whether `ple` is tracked in the HBM queue.
-    // audit: hot-path
     pub fn in_hbm(&self, ple: u16) -> bool {
         matches!(self.hbm_slot.get(ple as usize), Some(&idx) if idx != NIL)
     }
 
     /// The paper's threshold `T`: the smallest counter among HBM entries
     /// (0 when the queue is empty). O(1): tracked incrementally.
-    // audit: hot-path
     pub fn threshold(&self) -> u32 {
         self.hbm_min
     }
 
     /// The LRU HBM entry (the next pop-out candidate), if any.
-    // audit: hot-path
     pub fn lru_hbm(&self) -> Option<HotEntry> {
         if self.hbm.tail == NIL {
             None
@@ -473,7 +448,6 @@ impl HotTable {
     }
 
     /// Pops the LRU HBM entry.
-    // audit: hot-path
     pub fn pop_lru_hbm(&mut self) -> Option<HotEntry> {
         let idx = self.hbm.tail;
         if idx == NIL {
@@ -488,19 +462,16 @@ impl HotTable {
     }
 
     /// Number of HBM entries.
-    // audit: hot-path
     pub fn hbm_len(&self) -> usize {
         self.hbm.len
     }
 
     /// Number of DRAM entries.
-    // audit: hot-path
     pub fn dram_len(&self) -> usize {
         self.dram.len
     }
 
     /// Iterates the HBM-queue entries, MRU first.
-    // audit: hot-path
     pub fn iter_hbm(&self) -> impl Iterator<Item = &HotEntry> {
         ListIter { table: self, cur: self.hbm.head }
     }
@@ -514,7 +485,6 @@ impl HotTable {
     /// all-memory-used swap rule. Counter ties resolve to the least
     /// recently used entry (matching the original `max_by_key` over a
     /// MRU-first queue, which kept the last maximum).
-    // audit: hot-path
     pub fn hottest_dram(&self) -> Option<HotEntry> {
         let mut best: Option<HotEntry> = None;
         let mut cur = self.dram.head;
@@ -529,8 +499,8 @@ impl HotTable {
     }
 }
 
-/// Checked-build validation (`--features checked`); see [`crate::checked`].
-#[cfg(feature = "checked")]
+/// Invariant validation, swept by [`BumblebeeController`](crate::BumblebeeController)
+/// every 4096 accesses in debug builds.
 impl HotTable {
     /// Verifies the table's structural invariants: both intrusive lists are
     /// acyclic with consistent back-links and accurate lengths, every arena
@@ -817,7 +787,6 @@ mod tests {
         assert_eq!(t.hottest_dram().unwrap().ple, 1);
     }
 
-    #[cfg(feature = "checked")]
     #[test]
     fn validate_accepts_a_worked_table() {
         let mut t = HotTable::new(2, 2);
@@ -834,7 +803,6 @@ mod tests {
         assert_eq!(t.validate(), Ok(()));
     }
 
-    #[cfg(feature = "checked")]
     #[test]
     fn validate_catches_corruption() {
         // Broken back-link.

@@ -37,8 +37,6 @@
 
 pub mod bitmap;
 pub mod ble;
-#[cfg(feature = "checked")]
-pub mod checked;
 pub mod config;
 pub mod controller;
 pub mod hot_table;

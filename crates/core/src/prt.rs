@@ -32,7 +32,6 @@ pub struct Prt {
 }
 
 #[inline]
-// audit: hot-path
 fn word_bit(p: u16) -> (usize, u64) {
     (usize::from(p) / 64, 1u64 << (p % 64))
 }
@@ -58,25 +57,21 @@ impl Prt {
     }
 
     /// Total slots `m + n`.
-    // audit: hot-path
     pub fn slots(&self) -> u16 {
         self.new_ple.len() as u16
     }
 
     /// The set's off-chip slot count `m`.
-    // audit: hot-path
     pub fn m(&self) -> u16 {
         self.m
     }
 
     /// Whether original page `o` has been allocated.
-    // audit: hot-path
     pub fn is_allocated(&self, o: u16) -> bool {
         self.new_ple[usize::from(o)] != UNALLOCATED
     }
 
     /// Physical slot where original page `o` lives (`None` if unallocated).
-    // audit: hot-path
     pub fn location(&self, o: u16) -> Option<u16> {
         let p = self.new_ple[usize::from(o)];
         (p != UNALLOCATED).then_some(p)
@@ -84,20 +79,17 @@ impl Prt {
 
     /// Whether physical slot `p` is occupied.
     #[inline]
-    // audit: hot-path
     pub fn occupied(&self, p: u16) -> bool {
         let (w, b) = word_bit(p);
         self.occup[w] & b != 0
     }
 
     /// Whether physical slot `p` is an HBM frame.
-    // audit: hot-path
     pub fn is_hbm_slot(&self, p: u16) -> bool {
         p >= self.m
     }
 
     /// Sets slot `p`'s Occup bit, maintaining the counts.
-    // audit: hot-path
     fn mark(&mut self, p: u16) {
         let (w, b) = word_bit(p);
         self.occup[w] |= b;
@@ -108,7 +100,6 @@ impl Prt {
     }
 
     /// Clears slot `p`'s Occup bit, maintaining the counts.
-    // audit: hot-path
     fn unmark(&mut self, p: u16) {
         let (w, b) = word_bit(p);
         self.occup[w] &= !b;
@@ -123,10 +114,9 @@ impl Prt {
     /// # Panics
     ///
     /// Panics if `o` is already allocated or `p` already occupied.
-    // audit: hot-path
     pub fn allocate(&mut self, o: u16, p: u16) {
-        assert!(!self.is_allocated(o), "page {o} already allocated"); // audit: allow(hot-panic) -- PRT corruption guard: double allocation must fail fast
-        assert!(!self.occupied(p), "slot {p} already occupied"); // audit: allow(hot-panic) -- PRT corruption guard: slot collision must fail fast
+        assert!(!self.is_allocated(o), "page {o} already allocated"); // PRT corruption guard: double allocation must fail fast
+        assert!(!self.occupied(p), "slot {p} already occupied"); // PRT corruption guard: slot collision must fail fast
         self.new_ple[usize::from(o)] = p;
         self.mark(p);
     }
@@ -137,10 +127,9 @@ impl Prt {
     /// # Panics
     ///
     /// Panics if `o` is unallocated or `p` occupied.
-    // audit: hot-path
     pub fn relocate(&mut self, o: u16, p: u16) {
-        let old = self.location(o).expect("relocating unallocated page"); // audit: allow(hot-panic) -- PRT corruption guard: relocating an unallocated page must fail fast
-        assert!(!self.occupied(p), "slot {p} already occupied"); // audit: allow(hot-panic) -- PRT corruption guard: slot collision must fail fast
+        let old = self.location(o).expect("relocating unallocated page"); // PRT corruption guard: relocating an unallocated page must fail fast
+        assert!(!self.occupied(p), "slot {p} already occupied"); // PRT corruption guard: slot collision must fail fast
         self.unmark(old);
         self.mark(p);
         self.new_ple[usize::from(o)] = p;
@@ -152,10 +141,9 @@ impl Prt {
     /// # Panics
     ///
     /// Panics if either page is unallocated.
-    // audit: hot-path
     pub fn swap(&mut self, a: u16, b: u16) {
-        let pa = self.location(a).expect("swap of unallocated page"); // audit: allow(hot-panic) -- PRT corruption guard: swap of unallocated page must fail fast
-        let pb = self.location(b).expect("swap of unallocated page"); // audit: allow(hot-panic) -- PRT corruption guard: swap of unallocated page must fail fast
+        let pa = self.location(a).expect("swap of unallocated page"); // PRT corruption guard: swap of unallocated page must fail fast
+        let pb = self.location(b).expect("swap of unallocated page"); // PRT corruption guard: swap of unallocated page must fail fast
         self.new_ple[usize::from(a)] = pb;
         self.new_ple[usize::from(b)] = pa;
     }
@@ -165,15 +153,13 @@ impl Prt {
     /// # Panics
     ///
     /// Panics if `o` is unallocated.
-    // audit: hot-path
     pub fn free(&mut self, o: u16) {
-        let p = self.location(o).expect("freeing unallocated page"); // audit: allow(hot-panic) -- PRT corruption guard: double free must fail fast
+        let p = self.location(o).expect("freeing unallocated page"); // PRT corruption guard: double free must fail fast
         self.unmark(p);
         self.new_ple[usize::from(o)] = UNALLOCATED;
     }
 
     /// First free off-chip physical slot, preferring `prefer` when free.
-    // audit: hot-path
     pub fn find_free_dram(&self, prefer: u16) -> Option<u16> {
         if prefer < self.m && !self.occupied(prefer) {
             return Some(prefer);
@@ -196,7 +182,6 @@ impl Prt {
     }
 
     /// First free HBM physical slot.
-    // audit: hot-path
     pub fn find_free_hbm(&self) -> Option<u16> {
         let m = usize::from(self.m);
         let slots = usize::from(self.slots());
@@ -220,14 +205,12 @@ impl Prt {
     }
 
     /// Number of occupied HBM slots. O(1): tracked incrementally.
-    // audit: hot-path
     pub fn occupied_hbm(&self) -> u16 {
         self.n_occupied_hbm
     }
 
     /// Whether every physical slot is occupied (all memory in the set used
     /// by the OS — the paper's swap-mode condition). O(1).
-    // audit: hot-path
     pub fn all_occupied(&self) -> bool {
         usize::from(self.n_occupied) == self.new_ple.len()
     }
@@ -235,14 +218,13 @@ impl Prt {
     /// The original page currently living at physical slot `p`, if any.
     ///
     /// Linear scan — used only on slow paths (eviction candidate lookup).
-    // audit: hot-path
     pub fn resident_of(&self, p: u16) -> Option<u16> {
         (0..self.slots()).find(|&o| self.new_ple[usize::from(o)] == p)
     }
 }
 
-/// Checked-build validation (`--features checked`); see [`crate::checked`].
-#[cfg(feature = "checked")]
+/// Invariant validation, swept by [`BumblebeeController`](crate::BumblebeeController)
+/// every 4096 accesses in debug builds.
 impl Prt {
     /// Verifies the table's structural invariants: `new_ple` restricted to
     /// allocated pages is injective and in range, Occup bits match the
@@ -424,7 +406,6 @@ mod tests {
         prt.allocate(1, 0);
     }
 
-    #[cfg(feature = "checked")]
     #[test]
     fn validate_accepts_legal_histories() {
         let mut prt = Prt::new(4, 2);
@@ -437,7 +418,6 @@ mod tests {
         assert_eq!(prt.validate(), Ok(()));
     }
 
-    #[cfg(feature = "checked")]
     #[test]
     fn validate_catches_corruption() {
         // A stray Occup bit with no mapped page.

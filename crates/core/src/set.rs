@@ -55,12 +55,10 @@ pub struct SetCtx<'a> {
 }
 
 impl SetCtx<'_> {
-    // audit: hot-path
     fn hbm_addr(&self, frame: u32, block: u32) -> Addr {
         self.geometry.hbm_device_addr(self.set_id, frame, BlockIndex(block))
     }
 
-    // audit: hot-path
     fn dram_addr(&self, dram_slot: u16, block: u32) -> Addr {
         let page = self.geometry.page_of_slot(self.set_id, PageSlot::OffChip(u32::from(dram_slot)));
         self.geometry.dram_device_addr(page, BlockIndex(block))
@@ -68,14 +66,12 @@ impl SetCtx<'_> {
 
     /// Emits a trace event when telemetry is recording; the closure keeps
     /// payload construction entirely off the disabled path.
-    // audit: hot-path
     fn emit(&mut self, ev: impl FnOnce() -> TraceEvent) {
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.event(ev());
         }
     }
 
-    // audit: hot-path
     fn push(&mut self, critical: bool, op: DeviceOp) {
         if critical {
             self.plan.critical.push(op);
@@ -87,13 +83,11 @@ impl SetCtx<'_> {
     /// Globally unique over-fetch key for one 64 B line of (set, original
     /// slot, block). Over-fetching is measured at 64 B granularity, like
     /// the paper's "percentage of data brought in HBM but unused".
-    // audit: hot-path
     fn of_key(&self, o: u16, block: u32, line: u32) -> u64 {
         (((self.set_id << 16) | u64::from(o)) << 14) | (u64::from(block) << 6) | u64::from(line)
     }
 
     /// Records that every 64 B line of `block` was brought into HBM.
-    // audit: hot-path
     fn of_fetched_block(&mut self, o: u16, block: u32) {
         let lines = (self.geometry.block_bytes() / 64) as u32;
         for l in 0..lines {
@@ -102,14 +96,12 @@ impl SetCtx<'_> {
         }
     }
 
-    // audit: hot-path
     fn of_used(&mut self, o: u16, block: u32, line: u32) {
         let key = self.of_key(o, block, line);
         self.overfetch.used(key);
     }
 
     /// Drains every 64 B line of `block` from the tracker.
-    // audit: hot-path
     fn of_evicted_block(&mut self, o: u16, block: u32) {
         let lines = (self.geometry.block_bytes() / 64) as u32;
         for l in 0..lines {
@@ -192,7 +184,6 @@ impl RemapSet {
     }
 
     /// The set's hot table (inspection/testing).
-    // audit: hot-path
     pub fn hot(&self) -> &HotTable {
         &self.hot
     }
@@ -207,12 +198,10 @@ impl RemapSet {
         self.cached_in[usize::from(o)]
     }
 
-    // audit: hot-path
     fn n(&self) -> u16 {
         self.bles.len() as u16
     }
 
-    // audit: hot-path
     fn m(&self) -> u16 {
         self.prt.m()
     }
@@ -220,7 +209,6 @@ impl RemapSet {
     /// Maintains the frame-mode counts and free-frame bitmap across a BLE
     /// mode transition. Called by the `ble_*` wrappers below — BLE mode
     /// must never be changed without going through them.
-    // audit: hot-path
     fn note_mode_change(&mut self, f: usize, old: FrameMode, new: FrameMode) {
         if old == new {
             return;
@@ -237,35 +225,30 @@ impl RemapSet {
         }
     }
 
-    // audit: hot-path
     fn ble_begin_chbm(&mut self, f: usize, o: u16) {
         let old = self.bles[f].mode;
         self.bles[f].begin_chbm(o);
         self.note_mode_change(f, old, FrameMode::Chbm);
     }
 
-    // audit: hot-path
     fn ble_begin_mhbm(&mut self, f: usize, o: u16, accessed: Option<u32>) {
         let old = self.bles[f].mode;
         self.bles[f].begin_mhbm(o, accessed);
         self.note_mode_change(f, old, FrameMode::Mhbm);
     }
 
-    // audit: hot-path
     fn ble_switch_to_mhbm(&mut self, f: usize) {
         let old = self.bles[f].mode;
         self.bles[f].switch_to_mhbm();
         self.note_mode_change(f, old, FrameMode::Mhbm);
     }
 
-    // audit: hot-path
     fn ble_switch_to_chbm(&mut self, f: usize, blocks_per_page: u32) {
         let old = self.bles[f].mode;
         self.bles[f].switch_to_chbm(blocks_per_page);
         self.note_mode_change(f, old, FrameMode::Chbm);
     }
 
-    // audit: hot-path
     fn ble_reset(&mut self, f: usize) {
         let old = self.bles[f].mode;
         self.bles[f].reset();
@@ -274,7 +257,6 @@ impl RemapSet {
 
     /// HBM occupancy ratio Rh: frames in use (cHBM or mHBM) over `n`.
     /// O(1): frame-mode counts are maintained at every transition.
-    // audit: hot-path
     pub fn rh(&self) -> f64 {
         f64::from(self.n_chbm + self.n_mhbm) / f64::from(self.n())
     }
@@ -283,7 +265,6 @@ impl RemapSet {
     /// set; fixed-ratio designs use the occupancy of the partition the
     /// decision would consume, so a small cHBM slice saturates (and starts
     /// threshold-gating) independently of the mHBM side.
-    // audit: hot-path
     fn rh_for(&self, for_chbm: bool, quota: Option<u32>) -> f64 {
         let Some(q) = quota else { return self.rh() };
         let (used, cap) = if for_chbm {
@@ -299,7 +280,6 @@ impl RemapSet {
     }
 
     /// The spatial-locality degree `SL = Na − Nn − Nc` (paper Eq. 1).
-    // audit: hot-path
     pub fn spatial_locality(&self, blocks_per_page: u32, fraction: f64) -> i32 {
         let mut na = 0i32;
         let mut nn = 0i32;
@@ -321,20 +301,17 @@ impl RemapSet {
     }
 
     /// Number of frames currently in cHBM mode. O(1).
-    // audit: hot-path
     pub fn chbm_frames(&self) -> u32 {
         u32::from(self.n_chbm)
     }
 
     /// Number of frames currently in mHBM mode. O(1).
-    // audit: hot-path
     pub fn mhbm_frames(&self) -> u32 {
         u32::from(self.n_mhbm)
     }
 
     /// Handles one demand access to original slot `o`, block `block`,
     /// 64 B line `line` within the block.
-    // audit: hot-path
     pub fn access(
         &mut self,
         o: u16,
@@ -353,7 +330,7 @@ impl RemapSet {
         if !self.prt.is_allocated(o) {
             self.allocate(o, ctx);
         }
-        let p = self.prt.location(o).expect("just allocated"); // audit: allow(hot-panic) -- allocate() on the line above guarantees a location; checked builds sweep this invariant
+        let p = self.prt.location(o).expect("just allocated"); // allocate() on the line above guarantees a location; debug builds sweep this invariant
         let served = if self.prt.is_hbm_slot(p) {
             self.access_mhbm(o, p - self.m(), block, line, kind, ctx)
         } else {
@@ -376,7 +353,6 @@ impl RemapSet {
 
     // ---- Fig. 5 paths -------------------------------------------------
 
-    // audit: hot-path
     fn access_mhbm(
         &mut self,
         o: u16,
@@ -405,7 +381,6 @@ impl RemapSet {
         ServedFrom::Hbm
     }
 
-    // audit: hot-path
     fn access_offchip_home(
         &mut self,
         o: u16,
@@ -466,7 +441,6 @@ impl RemapSet {
         ServedFrom::OffChip
     }
 
-    // audit: hot-path
     fn serve_offchip(&mut self, home: u16, block: u32, kind: AccessKind, ctx: &mut SetCtx<'_>) {
         let addr = ctx.dram_addr(home, block);
         let op = match kind {
@@ -480,7 +454,6 @@ impl RemapSet {
     // ---- §III-E data movement triggered by access ----------------------
 
     #[allow(clippy::too_many_arguments)]
-    // audit: hot-path
     fn movement_decision(
         &mut self,
         o: u16,
@@ -551,7 +524,6 @@ impl RemapSet {
     /// The hotness threshold `T` as seen by a movement decision: the
     /// smallest counter among resident HBM pages (paper §IV-A), restricted
     /// to the partition the decision would displace under a fixed ratio.
-    // audit: hot-path
     fn threshold_for(&self, for_chbm: bool, quota: Option<u32>) -> u32 {
         if quota.is_none() {
             return self.hot.threshold();
@@ -569,7 +541,6 @@ impl RemapSet {
 
     /// Frames eligible for cHBM under a fixed ratio are `[0, q)`; for mHBM
     /// `[q, n)`. Adaptive mode uses any frame.
-    // audit: hot-path
     fn frame_eligible(&self, f: u16, for_chbm: bool, quota: Option<u32>) -> bool {
         match quota {
             None => true,
@@ -587,7 +558,6 @@ impl RemapSet {
     /// ratio, on the right side of the partition). Walks only the set bits
     /// of the free-frame bitmap — in steady state (no free frames) this is
     /// four word tests.
-    // audit: hot-path
     fn find_free_frame(&self, for_chbm: bool, quota: Option<u32>) -> Option<u16> {
         self.free_frames
             .iter_set(u32::from(self.n()))
@@ -597,7 +567,6 @@ impl RemapSet {
             })
     }
 
-    // audit: hot-path
     fn try_migrate_to_mhbm(
         &mut self,
         o: u16,
@@ -621,7 +590,7 @@ impl RemapSet {
         let bpp = ctx.geometry.blocks_per_page();
         let page_bytes = ctx.geometry.page_bytes() as u32;
         // Move the page: read the whole page from DRAM, write it to HBM.
-        let home = self.prt.location(o).expect("allocated"); // audit: allow(hot-panic) -- caller migrates only allocated pages; checked builds sweep PRT<->BLE consistency
+        let home = self.prt.location(o).expect("allocated"); // caller migrates only allocated pages; debug builds sweep PRT<->BLE consistency
         debug_assert!(!self.prt.is_hbm_slot(home));
         ctx.push(false, DeviceOp {
             mem: Mem::OffChip,
@@ -655,7 +624,6 @@ impl RemapSet {
     }
 
     #[allow(clippy::too_many_arguments)]
-    // audit: hot-path
     fn try_cache_block(
         &mut self,
         o: u16,
@@ -681,7 +649,6 @@ impl RemapSet {
 
     /// Fetches one block of off-chip page `o` into cHBM frame `fi` (the
     /// copy arrives clean; only cHBM write hits dirty it).
-    // audit: hot-path
     fn fill_block(&mut self, o: u16, fi: u8, home: u16, block: u32, ctx: &mut SetCtx<'_>) {
         let f = usize::from(fi);
         let block_bytes = ctx.geometry.block_bytes() as u32;
@@ -711,7 +678,6 @@ impl RemapSet {
 
     /// §III-E access rule 2: a cHBM page whose blocks are mostly cached
     /// switches to mHBM, fetching only the missing blocks.
-    // audit: hot-path
     fn maybe_switch_to_mhbm(&mut self, o: u16, fi: u8, home: u16, ctx: &mut SetCtx<'_>) {
         let f = usize::from(fi);
         let bpp = ctx.geometry.blocks_per_page();
@@ -787,7 +753,6 @@ impl RemapSet {
     /// mHBM→cHBM switches (rule 2) do not free a frame by themselves — the
     /// converted page is re-inserted at the MRU position and only a later
     /// pop truly evicts it — so the loop runs up to `2n + 1` pops.
-    // audit: hot-path
     fn make_room(&mut self, for_chbm: bool, quota: Option<u32>, ctx: &mut SetCtx<'_>) -> Option<u16> {
         // Entries whose frame cannot satisfy this request (wrong side of a
         // fixed partition) are skipped and re-inserted afterwards — evicting
@@ -823,7 +788,6 @@ impl RemapSet {
     }
 
     /// The HBM frame currently holding page `ple` (resident or cached).
-    // audit: hot-path
     fn frame_of_entry(&self, ple: u16) -> Option<u16> {
         if let Some(f) = self.cached_in[usize::from(ple)] {
             return Some(u16::from(f));
@@ -839,7 +803,6 @@ impl RemapSet {
     /// blocks written back, frame freed); mHBM pages take the buffered
     /// cHBM second chance when the HMF rules are on, otherwise a full page
     /// writeback. Returns `true` when a frame was freed.
-    // audit: hot-path
     fn handle_popped_entry(
         &mut self,
         entry: crate::hot_table::HotEntry,
@@ -910,7 +873,6 @@ impl RemapSet {
 
     /// HBM→DRAM page copy helper. `mhbm` records whether the HBM frame
     /// being read out is a memory-mode frame (traffic accounting only).
-    // audit: hot-path
     fn page_copy(
         &self,
         frame: u16,
@@ -944,12 +906,11 @@ impl RemapSet {
     /// pressure_flush, capacity eviction on allocation → writeback), so
     /// the traffic breakdown attributes the same bytes to the right
     /// mechanism.
-    // audit: hot-path
     fn evict_chbm_frame(&mut self, fi: u8, cause: TrafficCause, ctx: &mut SetCtx<'_>) {
         let f = usize::from(fi);
         debug_assert_eq!(self.bles[f].mode, FrameMode::Chbm);
         let o = self.bles[f].ple;
-        let home = self.prt.location(o).expect("cached page is allocated"); // audit: allow(hot-panic) -- a Chbm-mode BLE always names an allocated home page; swept in checked builds
+        let home = self.prt.location(o).expect("cached page is allocated"); // a Chbm-mode BLE always names an allocated home page; swept in debug builds
         debug_assert!(!self.prt.is_hbm_slot(home));
         let bpp = ctx.geometry.blocks_per_page();
         let block_bytes = ctx.geometry.block_bytes() as u32;
@@ -985,7 +946,6 @@ impl RemapSet {
 
     /// Rule 3: evict the zombie page when the LRU HBM entry and its counter
     /// sit unchanged for `zombie_window` set accesses under high Rh.
-    // audit: hot-path
     fn zombie_tick(&mut self, ctx: &mut SetCtx<'_>) {
         let head = self.hot.lru_hbm().map(|e| (e.ple, e.counter));
         if let Some((ple, _)) = head.filter(|_| head == self.zombie_head && self.rh() >= ctx.cfg.high_rh) {
@@ -1039,7 +999,6 @@ impl RemapSet {
 
     /// Rule 4: every slot OS-occupied — swap a hot off-chip page with the
     /// coldest mHBM page.
-    // audit: hot-path
     fn try_swap(&mut self, o: u16, block: u32, hotness: u32, ctx: &mut SetCtx<'_>) {
         if hotness <= self.hot.threshold() {
             ctx.stats.threshold_rejections += 1;
@@ -1065,7 +1024,7 @@ impl RemapSet {
             return;
         }
         let frame = vp - self.m();
-        let home = self.prt.location(o).expect("allocated"); // audit: allow(hot-panic) -- swap candidates come from the hot table, which only holds allocated pages
+        let home = self.prt.location(o).expect("allocated"); // swap candidates come from the hot table, which only holds allocated pages
         let page_bytes = ctx.geometry.page_bytes() as u32;
         // Full 2-page swap: read both, write both crosswise. The incoming
         // page's legs are promotion traffic, the victim's legs demotion.
@@ -1114,7 +1073,6 @@ impl RemapSet {
 
     /// Rule 5: flush every cHBM frame of this set to off-chip DRAM and
     /// refrain from creating new cHBM pages for a window.
-    // audit: hot-path
     pub fn pressure_flush(&mut self, ctx: &mut SetCtx<'_>) {
         for fi in 0..self.bles.len() {
             if self.bles[fi].mode == FrameMode::Chbm {
@@ -1131,7 +1089,6 @@ impl RemapSet {
 
     // ---- §III-D page allocation -----------------------------------------
 
-    // audit: hot-path
     fn allocate(&mut self, o: u16, ctx: &mut SetCtx<'_>) {
         ctx.stats.allocations += 1;
         let set = ctx.set_id;
@@ -1226,7 +1183,6 @@ impl RemapSet {
         self.page_fault_alloc(o, ctx);
     }
 
-    // audit: hot-path
     fn page_fault_alloc(&mut self, o: u16, ctx: &mut SetCtx<'_>) {
         self.page_faults += 1;
         // OS swap penalty (~10 µs at 3.6 GHz) for faulting the page in.
@@ -1250,7 +1206,7 @@ impl RemapSet {
         if let Some(fi) = self.cached_in[usize::from(v)] {
             self.evict_chbm_frame(fi, TrafficCause::Writeback, ctx);
         }
-        let p = self.prt.location(v).expect("victim allocated"); // audit: allow(hot-panic) -- eviction victims come from the hot table, which only holds allocated pages
+        let p = self.prt.location(v).expect("victim allocated"); // eviction victims come from the hot table, which only holds allocated pages
         self.prt.free(v);
         self.hot.remove(v);
         self.prt.allocate(o, p);
@@ -1258,8 +1214,8 @@ impl RemapSet {
     }
 }
 
-/// Checked-build validation (`--features checked`); see [`crate::checked`].
-#[cfg(feature = "checked")]
+/// Invariant validation, swept by [`BumblebeeController`](crate::BumblebeeController)
+/// every 4096 accesses in debug builds.
 impl RemapSet {
     /// Verifies the set's cross-structure invariants: the PRT and hot table
     /// pass their own validation, every BLE agrees bidirectionally with the
@@ -1349,6 +1305,15 @@ impl RemapSet {
             ));
         }
         Ok(())
+    }
+}
+
+#[cfg(all(test, debug_assertions))]
+impl RemapSet {
+    /// Skews the cHBM mode counter off the BLE array, a corruption
+    /// [`validate`](Self::validate) reports.
+    pub(crate) fn skew_mode_counter(&mut self) {
+        self.n_chbm += 1;
     }
 }
 
@@ -1704,7 +1669,6 @@ mod tests {
         assert!((h.overfetch.overfetch_ratio() - 1023.0 / 1024.0).abs() < 1e-9);
     }
 
-    #[cfg(feature = "checked")]
     #[test]
     fn validate_holds_through_mixed_traffic() {
         let mut h = Harness::new(BumblebeeConfig::paper());
@@ -1722,7 +1686,6 @@ mod tests {
         assert_eq!(h.set.validate(), Ok(()));
     }
 
-    #[cfg(feature = "checked")]
     #[test]
     fn validate_catches_cross_structure_corruption() {
         // A cached_in entry pointing at a frame that does not cache it.

@@ -1,7 +1,7 @@
-//! End-to-end exercise of the checked-invariant build mode
-//! (`--features checked`): heavy mixed traffic through the full controller
-//! must keep every cross-structure invariant intact, both under the
-//! periodic in-access sweep and under an explicit final validation.
+//! End-to-end exercise of the invariant sweeps: heavy mixed traffic
+//! through the full controller must keep every cross-structure invariant
+//! intact, both under the periodic in-access sweep of debug builds and
+//! under an explicit final validation.
 
 use bumblebee_core::{BumblebeeConfig, BumblebeeController};
 use memsim_types::{Access, AccessKind, AccessPlan, Addr, Geometry, HybridMemoryController};
@@ -48,8 +48,8 @@ fn mixed_traffic_survives_sweeps_and_final_validation() {
         for (i, addr) in addresses(6000).enumerate() {
             plan.clear();
             let kind = if i % 3 == 0 { AccessKind::Write } else { AccessKind::Read };
-            // With the default 4096-access interval, the in-access sweep
-            // fires at least once per config; a violation would panic here.
+            // In a debug build the in-access sweep fires at access 4096
+            // of each config; a violation would panic here.
             c.access(&Access { addr: Addr(addr), kind, insts: 1 }, &mut plan);
         }
         c.validate().expect("final validation");

@@ -20,13 +20,13 @@ struct Bank {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkResult {
     /// Cycle the data transfer completes.
-    pub done_at: u64, // audit: unit(cycles)
+    pub done_at: u64,
     /// Whether the access hit the open row. Every miss performs exactly
     /// one activate (with an implicit precharge of any old row).
     pub row_hit: bool,
     /// Cycles the data burst waited for the shared channel bus after the
     /// column access was ready (queueing delay behind earlier bursts).
-    pub bus_wait: u64, // audit: unit(cycles)
+    pub bus_wait: u64,
 }
 
 /// One memory channel.
@@ -76,7 +76,6 @@ impl Channel {
     /// # Panics
     ///
     /// Panics if `bank` is out of range.
-    // audit: hot-path
     pub fn schedule(&mut self, bank: u32, row: u64, burst: u64, now: u64) -> ChunkResult {
         let CpuTimings { t_cas, t_rcd, t_rp, t_ras } = self.timings;
 

@@ -7,15 +7,15 @@ use memsim_types::QuickDiv;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Timing {
     /// Column access strobe latency (read latency after the column command).
-    pub t_cas: u32, // audit: unit(cycles)
+    pub t_cas: u32,
     /// Row-to-column delay (activate → column command).
-    pub t_rcd: u32, // audit: unit(cycles)
+    pub t_rcd: u32,
     /// Row precharge time (close a row).
-    pub t_rp: u32, // audit: unit(cycles)
+    pub t_rp: u32,
     /// Row active time lower bound (activate → precharge). When building
     /// presets this is derived as `t_rcd + t_cas + 8` if not specified, a
     /// common ratio for both DDR4 and HBM2 parts.
-    pub t_ras: u32, // audit: unit(cycles)
+    pub t_ras: u32,
 }
 
 impl Timing {
@@ -32,15 +32,15 @@ pub struct DeviceConfig {
     /// Human-readable name (e.g. `"HBM2"`).
     pub name: &'static str,
     /// Total capacity in bytes.
-    pub capacity_bytes: u64, // audit: unit(bytes)
+    pub capacity_bytes: u64,
     /// Independent channels.
     pub channels: u32,
     /// Banks per channel.
     pub banks_per_channel: u32,
     /// Row-buffer size per bank in bytes.
-    pub row_bytes: u64, // audit: unit(bytes)
+    pub row_bytes: u64,
     /// Channel interleave granularity in bytes (Table I: 512 B for HBM2).
-    pub interleave_bytes: u64, // audit: unit(bytes)
+    pub interleave_bytes: u64,
     /// Data-bus bytes transferred per device clock (both edges counted).
     pub bus_bytes_per_cycle: u32,
     /// Device clock in MHz.
@@ -60,13 +60,13 @@ pub struct DeviceConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuTimings {
     /// `tCAS` in CPU cycles.
-    pub t_cas: u64, // audit: unit(cycles)
+    pub t_cas: u64,
     /// `tRCD` in CPU cycles.
-    pub t_rcd: u64, // audit: unit(cycles)
+    pub t_rcd: u64,
     /// `tRP` in CPU cycles.
-    pub t_rp: u64, // audit: unit(cycles)
+    pub t_rp: u64,
     /// `tRAS` in CPU cycles.
-    pub t_ras: u64, // audit: unit(cycles)
+    pub t_ras: u64,
 }
 
 /// CPU-cycle burst lengths precomputed per bus-cycle count, so scheduling
@@ -93,8 +93,6 @@ impl BurstTable {
     ///
     /// Panics if `bytes` exceeds the interleave unit (chunks never do).
     #[inline]
-    // audit: hot-path
-    // audit: unit(cycles)
     pub(crate) fn burst(&self, bytes: u32) -> u64 {
         self.cycles[self.bus.div_ceil(u64::from(bytes)) as usize]
     }
@@ -103,8 +101,6 @@ impl BurstTable {
 impl DeviceConfig {
     /// Converts device clocks to CPU cycles (rounding up).
     #[inline]
-    // audit: hot-path
-    // audit: unit(cycles)
     pub fn to_cpu_cycles(&self, device_cycles: u64) -> u64 {
         (device_cycles * self.cpu_mhz).div_ceil(self.device_mhz)
     }
@@ -130,7 +126,6 @@ impl DeviceConfig {
     ///
     /// Two runtime divisions; the per-chunk path looks the same value up
     /// in a burst table built from this function instead.
-    // audit: unit(cycles)
     pub fn burst_cpu_cycles(&self, bytes: u32) -> u64 {
         let dev = u64::from(bytes).div_ceil(u64::from(self.bus_bytes_per_cycle));
         self.to_cpu_cycles(dev)

@@ -9,22 +9,21 @@ use memsim_types::{Addr, OpKind, QuickDiv};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceCounters {
     /// Bytes read from the device.
-    pub read_bytes: u64, // audit: unit(bytes)
+    pub read_bytes: u64,
     /// Bytes written to the device.
-    pub write_bytes: u64, // audit: unit(bytes)
+    pub write_bytes: u64,
     /// Row activations performed: one per row miss.
-    pub activates: u64, // audit: unit(accesses)
+    pub activates: u64,
     /// Chunk accesses that hit an open row.
-    pub row_hits: u64, // audit: unit(accesses)
+    pub row_hits: u64,
     /// Chunk accesses that required an activate.
-    pub row_misses: u64, // audit: unit(accesses)
+    pub row_misses: u64,
     /// Total accesses (after chunking).
-    pub chunk_accesses: u64, // audit: unit(accesses)
+    pub chunk_accesses: u64,
 }
 
 impl DeviceCounters {
     /// Total bytes moved in either direction.
-    // audit: unit(bytes)
     pub fn total_bytes(&self) -> u64 {
         self.read_bytes + self.write_bytes
     }
@@ -102,7 +101,6 @@ impl DramDevice {
     /// different channels proceed in parallel, chunks on the same channel
     /// serialize on its data bus. Addresses wrap modulo the device capacity
     /// so synthetic traces larger than the device remain valid.
-    // audit: hot-path
     pub fn access(&mut self, addr: Addr, bytes: u32, kind: OpKind, now: u64) -> u64 {
         debug_assert!(bytes > 0, "zero-byte access");
         let cap = self.cfg.capacity_bytes;
@@ -129,7 +127,6 @@ impl DramDevice {
         done
     }
 
-    // audit: hot-path
     fn access_chunk(&mut self, addr: Addr, bytes: u32, now: u64) -> u64 {
         let (chunk, in_chunk) = self.q_interleave.div_rem(addr.0);
         let (local_chunk, channel) = self.q_channels.div_rem(chunk);

@@ -44,7 +44,6 @@ impl TrafficMatrix {
 
     /// Records one transaction of `bytes` on `device` attributed to
     /// `cause`.
-    // audit: hot-path
     #[inline]
     pub fn record(&mut self, device: TrafficDevice, cause: TrafficCause, bytes: u64) {
         self.bytes[device.index()][cause.index()] += bytes;
@@ -77,7 +76,6 @@ impl TrafficMatrix {
     }
 
     /// Grand total of attributed bytes.
-    // audit: unit(bytes)
     pub fn total_bytes(&self) -> u64 {
         self.bytes.iter().flatten().sum()
     }
@@ -141,7 +139,6 @@ impl TrafficAccum {
     }
 
     /// Records one device transaction.
-    // audit: hot-path
     #[inline]
     pub fn record_op(&mut self, op: &DeviceOp) {
         let device = op.device();
@@ -152,7 +149,6 @@ impl TrafficAccum {
     /// Records every transaction of one access's plan (its critical and
     /// background op slices) plus its fan-out sample. Call exactly once
     /// per access, after the controller sealed the plan.
-    // audit: hot-path
     pub fn record_view(&mut self, critical: &[DeviceOp], background: &[DeviceOp]) {
         for op in critical.iter().chain(background) {
             self.record_op(op);
@@ -162,7 +158,6 @@ impl TrafficAccum {
 
     /// Records a drain plan (end-of-run controller flush): transactions
     /// only, no fan-out sample — drains are not accesses.
-    // audit: hot-path
     pub fn record_drain(&mut self, plan: &AccessPlan) {
         for op in plan.critical.iter().chain(&plan.background) {
             self.record_op(op);
@@ -179,13 +174,13 @@ impl TrafficAccum {
 pub struct BwPoint {
     /// Cumulative bytes per device class, indexed by
     /// [`TrafficDevice::index`].
-    pub class_bytes: [u64; NUM_DEVICE_CLASSES], // audit: unit(bytes)
+    pub class_bytes: [u64; NUM_DEVICE_CLASSES],
     /// Cumulative simulated cycles.
-    pub cycles: u64, // audit: unit(cycles)
+    pub cycles: u64,
     /// Cumulative per-channel busy cycles of the HBM stack's data buses.
-    pub hbm_busy: Vec<u64>, // audit: unit(cycles)
+    pub hbm_busy: Vec<u64>,
     /// Cumulative per-channel busy cycles of the off-chip DRAM buses.
-    pub dram_busy: Vec<u64>, // audit: unit(cycles)
+    pub dram_busy: Vec<u64>,
 }
 
 impl BwPoint {

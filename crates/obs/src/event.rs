@@ -111,7 +111,6 @@ impl TraceEvent {
     }
 
     /// The remapping set the event concerns.
-    // audit: hot-path
     pub fn set(&self) -> u64 {
         match *self {
             TraceEvent::PrtMiss { set, .. }

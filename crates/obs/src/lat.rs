@@ -19,7 +19,6 @@ use memsim_types::AccessPath;
 /// same mixer the trace PRNG and the over-fetch hasher use — hashing the
 /// access sequence number gives an unbiased, deterministic sample of the
 /// stream that is independent of job or chunk partitioning.
-// audit: hot-path
 #[inline]
 fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -33,7 +32,6 @@ fn mix64(mut z: u64) -> u64 {
 ///
 /// Purely a function of `(seq, rate)` — every job and batch width selects
 /// the same accesses.
-// audit: hot-path
 #[inline]
 pub fn sampled(seq: u64, rate: u64) -> bool {
     rate != 0 && mix64(seq).is_multiple_of(rate)
@@ -53,15 +51,15 @@ pub struct AccessRecord {
     pub path: AccessPath,
     /// Metadata lookup cycles: on-chip SRAM cycles plus the device time of
     /// in-memory metadata reads on the critical path.
-    pub lookup: u64, // audit: unit(cycles)
+    pub lookup: u64,
     /// Cycles the critical ops' data bursts waited for a busy channel bus.
-    pub queue: u64, // audit: unit(cycles)
+    pub queue: u64,
     /// Bank/bus service cycles of the critical ops (raw latency minus
     /// lookup and queue wait).
-    pub service: u64, // audit: unit(cycles)
+    pub service: u64,
     /// Non-device stall cycles (e.g. OS page-fault penalties, migration
     /// stalls charged to the request).
-    pub stall: u64, // audit: unit(cycles)
+    pub stall: u64,
     /// End-to-end charged latency: `lookup + queue + service + stall`.
     pub total: u64,
 }
@@ -74,13 +72,13 @@ pub struct PathLatency {
     /// Sampled records on this path.
     pub count: u64,
     /// Summed lookup cycles.
-    pub lookup: u64, // audit: unit(cycles)
+    pub lookup: u64,
     /// Summed channel-queue-wait cycles.
-    pub queue: u64, // audit: unit(cycles)
+    pub queue: u64,
     /// Summed bank-service cycles.
-    pub service: u64, // audit: unit(cycles)
+    pub service: u64,
     /// Summed non-device stall cycles.
-    pub stall: u64, // audit: unit(cycles)
+    pub stall: u64,
     /// Power-of-two histogram of total charged latency.
     pub hist: Pow2Histogram,
 }
@@ -95,9 +93,9 @@ pub struct QueueGauge {
     /// Sampled records inside the epoch.
     pub samples: u64,
     /// Summed queue-wait cycles of those records.
-    pub queue_sum: u64, // audit: unit(cycles)
-    /// Largest single queue wait observed in the epoch.
-    pub queue_max: u64, // audit: unit(cycles)
+    pub queue_sum: u64,
+    /// Largest single queue wait observed in the epoch, in cycles.
+    pub queue_max: u64,
 }
 
 /// Aggregates [`AccessRecord`]s into path-tagged latency histograms and

@@ -106,7 +106,6 @@ impl Telemetry {
 
     /// `Some(self)` when recording, else `None` — lets callers thread an
     /// `Option<&mut Telemetry>` so disabled paths skip event construction.
-    // audit: hot-path
     pub fn active(&mut self) -> Option<&mut Telemetry> {
         if self.rec.is_some() {
             Some(self)
@@ -123,7 +122,6 @@ impl Telemetry {
     /// Counts one access; `true` when an epoch boundary was reached and
     /// the caller should gather gauges and [`sample`](Self::sample).
     #[inline]
-    // audit: hot-path
     pub fn tick(&mut self) -> bool {
         let Some(r) = self.rec.as_deref() else { return false };
         self.accesses += 1;
@@ -131,7 +129,6 @@ impl Telemetry {
     }
 
     /// Emits one event stamped with the current access count.
-    // audit: hot-path
     pub fn event(&mut self, ev: TraceEvent) {
         if let Some(r) = self.rec.as_deref_mut() {
             r.ring.push(TimedEvent { seq: self.accesses, event: ev });
@@ -141,7 +138,6 @@ impl Telemetry {
     /// Emits an epoch snapshot from the cumulative `stats` and the
     /// caller's instantaneous `gauges`, keeping the boundary state for the
     /// next delta.
-    // audit: hot-path
     pub fn sample(&mut self, stats: &CtrlStats, gauges: EpochGauges) {
         let Some(r) = self.rec.as_deref_mut() else { return };
         let snap = EpochSnapshot::from_delta(self.epoch, self.accesses, stats, &self.last, gauges);

@@ -19,7 +19,6 @@ impl<T> Ring<T> {
     }
 
     /// Appends an item, evicting (and counting) the oldest when full.
-    // audit: hot-path
     pub fn push(&mut self, item: T) {
         if self.buf.len() < self.capacity {
             self.buf.push(item);
@@ -36,7 +35,6 @@ impl<T> Ring<T> {
     }
 
     /// Items held.
-    // audit: hot-path
     pub fn len(&self) -> usize {
         self.buf.len()
     }

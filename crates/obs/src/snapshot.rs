@@ -30,7 +30,6 @@ pub struct EpochGauges {
 
 impl EpochGauges {
     /// The octile bucket an occupancy ratio falls into.
-    // audit: hot-path
     pub fn occ_bucket(rh: f64) -> usize {
         ((rh * OCC_BUCKETS as f64) as usize).min(OCC_BUCKETS - 1)
     }
@@ -42,19 +41,19 @@ pub struct EpochSnapshot {
     /// Epoch index (0-based).
     pub epoch: u64,
     /// Cumulative controller accesses at the sample.
-    pub accesses: u64, // audit: unit(accesses)
+    pub accesses: u64,
     /// HBM hit rate within this epoch alone.
     pub hit_rate: f64,
     /// Cumulative HBM hit rate up to the sample.
     pub cum_hit_rate: f64,
     /// Blocks filled into cHBM during this epoch.
-    pub fills: u64, // audit: unit(accesses)
+    pub fills: u64,
     /// Pages migrated into mHBM during this epoch.
-    pub migrations: u64, // audit: unit(accesses)
+    pub migrations: u64,
     /// Evictions during this epoch.
-    pub evictions: u64, // audit: unit(accesses)
+    pub evictions: u64,
     /// Threshold rejections during this epoch.
-    pub threshold_rejections: u64, // audit: unit(accesses)
+    pub threshold_rejections: u64,
     /// Instantaneous gauges at the boundary.
     pub gauges: EpochGauges,
 }
@@ -63,7 +62,6 @@ impl EpochSnapshot {
     /// Builds a snapshot from the cumulative stats at this boundary
     /// (`now`), the stats at the previous boundary (`prev`), and the
     /// instantaneous gauges.
-    // audit: hot-path
     pub fn from_delta(
         epoch: u64,
         accesses: u64,

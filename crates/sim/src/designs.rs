@@ -164,7 +164,6 @@ impl AnyController {
 }
 
 impl HybridMemoryController for AnyController {
-    // audit: hot-path
     fn access(&mut self, req: &Access, plan: &mut AccessPlan) {
         delegate!(self, c => c.access(req, plan))
     }
@@ -172,7 +171,6 @@ impl HybridMemoryController for AnyController {
     // One enum dispatch per CHUNK, not per access: the match devirtualizes
     // the whole batch loop, so the baselines' default (per-access) batch
     // implementation inlines their concrete `access` bodies.
-    // audit: hot-path
     fn access_batch(&mut self, batch: &AccessBatch, plans: &mut PlanBuffer) {
         delegate!(self, c => c.access_batch(batch, plans))
     }
@@ -193,7 +191,6 @@ impl HybridMemoryController for AnyController {
         delegate!(self, c => c.stats())
     }
 
-    // audit: hot-path
     fn overfetch_ratio(&self) -> Option<f64> {
         delegate!(self, c => c.overfetch_ratio())
     }

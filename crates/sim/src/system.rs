@@ -36,8 +36,6 @@ impl SimParams {
     /// latency `ceil(raw_latency / mlp)` (writes are buffered and expose
     /// nothing). Both are shifts for power-of-two parameters.
     #[inline]
-    // audit: hot-path
-    // audit: unit(cycles)
     pub fn core_cycles(&self, insts: u32, raw_latency: u64, kind: AccessKind) -> (u64, u64) {
         let compute = self.issue_width.div_ceil(u64::from(insts));
         let exposed = if kind == AccessKind::Read { self.mlp.div_ceil(raw_latency) } else { 0 };
@@ -166,7 +164,6 @@ impl<C: HybridMemoryController> System<C> {
     /// Runs one LLC-miss access through the controller and the devices:
     /// a width-1 [`step_batch`](Self::step_batch) on buffers the system
     /// owns, so it allocates nothing per call.
-    // audit: hot-path
     pub fn step(&mut self, access: Access) {
         let mut one = std::mem::take(&mut self.one);
         let mut plans = std::mem::take(&mut self.one_plan);
@@ -195,7 +192,6 @@ impl<C: HybridMemoryController> System<C> {
     /// Staging is legal because the controller never reads the clock or
     /// the devices, and servicing access `i` never mutates controller
     /// state — see DESIGN.md §10 for the full argument.
-    // audit: hot-path
     pub fn step_batch(
         &mut self,
         batch: &AccessBatch,
@@ -272,7 +268,6 @@ impl<C: HybridMemoryController> System<C> {
         }
     }
 
-    // audit: hot-path
     fn device(&mut self, mem: Mem) -> &mut DramDevice {
         match mem {
             Mem::Hbm => &mut self.hbm,

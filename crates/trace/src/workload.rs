@@ -113,7 +113,6 @@ impl Workload {
     /// the one-at-a-time path for any `n`, including chunks that end
     /// mid-run (the run remainder carries over to the next call). `batch`
     /// is recycled here; no per-access `Access` value is constructed.
-    // audit: hot-path
     pub fn fill_batch(&mut self, batch: &mut AccessBatch, n: usize) {
         batch.clear();
         let limit = self.limit_bytes;
@@ -148,7 +147,6 @@ impl Workload {
         self.instructions_emitted += insts;
     }
 
-    // audit: hot-path
     fn start_run(&mut self) {
         let logical = if self.rng.gen_f64() < self.spec.hot_probability {
             // Skewed pick inside the hot set: u^skew concentrates on low ids.

@@ -25,7 +25,6 @@ impl Addr {
     ///
     /// Debug-panics if `align` is not a power of two.
     #[inline]
-    // audit: hot-path
     pub fn align_down(self, align: u64) -> Addr {
         debug_assert!(align.is_power_of_two(), "alignment must be a power of two");
         Addr(self.0 & !(align - 1))

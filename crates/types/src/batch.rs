@@ -49,7 +49,6 @@ impl AccessBatch {
 
     /// Number of requests in the chunk.
     #[inline]
-    // audit: hot-path
     pub fn len(&self) -> usize {
         self.addrs.len()
     }
@@ -62,7 +61,6 @@ impl AccessBatch {
 
     /// Empties the chunk, retaining column capacity for reuse.
     #[inline]
-    // audit: hot-path
     pub fn clear(&mut self) {
         self.addrs.clear();
         self.kinds.clear();
@@ -71,7 +69,6 @@ impl AccessBatch {
 
     /// Appends one request.
     #[inline]
-    // audit: hot-path
     pub fn push(&mut self, addr: u64, kind: AccessKind, insts: u32) {
         self.addrs.push(addr);
         self.kinds.push(kind);
@@ -81,7 +78,6 @@ impl AccessBatch {
     /// Materializes request `i` as an [`Access`] (for per-access fallback
     /// paths; the grouped paths read the columns directly).
     #[inline]
-    // audit: hot-path
     pub fn get(&self, i: usize) -> Access {
         Access { addr: Addr(self.addrs[i]), kind: self.kinds[i], insts: self.insts[i] }
     }
@@ -144,7 +140,6 @@ impl PlanBuffer {
 
     /// Recycles the arena for a new chunk, retaining all capacity.
     #[inline]
-    // audit: hot-path
     pub fn begin_chunk(&mut self) {
         self.ops.clear();
         self.entries.clear();
@@ -154,7 +149,6 @@ impl PlanBuffer {
     /// controller: scalar fields are reset, the op vectors keep the
     /// already-sealed entries' operations in place.
     #[inline]
-    // audit: hot-path
     pub fn plan_mut(&mut self) -> &mut AccessPlan {
         self.ops.metadata_cycles = 0;
         self.ops.stall_cycles = 0;
@@ -165,7 +159,6 @@ impl PlanBuffer {
     /// Seals the current access: snapshots the arena high-water marks and
     /// scalar results as one [`PlanEntry`].
     #[inline]
-    // audit: hot-path
     pub fn seal(&mut self) {
         debug_assert!(
             self.ops.critical.len() <= u32::MAX as usize
@@ -183,7 +176,6 @@ impl PlanBuffer {
 
     /// Number of sealed per-access plans in the chunk.
     #[inline]
-    // audit: hot-path
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -196,7 +188,6 @@ impl PlanBuffer {
 
     /// The sealed plan of access `i`, as slices into the shared arena.
     #[inline]
-    // audit: hot-path
     pub fn entry(&self, i: usize) -> PlanView<'_> {
         let e = &self.entries[i];
         let (crit_start, bg_start) = if i == 0 {

@@ -39,7 +39,6 @@ use crate::stats::CtrlStats;
 /// ```
 pub trait HybridMemoryController {
     /// Handles one LLC-miss request, filling `plan` (which arrives cleared).
-    // audit: hot-path
     fn access(&mut self, req: &Access, plan: &mut AccessPlan);
 
     /// Short stable design name (used in reports).
@@ -63,7 +62,6 @@ pub trait HybridMemoryController {
     /// stream order — the default implementation does exactly that, so
     /// every controller batches correctly out of the box; designs with a
     /// grouped fast path override it.
-    // audit: hot-path
     fn access_batch(&mut self, batch: &AccessBatch, plans: &mut PlanBuffer) {
         plans.begin_chunk();
         for i in 0..batch.len() {
@@ -75,7 +73,6 @@ pub trait HybridMemoryController {
 
     /// Fraction of data brought into HBM and evicted unused, if the design
     /// tracks it (paper §IV-B). Defaults to `None`.
-    // audit: hot-path
     fn overfetch_ratio(&self) -> Option<f64> {
         None
     }

@@ -40,14 +40,12 @@ impl QuickDiv {
 
     /// The captured divisor.
     #[inline]
-    // audit: hot-path
     pub fn divisor(self) -> u64 {
         self.divisor
     }
 
     /// `v / divisor`.
     #[inline]
-    // audit: hot-path
     pub fn div(self, v: u64) -> u64 {
         if self.shift == NO_SHIFT {
             v / self.divisor
@@ -58,7 +56,6 @@ impl QuickDiv {
 
     /// `v % divisor`.
     #[inline]
-    // audit: hot-path
     pub fn rem(self, v: u64) -> u64 {
         if self.shift == NO_SHIFT {
             v % self.divisor
@@ -69,7 +66,6 @@ impl QuickDiv {
 
     /// `(v / divisor, v % divisor)`.
     #[inline]
-    // audit: hot-path
     pub fn div_rem(self, v: u64) -> (u64, u64) {
         (self.div(v), self.rem(v))
     }
@@ -77,7 +73,6 @@ impl QuickDiv {
     /// `v.div_ceil(divisor)`: the quotient rounded up, without overflow
     /// for any `v`.
     #[inline]
-    // audit: hot-path
     pub fn div_ceil(self, v: u64) -> u64 {
         if self.shift == NO_SHIFT {
             v.div_ceil(self.divisor)

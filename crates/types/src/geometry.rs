@@ -96,28 +96,24 @@ impl Geometry {
 
     /// Block size in bytes (cHBM fetch granularity).
     #[inline]
-    // audit: hot-path
     pub fn block_bytes(&self) -> u64 {
         self.block_bytes
     }
 
     /// Page size in bytes (mHBM migration granularity).
     #[inline]
-    // audit: hot-path
     pub fn page_bytes(&self) -> u64 {
         self.page_bytes
     }
 
     /// Die-stacked HBM capacity in bytes.
     #[inline]
-    // audit: hot-path
     pub fn hbm_bytes(&self) -> u64 {
         self.hbm_bytes
     }
 
     /// Off-chip DRAM capacity in bytes.
     #[inline]
-    // audit: hot-path
     pub fn dram_bytes(&self) -> u64 {
         self.dram_bytes
     }
@@ -130,7 +126,6 @@ impl Geometry {
 
     /// Number of blocks in one page.
     #[inline]
-    // audit: hot-path
     pub fn blocks_per_page(&self) -> u32 {
         self.blocks_per_page
     }
@@ -143,14 +138,12 @@ impl Geometry {
 
     /// HBM pages actually usable (complete sets only).
     #[inline]
-    // audit: hot-path
     pub fn hbm_pages(&self) -> u64 {
         self.usable_hbm_pages
     }
 
     /// Number of remapping sets.
     #[inline]
-    // audit: hot-path
     pub fn num_sets(&self) -> u64 {
         self.num_sets
     }
@@ -158,7 +151,6 @@ impl Geometry {
     /// Off-chip DRAM slots in remapping set `set` (the paper's `m`; may vary
     /// by one across sets when `dram_pages % num_sets != 0`).
     #[inline]
-    // audit: hot-path
     pub fn dram_slots_in_set(&self, set: u64) -> u32 {
         debug_assert!(set < self.num_sets);
         (self.m_base + u64::from(set < self.m_rem)) as u32
@@ -187,14 +179,12 @@ impl Geometry {
     /// Off-chip addresses (below `dram_bytes`) map to pages
     /// `[0, dram_pages)`; HBM addresses map to `[dram_pages, ..)`.
     #[inline]
-    // audit: hot-path
     pub fn page_of(&self, addr: Addr) -> PageIndex {
         PageIndex(self.page_div.div(addr.0))
     }
 
     /// Block index of `addr` within its page.
     #[inline]
-    // audit: hot-path
     pub fn block_of(&self, addr: Addr) -> BlockIndex {
         let in_page = self.page_div.rem(addr.0);
         BlockIndex(self.block_div.div(in_page) as u32)
@@ -202,7 +192,6 @@ impl Geometry {
 
     /// 64-byte line index of `addr` within its cHBM block.
     #[inline]
-    // audit: hot-path
     pub fn line_of(&self, addr: Addr) -> u64 {
         self.block_div.rem(addr.0) / 64
     }
@@ -215,7 +204,6 @@ impl Geometry {
 
     /// Whether `page` is an HBM page (OS-visible HBM range).
     #[inline]
-    // audit: hot-path
     pub fn is_hbm_page(&self, page: PageIndex) -> bool {
         page.0 >= self.dram_pages
     }
@@ -235,7 +223,6 @@ impl Geometry {
     /// `addr` wrapped into the flat physical space (`addr % flat_bytes`),
     /// with a branch fast path for the common already-in-range case.
     #[inline]
-    // audit: hot-path
     pub fn wrap_flat(&self, addr: Addr) -> Addr {
         if addr.0 < self.flat_bytes {
             addr
@@ -250,7 +237,6 @@ impl Geometry {
     ///
     /// Debug-panics if `page` is out of range.
     #[inline]
-    // audit: hot-path
     pub fn set_of_page(&self, page: PageIndex) -> u64 {
         if self.is_hbm_page(page) {
             let h = page.0 - self.dram_pages;
@@ -269,7 +255,6 @@ impl Geometry {
 
     /// Slot of `page` within its remapping set (the original PLE).
     #[inline]
-    // audit: hot-path
     pub fn slot_of_page(&self, page: PageIndex) -> PageSlot {
         if self.is_hbm_page(page) {
             let h = page.0 - self.dram_pages;
@@ -286,7 +271,6 @@ impl Geometry {
     ///
     /// Debug-panics if the slot is out of range for the set.
     #[inline]
-    // audit: hot-path
     pub fn page_of_slot(&self, set: u64, slot: PageSlot) -> PageIndex {
         debug_assert!(set < self.num_sets);
         match slot {
@@ -304,7 +288,6 @@ impl Geometry {
     /// HBM-device frame number (0-based within the HBM device) for the HBM
     /// frame `way` of remapping set `set`.
     #[inline]
-    // audit: hot-path
     pub fn hbm_frame(&self, set: u64, way: u32) -> u64 {
         debug_assert!(set < self.num_sets && way < self.hbm_ways);
         u64::from(way) * self.num_sets + set
@@ -312,7 +295,6 @@ impl Geometry {
 
     /// HBM-device byte address of `block` within HBM frame (`set`, `way`).
     #[inline]
-    // audit: hot-path
     pub fn hbm_device_addr(&self, set: u64, way: u32, block: BlockIndex) -> Addr {
         Addr(self.hbm_frame(set, way) * self.page_bytes + u64::from(block.0) * self.block_bytes)
     }
@@ -322,7 +304,6 @@ impl Geometry {
     /// Off-chip device addresses coincide with flat physical addresses
     /// because off-chip DRAM starts at 0.
     #[inline]
-    // audit: hot-path
     pub fn dram_device_addr(&self, page: PageIndex, block: BlockIndex) -> Addr {
         debug_assert!(!self.is_hbm_page(page));
         Addr(page.0 * self.page_bytes + u64::from(block.0) * self.block_bytes)

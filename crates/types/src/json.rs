@@ -1,7 +1,6 @@
 //! The workspace's one JSON implementation: the single-line object
 //! writer every results stream is emitted with, the string escaper, and a
-//! recursive-descent parser for reading those streams and the audit
-//! baseline back.
+//! recursive-descent parser for reading those streams back.
 //!
 //! Kept dependency-free on purpose — the workspace must build with zero
 //! registry access, so no serde. The writer emits flat objects with keys

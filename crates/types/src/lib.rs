@@ -17,7 +17,7 @@
 //! * [`MetadataModel`] — the shared SRAM-budget model that decides whether a
 //!   design's metadata fits on chip or spills into HBM ([`metadata`]).
 //! * [`json`] — the workspace's one JSON writer, escaper and parser, for
-//!   the results streams and the audit baseline.
+//!   the results streams.
 //!
 //! # Example
 //!

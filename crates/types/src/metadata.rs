@@ -114,7 +114,6 @@ impl MetadataModel {
     ///
     /// Spills are deterministic (every k-th lookup misses) so simulations are
     /// reproducible without a controller-side RNG.
-    // audit: hot-path
     pub fn lookup(&mut self, plan: &mut AccessPlan, around: Addr) -> u32 {
         self.lookups += 1;
         if self.sram_hit_fraction >= 1.0 {

@@ -221,20 +221,17 @@ pub struct DeviceOp {
 impl DeviceOp {
     /// A demand read of `bytes` at `addr` on `mem` (cHBM when on HBM; use
     /// [`with_mhbm`](DeviceOp::with_mhbm) for memory-mode frames).
-    // audit: hot-path
     pub fn demand_read(mem: Mem, addr: Addr, bytes: u32) -> DeviceOp {
         DeviceOp { mem, addr, bytes, kind: OpKind::Read, cause: TrafficCause::DemandRead, mhbm: false }
     }
 
     /// A demand write of `bytes` at `addr` on `mem` (cHBM when on HBM).
-    // audit: hot-path
     pub fn demand_write(mem: Mem, addr: Addr, bytes: u32) -> DeviceOp {
         DeviceOp { mem, addr, bytes, kind: OpKind::Write, cause: TrafficCause::DemandWrite, mhbm: false }
     }
 
     /// Marks the operation as targeting a memory-mode (mHBM) HBM frame.
     #[must_use]
-    // audit: hot-path
     pub fn with_mhbm(mut self) -> DeviceOp {
         self.mhbm = true;
         self
@@ -242,7 +239,6 @@ impl DeviceOp {
 
     /// The traffic-accounting device class this operation lands on.
     #[inline]
-    // audit: hot-path
     pub fn device(&self) -> TrafficDevice {
         match self.mem {
             Mem::OffChip => TrafficDevice::OffChip,

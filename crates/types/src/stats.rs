@@ -14,13 +14,13 @@ use std::hash::{BuildHasherDefault, Hasher};
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CtrlStats {
     /// Demand requests served from HBM (cHBM or mHBM).
-    pub hbm_hits: u64, // audit: unit(accesses)
+    pub hbm_hits: u64,
     /// Demand requests served from off-chip DRAM.
-    pub offchip_serves: u64, // audit: unit(accesses)
+    pub offchip_serves: u64,
     /// Blocks fetched into cHBM.
-    pub block_fills: u64, // audit: unit(accesses)
+    pub block_fills: u64,
     /// Whole pages migrated into mHBM.
-    pub page_migrations: u64, // audit: unit(accesses)
+    pub page_migrations: u64,
     /// Pages (or blocks) evicted from HBM to off-chip DRAM.
     pub evictions: u64,
     /// cHBM→mHBM mode switches.
@@ -46,14 +46,11 @@ impl CtrlStats {
     }
 
     /// Total demand requests observed.
-    // audit: hot-path
-    // audit: unit(accesses)
     pub fn total_accesses(&self) -> u64 {
         self.hbm_hits + self.offchip_serves
     }
 
     /// HBM hit rate over all demand requests (0 when idle).
-    // audit: hot-path
     pub fn hbm_hit_rate(&self) -> f64 {
         let total = self.total_accesses();
         if total == 0 {
@@ -193,7 +190,6 @@ impl OverfetchTracker {
     ///
     /// Re-fetching a resident chunk counts the new bytes but keeps its
     /// used/unused state.
-    // audit: hot-path
     pub fn fetched(&mut self, key: u64, bytes: u32) {
         self.fetched_bytes += u64::from(bytes);
         let leaf = self.leaves.entry(key / LEAF_KEYS).or_default();
@@ -213,7 +209,6 @@ impl OverfetchTracker {
     }
 
     /// Records a demand touch of chunk `key` (no-op if not resident).
-    // audit: hot-path
     pub fn used(&mut self, key: u64) {
         let Some(leaf) = self.leaves.get_mut(&(key / LEAF_KEYS)) else {
             return;
@@ -227,7 +222,6 @@ impl OverfetchTracker {
 
     /// Records the eviction of chunk `key`; unused chunks add to the wasted
     /// byte count.
-    // audit: hot-path
     pub fn evicted(&mut self, key: u64) {
         let Some(leaf) = self.leaves.get_mut(&(key / LEAF_KEYS)) else {
             return;
@@ -267,7 +261,6 @@ impl OverfetchTracker {
     }
 
     /// `wasted / fetched` (0 when nothing was fetched).
-    // audit: hot-path
     pub fn overfetch_ratio(&self) -> f64 {
         if self.fetched_bytes == 0 {
             0.0

@@ -48,7 +48,7 @@ enum TrackerOp {
 
 fn tracker_ops() -> impl Strategy<Value = Vec<TrackerOp>> {
     // Three in four single-key ops hit one of three lanes per leaf, so
-    // leaves also empty one key at a time and go back on the free list.
+    // leaves also empty one key at a time and leave the map.
     let lane = prop_oneof![0u64..64, Just(0u64), Just(1u64), Just(63u64)];
     let bytes = prop_oneof![Just(0u32), Just(64u32), 1u32..4096];
     proptest::collection::vec(
