@@ -21,16 +21,15 @@ const LINE_BYTES: u64 = 64;
 /// design streams (we bill 72 B of HBM bandwidth per probe).
 const TAD_BYTES: u32 = 72;
 
-/// A line's state is one word, `tag << 2 | dirty << 1 | valid`. Zero is an
-/// invalid line, so the line array starts empty on a zeroed allocation and
-/// lines no access reaches cost no host memory.
-const VALID: u32 = 1;
-const DIRTY: u32 = 1 << 1;
+/// A line's state is one byte, `tag << 2 | dirty << 1 | valid`. Zero is an
+/// invalid line, so a zeroed allocation is the empty line array.
+const VALID: u8 = 1;
+const DIRTY: u8 = 1 << 1;
 const TAG_SHIFT: u32 = 2;
 
-/// The state word of a valid line holding `tag`.
-fn line_word(tag: u64, dirty: bool) -> u32 {
-    (tag as u32) << TAG_SHIFT | u32::from(dirty) << 1 | VALID
+/// The state byte of a valid line holding `tag`.
+fn line_word(tag: u64, dirty: bool) -> u8 {
+    (tag as u8) << TAG_SHIFT | u8::from(dirty) << 1 | VALID
 }
 
 /// MAP-I style instruction/region-based hit-miss predictor: a table of
@@ -68,8 +67,8 @@ impl MapPredictor {
 #[derive(Debug)]
 pub struct AlloyCache {
     geometry: Geometry,
-    /// One state word per HBM line; see [`line_word`].
-    lines: Vec<u32>,
+    /// One state byte per HBM line; see [`line_word`].
+    lines: Vec<u8>,
     line_div: QuickDiv,
     map: MapPredictor,
     faults: FaultModel,
@@ -84,12 +83,12 @@ impl AlloyCache {
     /// # Panics
     ///
     /// If an off-chip line's tag, `line / (hbm_bytes / 64)`, would not fit
-    /// in the 30 bits a line's state word holds: that needs off-chip DRAM
-    /// over 2^30 times the size of HBM.
+    /// in the 6 bits a line's state byte holds: that needs off-chip DRAM
+    /// over 64 times the size of HBM (Table I's ratio is 10).
     pub fn new(geometry: Geometry) -> AlloyCache {
         let lines = (geometry.hbm_bytes() / LINE_BYTES) as usize;
         let max_tag = (geometry.dram_bytes() - 1) / LINE_BYTES / lines as u64;
-        assert!(max_tag >> (u32::BITS - TAG_SHIFT) == 0, "Alloy tag {max_tag} exceeds 30 bits");
+        assert!(max_tag >> (u8::BITS - TAG_SHIFT) == 0, "Alloy tag {max_tag} exceeds 6 bits");
         AlloyCache {
             lines: vec![0; lines],
             line_div: QuickDiv::new(lines as u64),
@@ -315,7 +314,7 @@ mod tests {
 
     #[test]
     fn line_word_round_trips() {
-        for tag in [0, 1, 9, (1 << 30) - 1] {
+        for tag in [0, 1, 9, 63] {
             for dirty in [false, true] {
                 let w = line_word(tag, dirty);
                 assert_eq!(w & VALID, VALID, "a filled line is valid");
@@ -338,16 +337,31 @@ mod tests {
     }
 
     #[test]
-    fn thirty_bit_tags_fit() {
-        // 2^30 off-chip lines per HBM line: the largest tag is 2^30 - 1.
-        let c = AlloyCache::new(tall_geometry((64 << 10) << 30));
+    fn six_bit_tags_fit() {
+        // 64 off-chip lines per HBM line: the largest tag is 63.
+        let g = tall_geometry((64 << 10) * 64);
+        let mut c = AlloyCache::new(g);
         assert_eq!(c.metadata_bytes(), 1024 * 8 + 1024);
+        // The last off-chip line holds tag 63: it hits once filled, and a
+        // conflicting fill writes it back to its own address.
+        let top = Addr(g.dram_bytes() - 64);
+        let mut plan = AccessPlan::new();
+        c.access(&Access::write(top), &mut plan);
+        plan.clear();
+        c.access(&Access::read(top), &mut plan);
+        assert_eq!(c.stats().hbm_hits, 1);
+        plan.clear();
+        c.access(&Access::read(Addr(top.0 % g.hbm_bytes())), &mut plan);
+        assert!(plan
+            .background
+            .iter()
+            .any(|o| o.cause == TrafficCause::Writeback && o.addr == top));
     }
 
     #[test]
-    #[should_panic(expected = "exceeds 30 bits")]
-    fn tags_past_thirty_bits_panic() {
-        // One page more than 2^30 off-chip lines per HBM line.
-        AlloyCache::new(tall_geometry(((64 << 10) << 30) + (64 << 10)));
+    #[should_panic(expected = "exceeds 6 bits")]
+    fn tags_past_six_bits_panic() {
+        // One page more than 64 off-chip lines per HBM line.
+        AlloyCache::new(tall_geometry((64 << 10) * 64 + (64 << 10)));
     }
 }

@@ -20,7 +20,6 @@ const SECTOR_BYTES: u64 = 4096;
 /// before displacing the resident, which keeps transients out and makes
 /// Chameleon the most bandwidth-frugal baseline (as the paper observes).
 const SWAP_MARGIN: u32 = 24;
-const COUNTER_CAP: u32 = 255;
 
 /// The Chameleon controller; see the [module documentation](self).
 #[derive(Debug)]
@@ -28,9 +27,9 @@ pub struct Chameleon {
     geometry: Geometry,
     /// The member of each group currently occupying its HBM sector.
     resident: Vec<u32>,
-    /// Access counter of every member of every group, row-major: group
-    /// `g`'s counters are `g * members..(g + 1) * members`.
-    counters: Vec<u32>,
+    /// Access counter of every member of every group, saturating at 255,
+    /// row-major: group `g`'s counters are `g * members..(g + 1) * members`.
+    counters: Vec<u8>,
     group_div: QuickDiv,
     member_div: QuickDiv,
     hbm_div: QuickDiv,
@@ -105,10 +104,11 @@ impl HybridMemoryController for Chameleon {
         let is_read = req.kind == AccessKind::Read;
         let resident = self.resident[group];
         let (resident_ci, member_ci) = (self.counter(group, resident), self.counter(group, member));
-        self.counters[member_ci] = (self.counters[member_ci] + 1).min(COUNTER_CAP);
+        self.counters[member_ci] = self.counters[member_ci].saturating_add(1);
         let in_hbm = resident == member;
-        let resident_count = self.counters[resident_ci];
-        let member_count = self.counters[member_ci];
+        // Widened, so `resident_count + SWAP_MARGIN` cannot wrap.
+        let resident_count = u32::from(self.counters[resident_ci]);
+        let member_count = u32::from(self.counters[member_ci]);
 
         let target = if in_hbm {
             self.stats.hbm_hits += 1;
@@ -263,6 +263,52 @@ mod tests {
             c.access(&Access::read(b), &mut plan);
         }
         assert_eq!(c.swaps(), 2, "second sector displaced the first");
+    }
+
+    /// Touches group 0's HBM-native sector `resident_touches` times, then
+    /// off-chip member 0 of the group 300 times. Checks each swap decision
+    /// against a `u32` model whose counters saturate with `min(255)`, and
+    /// returns the number of swaps.
+    fn swaps_after_saturation(resident_touches: u32) -> u64 {
+        let g = geometry();
+        let mut c = chameleon();
+        let mut plan = AccessPlan::new();
+        let native = Addr(g.dram_bytes());
+        let (group, resident, _) = c.locate(native);
+        let (member_group, member, _) = c.locate(Addr(0));
+        assert_eq!((member_group, member), (group, 0));
+        for _ in 0..resident_touches {
+            plan.clear();
+            c.access(&Access::read(native), &mut plan);
+        }
+        let count = |c: &Chameleon, m: u32| u32::from(c.counters[c.counter(group, m)]);
+        let mut resident_count = resident_touches.min(255);
+        assert_eq!(count(&c, resident), resident_count);
+        let (mut member_count, mut swapped) = (0u32, false);
+        for _ in 0..300 {
+            plan.clear();
+            c.access(&Access::read(Addr(0)), &mut plan);
+            member_count = (member_count + 1).min(255);
+            if !swapped && member_count > resident_count + SWAP_MARGIN {
+                swapped = true;
+                (resident_count, member_count) = (0, 1);
+            }
+            assert_eq!(c.swaps(), u64::from(swapped));
+        }
+        assert_eq!(count(&c, member), member_count);
+        assert_eq!(count(&c, resident), resident_count);
+        c.swaps()
+    }
+
+    #[test]
+    fn counters_saturate_at_255_without_wrapping() {
+        // The resident's 255 plus the margin exceeds any u8 count: no swap,
+        // and both counters read 255 after 300 touches.
+        assert_eq!(swaps_after_saturation(300), 0);
+        // 231 + 24 = 255: a saturated member still cannot overtake it.
+        assert_eq!(swaps_after_saturation(231), 0);
+        // 230 + 24 = 254: the member's 255th touch swaps it in.
+        assert_eq!(swaps_after_saturation(230), 1);
     }
 
     #[test]

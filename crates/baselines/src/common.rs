@@ -22,7 +22,9 @@ pub const FAULT_STALL_CYCLES: u64 = 36_000;
 #[derive(Debug, Clone)]
 pub struct FaultModel {
     os_visible_bytes: u64,
-    table: Vec<u64>,
+    /// `page + 1` of the page each entry holds; zero is an empty entry, so
+    /// a zeroed allocation is the empty table.
+    table: Vec<u32>,
     faults: u64,
 }
 
@@ -32,7 +34,7 @@ impl FaultModel {
     pub fn new(os_visible_bytes: u64, table_pages: usize) -> FaultModel {
         FaultModel {
             os_visible_bytes,
-            table: vec![u64::MAX; table_pages.max(1)],
+            table: vec![0; table_pages.max(1)],
             faults: 0,
         }
     }
@@ -51,14 +53,21 @@ impl FaultModel {
     /// swap-in traffic into `plan` and charges the stall. Returns the
     /// address wrapped into the OS-visible range (where the page actually
     /// resides once faulted in).
+    ///
+    /// # Panics
+    ///
+    /// If `addr`'s page number is `u32::MAX` or more (an address of
+    /// 16 TiB or more), which the table's `u32` entries cannot hold.
     pub fn translate(&mut self, addr: Addr, plan: &mut AccessPlan) -> Addr {
         if addr.0 < self.os_visible_bytes {
             return addr;
         }
         let page = addr.0 / OS_PAGE_BYTES;
+        let entry = u32::try_from(page + 1)
+            .unwrap_or_else(|_| panic!("page {page} does not fit the fault table's u32 entries"));
         let idx = (page % self.table.len() as u64) as usize;
-        if self.table[idx] != page {
-            self.table[idx] = page;
+        if self.table[idx] != entry {
+            self.table[idx] = entry;
             self.faults += 1;
             plan.stall_cycles += FAULT_STALL_CYCLES;
             let resident = Addr((addr.0 % self.os_visible_bytes) & !(OS_PAGE_BYTES - 1));
@@ -158,6 +167,25 @@ mod tests {
         f.translate(Addr(a.0 + 64), &mut plan);
         assert_eq!(f.faults(), 1);
         assert_eq!(plan.stall_cycles, stall_before);
+    }
+
+    #[test]
+    fn top_page_faults_once_then_stays_warm() {
+        let mut f = FaultModel::new(1 << 20, 64);
+        let mut plan = AccessPlan::new();
+        let top = Addr(u64::from(u32::MAX - 1) * OS_PAGE_BYTES);
+        f.translate(top, &mut plan);
+        assert_eq!(f.faults(), 1);
+        f.translate(Addr(top.0 + OS_PAGE_BYTES - 64), &mut plan);
+        assert_eq!(f.faults(), 1, "the top page's entry must stay warm");
+    }
+
+    #[test]
+    #[should_panic(expected = "page 4294967295 does not fit the fault table's u32 entries")]
+    fn page_past_u32_panics() {
+        let mut f = FaultModel::new(1 << 20, 64);
+        let past = Addr(u64::from(u32::MAX) * OS_PAGE_BYTES);
+        f.translate(past, &mut AccessPlan::new());
     }
 
     #[test]

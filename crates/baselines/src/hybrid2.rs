@@ -53,9 +53,10 @@ pub struct Hybrid2 {
     cache_lru: LruRanks,
     /// The member of each mHBM frame's group currently resident in it.
     pom_resident: Vec<u32>,
-    /// Access counter of every member of every mHBM frame, row-major:
-    /// frame `f`'s counters are `f * members..(f + 1) * members`.
-    pom_counters: Vec<u32>,
+    /// Access counter of every member of every mHBM frame, saturating at
+    /// 255, row-major: frame `f`'s counters are
+    /// `f * members..(f + 1) * members`.
+    pom_counters: Vec<u8>,
     frame_div: QuickDiv,
     member_div: QuickDiv,
     dram_div: QuickDiv,
@@ -163,7 +164,7 @@ impl Hybrid2 {
         let (pg, member) = self.pom_locate(addr);
         {
             let ci = self.pom_counter(pg, member);
-            self.pom_counters[ci] = (self.pom_counters[ci] + 1).min(COUNTER_CAP);
+            self.pom_counters[ci] = self.pom_counters[ci].saturating_add(1);
             if self.pom_resident[pg] == member {
                 let base = self.pom_hbm_addr(pg);
                 let op = DeviceOp {
@@ -371,8 +372,9 @@ impl Hybrid2 {
         member: u32,
     ) {
         let old_resident = self.pom_resident[pg];
-        let resident_count = self.pom_counters[self.pom_counter(pg, old_resident)];
-        let member_count = self.pom_counters[self.pom_counter(pg, member)];
+        // Widened, so `resident_count + SWAP_MARGIN` cannot wrap.
+        let resident_count = u32::from(self.pom_counters[self.pom_counter(pg, old_resident)]);
+        let member_count = u32::from(self.pom_counters[self.pom_counter(pg, member)]);
         if member_count <= resident_count + SWAP_MARGIN {
             return;
         }
@@ -511,6 +513,56 @@ mod tests {
             .critical
             .iter()
             .any(|o| o.mem == Mem::Hbm && o.cause == TrafficCause::DemandRead));
+    }
+
+    /// Touches the resident member of mHBM frame 0 `resident_touches`
+    /// times, then 300 times cycles over six blocks of frame 0's member 0,
+    /// which the cHBM caches. Checks each promotion decision against a
+    /// `u32` model whose counters saturate with `min(255)`, and returns the
+    /// number of promotions.
+    fn promotions_after_saturation(resident_touches: u32) -> u64 {
+        let mut c = hybrid2();
+        let mut plan = AccessPlan::new();
+        let frames = c.pom_resident.len() as u64;
+        let members = c.member_div.divisor() as u32;
+        let native = Addr(u64::from(members - 1) * frames * GROUP_BYTES);
+        assert_eq!(c.pom_locate(native), (0, members - 1));
+        assert_eq!(c.pom_locate(Addr(0)), (0, 0));
+        for _ in 0..resident_touches {
+            plan.clear();
+            c.access(&Access::read(native), &mut plan);
+        }
+        let count = |c: &Hybrid2, m: u32| u32::from(c.pom_counters[c.pom_counter(0, m)]);
+        let resident_count = resident_touches.min(255);
+        assert_eq!(count(&c, members - 1), resident_count);
+        let (mut member_count, mut promoted) = (0u32, false);
+        for i in 0..300u64 {
+            plan.clear();
+            c.access(&Access::read(Addr((i % 6) * BLOCK_BYTES)), &mut plan);
+            member_count = (member_count + 1).min(255);
+            // From the 32nd touch on, the cached group has six valid blocks
+            // and a way counter of at least PROMOTE_COUNT, so only the mHBM
+            // counters decide.
+            let cache_ready = i + 1 >= u64::from(PROMOTE_COUNT);
+            if !promoted && cache_ready && member_count > resident_count + SWAP_MARGIN {
+                promoted = true;
+                member_count = 1;
+            }
+            assert_eq!(c.stats().switch_to_mhbm, u64::from(promoted));
+        }
+        assert_eq!(count(&c, 0), member_count);
+        c.stats().switch_to_mhbm
+    }
+
+    #[test]
+    fn pom_counters_saturate_at_255_without_wrapping() {
+        // The resident's 255 plus the margin exceeds any u8 count: no
+        // promotion, and the member's counter reads 255 after 300 touches.
+        assert_eq!(promotions_after_saturation(300), 0);
+        // 253 + 2 = 255: a saturated member still cannot overtake it.
+        assert_eq!(promotions_after_saturation(253), 0);
+        // 252 + 2 = 254: the member's 255th touch promotes it.
+        assert_eq!(promotions_after_saturation(252), 1);
     }
 
     #[test]

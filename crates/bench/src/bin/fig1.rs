@@ -19,4 +19,5 @@ fn main() {
     let data = fig1::run_with(&engine, &opts.cfg);
     opts.write_jsonl("fig1", &fig1::jsonl_lines(&data));
     println!("{}", fig1::render(&data));
+    bumblebee_bench::report_peak_rss();
 }

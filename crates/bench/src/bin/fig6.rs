@@ -20,4 +20,5 @@ fn main() {
         println!("best configuration: {}KB blocks / {}KB pages (paper: 2KB / 64KB)",
             best.block_kb, best.page_kb);
     }
+    bumblebee_bench::report_peak_rss();
 }

@@ -16,4 +16,5 @@ fn main() {
     opts.write_jsonl("fig7", &results.jsonl_lines());
     opts.write_telemetry("fig7", &results);
     println!("{}", fig7::render(&bars));
+    bumblebee_bench::report_peak_rss();
 }

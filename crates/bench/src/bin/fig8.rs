@@ -34,4 +34,5 @@ fn main() {
         println!("vs Hybrid2: metadata-access-latency reduction {:.1}%  (paper: 69.7%)", mal * 100.0);
         println!("vs Hybrid2: mode-switch traffic reduction      {:.1}%  (paper: 44.6%)", ms * 100.0);
     }
+    bumblebee_bench::report_peak_rss();
 }

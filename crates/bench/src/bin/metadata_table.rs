@@ -8,4 +8,5 @@ fn main() {
     let opts = bumblebee_bench::parse_env(&[]);
     opts.write_jsonl("metadata", &tables::metadata_jsonl(&opts.cfg));
     println!("{}", tables::metadata_table(&opts.cfg));
+    bumblebee_bench::report_peak_rss();
 }

@@ -12,4 +12,5 @@ fn main() {
     for (design, ratio) in rows {
         println!("  {design:10} {:5.1}%", ratio * 100.0);
     }
+    bumblebee_bench::report_peak_rss();
 }

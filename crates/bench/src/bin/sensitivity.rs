@@ -43,4 +43,5 @@ fn main() {
     }
     opts.write_jsonl("sensitivity", &sensitivity::jsonl_lines(&points));
     println!("{}", sensitivity::render(&points));
+    bumblebee_bench::report_peak_rss();
 }

@@ -7,4 +7,5 @@ fn main() {
     let rows = tables::table2_with(&opts.engine(), &opts.cfg);
     opts.write_jsonl("table2", &tables::table2_jsonl(&rows));
     println!("{}", tables::render_table2(&rows));
+    bumblebee_bench::report_peak_rss();
 }

@@ -5,7 +5,8 @@
 //! * `--full` — paper-scale geometry (1 GB HBM / 10 GB DRAM; slow);
 //! * `--scale N` — capacity divisor (default 16; must be positive);
 //! * `--accesses N` — LLC-miss requests per run (must be positive);
-//! * `--workloads a,b,c` — subset of Table II benchmarks (default: all 14);
+//! * `--workloads a,b,c` — subset of Table II benchmarks, each named once
+//!   (default: all 14);
 //! * `--jobs N` — parallel experiment cells (default: `BUMBLEBEE_JOBS`
 //!   or the machine's available parallelism; `1` = serial);
 //! * `--metrics` — record per-run observability (epoch time-series, event
@@ -20,6 +21,9 @@
 //!
 //! Any other `--flag` is an error. So is a positional argument, except for
 //! the one panel or sweep name that `fig8` and `sensitivity` accept.
+//!
+//! Each binary ends with [`report_peak_rss`], which prints the process's
+//! peak resident set on stderr.
 
 use memsim_sim::{Engine, MetricsConfig, ResultSet, RunConfig};
 use memsim_trace::SpecProfile;
@@ -107,9 +111,9 @@ impl HarnessOpts {
 ///
 /// # Panics
 ///
-/// Panics with a usage message on a malformed or unknown flag and on a
-/// positional not in `selections` or after another one — before the
-/// binary runs or writes anything.
+/// Panics with a usage message on a malformed or unknown flag, on a
+/// workload named twice, and on a positional not in `selections` or after
+/// another one — before the binary runs or writes anything.
 pub fn parse_args<I: IntoIterator<Item = String>>(args: I, selections: &[&str]) -> HarnessOpts {
     let mut scale = 16u64;
     let mut accesses: Option<u64> = None;
@@ -140,7 +144,13 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I, selections: &[&str]) 
             }
             "--workloads" => {
                 let list = it.next().unwrap_or_else(|| panic!("--workloads needs a list"));
-                names = Some(list.split(',').map(str::to_string).collect());
+                let ns: Vec<String> = list.split(',').map(str::to_string).collect();
+                for (i, n) in ns.iter().enumerate() {
+                    if ns[..i].contains(n) {
+                        panic!("--workloads names {n} twice");
+                    }
+                }
+                names = Some(ns);
             }
             "--jobs" => {
                 jobs = Some(
@@ -195,6 +205,20 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I, selections: &[&str]) 
 /// Parses `std::env::args()` (skipping the binary name); see [`parse_args`].
 pub fn parse_env(selections: &[&str]) -> HarnessOpts {
     parse_args(std::env::args().skip(1), selections)
+}
+
+/// Prints `peak_rss_mb <MB>` on stderr: the process's peak resident set
+/// (`VmHWM` in `/proc/self/status`), in MB of 2^20 bytes. Prints nothing
+/// where that file cannot be read or has no `VmHWM` line.
+pub fn report_peak_rss() {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kb = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok());
+    if let Some(kb) = kb {
+        eprintln!("peak_rss_mb {:.2}", kb / 1024.0);
+    }
 }
 
 #[cfg(test)]

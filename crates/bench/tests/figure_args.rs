@@ -1,6 +1,7 @@
 //! End-to-end tests of the figure binaries' command line: an unknown
-//! sweep fails before the binary runs a cell or writes a file, and
-//! `--jobs` changes no byte of the stdout table.
+//! sweep or a repeated workload fails before the binary runs a cell or
+//! writes a file, `--jobs` changes no byte of the stdout table, and the
+//! peak resident set is reported on stderr.
 
 use std::path::PathBuf;
 
@@ -25,23 +26,54 @@ fn unknown_sweep_fails_without_writing() {
     assert_eq!(sensitivity("hotqueue"), (false, false), "an unknown sweep fails first");
 }
 
-/// Runs `fig8` on mcf at `--jobs jobs` into a fresh `--out` directory and
-/// returns its stdout.
-fn fig8_stdout(jobs: &str) -> Vec<u8> {
-    let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("fig8-jobs-{jobs}"));
+/// Runs `fig8` at a small config on `workloads` and `--jobs jobs` into a
+/// fresh `--out` directory named after `test`; returns its output and
+/// whether it wrote its JSONL.
+fn fig8(test: &str, workloads: &str, jobs: &str) -> (std::process::Output, bool) {
+    let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("fig8-{test}"));
     let _ = std::fs::remove_dir_all(&out);
     let output = std::process::Command::new(env!("CARGO_BIN_EXE_fig8"))
-        .args(["--scale", "256", "--accesses", "2000", "--workloads", "mcf", "--jobs", jobs])
+        .args(["--scale", "256", "--accesses", "2000", "--workloads", workloads, "--jobs", jobs])
         .arg("--out")
         .arg(&out)
         .output()
         .expect("spawning fig8");
+    (output, out.join("fig8.jsonl").exists())
+}
+
+/// Runs `fig8` on mcf at `--jobs jobs` and returns its stdout.
+fn fig8_stdout(jobs: &str) -> Vec<u8> {
+    let (output, _) = fig8(&format!("jobs-{jobs}"), "mcf", jobs);
     assert!(
         output.status.success(),
         "fig8 --jobs {jobs} failed:\n{}",
         String::from_utf8_lossy(&output.stderr)
     );
     output.stdout
+}
+
+#[test]
+fn repeated_workload_fails_without_writing() {
+    let (output, wrote) = fig8("repeated", "mcf,xz,mcf", "1");
+    assert!(!output.status.success(), "a repeated workload must fail");
+    assert!(!wrote, "nothing is written");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("--workloads names mcf twice"), "{stderr}");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn peak_rss_is_the_last_stderr_line() {
+    let (output, _) = fig8("peak-rss", "mcf", "1");
+    assert!(output.status.success());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let last = stderr.lines().last().unwrap_or_default();
+    let mb: f64 = last
+        .strip_prefix("peak_rss_mb ")
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("last stderr line {last:?}"));
+    assert!(mb > 0.0, "{last}");
+    assert!(!String::from_utf8_lossy(&output.stdout).contains("peak_rss_mb"));
 }
 
 #[test]

@@ -110,7 +110,7 @@ fn in_group(profile: &SpecProfile, group: &str) -> bool {
 impl Fig8Data {
     /// Panel value for `design` (row index into [`Design::fig8`]) over one
     /// MPKI group: geomean for IPC, arithmetic mean for traffic/energy
-    /// ratios.
+    /// ratios; 0 for a group none of the profiles falls in.
     pub fn cell(&self, design_idx: usize, group: &str, panel: Panel) -> f64 {
         let mut values = Vec::new();
         for (w, p) in self.profiles.iter().enumerate() {
@@ -138,7 +138,8 @@ impl Fig8Data {
         }
     }
 
-    /// Renders one panel as a text table (designs × groups).
+    /// Renders one panel as a text table (designs × groups). A group none
+    /// of the profiles falls in reads `-`.
     pub fn render(&self, panel: Panel) -> String {
         let mut rows = vec![{
             let mut h = vec!["design".to_string()];
@@ -148,7 +149,11 @@ impl Fig8Data {
         for (i, d) in Design::fig8().iter().enumerate() {
             let mut row = vec![d.label().to_string()];
             for g in GROUPS {
-                row.push(format!("{:.2}", self.cell(i, g, panel)));
+                if self.profiles.iter().any(|p| in_group(p, g)) {
+                    row.push(format!("{:.2}", self.cell(i, g, panel)));
+                } else {
+                    row.push("-".to_string());
+                }
             }
             rows.push(row);
         }
@@ -219,6 +224,26 @@ mod tests {
             let t = data.render(p);
             assert!(t.contains("Bumblebee"));
             assert!(t.contains("All"));
+        }
+    }
+
+    #[test]
+    fn empty_groups_print_a_dash() {
+        let mut data = small_data();
+        // Drop wrf, the one High profile.
+        let wrf = data.profiles.iter().position(|p| p.name == "wrf").unwrap();
+        data.profiles.remove(wrf);
+        data.baselines.remove(wrf);
+        for row in &mut data.reports {
+            row.remove(wrf);
+        }
+        let table = data.render(Panel::Ipc);
+        let header: Vec<&str> = table.lines().nth(1).unwrap().split_whitespace().collect();
+        let high = header.iter().position(|&h| h == "High").unwrap();
+        for line in table.lines().skip(3) {
+            let cols: Vec<&str> = line.split_whitespace().collect();
+            assert_eq!(cols[high], "-", "{line}");
+            assert_ne!(cols[high + 1], "-", "Medium holds mcf: {line}");
         }
     }
 
