@@ -10,7 +10,6 @@
 //! off the serialized probe-then-DRAM path.
 
 use crate::common::FaultModel;
-use memsim_obs::{EpochGauges, Telemetry};
 use memsim_types::{
     Access, AccessKind, AccessPath, AccessPlan, Addr, CtrlStats, DeviceOp, Geometry, TrafficCause,
     HybridMemoryController, Mem, OpKind, OverfetchTracker, QuickDiv,
@@ -74,7 +73,6 @@ pub struct AlloyCache {
     faults: FaultModel,
     stats: CtrlStats,
     overfetch: OverfetchTracker,
-    telemetry: Telemetry,
 }
 
 impl AlloyCache {
@@ -97,13 +95,7 @@ impl AlloyCache {
             geometry,
             stats: CtrlStats::new(),
             overfetch: OverfetchTracker::new(),
-            telemetry: Telemetry::default(),
         }
-    }
-
-    /// The controller's telemetry handle (install/remove a recorder).
-    pub fn telemetry_mut(&mut self) -> &mut Telemetry {
-        &mut self.telemetry
     }
 
     fn index(&self, line_addr: u64) -> (usize, u64) {
@@ -112,8 +104,8 @@ impl AlloyCache {
     }
 }
 
-impl AlloyCache {
-    fn access_inner(&mut self, req: &Access, plan: &mut AccessPlan) {
+impl HybridMemoryController for AlloyCache {
+    fn access(&mut self, req: &Access, plan: &mut AccessPlan) {
         let addr = self.faults.translate(req.addr, plan);
         let line_addr = addr.0 / LINE_BYTES;
         let (idx, tag) = self.index(line_addr);
@@ -209,16 +201,6 @@ impl AlloyCache {
         self.stats.block_fills += 1;
         self.overfetch.fetched(line_addr, LINE_BYTES as u32);
         self.overfetch.used(line_addr); // demand-fetched block is used
-    }
-}
-
-impl HybridMemoryController for AlloyCache {
-    fn access(&mut self, req: &Access, plan: &mut AccessPlan) {
-        self.access_inner(req, plan);
-        crate::common::tick_epoch(&mut self.telemetry, &self.stats, || EpochGauges {
-            overfetch_ratio: self.overfetch.overfetch_ratio(),
-            ..EpochGauges::default()
-        });
     }
 
     fn name(&self) -> &'static str {

@@ -8,7 +8,6 @@
 //! reduction in cache-fill and metadata traffic.
 
 use crate::common::FaultModel;
-use memsim_obs::{EpochGauges, Telemetry};
 use memsim_types::{
     Access, AccessKind, AccessPath, AccessPlan, Addr, CtrlStats, DeviceOp, Geometry, TrafficCause,
     HybridMemoryController, Mem, OpKind, OverfetchTracker, QuickDiv,
@@ -47,7 +46,6 @@ pub struct Banshee {
     faults: FaultModel,
     stats: CtrlStats,
     overfetch: OverfetchTracker,
-    telemetry: Telemetry,
 }
 
 impl Banshee {
@@ -64,7 +62,6 @@ impl Banshee {
             set_div: QuickDiv::new(sets as u64),
             stats: CtrlStats::new(),
             overfetch: OverfetchTracker::new(),
-            telemetry: Telemetry::default(),
         }
     }
 
@@ -73,13 +70,8 @@ impl Banshee {
     }
 }
 
-impl Banshee {
-    /// The controller's telemetry handle (install/remove a recorder).
-    pub fn telemetry_mut(&mut self) -> &mut Telemetry {
-        &mut self.telemetry
-    }
-
-    fn access_inner(&mut self, req: &Access, plan: &mut AccessPlan) {
+impl HybridMemoryController for Banshee {
+    fn access(&mut self, req: &Access, plan: &mut AccessPlan) {
         let addr = self.faults.translate(req.addr, plan);
         let page = addr.0 / PAGE_BYTES;
         let offset = addr.0 % PAGE_BYTES;
@@ -208,16 +200,6 @@ impl Banshee {
             self.overfetch.fetched(page * 64 + l, 64);
         }
         self.overfetch.used(page * 64 + offset / 64);
-    }
-}
-
-impl HybridMemoryController for Banshee {
-    fn access(&mut self, req: &Access, plan: &mut AccessPlan) {
-        self.access_inner(req, plan);
-        crate::common::tick_epoch(&mut self.telemetry, &self.stats, || EpochGauges {
-            overfetch_ratio: self.overfetch.overfetch_ratio(),
-            ..EpochGauges::default()
-        });
     }
 
     fn name(&self) -> &'static str {

@@ -8,7 +8,6 @@
 //! memory with only the hottest entries cached in the SRAM budget, so
 //! lookups frequently pay an in-HBM metadata access.
 
-use memsim_obs::{EpochGauges, Telemetry};
 use memsim_types::{
     Access, AccessKind, AccessPath, AccessPlan, Addr, CtrlStats, DeviceOp, Geometry,
     HybridMemoryController, Mem, MetadataModel, OpKind, QuickDiv, TrafficCause,
@@ -37,7 +36,6 @@ pub struct Chameleon {
     metadata: MetadataModel,
     stats: CtrlStats,
     swaps: u64,
-    telemetry: Telemetry,
 }
 
 impl Chameleon {
@@ -61,13 +59,7 @@ impl Chameleon {
             metadata: MetadataModel::new(metadata_bytes, sram_budget, Mem::Hbm, 64),
             stats: CtrlStats::new(),
             swaps: 0,
-            telemetry: Telemetry::default(),
         }
-    }
-
-    /// The controller's telemetry handle (install/remove a recorder).
-    pub fn telemetry_mut(&mut self) -> &mut Telemetry {
-        &mut self.telemetry
     }
 
     /// Sector swaps performed.
@@ -171,7 +163,6 @@ impl HybridMemoryController for Chameleon {
             self.stats.page_migrations += 1;
             plan.path = AccessPath::Migration;
         }
-        crate::common::tick_epoch(&mut self.telemetry, &self.stats, EpochGauges::default);
     }
 
     fn name(&self) -> &'static str {

@@ -1,7 +1,6 @@
 //! Helpers shared by every baseline.
 
-use memsim_obs::{EpochGauges, Telemetry};
-use memsim_types::{AccessPlan, Addr, CtrlStats, DeviceOp, Mem, OpKind, TrafficCause};
+use memsim_types::{AccessPlan, Addr, DeviceOp, Mem, OpKind, TrafficCause};
 
 /// OS page size used for fault accounting.
 pub const OS_PAGE_BYTES: u64 = 4096;
@@ -81,20 +80,6 @@ impl FaultModel {
             });
         }
         Addr(addr.0 % self.os_visible_bytes)
-    }
-}
-
-/// Epoch tick shared by every baseline: counts one access on `telemetry`
-/// and samples a snapshot at epoch boundaries. `gauges` is only invoked
-/// when a sample is actually due, so the disabled path never computes them.
-pub fn tick_epoch(
-    telemetry: &mut Telemetry,
-    stats: &CtrlStats,
-    gauges: impl FnOnce() -> EpochGauges,
-) {
-    if telemetry.tick() {
-        let g = gauges();
-        telemetry.sample(stats, g);
     }
 }
 

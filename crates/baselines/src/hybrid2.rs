@@ -12,7 +12,6 @@
 //! metadata access.
 
 use crate::common::{FaultModel, LruRanks};
-use memsim_obs::{EpochGauges, Telemetry};
 use memsim_types::{
     Access, AccessKind, AccessPath, AccessPlan, Addr, CtrlStats, DeviceOp, Geometry, TrafficCause,
     HybridMemoryController, Mem, MetadataModel, OpKind, OverfetchTracker, QuickDiv,
@@ -65,7 +64,6 @@ pub struct Hybrid2 {
     stats: CtrlStats,
     overfetch: OverfetchTracker,
     mode_switch_bytes: u64,
-    telemetry: Telemetry,
 }
 
 impl Hybrid2 {
@@ -98,7 +96,6 @@ impl Hybrid2 {
             stats: CtrlStats::new(),
             overfetch: OverfetchTracker::new(),
             mode_switch_bytes: 0,
-            telemetry: Telemetry::default(),
         }
     }
 
@@ -149,13 +146,8 @@ impl Hybrid2 {
     }
 }
 
-impl Hybrid2 {
-    /// The controller's telemetry handle (install/remove a recorder).
-    pub fn telemetry_mut(&mut self) -> &mut Telemetry {
-        &mut self.telemetry
-    }
-
-    fn access_inner(&mut self, req: &Access, plan: &mut AccessPlan) {
+impl HybridMemoryController for Hybrid2 {
+    fn access(&mut self, req: &Access, plan: &mut AccessPlan) {
         plan.metadata_cycles += self.metadata.lookup(plan, req.addr);
         let addr = self.faults.translate(req.addr, plan);
         let is_read = req.kind == AccessKind::Read;
@@ -320,16 +312,6 @@ impl Hybrid2 {
         self.stats.block_fills += 1;
         fetch_block_lines(&mut self.overfetch, group, block);
         self.overfetch.used(line_key(group, block, addr));
-    }
-}
-
-impl HybridMemoryController for Hybrid2 {
-    fn access(&mut self, req: &Access, plan: &mut AccessPlan) {
-        self.access_inner(req, plan);
-        crate::common::tick_epoch(&mut self.telemetry, &self.stats, || EpochGauges {
-            overfetch_ratio: self.overfetch.overfetch_ratio(),
-            ..EpochGauges::default()
-        });
     }
 
     fn name(&self) -> &'static str {

@@ -1,7 +1,6 @@
 //! The no-HBM reference system (the paper's normalization baseline).
 
 use crate::common::FaultModel;
-use memsim_obs::{EpochGauges, Telemetry};
 use memsim_types::{
     Access, AccessKind, AccessPath, AccessPlan, CtrlStats, DeviceOp, Geometry,
     HybridMemoryController, Mem,
@@ -14,7 +13,6 @@ pub struct OffChipOnly {
     geometry: Geometry,
     faults: FaultModel,
     stats: CtrlStats,
-    telemetry: Telemetry,
 }
 
 impl OffChipOnly {
@@ -24,18 +22,12 @@ impl OffChipOnly {
             faults: FaultModel::with_default_table(geometry.dram_bytes()),
             geometry,
             stats: CtrlStats::new(),
-            telemetry: Telemetry::default(),
         }
     }
 
     /// Major page faults absorbed.
     pub fn page_faults(&self) -> u64 {
         self.faults.faults()
-    }
-
-    /// The controller's telemetry handle (install/remove a recorder).
-    pub fn telemetry_mut(&mut self) -> &mut Telemetry {
-        &mut self.telemetry
     }
 }
 
@@ -51,7 +43,6 @@ impl HybridMemoryController for OffChipOnly {
                 plan.background.push(DeviceOp::demand_write(Mem::OffChip, addr, 64))
             }
         }
-        crate::common::tick_epoch(&mut self.telemetry, &self.stats, EpochGauges::default);
     }
 
     fn name(&self) -> &'static str {

@@ -8,7 +8,6 @@
 //! use rather than the whole page.
 
 use crate::common::{FaultModel, LruRanks};
-use memsim_obs::{EpochGauges, Telemetry};
 use memsim_types::{
     Access, AccessKind, AccessPath, AccessPlan, Addr, CtrlStats, DeviceOp, Geometry, TrafficCause,
     HybridMemoryController, Mem, OpKind, OverfetchTracker, QuickDiv,
@@ -45,7 +44,6 @@ pub struct UnisonCache {
     faults: FaultModel,
     stats: CtrlStats,
     overfetch: OverfetchTracker,
-    telemetry: Telemetry,
 }
 
 impl UnisonCache {
@@ -63,7 +61,6 @@ impl UnisonCache {
             set_div: QuickDiv::new(sets as u64),
             stats: CtrlStats::new(),
             overfetch: OverfetchTracker::new(),
-            telemetry: Telemetry::default(),
         }
     }
 
@@ -159,13 +156,8 @@ impl UnisonCache {
     }
 }
 
-impl UnisonCache {
-    /// The controller's telemetry handle (install/remove a recorder).
-    pub fn telemetry_mut(&mut self) -> &mut Telemetry {
-        &mut self.telemetry
-    }
-
-    fn access_inner(&mut self, req: &Access, plan: &mut AccessPlan) {
+impl HybridMemoryController for UnisonCache {
+    fn access(&mut self, req: &Access, plan: &mut AccessPlan) {
         let addr = self.faults.translate(req.addr, plan);
         let page = addr.0 / PAGE_BYTES;
         let block = ((addr.0 % PAGE_BYTES) / LINE_BYTES) as u32;
@@ -271,16 +263,6 @@ impl UnisonCache {
         };
         self.lru.touch(set, victim);
         self.overfetch.used(page * 64 + u64::from(block));
-    }
-}
-
-impl HybridMemoryController for UnisonCache {
-    fn access(&mut self, req: &Access, plan: &mut AccessPlan) {
-        self.access_inner(req, plan);
-        crate::common::tick_epoch(&mut self.telemetry, &self.stats, || EpochGauges {
-            overfetch_ratio: self.overfetch.overfetch_ratio(),
-            ..EpochGauges::default()
-        });
     }
 
     fn name(&self) -> &'static str {

@@ -15,13 +15,25 @@ pub enum AllocPolicy {
     AllHbm,
 }
 
+/// Rh at or above which a set counts as high-occupancy (paper: 1.0).
+pub const HIGH_RH: f64 = 1.0;
+
+/// Remapping sets whose cHBM is flushed per high-global-footprint event
+/// (paper rule 5's batching).
+pub const FLUSH_BATCH_SETS: u64 = 8;
+
+/// Set-local accesses a set refrains from creating new cHBM pages after a
+/// pressure flush ("until the OS memory footprint drops").
+pub const CHBM_DISABLE_WINDOW: u64 = 4096;
+
 /// Tuning knobs and ablation switches for the Bumblebee controller.
 ///
 /// Defaults reproduce the paper's evaluated configuration (§IV-A):
 /// 8-deep off-chip hot queue, `T` = smallest HBM hotness in the set,
-/// Rh considered high at 1.0, majority mode-switch threshold, multiplexed
-/// cHBM/mHBM space, metadata in SRAM, hotness-based allocation, and every
-/// high-memory-footprint rule enabled.
+/// majority mode-switch threshold, multiplexed cHBM/mHBM space, metadata
+/// in SRAM, hotness-based allocation, and every high-memory-footprint
+/// rule enabled. The rule thresholds no experiment varies are constants:
+/// [`HIGH_RH`], [`FLUSH_BATCH_SETS`] and [`CHBM_DISABLE_WINDOW`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BumblebeeConfig {
     /// Depth of the hot-table queue for off-chip pages (paper: 8).
@@ -30,18 +42,9 @@ pub struct BumblebeeConfig {
     /// switched to mHBM / counted as spatially strong ("most blocks";
     /// paper-faithful default 0.5, strict majority).
     pub mode_switch_fraction: f64,
-    /// Rh at or above which the set counts as high-occupancy (paper: 1.0).
-    pub high_rh: f64,
     /// Set-local accesses after which an unchanged LRU HBM entry is a
     /// zombie (paper: "a long time"; default 1024).
     pub zombie_window: u32,
-    /// Remapping sets whose cHBM is flushed per high-global-footprint event
-    /// (paper rule 5's batching; default 8).
-    pub flush_batch_sets: u32,
-    /// Set-local accesses a set refrains from creating new cHBM pages after
-    /// a pressure flush ("until the OS memory footprint drops"; default
-    /// 4096).
-    pub chbm_disable_window: u32,
     /// `Some(r)` pins the cHBM fraction of every set to `r` (Fig. 7's
     /// C-Only = 1.0, 50%-C = 0.5, 25%-C = 0.25, M-Only = 0.0);
     /// `None` = the paper's adaptive design.
@@ -68,10 +71,7 @@ impl Default for BumblebeeConfig {
         BumblebeeConfig {
             hot_queue_len: 8,
             mode_switch_fraction: 0.5,
-            high_rh: 1.0,
             zombie_window: 1024,
-            flush_batch_sets: 8,
-            chbm_disable_window: 4096,
             fixed_chbm_ratio: None,
             multiplexed: true,
             metadata_in_hbm: false,
@@ -148,7 +148,7 @@ mod tests {
     fn default_matches_paper_settings() {
         let c = BumblebeeConfig::default();
         assert_eq!(c.hot_queue_len, 8);
-        assert_eq!(c.high_rh, 1.0);
+        assert_eq!(HIGH_RH, 1.0);
         assert!(c.multiplexed && c.hmf_enabled && !c.metadata_in_hbm);
         assert_eq!(c.fixed_chbm_ratio, None);
         assert_eq!(c.alloc_policy, AllocPolicy::Hotness);

@@ -1,6 +1,6 @@
 //! The full Bumblebee HMMC.
 
-use crate::config::BumblebeeConfig;
+use crate::config::{BumblebeeConfig, FLUSH_BATCH_SETS};
 use crate::metadata::MetadataBreakdown;
 use crate::set::{RemapSet, ServedFrom, SetCtx};
 use memsim_obs::{EpochGauges, Telemetry, OCC_BUCKETS};
@@ -42,7 +42,6 @@ pub struct BumblebeeController {
     stats: CtrlStats,
     overfetch: OverfetchTracker,
     mode_switch_bytes: u64,
-    metadata_spill_bytes: u64,
     flush_cursor: u64,
     next_flush_ok: u64,
     movement_credit: i64,
@@ -72,7 +71,6 @@ impl BumblebeeController {
             stats: CtrlStats::new(),
             overfetch: OverfetchTracker::new(),
             mode_switch_bytes: 0,
-            metadata_spill_bytes: 0,
             flush_cursor: 0,
             next_flush_ok: 0,
             movement_credit: MOVEMENT_CREDIT_CAP,
@@ -82,13 +80,13 @@ impl BumblebeeController {
         }
     }
 
-    /// The controller's telemetry handle (install/remove a recorder).
+    /// The controller's telemetry handle (install/remove the event ring).
     pub fn telemetry_mut(&mut self) -> &mut Telemetry {
         &mut self.telemetry
     }
 
-    /// Instantaneous gauges for an epoch sample.
-    fn gauges(&self) -> EpochGauges {
+    /// Instantaneous gauges for an epoch sample: one walk over every set.
+    pub fn gauges(&self) -> EpochGauges {
         let mut occupancy = [0u32; OCC_BUCKETS];
         let mut rh_sum = 0.0;
         let mut threshold_sum = 0u64;
@@ -186,7 +184,7 @@ impl BumblebeeController {
     /// [`access`](HybridMemoryController::access) and the grouped
     /// [`access_batch`](HybridMemoryController::access_batch) run: movement
     /// credit, metadata lookup and spill, the rule-5 pressure flush, the
-    /// set access, the debug-build invariant sweep and the epoch sample.
+    /// set access, the debug-build invariant sweep and the event clock.
     /// `wrapped` is `addr` wrapped into the flat address space and
     /// `(set_id, o)` its set and page slot, which the batched path resolves
     /// once per same-page run.
@@ -202,10 +200,7 @@ impl BumblebeeController {
         self.accesses += 1;
         self.movement_credit =
             (self.movement_credit + MOVEMENT_CREDIT_PER_ACCESS).min(MOVEMENT_CREDIT_CAP);
-        let spills_before = plan.background.len();
         plan.metadata_cycles += self.metadata.lookup(plan, addr);
-        self.metadata_spill_bytes +=
-            plan.background[spills_before..].iter().map(|op| u64::from(op.bytes)).sum::<u64>();
         self.pressure_flush(wrapped, plan);
         let block = self.geometry.block_of(wrapped).0;
         let line = self.geometry.line_of(wrapped) as u32;
@@ -228,15 +223,12 @@ impl BumblebeeController {
                 panic!("debug build: invariant violation after {} accesses: {e}", self.accesses);
             }
         }
-        if self.telemetry.tick() {
-            let gauges = self.gauges();
-            self.telemetry.sample(&self.stats, gauges);
-        }
+        self.telemetry.tick();
     }
 
     /// Rule 5: an address beyond off-chip capacity means the OS is handing
     /// out HBM-region addresses — the global footprint is high — so flush
-    /// the next `flush_batch_sets` sets' cHBM frames, at most once per
+    /// the next [`FLUSH_BATCH_SETS`] sets' cHBM frames, at most once per
     /// cooldown.
     fn pressure_flush(&mut self, wrapped: Addr, plan: &mut AccessPlan) {
         if !self.cfg.hmf_enabled
@@ -246,7 +238,7 @@ impl BumblebeeController {
             return;
         }
         self.next_flush_ok = self.accesses + PRESSURE_COOLDOWN;
-        let batch = u64::from(self.cfg.flush_batch_sets).min(self.geometry.num_sets());
+        let batch = FLUSH_BATCH_SETS.min(self.geometry.num_sets());
         for i in 0..batch {
             let s = (self.flush_cursor + i) % self.geometry.num_sets();
             let set = &mut self.sets[s as usize];
@@ -277,11 +269,11 @@ impl HybridMemoryController for BumblebeeController {
     /// The grouped batch fast path. Accesses are processed strictly in
     /// stream order (reordering would perturb the metadata spill schedule,
     /// the global pressure-flush cooldown, the shared movement-credit pool
-    /// and mid-stream epoch samples — see DESIGN.md §10); the grouping win
-    /// comes from *consecutive same-page runs*, which the run-based
-    /// workload generator makes long: the page→set/slot resolution is done
-    /// once per run while the set's PRT/BLE/hot-table metadata stays
-    /// cache-resident.
+    /// and the trace events' access stamps — see DESIGN.md §10); the
+    /// grouping win comes from *consecutive same-page runs*, which the
+    /// run-based workload generator makes long: the page→set/slot
+    /// resolution is done once per run while the set's PRT/BLE/hot-table
+    /// metadata stays cache-resident.
     fn access_batch(&mut self, batch: &AccessBatch, plans: &mut PlanBuffer) {
         plans.begin_chunk();
         let mut run: Option<(PageIndex, (u64, u16))> = None;
@@ -335,6 +327,7 @@ impl HybridMemoryController for BumblebeeController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memsim_obs::Ring;
 
     fn tiny_geometry() -> Geometry {
         Geometry::builder()
@@ -449,36 +442,26 @@ mod tests {
     }
 
     #[test]
-    fn recorder_collects_epochs_and_events() {
-        use memsim_obs::{MetricsConfig, RunRecorder};
+    fn recorder_collects_events() {
         let mut c = BumblebeeController::new(tiny_geometry(), BumblebeeConfig::default());
-        c.telemetry_mut().install(RunRecorder::new(&MetricsConfig {
-            epoch_interval: 4,
-            event_capacity: 64,
-            ..MetricsConfig::default()
-        }));
+        c.telemetry_mut().install(Ring::new(64));
         let mut plan = AccessPlan::new();
         for i in 0..10u64 {
             plan.clear();
             c.access(&Access::read(Addr(i * 64)), &mut plan);
         }
-        let run = c.telemetry_mut().take().unwrap();
-        assert_eq!(run.epochs().len(), 2, "boundaries at accesses 4 and 8");
-        assert_eq!(run.epochs()[0].accesses, 4);
-        assert!(run.epochs()[1].cum_hit_rate > 0.0, "repeat touches hit HBM");
-        assert!(!run.ring().is_empty(), "allocation/fill events were traced");
+        let events = c.telemetry_mut().take().unwrap().into_vec();
+        assert_eq!(events[0].event.kind(), "prt_miss", "the first touch allocates");
+        assert_eq!(events[0].seq, 0, "stamped with the accesses before it");
+        assert!(events.iter().any(|e| e.seq == 9), "the tenth access is traced too");
     }
 
     #[test]
     fn recorder_leaves_stats_unchanged() {
-        use memsim_obs::{MetricsConfig, RunRecorder};
         let run = |install: bool| {
             let mut c = BumblebeeController::new(tiny_geometry(), BumblebeeConfig::default());
             if install {
-                c.telemetry_mut().install(RunRecorder::new(&MetricsConfig {
-                    epoch_interval: 8,
-                    ..MetricsConfig::default()
-                }));
+                c.telemetry_mut().install(Ring::new(4096));
             }
             let mut plan = AccessPlan::new();
             for i in 0..64u64 {
@@ -536,7 +519,6 @@ mod tests {
             assert_eq!(batched.stats(), serial.stats());
             assert_eq!(batched.os_visible_bytes(), serial.os_visible_bytes());
             assert_eq!(batched.overfetch_ratio(), serial.overfetch_ratio());
-            assert_eq!(batched.metadata_spill_bytes, serial.metadata_spill_bytes);
         }
     }
 

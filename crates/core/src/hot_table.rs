@@ -10,7 +10,7 @@
 //!
 //! Both queues are intrusive doubly-linked lists threaded through one fixed
 //! node arena, with a per-PLE slot map giving the arena index of a page's
-//! node (or [`NIL`]). Every queue operation — touch, promote, demote,
+//! node (or `NIL`). Every queue operation — touch, promote, demote,
 //! remove, pop-LRU — is O(1) and allocation-free once the arena has warmed
 //! up; the earlier `Vec<HotEntry>` representation paid O(n) `position`
 //! scans, front-inserts and `retain` removals on every access. The

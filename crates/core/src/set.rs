@@ -9,7 +9,7 @@
 
 use crate::ble::{Ble, FrameMode};
 use crate::bitmap::BlockBitmap;
-use crate::config::{AllocPolicy, BumblebeeConfig};
+use crate::config::{AllocPolicy, BumblebeeConfig, CHBM_DISABLE_WINDOW, HIGH_RH};
 use crate::hot_table::{HotEntry, HotTable};
 use crate::prt::Prt;
 use memsim_obs::{Telemetry, TraceEvent};
@@ -49,7 +49,7 @@ pub struct SetCtx<'a> {
     /// movement (migrations, rule-4 swaps) is deferred when exhausted —
     /// the mover is a finite resource, not an infinite DMA engine.
     pub movement_credit: &'a mut i64,
-    /// Telemetry handle when a recorder is installed; `None` keeps the
+    /// Telemetry handle when an event ring is installed; `None` keeps the
     /// fast path free of even event-payload construction.
     pub telemetry: Option<&'a mut Telemetry>,
 }
@@ -421,7 +421,7 @@ impl RemapSet {
             self.serve_offchip(home, block, kind, ctx);
             let hotness = self.hot.touch_hbm(o);
             let quota = ctx.cfg.chbm_quota(u32::from(self.n()));
-            let high_rh = self.rh_for(true, quota) >= ctx.cfg.high_rh
+            let high_rh = self.rh_for(true, quota) >= HIGH_RH
                 || self.hot.hbm_len() >= usize::from(self.n());
             if high_rh && hotness <= self.threshold_for(true, quota) {
                 ctx.stats.threshold_rejections += 1;
@@ -496,7 +496,7 @@ impl RemapSet {
         } else {
             prefer_mhbm
         };
-        let high_rh = self.rh_for(!prefer_mhbm, quota) >= ctx.cfg.high_rh
+        let high_rh = self.rh_for(!prefer_mhbm, quota) >= HIGH_RH
             || self.hot.hbm_len() >= usize::from(self.n());
         let threshold = self.threshold_for(!prefer_mhbm, quota);
         if prefer_mhbm {
@@ -948,7 +948,7 @@ impl RemapSet {
     /// sit unchanged for `zombie_window` set accesses under high Rh.
     fn zombie_tick(&mut self, ctx: &mut SetCtx<'_>) {
         let head = self.hot.lru_hbm().map(|e| (e.ple, e.counter));
-        if let Some((ple, _)) = head.filter(|_| head == self.zombie_head && self.rh() >= ctx.cfg.high_rh) {
+        if let Some((ple, _)) = head.filter(|_| head == self.zombie_head && self.rh() >= HIGH_RH) {
             self.zombie_stale += 1;
             if self.zombie_stale >= ctx.cfg.zombie_window {
                 self.hot.demote(ple);
@@ -1081,7 +1081,7 @@ impl RemapSet {
                 self.hot.demote(o);
             }
         }
-        self.chbm_disabled_until = self.accesses + u64::from(ctx.cfg.chbm_disable_window);
+        self.chbm_disabled_until = self.accesses + CHBM_DISABLE_WINDOW;
         ctx.stats.pressure_flushes += 1;
         let set = ctx.set_id;
         ctx.emit(|| TraceEvent::PressureFlush { set });
@@ -1648,13 +1648,12 @@ mod tests {
 
     #[test]
     fn events_are_recorded_when_a_recorder_is_installed() {
-        use memsim_obs::{MetricsConfig, RunRecorder};
         let mut h = Harness::new(BumblebeeConfig::default());
-        h.telemetry.install(RunRecorder::new(&MetricsConfig::default()));
+        h.telemetry.install(memsim_obs::Ring::new(4096));
         h.access(0, 0, AccessKind::Read); // allocate + fill
         h.access(0, 0, AccessKind::Read); // cHBM hit
-        let run = h.telemetry.take().unwrap();
-        let kinds: Vec<&str> = run.ring().iter().map(|e| e.event.kind()).collect();
+        let ring = h.telemetry.take().unwrap();
+        let kinds: Vec<&str> = ring.iter().map(|e| e.event.kind()).collect();
         assert!(kinds.contains(&"prt_miss"), "kinds {kinds:?}");
         assert!(kinds.contains(&"block_fill"), "kinds {kinds:?}");
         assert!(kinds.contains(&"ble_hit"), "kinds {kinds:?}");

@@ -2,7 +2,7 @@
 //! tracing and power-of-two histograms.
 //!
 //! The crate is deliberately tiny and dependency-free (it sees only
-//! `memsim-types`), because every controller on the hot path owns a
+//! `memsim-types`), because the Bumblebee controller's hot path owns a
 //! [`Telemetry`] handle:
 //!
 //! * [`hist::Pow2Histogram`] — 64 power-of-two buckets for latency and
@@ -15,12 +15,11 @@
 //!   flushes…), kept in a `Ring`;
 //! * [`snapshot::EpochSnapshot`] — one sampled point of the per-epoch
 //!   time-series (hit rate, mHBM fraction, Rh, T, movement deltas,
-//!   occupancy heatmap buckets);
-//! * [`recorder::RunRecorder`] — collects a run's epoch time-series and
-//!   event ring for JSONL export;
-//! * [`recorder::Telemetry`] — the controller-side handle. With no
-//!   recorder installed (the default) the fast path costs a single
-//!   `Option` discriminant check;
+//!   occupancy heatmap buckets), built by `memsim-sim`'s run loop at each
+//!   epoch boundary from `CtrlStats` deltas and the controller's gauges;
+//! * [`recorder::Telemetry`] — the controller-side event handle. With no
+//!   ring installed (the default) the fast path costs a single `Option`
+//!   discriminant check;
 //! * [`lat`] — sampled per-access request tracing: a deterministic
 //!   SplitMix64 sampler over the global access sequence, cycle-domain
 //!   [`lat::AccessRecord`]s (path + lookup/queue/service/stall), kept in a
@@ -39,25 +38,23 @@
 //! # Example
 //!
 //! ```
-//! use memsim_obs::{MetricsConfig, RunRecorder, Telemetry};
+//! use memsim_obs::{EpochGauges, EpochSnapshot, Ring, Telemetry, TraceEvent};
 //! use memsim_types::CtrlStats;
 //!
 //! let mut t = Telemetry::default();          // disabled: near-zero cost
-//! assert!(!t.enabled());
-//! t.install(RunRecorder::new(&MetricsConfig {
-//!     epoch_interval: 2,
-//!     event_capacity: 16,
-//!     ..MetricsConfig::default()
-//! }));
+//! assert!(t.active().is_none());
+//! t.install(Ring::new(16));
+//! t.tick();
+//! t.event(TraceEvent::PrtMiss { set: 0, page: 7 });
+//! assert_eq!(t.take().unwrap().into_vec()[0].seq, 1);
+//!
+//! // An epoch point is the delta between two boundaries' counters.
 //! let mut stats = CtrlStats::new();
-//! for _ in 0..4 {
-//!     stats.hbm_hits += 1;
-//!     if t.tick() {
-//!         t.sample(&stats, Default::default());
-//!     }
-//! }
-//! let run = t.take().unwrap();
-//! assert_eq!(run.epochs().len(), 2);
+//! let last = stats.clone();
+//! stats.hbm_hits += 3;
+//! stats.offchip_serves += 1;
+//! let snap = EpochSnapshot::from_delta(0, 4, &stats, &last, EpochGauges::default());
+//! assert_eq!(snap.hit_rate, 0.75);
 //! ```
 
 pub mod bw;
@@ -72,6 +69,6 @@ pub use bw::{reconcile, BwPoint, TrafficAccum, TrafficMatrix};
 pub use event::{TimedEvent, TraceEvent};
 pub use hist::{DeviceHistograms, Pow2Histogram};
 pub use lat::{sampled, AccessRecord, LatCollector, PathLatency, QueueGauge};
-pub use recorder::{MetricsConfig, RunRecorder, Telemetry};
+pub use recorder::{MetricsConfig, Telemetry};
 pub use ring::Ring;
 pub use snapshot::{EpochGauges, EpochSnapshot, OCC_BUCKETS};

@@ -8,9 +8,9 @@ pub const OCC_BUCKETS: usize = 8;
 /// Instantaneous controller gauges sampled at an epoch boundary.
 ///
 /// Counters (hits, fills, migrations…) are derived from [`CtrlStats`]
-/// deltas by [`Telemetry::sample`](crate::Telemetry::sample); this struct
-/// carries everything that is *state*, not a count. Designs without a
-/// concept leave its field at the zero default.
+/// deltas by [`EpochSnapshot::from_delta`]; this struct carries
+/// everything that is *state*, not a count. Designs without a concept
+/// leave its field at the zero default.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EpochGauges {
     /// Fraction of HBM frames in cHBM (cache) mode.

@@ -4,7 +4,7 @@ use bumblebee_core::{BumblebeeConfig, BumblebeeController};
 use memsim_baselines::{
     ablations, AlloyCache, Banshee, Chameleon, Hybrid2, OffChipOnly, UnisonCache,
 };
-use memsim_obs::RunRecorder;
+use memsim_obs::{EpochGauges, Ring, TimedEvent};
 use memsim_types::{
     Access, AccessBatch, AccessPlan, CtrlStats, Geometry, HybridMemoryController, PlanBuffer,
 };
@@ -144,14 +144,32 @@ impl AnyController {
         }
     }
 
-    /// Installs a telemetry recorder on the concrete controller.
-    pub fn install_recorder(&mut self, rec: RunRecorder) {
-        delegate!(self, c => c.telemetry_mut().install(rec));
+    /// Installs a trace-event ring on a Bumblebee controller, the one
+    /// design that emits events; a no-op for every other design.
+    pub fn install_recorder(&mut self, ring: Ring<TimedEvent>) {
+        if let AnyController::Bumblebee(c) = self {
+            c.telemetry_mut().install(ring);
+        }
     }
 
-    /// Removes and returns the telemetry recorder, if one was installed.
-    pub fn take_recorder(&mut self) -> Option<RunRecorder> {
-        delegate!(self, c => c.telemetry_mut().take())
+    /// Removes and returns the trace-event ring, if one was installed.
+    pub fn take_recorder(&mut self) -> Option<Ring<TimedEvent>> {
+        match self {
+            AnyController::Bumblebee(c) => c.telemetry_mut().take(),
+            _ => None,
+        }
+    }
+
+    /// Instantaneous gauges for an epoch sample: Bumblebee's set walk, and
+    /// the over-fetch ratio so far for every other design.
+    pub fn gauges(&self) -> EpochGauges {
+        match self {
+            AnyController::Bumblebee(c) => c.gauges(),
+            c => EpochGauges {
+                overfetch_ratio: c.overfetch_ratio().unwrap_or(0.0),
+                ..EpochGauges::default()
+            },
+        }
     }
 
     /// The inner Bumblebee controller, when this is one.

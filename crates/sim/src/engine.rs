@@ -92,9 +92,9 @@ impl Engine {
         self
     }
 
-    /// Installs a [`RunRecorder`](memsim_obs::RunRecorder) in every cell's
-    /// controller, sampling per `metrics`; the run's [`ResultSet`] then
-    /// carries [`RunObservations`] and engine telemetry.
+    /// Observes every cell per `metrics` (epoch samples, trace events,
+    /// latency records, traffic); the run's [`ResultSet`] then carries
+    /// [`RunObservations`] and engine telemetry.
     pub fn with_metrics(mut self, metrics: MetricsConfig) -> Engine {
         self.metrics = Some(metrics);
         self

@@ -120,21 +120,22 @@ impl LineCache {
     }
 }
 
+/// One Fig. 1 cell: `profile`'s access stream through a cache of
+/// `line_bytes` lines.
+fn run_cell(cfg: &RunConfig, profile: &SpecProfile, line_bytes: u64) -> BucketShares {
+    // 1 GB cHBM in the paper; the scaled geometry's full HBM here.
+    let mut cache = LineCache::new(cfg.geometry().hbm_bytes(), line_bytes);
+    let mut workload = cfg.workload(profile);
+    for _ in 0..cfg.accesses {
+        cache.touch(workload.next_access().addr.0);
+    }
+    cache.drain();
+    cache.shares()
+}
+
 /// Runs the Fig. 1 experiment for one workload at every line size.
 pub fn run_workload(cfg: &RunConfig, profile: &SpecProfile) -> Vec<(u64, BucketShares)> {
-    LINE_SIZES
-        .iter()
-        .map(|&line_bytes| {
-            // 1 GB cHBM in the paper; the scaled geometry's full HBM here.
-            let mut cache = LineCache::new(cfg.geometry().hbm_bytes(), line_bytes);
-            let mut workload = cfg.workload(profile);
-            for _ in 0..cfg.accesses {
-                cache.touch(workload.next_access().addr.0);
-            }
-            cache.drain();
-            (line_bytes, cache.shares())
-        })
-        .collect()
+    LINE_SIZES.iter().map(|&l| (l, run_cell(cfg, profile, l))).collect()
 }
 
 /// Runs Fig. 1 for the paper's three archetypes (mcf, wrf, xz).
@@ -150,15 +151,7 @@ pub fn run_with(engine: &Engine, cfg: &RunConfig) -> Vec<(SpecProfile, Vec<(u64,
         .iter()
         .flat_map(|p| LINE_SIZES.iter().map(|&l| (*p, l)))
         .collect();
-    let shares = engine.par_map(&cells, |(p, line_bytes)| {
-        let mut cache = LineCache::new(cfg.geometry().hbm_bytes(), *line_bytes);
-        let mut workload = cfg.workload(p);
-        for _ in 0..cfg.accesses {
-            cache.touch(workload.next_access().addr.0);
-        }
-        cache.drain();
-        cache.shares()
-    });
+    let shares = engine.par_map(&cells, |(p, line_bytes)| run_cell(cfg, p, *line_bytes));
     profiles
         .into_iter()
         .enumerate()

@@ -5,11 +5,13 @@ use crate::engine::DEFAULT_BATCH;
 use crate::report::SimReport;
 use crate::system::{SimParams, System, SystemCounters};
 use memsim_obs::{
-    AccessRecord, BwPoint, DeviceHistograms, EpochSnapshot, MetricsConfig, Ring, RunRecorder,
-    TimedEvent, TrafficAccum,
+    AccessRecord, BwPoint, DeviceHistograms, EpochSnapshot, MetricsConfig, Ring, TimedEvent,
+    TrafficAccum,
 };
 use memsim_trace::{SpecProfile, Workload};
-use memsim_types::{AccessBatch, Geometry, GeometryError, HybridMemoryController, PlanBuffer};
+use memsim_types::{
+    AccessBatch, CtrlStats, Geometry, GeometryError, HybridMemoryController, PlanBuffer,
+};
 
 /// Scale, geometry, SRAM budget and access volume of one experiment.
 #[derive(Debug, Clone)]
@@ -100,7 +102,7 @@ impl RunConfig {
 }
 
 /// The deterministic observability harvest of one instrumented run: the
-/// controller's epoch time-series and trace events plus the per-device
+/// epoch time-series, the controller's trace events and the per-device
 /// latency / queue-wait histograms. Everything here lives in the simulated
 /// cycle domain, so it is byte-identical across `--jobs` widths — wall-clock
 /// telemetry deliberately lives elsewhere (the engine).
@@ -162,9 +164,10 @@ pub fn run_design(
 /// every JSONL stream are byte-identical at any `batch ≥ 1` (enforced by
 /// `tests/batch_differential.rs`).
 ///
-/// When `metrics` is given, a [`RunRecorder`] is installed and the
-/// harvested [`RunObservations`] are returned alongside the report. The
-/// recorder counts from access 0, so warm-up epochs appear in the
+/// When `metrics` is given, the loop samples an [`EpochSnapshot`] and a
+/// [`BwPoint`] at every epoch boundary, the controller records trace
+/// events, and the harvested [`RunObservations`] are returned alongside
+/// the report. Epochs count from access 0, so warm-up epochs appear in the
 /// time-series (useful: that is where the cache fills).
 ///
 /// # Errors
@@ -194,7 +197,7 @@ pub(crate) fn run_controller(
     batch: usize,
 ) -> (SimReport, Option<RunObservations>) {
     if let Some(m) = metrics {
-        controller.install_recorder(RunRecorder::new(m));
+        controller.install_recorder(Ring::new(m.event_capacity));
     }
     let mut system = System::new(controller, &cfg.geometry, cfg.params, design.uses_hbm());
     if metrics.is_some() {
@@ -205,11 +208,13 @@ pub(crate) fn run_controller(
     let mut lat_ring = metrics
         .filter(|m| m.sample_rate > 0)
         .map(|m| Ring::new(m.record_capacity));
-    // Epoch-boundary bandwidth snapshots: boundary B captures the state
-    // after accesses 0..B.
+    // The one epoch clock: boundary B samples the controller and the
+    // bandwidth counters after accesses 0..B.
     let interval = metrics.map_or(0, |m| m.epoch_interval);
     let mut next_boundary = if interval > 0 { interval } else { u64::MAX };
+    let mut epochs: Vec<EpochSnapshot> = Vec::new();
     let mut bw_points: Vec<BwPoint> = Vec::new();
+    let mut last = CtrlStats::new();
 
     // `seq` is the 0-based global access index the sampler keys on.
     let total = cfg.warmup + cfg.accesses;
@@ -218,16 +223,25 @@ pub(crate) fn run_controller(
     let mut plans = PlanBuffer::new();
     let mut warm: Option<(SystemCounters, u64)> = None;
     let mut seq = 0u64;
-    while seq < total {
-        // Boundary catch-up and the warm snapshot happen only between
-        // chunks: the chunk cut below guarantees neither point ever falls
-        // strictly inside one.
+    loop {
+        // Epoch samples and the warm snapshot happen only between chunks:
+        // the chunk cut below guarantees neither point ever falls strictly
+        // inside one, and servicing never mutates the controller, so each
+        // sample sees the controller exactly as its boundary access left it.
         while next_boundary <= seq {
+            let stats = system.controller().stats();
+            let gauges = system.controller().gauges();
+            let epoch = epochs.len() as u64;
+            epochs.push(EpochSnapshot::from_delta(epoch, next_boundary, stats, &last, gauges));
+            last = stats.clone();
             bw_points.push(system.bw_point());
             next_boundary += interval;
         }
         if warm.is_none() && seq >= cfg.warmup {
             warm = Some((*system.counters(), system.now()));
+        }
+        if seq == total {
+            break;
         }
         let mut end = (seq + width).min(total).min(next_boundary);
         if seq < cfg.warmup {
@@ -237,14 +251,9 @@ pub(crate) fn run_controller(
         system.step_batch(&soa, &mut plans, seq, lat_ring.as_mut(), sample_rate);
         seq = end;
     }
-    while next_boundary <= seq {
-        bw_points.push(system.bw_point());
-        next_boundary += interval;
-    }
     // Warm-up ends by snapshotting instruction/cycle accounting; the
     // report measures deltas against it.
-    let (warm_counters, warm_cycles) =
-        warm.unwrap_or_else(|| (*system.counters(), system.now()));
+    let (warm_counters, warm_cycles) = warm.expect("the loop reaches total >= warmup");
     harvest(
         system,
         design,
@@ -254,6 +263,7 @@ pub(crate) fn run_controller(
         warm_cycles,
         lat_ring,
         sample_rate,
+        epochs,
         bw_points,
     )
 }
@@ -268,8 +278,9 @@ fn harvest(
     profile: &SpecProfile,
     warm: SystemCounters,
     warm_cycles: u64,
-    mut lat_ring: Option<Ring<AccessRecord>>,
+    lat_ring: Option<Ring<AccessRecord>>,
     sample_rate: u64,
+    epochs: Vec<EpochSnapshot>,
     bw_points: Vec<BwPoint>,
 ) -> (SimReport, Option<RunObservations>) {
     let instructions = system.counters().instructions - warm.instructions;
@@ -280,17 +291,11 @@ fn harvest(
     let (hbm_counters, dram_counters) = (*hbm.counters(), *dram.counters());
     let (hbm_hist, dram_hist) = (hbm.histograms().clone(), dram.histograms().clone());
     let path_counts = *system.path_counts();
-    let traffic = system.take_traffic();
 
-    let observations = system.controller_mut().take_recorder().map(|rec| {
-        let (epochs, events, dropped_events) = rec.into_parts();
-        let (records, dropped_records) = match lat_ring.take() {
-            Some(ring) => {
-                let dropped = ring.dropped();
-                (ring.into_vec(), dropped)
-            }
-            None => (Vec::new(), 0),
-        };
+    // Traffic accounting is on exactly when metrics are.
+    let observations = system.take_traffic().map(|traffic| {
+        let (events, dropped_events) = ring_parts(system.controller_mut().take_recorder());
+        let (records, dropped_records) = ring_parts(lat_ring);
         RunObservations {
             epochs,
             events,
@@ -301,7 +306,7 @@ fn harvest(
             path_counts,
             hbm: hbm_hist,
             dram: dram_hist,
-            traffic: traffic.expect("metrics on, so traffic accounting was enabled"),
+            traffic,
             bw_points,
         }
     });
@@ -328,6 +333,15 @@ fn harvest(
         stats: controller.stats().clone(),
     };
     (report, observations)
+}
+
+/// A ring's items, oldest first, and how many it dropped; nothing without
+/// a ring.
+fn ring_parts<T>(ring: Option<Ring<T>>) -> (Vec<T>, u64) {
+    ring.map_or((Vec::new(), 0), |r| {
+        let dropped = r.dropped();
+        (r.into_vec(), dropped)
+    })
 }
 
 /// Runs the no-HBM reference on `profile` (the normalization denominator).
@@ -472,6 +486,41 @@ mod tests {
             run_design_batched(Design::Bumblebee, &cfg, &SpecProfile::mcf(), None, DEFAULT_BATCH)
                 .unwrap();
         assert!(none.is_none());
+    }
+
+    #[test]
+    fn run_samples_every_epoch_on_every_design() {
+        let cfg = RunConfig::tiny();
+        let metrics = MetricsConfig { epoch_interval: 1000, ..MetricsConfig::default() };
+        assert_eq!((cfg.warmup + cfg.accesses) % 1000, 0, "the last boundary ends the run");
+        for profile in [SpecProfile::mcf(), SpecProfile::xz()] {
+            for design in std::iter::once(Design::NoHbm).chain(Design::fig8()) {
+                let what = format!("{} on {}", design.label(), profile.name);
+                let (report, obs) =
+                    run_design_batched(design, &cfg, &profile, Some(&metrics), DEFAULT_BATCH)
+                        .unwrap();
+                let obs = obs.expect("metrics requested");
+                assert_eq!(obs.epochs.len() as u64, (cfg.warmup + cfg.accesses) / 1000, "{what}");
+                assert_eq!(obs.bw_points.len(), obs.epochs.len(), "{what}");
+                for (k, e) in (0u64..).zip(&obs.epochs) {
+                    assert_eq!((e.epoch, e.accesses), (k, (k + 1) * 1000), "{what}");
+                }
+                let sum = |f: fn(&EpochSnapshot) -> u64| obs.epochs.iter().map(f).sum::<u64>();
+                let s = &report.stats;
+                assert_eq!(
+                    [
+                        sum(|e| e.fills),
+                        sum(|e| e.migrations),
+                        sum(|e| e.evictions),
+                        sum(|e| e.threshold_rejections)
+                    ],
+                    [s.block_fills, s.page_migrations, s.evictions, s.threshold_rejections],
+                    "{what}: epoch deltas sum to the final counters"
+                );
+                let last = obs.epochs.last().expect("24 epochs");
+                assert_eq!(last.cum_hit_rate, s.hbm_hit_rate(), "{what}");
+            }
+        }
     }
 
     #[test]

@@ -154,9 +154,9 @@ impl<C: HybridMemoryController> System<C> {
     }
 
     /// Full (unsampled) per-path access counts, indexed by
-    /// [`AccessPath::index`] — every access is counted, so these reconcile
-    /// exactly against the controller's hit/off-chip counters at any
-    /// sampling rate.
+    /// [`AccessPath::index`](memsim_types::AccessPath::index) — every
+    /// access is counted, so these reconcile exactly against the
+    /// controller's hit/off-chip counters at any sampling rate.
     pub fn path_counts(&self) -> &[u64; 5] {
         &self.path_counts
     }

@@ -157,7 +157,7 @@ impl PlanBuffer {
     }
 
     /// Seals the current access: snapshots the arena high-water marks and
-    /// scalar results as one [`PlanEntry`].
+    /// scalar results as one `PlanEntry`.
     #[inline]
     pub fn seal(&mut self) {
         debug_assert!(

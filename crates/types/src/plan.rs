@@ -68,10 +68,11 @@ pub enum OpKind {
 /// per-device cause sums reconcile exactly against the raw
 /// `DeviceCounters` byte totals (checked by `trace_tool bandwidth`).
 ///
-/// Mapping to the paper's §III-E mechanisms: [`Writeback`]
-/// (TrafficCause::Writeback) covers rule-1/2 buffered evictions and plain
-/// dirty-data writebacks, [`ZombieEvict`](TrafficCause::ZombieEvict) rule
-/// 3, [`MigrationPromote`](TrafficCause::MigrationPromote) /
+/// Mapping to the paper's §III-E mechanisms:
+/// [`Writeback`](TrafficCause::Writeback) covers rule-1/2 buffered
+/// evictions and plain dirty-data writebacks,
+/// [`ZombieEvict`](TrafficCause::ZombieEvict) rule 3,
+/// [`MigrationPromote`](TrafficCause::MigrationPromote) /
 /// [`MigrationDemote`](TrafficCause::MigrationDemote) the rule-4 swaps
 /// and cHBM→mHBM mode switches, and
 /// [`PressureFlush`](TrafficCause::PressureFlush) the rule-5 batched

@@ -28,6 +28,11 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 echo "== lint: cargo clippy --workspace --all-targets -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== docs: cargo doc --workspace --no-deps, rustdoc warnings denied =="
+# A broken, private or ambiguous intra-doc link fails here instead of
+# rendering as plain text.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== lint: self-test — doctored inputs must fail clippy with the named lint =="
 # A throwaway crate carrying the repo's own [workspace.lints.rust] table
 # (extracted from Cargo.toml, not retyped) and a copy of clippy.toml. Each
