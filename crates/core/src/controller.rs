@@ -3,7 +3,7 @@
 use crate::config::{BumblebeeConfig, FLUSH_BATCH_SETS};
 use crate::metadata::MetadataBreakdown;
 use crate::set::{RemapSet, ServedFrom, SetCtx};
-use memsim_obs::{EpochGauges, Telemetry, OCC_BUCKETS};
+use memsim_obs::{EpochGauges, Ring, TimedEvent, OCC_BUCKETS};
 use memsim_types::{
     Access, AccessBatch, AccessKind, AccessPlan, Addr, CtrlStats, Geometry,
     HybridMemoryController, Mem, MetadataModel, OverfetchTracker, PageIndex, PageSlot, PlanBuffer,
@@ -46,7 +46,9 @@ pub struct BumblebeeController {
     next_flush_ok: u64,
     movement_credit: i64,
     accesses: u64,
-    telemetry: Telemetry,
+    /// The trace-event ring, when one is installed (boxed: one pointer
+    /// while disabled).
+    events: Option<Box<Ring<TimedEvent>>>,
 }
 
 impl BumblebeeController {
@@ -75,14 +77,20 @@ impl BumblebeeController {
             next_flush_ok: 0,
             movement_credit: MOVEMENT_CREDIT_CAP,
             accesses: 0,
-            telemetry: Telemetry::default(),
+            events: None,
             cfg,
         }
     }
 
-    /// The controller's telemetry handle (install/remove the event ring).
-    pub fn telemetry_mut(&mut self) -> &mut Telemetry {
-        &mut self.telemetry
+    /// Installs a trace-event ring. Each later event is stamped with the
+    /// number of accesses before the one that raised it.
+    pub fn install_recorder(&mut self, ring: Ring<TimedEvent>) {
+        self.events = Some(Box::new(ring));
+    }
+
+    /// Removes and returns the trace-event ring, if one was installed.
+    pub fn take_recorder(&mut self) -> Option<Ring<TimedEvent>> {
+        self.events.take().map(|r| *r)
     }
 
     /// Instantaneous gauges for an epoch sample: one walk over every set.
@@ -214,7 +222,8 @@ impl BumblebeeController {
             overfetch: &mut self.overfetch,
             mode_switch_bytes: &mut self.mode_switch_bytes,
             movement_credit: &mut self.movement_credit,
-            telemetry: self.telemetry.active(),
+            events: self.events.as_deref_mut(),
+            seq: self.accesses - 1,
         };
         let _served: ServedFrom = set.access(o, block, line, kind, &mut ctx);
         if cfg!(debug_assertions) && self.accesses.is_multiple_of(SWEEP_INTERVAL) {
@@ -223,7 +232,6 @@ impl BumblebeeController {
                 panic!("debug build: invariant violation after {} accesses: {e}", self.accesses);
             }
         }
-        self.telemetry.tick();
     }
 
     /// Rule 5: an address beyond off-chip capacity means the OS is handing
@@ -251,7 +259,8 @@ impl BumblebeeController {
                 overfetch: &mut self.overfetch,
                 mode_switch_bytes: &mut self.mode_switch_bytes,
                 movement_credit: &mut self.movement_credit,
-                telemetry: self.telemetry.active(),
+                events: self.events.as_deref_mut(),
+                seq: self.accesses - 1,
             };
             set.pressure_flush(&mut ctx);
         }
@@ -327,7 +336,6 @@ impl HybridMemoryController for BumblebeeController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memsim_obs::Ring;
 
     fn tiny_geometry() -> Geometry {
         Geometry::builder()
@@ -444,16 +452,24 @@ mod tests {
     #[test]
     fn recorder_collects_events() {
         let mut c = BumblebeeController::new(tiny_geometry(), BumblebeeConfig::default());
-        c.telemetry_mut().install(Ring::new(64));
+        c.install_recorder(Ring::new(64));
         let mut plan = AccessPlan::new();
         for i in 0..10u64 {
             plan.clear();
             c.access(&Access::read(Addr(i * 64)), &mut plan);
         }
-        let events = c.telemetry_mut().take().unwrap().into_vec();
+        let events = c.take_recorder().unwrap().into_vec();
         assert_eq!(events[0].event.kind(), "prt_miss", "the first touch allocates");
         assert_eq!(events[0].seq, 0, "stamped with the accesses before it");
         assert!(events.iter().any(|e| e.seq == 9), "the tenth access is traced too");
+        assert!(c.take_recorder().is_none(), "taking the ring uninstalls it");
+        // A ring installed mid-run stamps with the controller's own count.
+        c.install_recorder(Ring::new(64));
+        plan.clear();
+        c.access(&Access::read(Addr(1 << 20)), &mut plan);
+        let late = c.take_recorder().unwrap().into_vec();
+        assert_eq!(late[0].event.kind(), "prt_miss", "a new page allocates");
+        assert!(late.iter().all(|e| e.seq == 10), "{late:?}");
     }
 
     #[test]
@@ -461,7 +477,7 @@ mod tests {
         let run = |install: bool| {
             let mut c = BumblebeeController::new(tiny_geometry(), BumblebeeConfig::default());
             if install {
-                c.telemetry_mut().install(Ring::new(4096));
+                c.install_recorder(Ring::new(4096));
             }
             let mut plan = AccessPlan::new();
             for i in 0..64u64 {

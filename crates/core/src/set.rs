@@ -12,7 +12,7 @@ use crate::bitmap::BlockBitmap;
 use crate::config::{AllocPolicy, BumblebeeConfig, CHBM_DISABLE_WINDOW, HIGH_RH};
 use crate::hot_table::{HotEntry, HotTable};
 use crate::prt::Prt;
-use memsim_obs::{Telemetry, TraceEvent};
+use memsim_obs::{Ring, TimedEvent, TraceEvent};
 use memsim_types::{
     AccessKind, AccessPath, AccessPlan, Addr, BlockIndex, CtrlStats, DeviceOp, Geometry, Mem,
     OpKind, OverfetchTracker, PageSlot, TrafficCause,
@@ -49,9 +49,11 @@ pub struct SetCtx<'a> {
     /// movement (migrations, rule-4 swaps) is deferred when exhausted —
     /// the mover is a finite resource, not an infinite DMA engine.
     pub movement_credit: &'a mut i64,
-    /// Telemetry handle when an event ring is installed; `None` keeps the
-    /// fast path free of even event-payload construction.
-    pub telemetry: Option<&'a mut Telemetry>,
+    /// The trace-event ring when one is installed; `None` keeps the fast
+    /// path free of even event-payload construction.
+    pub events: Option<&'a mut Ring<TimedEvent>>,
+    /// The stamp of this call's events: the accesses before the current one.
+    pub seq: u64,
 }
 
 impl SetCtx<'_> {
@@ -64,11 +66,11 @@ impl SetCtx<'_> {
         self.geometry.dram_device_addr(page, BlockIndex(block))
     }
 
-    /// Emits a trace event when telemetry is recording; the closure keeps
+    /// Emits a trace event when a ring is installed; the closure keeps
     /// payload construction entirely off the disabled path.
     fn emit(&mut self, ev: impl FnOnce() -> TraceEvent) {
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.event(ev());
+        if let Some(r) = self.events.as_deref_mut() {
+            r.push(TimedEvent { seq: self.seq, event: ev() });
         }
     }
 
@@ -1342,7 +1344,7 @@ mod tests {
         overfetch: OverfetchTracker,
         mode_switch_bytes: u64,
         movement_credit: i64,
-        telemetry: Telemetry,
+        events: Option<Ring<TimedEvent>>,
         set: RemapSet,
     }
 
@@ -1358,7 +1360,7 @@ mod tests {
                 overfetch: OverfetchTracker::new(),
                 mode_switch_bytes: 0,
                 movement_credit: i64::MAX / 2,
-                telemetry: Telemetry::default(),
+                events: None,
                 set,
             }
         }
@@ -1374,7 +1376,8 @@ mod tests {
                 overfetch: &mut self.overfetch,
                 mode_switch_bytes: &mut self.mode_switch_bytes,
                 movement_credit: &mut self.movement_credit,
-                telemetry: self.telemetry.active(),
+                events: self.events.as_mut(),
+                seq: 0,
             };
             self.set.access(o, block, 0, kind, &mut ctx)
         }
@@ -1598,7 +1601,8 @@ mod tests {
             overfetch: &mut h.overfetch,
             mode_switch_bytes: &mut h.mode_switch_bytes,
             movement_credit: &mut h.movement_credit,
-            telemetry: None,
+            events: None,
+            seq: 0,
         };
         h.set.pressure_flush(&mut ctx);
         assert_eq!(h.set.chbm_frames(), 0);
@@ -1639,7 +1643,8 @@ mod tests {
             overfetch: &mut overfetch,
             mode_switch_bytes: &mut h.mode_switch_bytes,
             movement_credit: &mut h.movement_credit,
-            telemetry: None,
+            events: None,
+            seq: 0,
         };
         h.set.access(0, 1, 0, AccessKind::Write, &mut ctx);
         assert!(h.plan.critical.is_empty(), "writes are posted");
@@ -1649,10 +1654,10 @@ mod tests {
     #[test]
     fn events_are_recorded_when_a_recorder_is_installed() {
         let mut h = Harness::new(BumblebeeConfig::default());
-        h.telemetry.install(memsim_obs::Ring::new(4096));
+        h.events = Some(Ring::new(4096));
         h.access(0, 0, AccessKind::Read); // allocate + fill
         h.access(0, 0, AccessKind::Read); // cHBM hit
-        let ring = h.telemetry.take().unwrap();
+        let ring = h.events.take().unwrap();
         let kinds: Vec<&str> = ring.iter().map(|e| e.event.kind()).collect();
         assert!(kinds.contains(&"prt_miss"), "kinds {kinds:?}");
         assert!(kinds.contains(&"block_fill"), "kinds {kinds:?}");

@@ -2,8 +2,8 @@
 //! tracing and power-of-two histograms.
 //!
 //! The crate is deliberately tiny and dependency-free (it sees only
-//! `memsim-types`), because the Bumblebee controller's hot path owns a
-//! [`Telemetry`] handle:
+//! `memsim-types`), because the Bumblebee controller's hot path owns an
+//! optional event [`Ring`]:
 //!
 //! * [`hist::Pow2Histogram`] — 64 power-of-two buckets for latency and
 //!   queue-wait distributions, cheap enough to stay always-on in the DRAM
@@ -17,9 +17,8 @@
 //!   time-series (hit rate, mHBM fraction, Rh, T, movement deltas,
 //!   occupancy heatmap buckets), built by `memsim-sim`'s run loop at each
 //!   epoch boundary from `CtrlStats` deltas and the controller's gauges;
-//! * [`recorder::Telemetry`] — the controller-side event handle. With no
-//!   ring installed (the default) the fast path costs a single `Option`
-//!   discriminant check;
+//! * [`config::MetricsConfig`] — an instrumented run's sampling
+//!   parameters (epoch interval, ring capacities, latency sampling rate);
 //! * [`lat`] — sampled per-access request tracing: a deterministic
 //!   SplitMix64 sampler over the global access sequence, cycle-domain
 //!   [`lat::AccessRecord`]s (path + lookup/queue/service/stall), kept in a
@@ -38,15 +37,17 @@
 //! # Example
 //!
 //! ```
-//! use memsim_obs::{EpochGauges, EpochSnapshot, Ring, Telemetry, TraceEvent};
+//! use memsim_obs::{EpochGauges, EpochSnapshot, Ring, TimedEvent, TraceEvent};
 //! use memsim_types::CtrlStats;
 //!
-//! let mut t = Telemetry::default();          // disabled: near-zero cost
-//! assert!(t.active().is_none());
-//! t.install(Ring::new(16));
-//! t.tick();
-//! t.event(TraceEvent::PrtMiss { set: 0, page: 7 });
-//! assert_eq!(t.take().unwrap().into_vec()[0].seq, 1);
+//! // The trace ring keeps the newest events, each stamped with the number
+//! // of accesses before it, and counts the ones it drops.
+//! let mut ring = Ring::new(1);
+//! for seq in 0..3 {
+//!     ring.push(TimedEvent { seq, event: TraceEvent::PrtMiss { set: 0, page: 7 } });
+//! }
+//! assert_eq!(ring.dropped(), 2);
+//! assert_eq!(ring.into_vec()[0].seq, 2);
 //!
 //! // An epoch point is the delta between two boundaries' counters.
 //! let mut stats = CtrlStats::new();
@@ -58,17 +59,17 @@
 //! ```
 
 pub mod bw;
+pub mod config;
 pub mod event;
 pub mod hist;
 pub mod lat;
-pub mod recorder;
 pub mod ring;
 pub mod snapshot;
 
 pub use bw::{reconcile, BwPoint, TrafficAccum, TrafficMatrix};
+pub use config::MetricsConfig;
 pub use event::{TimedEvent, TraceEvent};
 pub use hist::{DeviceHistograms, Pow2Histogram};
 pub use lat::{sampled, AccessRecord, LatCollector, PathLatency, QueueGauge};
-pub use recorder::{MetricsConfig, Telemetry};
 pub use ring::Ring;
 pub use snapshot::{EpochGauges, EpochSnapshot, OCC_BUCKETS};

@@ -28,6 +28,35 @@ pub enum Design {
     Bumblebee,
     /// A Fig. 7 ablation variant, by its figure label.
     Ablation(&'static str),
+    /// Bumblebee with one §IV-A parameter off its paper default (the
+    /// sensitivity sweeps); labelled `"Bumblebee"`.
+    Tuned(Knob),
+}
+
+/// One Bumblebee parameter at a value of its own, the rest at the paper's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Knob {
+    /// Hot-table off-chip queue depth (paper: 8).
+    HotQueueLen(u32),
+    /// Mode-switch fraction in thousandths (paper: 500, strict majority),
+    /// so that every swept fraction is exact: `900 / 1000.0 == 0.9`.
+    SwitchPermille(u32),
+    /// Zombie-detection window in set-local accesses (paper: 1024).
+    ZombieWindow(u32),
+}
+
+impl Knob {
+    /// The paper configuration with this knob applied.
+    pub(crate) fn config(self, sram_budget: u64) -> BumblebeeConfig {
+        let paper = BumblebeeConfig { sram_budget, ..BumblebeeConfig::paper() };
+        match self {
+            Knob::HotQueueLen(n) => BumblebeeConfig { hot_queue_len: n as usize, ..paper },
+            Knob::SwitchPermille(p) => {
+                BumblebeeConfig { mode_switch_fraction: f64::from(p) / 1000.0, ..paper }
+            }
+            Knob::ZombieWindow(w) => BumblebeeConfig { zombie_window: w, ..paper },
+        }
+    }
 }
 
 impl Design {
@@ -52,7 +81,7 @@ impl Design {
             Design::Banshee => "Banshee",
             Design::Chameleon => "Chameleon",
             Design::Hybrid2 => "Hybrid2",
-            Design::Bumblebee => "Bumblebee",
+            Design::Bumblebee | Design::Tuned(_) => "Bumblebee",
             Design::Ablation(label) => label,
         }
     }
@@ -80,13 +109,11 @@ impl Design {
             Design::Ablation(label) => AnyController::Bumblebee(ablations::controller_for(
                 label, geometry, sram_budget,
             )),
+            Design::Tuned(knob) => AnyController::Bumblebee(BumblebeeController::new(
+                geometry,
+                knob.config(sram_budget),
+            )),
         }
-    }
-
-    /// Builds a Bumblebee controller with an explicit configuration
-    /// (design-space exploration, Fig. 6).
-    pub fn build_bumblebee(geometry: Geometry, cfg: BumblebeeConfig) -> AnyController {
-        AnyController::Bumblebee(BumblebeeController::new(geometry, cfg))
     }
 }
 
@@ -148,14 +175,14 @@ impl AnyController {
     /// design that emits events; a no-op for every other design.
     pub fn install_recorder(&mut self, ring: Ring<TimedEvent>) {
         if let AnyController::Bumblebee(c) = self {
-            c.telemetry_mut().install(ring);
+            c.install_recorder(ring);
         }
     }
 
     /// Removes and returns the trace-event ring, if one was installed.
     pub fn take_recorder(&mut self) -> Option<Ring<TimedEvent>> {
         match self {
-            AnyController::Bumblebee(c) => c.telemetry_mut().take(),
+            AnyController::Bumblebee(c) => c.take_recorder(),
             _ => None,
         }
     }

@@ -138,13 +138,9 @@ pub fn run_workload(cfg: &RunConfig, profile: &SpecProfile) -> Vec<(u64, BucketS
     LINE_SIZES.iter().map(|&l| (l, run_cell(cfg, profile, l))).collect()
 }
 
-/// Runs Fig. 1 for the paper's three archetypes (mcf, wrf, xz).
-pub fn run(cfg: &RunConfig) -> Vec<(SpecProfile, Vec<(u64, BucketShares)>)> {
-    run_with(&Engine::new(1), cfg)
-}
-
-/// Runs Fig. 1 on `engine`: one unit of work per (workload, line size)
-/// cell, so all 18 cells fill the available width.
+/// Runs Fig. 1 for the paper's three archetypes (mcf, wrf, xz) on
+/// `engine`: one unit of work per (workload, line size) cell, so all 18
+/// cells fill the available width.
 pub fn run_with(engine: &Engine, cfg: &RunConfig) -> Vec<(SpecProfile, Vec<(u64, BucketShares)>)> {
     let profiles = [SpecProfile::mcf(), SpecProfile::wrf(), SpecProfile::xz()];
     let cells: Vec<(SpecProfile, u64)> = profiles

@@ -33,33 +33,24 @@ pub struct Fig6Point {
     pub speedup: f64,
 }
 
-/// The declarative cell list: baseline + Bumblebee per workload, tagged
-/// `"<block>-<page>"`, for each of the nine configurations.
+/// The declarative cell list: the no-HBM baseline once per workload
+/// (tag `""`; it reads only the off-chip capacity, which no configuration
+/// changes), then Bumblebee per workload, tagged `"<block>-<page>"`, for
+/// each of the nine configurations.
 ///
 /// # Errors
 ///
 /// Propagates geometry errors from invalid block/page combinations.
 pub fn matrix(cfg: &RunConfig, profiles: &[SpecProfile]) -> Result<ExperimentMatrix, GeometryError> {
-    let mut m = ExperimentMatrix::new("fig6");
+    let mut m = ExperimentMatrix::cross("fig6", &[Design::NoHbm], profiles, cfg);
     for (block_kb, page_kb) in CONFIGS {
         let point_cfg = cfg.clone().with_block_page(block_kb << 10, page_kb << 10)?;
         let tag = format!("{block_kb}-{page_kb}");
-        for d in [Design::NoHbm, Design::Bumblebee] {
-            for p in profiles {
-                m.push(tag.clone(), d, *p, point_cfg.clone());
-            }
+        for p in profiles {
+            m.push(tag.clone(), Design::Bumblebee, *p, point_cfg.clone());
         }
     }
     Ok(m)
-}
-
-/// Runs the full design-space exploration over `profiles`.
-///
-/// # Errors
-///
-/// Propagates geometry errors from invalid block/page combinations.
-pub fn run(cfg: &RunConfig, profiles: &[SpecProfile]) -> Result<Vec<Fig6Point>, GeometryError> {
-    run_with(&Engine::new(1), cfg, profiles).map(|(points, _)| points)
 }
 
 /// Runs the exploration on `engine`, also returning the raw results for
@@ -81,7 +72,7 @@ pub fn run_with(
             let speedups: Vec<f64> = profiles
                 .iter()
                 .map(|p| {
-                    let base = results.get(&tag, Design::NoHbm.label(), p.name).expect("baseline cell");
+                    let base = results.get("", Design::NoHbm.label(), p.name).expect("baseline cell");
                     let bee =
                         results.get(&tag, Design::Bumblebee.label(), p.name).expect("bumblebee cell");
                     bee.normalized_ipc(base)
@@ -123,7 +114,8 @@ mod tests {
         // Two workloads, tiny scale: just shape-checks the plumbing.
         let cfg = RunConfig::tiny();
         let profiles = [SpecProfile::mcf(), SpecProfile::named("leela")];
-        let points = run(&cfg, &profiles).unwrap();
+        let (points, results) = run_with(&Engine::new(1), &cfg, &profiles).unwrap();
+        assert_eq!(results.len(), (1 + CONFIGS.len()) * profiles.len(), "No-HBM once per workload");
         assert_eq!(points.len(), 9);
         for p in &points {
             assert!(p.speedup > 0.0, "{}-{}", p.block_kb, p.page_kb);

@@ -27,15 +27,6 @@ pub fn matrix(cfg: &RunConfig, profiles: &[SpecProfile]) -> ExperimentMatrix {
     ExperimentMatrix::cross("fig7", &designs, profiles, cfg)
 }
 
-/// Runs every ablation over `profiles`.
-///
-/// # Errors
-///
-/// Propagates configuration errors from [`crate::run::run_design`].
-pub fn run(cfg: &RunConfig, profiles: &[SpecProfile]) -> Result<Vec<Fig7Bar>, GeometryError> {
-    run_with(&Engine::new(1), cfg, profiles).map(|(bars, _)| bars)
-}
-
 /// Runs the breakdown on `engine`, also returning the raw results for
 /// JSONL output.
 ///
@@ -85,7 +76,7 @@ mod tests {
         // One workload per locality archetype so no single mode dominates.
         let cfg = RunConfig::tiny();
         let profiles = [SpecProfile::mcf(), SpecProfile::wrf(), SpecProfile::named("bwaves")];
-        let bars = run(&cfg, &profiles).unwrap();
+        let (bars, _) = run_with(&Engine::new(1), &cfg, &profiles).unwrap();
         assert_eq!(bars.len(), FIG7_LABELS.len());
         let get = |l: &str| bars.iter().find(|b| b.label == l).unwrap().speedup;
         // The full design must beat both single modes (the paper's claim;

@@ -63,17 +63,9 @@ pub fn matrix(cfg: &RunConfig, profiles: &[SpecProfile]) -> ExperimentMatrix {
     ExperimentMatrix::cross("fig8", &designs, profiles, cfg)
 }
 
-/// Runs the full comparison once; every panel reads from the same data.
-///
-/// # Errors
-///
-/// Propagates configuration errors from [`crate::run::run_design`].
-pub fn run(cfg: &RunConfig, profiles: &[SpecProfile]) -> Result<Fig8Data, GeometryError> {
-    run_with(&Engine::new(1), cfg, profiles)
-}
-
 /// Runs the comparison on `engine` (parallel across cells at the engine's
-/// `--jobs` width; identical results at any width).
+/// `--jobs` width; identical results at any width); every panel reads from
+/// the same data.
 ///
 /// # Errors
 ///
@@ -160,6 +152,15 @@ impl Fig8Data {
         format!("{}\n{}", panel.title(), render_table(&rows))
     }
 
+    /// §IV-B over-fetch of `design` (row index into [`Design::fig8`]): the
+    /// share of data brought into HBM but never used before eviction,
+    /// averaged over the workloads; `None` for a design that does not
+    /// track it.
+    pub fn overfetch(&self, design_idx: usize) -> Option<f64> {
+        let ratios: Vec<f64> = self.reports[design_idx].iter().filter_map(|r| r.overfetch).collect();
+        (!ratios.is_empty()).then(|| ratios.iter().sum::<f64>() / ratios.len() as f64)
+    }
+
     /// §IV-D auxiliary metrics: Bumblebee vs Hybrid2 MAL and mode-switch
     /// traffic reductions (averaged over workloads). Returns
     /// `(mal_reduction, mode_switch_reduction)` as fractions.
@@ -195,7 +196,7 @@ mod tests {
     fn small_data() -> Fig8Data {
         let cfg = RunConfig::tiny();
         let profiles = [SpecProfile::mcf(), SpecProfile::wrf(), SpecProfile::xz()];
-        run(&cfg, &profiles).unwrap()
+        run_with(&Engine::new(1), &cfg, &profiles).unwrap()
     }
 
     #[test]
@@ -245,6 +246,20 @@ mod tests {
             assert_eq!(cols[high], "-", "{line}");
             assert_ne!(cols[high + 1], "-", "Medium holds mcf: {line}");
         }
+    }
+
+    #[test]
+    fn overfetch_averages_the_tracked_reports() {
+        let data = small_data();
+        let idx = |d: Design| Design::fig8().iter().position(|&x| x == d).unwrap();
+        for d in [Design::Hybrid2, Design::Bumblebee] {
+            let ratios: Vec<f64> =
+                data.reports[idx(d)].iter().map(|r| r.overfetch.unwrap()).collect();
+            let mean = data.overfetch(idx(d)).unwrap();
+            assert_eq!(mean, ratios.iter().sum::<f64>() / 3.0, "{}", d.label());
+            assert!((0.0..=1.0).contains(&mean), "{}", d.label());
+        }
+        assert_eq!(data.overfetch(idx(Design::Chameleon)), None, "Chameleon tracks none");
     }
 
     #[test]

@@ -5,14 +5,20 @@
 //! 8-way sets "for a balance between hardware overhead and performance",
 //! T = smallest resident hotness, majority mode-switch threshold). These
 //! sweeps regenerate the trade-off curves behind those choices.
+//!
+//! Every sweep runs in one [`ExperimentMatrix`] on the figures' own
+//! per-workload streams. No-HBM and the paper-default Bumblebee run once
+//! per workload (tag `""`), so each sweep's paper-default row is Fig. 8's
+//! Bumblebee All; every other point's cells are tagged
+//! `<parameter>=<value>`.
 
-use crate::designs::Design;
-use crate::engine::{Engine, DEFAULT_BATCH};
-use crate::report::{render_table, SimReport};
-use crate::run::{geomean, run_controller, run_reference, RunConfig};
+use crate::designs::{Design, Knob};
+use crate::engine::{Engine, ResultSet};
+use crate::matrix::ExperimentMatrix;
+use crate::report::render_table;
+use crate::run::{geomean, RunConfig};
 use bumblebee_core::BumblebeeConfig;
 use memsim_trace::SpecProfile;
-use memsim_types::json::JsonObj;
 use memsim_types::{Geometry, GeometryError};
 
 /// One swept parameter point.
@@ -28,181 +34,161 @@ pub struct SweepPoint {
     pub metadata_kb: f64,
 }
 
-/// The no-HBM reference per profile, shared by every point of a sweep.
-fn baselines_with(
-    engine: &Engine,
-    cfg: &RunConfig,
-    profiles: &[SpecProfile],
-) -> Result<Vec<SimReport>, GeometryError> {
-    engine.par_map(profiles, |p| run_reference(cfg, p)).into_iter().collect()
+/// One sweep over a §IV-A parameter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sweep {
+    /// Hot-table off-chip queue depth (paper: 8).
+    HotQueue,
+    /// The "most blocks" mode-switch fraction (paper: strict majority).
+    SwitchFraction,
+    /// Remapping-set HBM associativity (paper: 8-way).
+    Ways,
+    /// Zombie-detection window (paper: "a long time").
+    Zombie,
 }
 
-/// Runs a Bumblebee controller configured by `bee` on `geometry` over
-/// every profile, through the shared driver loop, and returns the geomean
-/// normalized IPC and the metadata footprint in KB.
-fn run_point(
-    cfg: &RunConfig,
-    geometry: Geometry,
-    bee: &BumblebeeConfig,
-    profiles: &[SpecProfile],
-    baselines: &[SimReport],
-) -> (f64, f64) {
-    let point = RunConfig { geometry, ..cfg.clone() };
-    let mut speedups = Vec::with_capacity(profiles.len());
-    let mut metadata_kb = 0.0;
-    for (p, base) in profiles.iter().zip(baselines) {
-        let controller = Design::build_bumblebee(geometry, bee.clone());
-        let (report, _) =
-            run_controller(controller, Design::Bumblebee, &point, p, None, DEFAULT_BATCH);
-        metadata_kb = report.metadata_bytes as f64 / 1024.0;
-        speedups.push(report.ipc / base.ipc);
-    }
-    (geomean(&speedups), metadata_kb)
-}
+impl Sweep {
+    /// Every sweep, in output order.
+    pub const ALL: [Sweep; 4] =
+        [Sweep::HotQueue, Sweep::SwitchFraction, Sweep::Ways, Sweep::Zombie];
 
-/// Sweeps the hot-table off-chip queue depth (paper default: 8).
-///
-/// # Errors
-///
-/// Propagates configuration errors.
-pub fn sweep_hot_queue(cfg: &RunConfig, profiles: &[SpecProfile]) -> Result<Vec<SweepPoint>, GeometryError> {
-    sweep_hot_queue_with(&Engine::new(1), cfg, profiles)
-}
-
-/// [`sweep_hot_queue`] on `engine` (one unit of work per swept value).
-///
-/// # Errors
-///
-/// Propagates configuration errors.
-pub fn sweep_hot_queue_with(
-    engine: &Engine,
-    cfg: &RunConfig,
-    profiles: &[SpecProfile],
-) -> Result<Vec<SweepPoint>, GeometryError> {
-    let baselines = baselines_with(engine, cfg, profiles)?;
-    Ok(engine.par_map(&[2usize, 4, 8, 16, 32], |&depth| {
-        let bee = BumblebeeConfig {
-            hot_queue_len: depth,
-            sram_budget: cfg.sram_budget,
-            ..BumblebeeConfig::paper()
-        };
-        let (speedup, metadata_kb) = run_point(cfg, cfg.geometry, &bee, profiles, &baselines);
-        SweepPoint { parameter: "hot_queue_len", value: depth.to_string(), speedup, metadata_kb }
-    }))
-}
-
-/// Sweeps the "most blocks" mode-switch fraction (paper: strict majority).
-///
-/// # Errors
-///
-/// Propagates configuration errors.
-pub fn sweep_switch_fraction(
-    cfg: &RunConfig,
-    profiles: &[SpecProfile],
-) -> Result<Vec<SweepPoint>, GeometryError> {
-    sweep_switch_fraction_with(&Engine::new(1), cfg, profiles)
-}
-
-/// [`sweep_switch_fraction`] on `engine`.
-///
-/// # Errors
-///
-/// Propagates configuration errors.
-pub fn sweep_switch_fraction_with(
-    engine: &Engine,
-    cfg: &RunConfig,
-    profiles: &[SpecProfile],
-) -> Result<Vec<SweepPoint>, GeometryError> {
-    let baselines = baselines_with(engine, cfg, profiles)?;
-    Ok(engine.par_map(&[0.25f64, 0.375, 0.5, 0.75, 0.9], |&f| {
-        let bee = BumblebeeConfig {
-            mode_switch_fraction: f,
-            sram_budget: cfg.sram_budget,
-            ..BumblebeeConfig::paper()
-        };
-        let (speedup, metadata_kb) = run_point(cfg, cfg.geometry, &bee, profiles, &baselines);
-        SweepPoint {
-            parameter: "mode_switch_fraction",
-            value: format!("{f}"),
-            speedup,
-            metadata_kb,
+    /// The name the `sensitivity` binary selects the sweep by.
+    pub fn name(self) -> &'static str {
+        match self {
+            Sweep::HotQueue => "hot-queue",
+            Sweep::SwitchFraction => "switch-fraction",
+            Sweep::Ways => "ways",
+            Sweep::Zombie => "zombie",
         }
-    }))
-}
+    }
 
-/// Sweeps the remapping-set HBM associativity (paper: 8-way).
-///
-/// # Errors
-///
-/// Propagates geometry errors for invalid way counts.
-pub fn sweep_ways(cfg: &RunConfig, profiles: &[SpecProfile]) -> Result<Vec<SweepPoint>, GeometryError> {
-    sweep_ways_with(&Engine::new(1), cfg, profiles)
-}
+    /// The swept parameter, as its rows and tags name it.
+    fn parameter(self) -> &'static str {
+        match self {
+            Sweep::HotQueue => "hot_queue_len",
+            Sweep::SwitchFraction => "mode_switch_fraction",
+            Sweep::Ways => "hbm_ways",
+            Sweep::Zombie => "zombie_window",
+        }
+    }
 
-/// [`sweep_ways`] on `engine`.
-///
-/// # Errors
-///
-/// Propagates geometry errors for invalid way counts.
-pub fn sweep_ways_with(
-    engine: &Engine,
-    cfg: &RunConfig,
-    profiles: &[SpecProfile],
-) -> Result<Vec<SweepPoint>, GeometryError> {
-    let baselines = baselines_with(engine, cfg, profiles)?;
-    // Validate every geometry up front so errors surface before any run.
-    let points: Vec<(u32, Geometry)> = [2u32, 4, 8, 16]
-        .into_iter()
-        .map(|ways| {
-            let geometry = Geometry::builder()
-                .block_bytes(cfg.geometry.block_bytes())
-                .page_bytes(cfg.geometry.page_bytes())
-                .hbm_bytes(cfg.geometry.hbm_bytes())
-                .dram_bytes(cfg.geometry.dram_bytes())
-                .hbm_ways(ways)
-                .build()?;
-            Ok((ways, geometry))
-        })
-        .collect::<Result<_, GeometryError>>()?;
-    Ok(engine.par_map(&points, |&(ways, geometry)| {
-        let bee = BumblebeeConfig { sram_budget: cfg.sram_budget, ..BumblebeeConfig::paper() };
-        let (speedup, metadata_kb) = run_point(cfg, geometry, &bee, profiles, &baselines);
-        SweepPoint { parameter: "hbm_ways", value: ways.to_string(), speedup, metadata_kb }
-    }))
-}
+    /// The swept values in row order; the fraction in thousandths.
+    fn values(self) -> &'static [u32] {
+        match self {
+            Sweep::HotQueue => &[2, 4, 8, 16, 32],
+            Sweep::SwitchFraction => &[250, 375, 500, 750, 900],
+            Sweep::Ways => &[2, 4, 8, 16],
+            Sweep::Zombie => &[128, 512, 1024, 4096, 16384],
+        }
+    }
 
-/// Sweeps the zombie-detection window (paper: "a long time").
-///
-/// # Errors
-///
-/// Propagates configuration errors.
-pub fn sweep_zombie_window(
-    cfg: &RunConfig,
-    profiles: &[SpecProfile],
-) -> Result<Vec<SweepPoint>, GeometryError> {
-    sweep_zombie_window_with(&Engine::new(1), cfg, profiles)
-}
+    fn render(self, value: u32) -> String {
+        match self {
+            Sweep::SwitchFraction => format!("{}", f64::from(value) / 1000.0),
+            _ => value.to_string(),
+        }
+    }
 
-/// [`sweep_zombie_window`] on `engine`.
-///
-/// # Errors
-///
-/// Propagates configuration errors.
-pub fn sweep_zombie_window_with(
-    engine: &Engine,
-    cfg: &RunConfig,
-    profiles: &[SpecProfile],
-) -> Result<Vec<SweepPoint>, GeometryError> {
-    let baselines = baselines_with(engine, cfg, profiles)?;
-    Ok(engine.par_map(&[128u32, 512, 1024, 4096, 16384], |&w| {
-        let bee = BumblebeeConfig {
-            zombie_window: w,
-            sram_budget: cfg.sram_budget,
-            ..BumblebeeConfig::paper()
+    /// The tag, design and configuration of the cells at `value`. The paper
+    /// default is plain Bumblebee under `cfg`, tagged `""`: the matrix
+    /// holds its cells once for every sweep.
+    fn point(
+        self,
+        cfg: &RunConfig,
+        value: u32,
+    ) -> Result<(String, Design, RunConfig), GeometryError> {
+        let mut point = cfg.clone();
+        let knob = match self {
+            Sweep::HotQueue => Some(Knob::HotQueueLen(value)),
+            Sweep::SwitchFraction => Some(Knob::SwitchPermille(value)),
+            Sweep::Zombie => Some(Knob::ZombieWindow(value)),
+            Sweep::Ways => {
+                let g = &cfg.geometry;
+                point.geometry = Geometry::builder()
+                    .block_bytes(g.block_bytes())
+                    .page_bytes(g.page_bytes())
+                    .hbm_bytes(g.hbm_bytes())
+                    .dram_bytes(g.dram_bytes())
+                    .hbm_ways(value)
+                    .build()?;
+                None
+            }
         };
-        let (speedup, metadata_kb) = run_point(cfg, cfg.geometry, &bee, profiles, &baselines);
-        SweepPoint { parameter: "zombie_window", value: w.to_string(), speedup, metadata_kb }
-    }))
+        let paper = BumblebeeConfig { sram_budget: cfg.sram_budget, ..BumblebeeConfig::paper() };
+        let design = match knob {
+            Some(k) if k.config(cfg.sram_budget) != paper => Design::Tuned(k),
+            _ => Design::Bumblebee,
+        };
+        let tag = if design == Design::Bumblebee && point.geometry == cfg.geometry {
+            String::new()
+        } else {
+            format!("{}={}", self.parameter(), self.render(value))
+        };
+        Ok((tag, design, point))
+    }
+}
+
+/// The declarative cell list of `sweeps`: No-HBM and the paper-default
+/// Bumblebee once per workload, then every other point's cells, in sweep
+/// and value order.
+///
+/// # Errors
+///
+/// Propagates geometry errors for invalid way counts.
+pub fn matrix(
+    cfg: &RunConfig,
+    profiles: &[SpecProfile],
+    sweeps: &[Sweep],
+) -> Result<ExperimentMatrix, GeometryError> {
+    let mut m =
+        ExperimentMatrix::cross("sensitivity", &[Design::NoHbm, Design::Bumblebee], profiles, cfg);
+    for sweep in sweeps {
+        for &value in sweep.values() {
+            let (tag, design, point) = sweep.point(cfg, value)?;
+            if !tag.is_empty() {
+                for p in profiles {
+                    m.push(tag.clone(), design, *p, point.clone());
+                }
+            }
+        }
+    }
+    Ok(m)
+}
+
+/// Runs `sweeps` on `engine`: one row per swept value, also returning the
+/// raw results for JSONL output.
+///
+/// # Errors
+///
+/// Propagates geometry errors for invalid way counts.
+pub fn run_with(
+    engine: &Engine,
+    cfg: &RunConfig,
+    profiles: &[SpecProfile],
+    sweeps: &[Sweep],
+) -> Result<(Vec<SweepPoint>, ResultSet), GeometryError> {
+    let results = engine.run(&matrix(cfg, profiles, sweeps)?)?;
+    let mut points = Vec::new();
+    for &sweep in sweeps {
+        for &value in sweep.values() {
+            let (tag, design, _) = sweep.point(cfg, value)?;
+            let mut speedups = Vec::with_capacity(profiles.len());
+            let mut metadata_kb = 0.0;
+            for p in profiles {
+                let base = results.get("", Design::NoHbm.label(), p.name).expect("baseline cell");
+                let r = results.get(&tag, design.label(), p.name).expect("sweep cell");
+                metadata_kb = r.metadata_bytes as f64 / 1024.0;
+                speedups.push(r.normalized_ipc(base));
+            }
+            points.push(SweepPoint {
+                parameter: sweep.parameter(),
+                value: sweep.render(value),
+                speedup: geomean(&speedups),
+                metadata_kb,
+            });
+        }
+    }
+    Ok((points, results))
 }
 
 /// Renders sweep points grouped by parameter.
@@ -224,34 +210,18 @@ pub fn render(points: &[SweepPoint]) -> String {
     render_table(&rows)
 }
 
-/// One JSONL line per sweep point.
-pub fn jsonl_lines(points: &[SweepPoint]) -> Vec<String> {
-    points
-        .iter()
-        .map(|p| {
-            JsonObj::new()
-                .str("kind", "sensitivity")
-                .str("parameter", p.parameter)
-                .str("value", &p.value)
-                .f64("speedup", p.speedup)
-                .f64("metadata_kb", p.metadata_kb)
-                .finish()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn profiles() -> [SpecProfile; 2] {
-        [SpecProfile::mcf(), SpecProfile::wrf()]
+    fn run(sweep: Sweep) -> Vec<SweepPoint> {
+        let profiles = [SpecProfile::mcf(), SpecProfile::wrf()];
+        run_with(&Engine::new(1), &RunConfig::tiny(), &profiles, &[sweep]).unwrap().0
     }
 
     #[test]
     fn hot_queue_sweep_metadata_grows_with_depth() {
-        let cfg = RunConfig::tiny();
-        let pts = sweep_hot_queue(&cfg, &profiles()).unwrap();
+        let pts = run(Sweep::HotQueue);
         assert_eq!(pts.len(), 5);
         for w in pts.windows(2) {
             assert!(w[1].metadata_kb >= w[0].metadata_kb, "deeper queue = more metadata");
@@ -263,8 +233,7 @@ mod tests {
 
     #[test]
     fn way_sweep_produces_valid_geometries() {
-        let cfg = RunConfig::tiny();
-        let pts = sweep_ways(&cfg, &profiles()).unwrap();
+        let pts = run(Sweep::Ways);
         assert_eq!(pts.len(), 4);
         let text = render(&pts);
         assert!(text.contains("hbm_ways"));
@@ -272,9 +241,24 @@ mod tests {
 
     #[test]
     fn switch_fraction_sweep_runs() {
-        let cfg = RunConfig::tiny();
-        let pts = sweep_switch_fraction(&cfg, &profiles()).unwrap();
-        assert_eq!(pts.len(), 5);
+        let pts = run(Sweep::SwitchFraction);
+        let values: Vec<&str> = pts.iter().map(|p| p.value.as_str()).collect();
+        assert_eq!(values, ["0.25", "0.375", "0.5", "0.75", "0.9"]);
         assert!(pts.iter().all(|p| p.speedup > 0.5));
+    }
+
+    #[test]
+    fn paper_defaults_share_one_untagged_cell_per_workload() {
+        let cfg = RunConfig::tiny();
+        let profiles = [SpecProfile::mcf(), SpecProfile::wrf()];
+        let m = matrix(&cfg, &profiles, &Sweep::ALL).unwrap();
+        // No-HBM, paper Bumblebee, then 4 + 4 + 3 + 4 off-default points.
+        assert_eq!(m.len(), (2 + 15) * profiles.len());
+        let untagged = m.cells().iter().filter(|c| c.tag.is_empty()).count();
+        assert_eq!(untagged, 2 * profiles.len());
+        let tags: Vec<&str> =
+            m.cells().iter().step_by(profiles.len()).map(|c| c.tag.as_str()).collect();
+        assert_eq!(tags[2..5], ["hot_queue_len=2", "hot_queue_len=4", "hot_queue_len=16"]);
+        assert!(tags.contains(&"mode_switch_fraction=0.9") && tags.contains(&"hbm_ways=16"));
     }
 }

@@ -1,15 +1,15 @@
-//! Table I, Table II, the §IV-B metadata budget and the over-fetching
-//! analysis.
+//! Table I, Table II and the §IV-B metadata budget. The §IV-B
+//! over-fetching analysis reads Fig. 8's cells
+//! ([`Fig8Data::overfetch`](super::fig8::Fig8Data::overfetch)).
 
 use crate::designs::Design;
-use crate::engine::{Engine, ResultSet};
-use crate::matrix::ExperimentMatrix;
+use crate::engine::Engine;
 use crate::report::render_table;
 use crate::run::RunConfig;
 use memsim_dram::presets;
 use memsim_trace::SpecProfile;
 use memsim_types::json::JsonObj;
-use memsim_types::{GeometryError, HybridMemoryController};
+use memsim_types::HybridMemoryController;
 
 /// Renders Table I (system configuration) from the actual presets.
 pub fn table1(cfg: &RunConfig) -> String {
@@ -77,14 +77,10 @@ pub struct Table2Row {
     pub measured_footprint_gb: f64,
 }
 
-/// Measures every Table II profile. The generator emits LLC-miss streams
-/// directly, so MPKI comes from the emitted instruction gaps; the
-/// footprint is the distinct 4 KB pages touched, re-scaled to paper units.
-pub fn table2(cfg: &RunConfig) -> Vec<Table2Row> {
-    table2_with(&Engine::new(1), cfg)
-}
-
-/// [`table2`] on `engine` (one unit of work per profile).
+/// Measures every Table II profile on `engine` (one unit of work per
+/// profile). The generator emits LLC-miss streams directly, so MPKI comes
+/// from the emitted instruction gaps; the footprint is the distinct 4 KB
+/// pages touched, re-scaled to paper units.
 pub fn table2_with(engine: &Engine, cfg: &RunConfig) -> Vec<Table2Row> {
     engine.par_map(&SpecProfile::table2(), |p| {
         let mut w = cfg.workload(p);
@@ -228,50 +224,6 @@ pub fn table1_jsonl(cfg: &RunConfig) -> Vec<String> {
         .finish()]
 }
 
-/// Over-fetching comparison (§IV-B): percent of data brought into HBM but
-/// never used, Bumblebee vs Hybrid2, averaged over `profiles`.
-///
-/// # Errors
-///
-/// Propagates run errors.
-pub fn overfetch(
-    cfg: &RunConfig,
-    profiles: &[SpecProfile],
-) -> Result<Vec<(String, f64)>, GeometryError> {
-    overfetch_with(&Engine::new(1), cfg, profiles).map(|(rows, _)| rows)
-}
-
-/// [`overfetch`] on `engine`, also returning the raw results for JSONL
-/// output.
-///
-/// # Errors
-///
-/// Propagates run errors.
-pub fn overfetch_with(
-    engine: &Engine,
-    cfg: &RunConfig,
-    profiles: &[SpecProfile],
-) -> Result<(Vec<(String, f64)>, ResultSet), GeometryError> {
-    const DESIGNS: [Design; 2] = [Design::Hybrid2, Design::Bumblebee];
-    let results = engine.run(&ExperimentMatrix::cross("overfetch", &DESIGNS, profiles, cfg))?;
-    let rows = DESIGNS
-        .iter()
-        .map(|d| {
-            let ratios: Vec<f64> = profiles
-                .iter()
-                .filter_map(|p| results.get("", d.label(), p.name).and_then(|r| r.overfetch))
-                .collect();
-            let mean = if ratios.is_empty() {
-                0.0
-            } else {
-                ratios.iter().sum::<f64>() / ratios.len() as f64
-            };
-            (d.label().to_string(), mean)
-        })
-        .collect();
-    Ok((rows, results))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,7 +239,7 @@ mod tests {
     #[test]
     fn table2_mpki_tracks_paper() {
         let cfg = RunConfig::tiny();
-        let rows = table2(&cfg);
+        let rows = table2_with(&Engine::new(1), &cfg);
         assert_eq!(rows.len(), 14);
         for r in rows {
             let rel = (r.measured_mpki - r.paper_mpki).abs() / r.paper_mpki;
@@ -300,15 +252,5 @@ mod tests {
         let t = metadata_table(&RunConfig::tiny());
         assert!(t.contains("Bumblebee"));
         assert!(t.contains("PRT/BLE/tracker"));
-    }
-
-    #[test]
-    fn overfetch_produces_both_designs() {
-        let cfg = RunConfig::tiny();
-        let rows = overfetch(&cfg, &[SpecProfile::wrf()]).unwrap();
-        assert_eq!(rows.len(), 2);
-        for (_, v) in rows {
-            assert!((0.0..=1.0).contains(&v));
-        }
     }
 }

@@ -180,22 +180,7 @@ pub fn run_design_batched(
     metrics: Option<&MetricsConfig>,
     batch: usize,
 ) -> Result<(SimReport, Option<RunObservations>), GeometryError> {
-    let controller = design.build(cfg.geometry, cfg.sram_budget);
-    Ok(run_controller(controller, design, cfg, profile, metrics, batch))
-}
-
-/// The driver loop behind [`run_design_batched`], on an already-built
-/// `controller` (`design` supplies the report label and whether HBM
-/// background energy counts). Sweeps that build controllers from explicit
-/// configurations run through here too.
-pub(crate) fn run_controller(
-    mut controller: AnyController,
-    design: Design,
-    cfg: &RunConfig,
-    profile: &SpecProfile,
-    metrics: Option<&MetricsConfig>,
-    batch: usize,
-) -> (SimReport, Option<RunObservations>) {
+    let mut controller = design.build(cfg.geometry, cfg.sram_budget);
     if let Some(m) = metrics {
         controller.install_recorder(Ring::new(m.event_capacity));
     }
@@ -254,7 +239,7 @@ pub(crate) fn run_controller(
     // Warm-up ends by snapshotting instruction/cycle accounting; the
     // report measures deltas against it.
     let (warm_counters, warm_cycles) = warm.expect("the loop reaches total >= warmup");
-    harvest(
+    Ok(harvest(
         system,
         design,
         cfg,
@@ -265,7 +250,7 @@ pub(crate) fn run_controller(
         sample_rate,
         epochs,
         bw_points,
-    )
+    ))
 }
 
 // End-of-run harvest: measured deltas against the warm snapshot,

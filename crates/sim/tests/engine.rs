@@ -1,9 +1,13 @@
 //! Integration tests for the experiment engine: a matrix must produce
-//! byte-identical results at any `--jobs` width, and the figure wrappers
-//! must agree with the serial legacy path.
+//! byte-identical results at any `--jobs` width, no figure matrix may run
+//! the same cell twice, and figures that share a cell must agree on it.
 
-use memsim_sim::figures::{fig6, fig8};
-use memsim_sim::{Design, Engine, ExperimentMatrix, MetricsConfig, RunConfig, DEFAULT_BATCH};
+use memsim_sim::figures::fig8::{self, Panel};
+use memsim_sim::figures::sensitivity::{self, Sweep};
+use memsim_sim::figures::{fig6, fig7};
+use memsim_sim::{
+    Cell, Design, Engine, ExperimentMatrix, MetricsConfig, RunConfig, DEFAULT_BATCH,
+};
 use memsim_trace::SpecProfile;
 
 fn small_matrix() -> ExperimentMatrix {
@@ -44,7 +48,7 @@ fn fig8_parallel_matches_serial_wrapper() {
     let mut cfg = RunConfig::tiny();
     cfg.accesses = 6_000;
     let profiles = [SpecProfile::mcf(), SpecProfile::wrf()];
-    let serial = fig8::run(&cfg, &profiles).expect("serial");
+    let serial = fig8::run_with(&Engine::new(1), &cfg, &profiles).expect("serial");
     let parallel = fig8::run_with(&Engine::new(8), &cfg, &profiles).expect("parallel");
     for (a, b) in serial.reports.iter().flatten().zip(parallel.reports.iter().flatten()) {
         assert_eq!(a.cycles, b.cycles);
@@ -92,5 +96,55 @@ fn fig6_sweep_is_byte_identical_at_any_batch_width() {
         for (name, (a, b)) in streams.iter().zip(reference.iter().zip(run(batch))) {
             assert!(*a == b, "fig6 {name} lines differ between batch 1 and {batch}");
         }
+    }
+}
+
+#[test]
+fn no_figure_matrix_repeats_a_cell() {
+    // A cell's report depends on its design, the geometry that design reads
+    // (No-HBM reads only the off-chip capacity) and its stream's seed.
+    let key = |c: &Cell| {
+        let g = c.cfg.geometry;
+        (c.design, c.design.uses_hbm().then_some(g), g.dram_bytes(), c.cfg.seed)
+    };
+    let cfg = RunConfig::scaled();
+    let profiles = SpecProfile::table2();
+    for (m, cells) in [
+        (fig6::matrix(&cfg, &profiles).expect("fig6 geometries"), 140),
+        (fig7::matrix(&cfg, &profiles), 154),
+        (fig8::matrix(&cfg, &profiles), 98),
+        (sensitivity::matrix(&cfg, &profiles, &Sweep::ALL).expect("sweep geometries"), 238),
+    ] {
+        assert_eq!(m.len(), cells, "{}", m.name());
+        for (i, a) in m.cells().iter().enumerate() {
+            for b in &m.cells()[..i] {
+                assert!(key(a) != key(b), "{}: {} repeats {}", m.name(), a.label(), b.label());
+            }
+        }
+    }
+}
+
+#[test]
+fn every_sweeps_paper_default_row_is_fig8_bumblebee_all() {
+    let cfg = RunConfig::tiny();
+    let profiles = [SpecProfile::mcf(), SpecProfile::wrf()];
+    let engine = Engine::new(2);
+    let data = fig8::run_with(&engine, &cfg, &profiles).expect("fig8 runs");
+    let bee = Design::fig8().iter().position(|&d| d == Design::Bumblebee).expect("in fig8");
+    let all = data.cell(bee, "All", Panel::Ipc);
+    let (points, _) =
+        sensitivity::run_with(&engine, &cfg, &profiles, &Sweep::ALL).expect("sweeps run");
+    let defaults = [
+        ("hot_queue_len", "8"),
+        ("mode_switch_fraction", "0.5"),
+        ("hbm_ways", "8"),
+        ("zombie_window", "1024"),
+    ];
+    for (parameter, value) in defaults {
+        let row = points
+            .iter()
+            .find(|p| p.parameter == parameter && p.value == value)
+            .unwrap_or_else(|| panic!("no {parameter}={value} row"));
+        assert_eq!(row.speedup, all, "{parameter}={value} against Fig. 8 Bumblebee All");
     }
 }

@@ -7,7 +7,7 @@
 
 use bumblebee::core::{BumblebeeConfig, MetadataBreakdown};
 use bumblebee::sim::figures::fig6;
-use bumblebee::sim::RunConfig;
+use bumblebee::sim::{Engine, RunConfig};
 use bumblebee::trace::SpecProfile;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         [SpecProfile::mcf(), SpecProfile::wrf(), SpecProfile::xz(), SpecProfile::named("lbm")];
 
     println!("block-page sweep on {} workloads:\n", profiles.len());
-    let points = fig6::run(&cfg, &profiles)?;
+    let (points, _) = fig6::run_with(&Engine::new(1), &cfg, &profiles)?;
     println!("{:>14}  {:>8}  {:>12}", "block-page", "IPC", "metadata KB");
     for p in &points {
         let g = cfg

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification gate: offline release build, full test suite, and a
-# parallel-vs-serial smoke run of one figure binary. Run from the repo root.
+# Tier-1 verification gate: offline release build, full test suite, and
+# parallel-vs-serial smoke runs of the fig8 and sensitivity binaries. Run from
+# the repo root.
 #
 #   scripts/verify.sh
 #
@@ -145,6 +146,24 @@ for f in fig8.txt fig8.jsonl; do
   fi
 done
 echo "ok: table and $(wc -l < "$smoke/serial/fig8.jsonl") JSONL lines identical at both widths"
+
+echo "== smoke: sensitivity --metrics serial vs parallel must be byte-identical =="
+mkdir -p "$smoke/sens1" "$smoke/sens4"
+for jobs in 1 4; do
+  cargo run --release -q -p bumblebee-bench --bin sensitivity -- \
+    "${common[@]}" --metrics --jobs "$jobs" --out "$smoke/sens$jobs" \
+    > "$smoke/sens$jobs/sensitivity.txt"
+done
+for f in sensitivity.txt sensitivity.jsonl; do
+  if ! cmp -s "$smoke/sens1/$f" "$smoke/sens4/$f"; then
+    echo "FAIL: $f differs between --jobs 1 and --jobs 4" >&2
+    diff "$smoke/sens1/$f" "$smoke/sens4/$f" | head >&2
+    exit 1
+  fi
+done
+cargo run --release -q -p bumblebee-bench --bin trace_tool -- \
+  bandwidth "$smoke/sens1/sensitivity.bw.jsonl" >/dev/null
+echo "ok: table and $(wc -l < "$smoke/sens1/sensitivity.jsonl") JSONL lines identical at both widths; bw reconciles"
 
 echo "== smoke: fig6 --metrics writes observability artifacts =="
 cargo run --release -q -p bumblebee-bench --bin fig6 -- \

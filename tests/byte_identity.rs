@@ -10,7 +10,7 @@
 //! - the results JSONL, with and without metrics recording;
 //! - the observability streams (epochs, trace, sampled latency and
 //!   bandwidth JSONL) of the instrumented run;
-//! - the sensitivity sweeps' JSONL;
+//! - the results JSONL of the four sensitivity sweeps' matrix;
 //! - the results, sampled latency and bandwidth JSONL of the seven designs
 //!   on mcf and xz with one access in 64 latency-sampled, at chunk width 1
 //!   and at the default width;
@@ -23,7 +23,8 @@
 //! A change that moves any cycle, byte, energy or attribution figure fails
 //! here; one that means to move them must update the constants on purpose.
 
-use bumblebee::sim::figures::{fig8, sensitivity, tables};
+use bumblebee::sim::figures::sensitivity::{self, Sweep};
+use bumblebee::sim::figures::{fig8, tables};
 use bumblebee::sim::{Engine, MetricsConfig, RunConfig};
 use bumblebee::trace::SpecProfile;
 
@@ -34,8 +35,8 @@ const FIG8_SMALL_DIGEST: u64 = 0x8e98_b781_50e1_73d8;
 /// matrix run under [`observed_metrics`].
 const FIG8_SMALL_OBS_DIGEST: u64 = 0x66e6_21f6_1a5f_f511;
 
-/// FNV-1a over the four sensitivity sweeps' JSONL lines, in sweep order.
-const SENSITIVITY_SMALL_DIGEST: u64 = 0x5b86_766a_8f4d_386a;
+/// FNV-1a over the results JSONL of the four sensitivity sweeps' matrix.
+const SENSITIVITY_SMALL_DIGEST: u64 = 0x9e3e_a5a7_40cd_7d2b;
 
 /// FNV-1a over `results ++ lat ++ bw` JSONL lines of the seven designs on
 /// mcf and xz at test scale, sampled as in [`sampled_metrics`].
@@ -116,13 +117,10 @@ fn fig8_small_matrix_observability_streams_are_byte_identical() {
 #[test]
 fn sensitivity_sweeps_are_byte_identical() {
     let cfg = RunConfig::tiny();
-    let engine = Engine::new(1);
-    let ps = profiles();
-    let mut points = sensitivity::sweep_hot_queue_with(&engine, &cfg, &ps).expect("sweep");
-    points.extend(sensitivity::sweep_switch_fraction_with(&engine, &cfg, &ps).expect("sweep"));
-    points.extend(sensitivity::sweep_ways_with(&engine, &cfg, &ps).expect("sweep"));
-    points.extend(sensitivity::sweep_zombie_window_with(&engine, &cfg, &ps).expect("sweep"));
-    let lines = sensitivity::jsonl_lines(&points);
+    let (_, results) = sensitivity::run_with(&Engine::new(1), &cfg, &profiles(), &Sweep::ALL)
+        .expect("sweeps run");
+    let lines = results.jsonl_lines();
+    assert_eq!(lines.len(), (2 + 15) * profiles().len(), "2 shared + 15 swept cells per profile");
     let d = digest(&lines);
     assert_eq!(
         d, SENSITIVITY_SMALL_DIGEST,
@@ -166,7 +164,7 @@ fn fig8_mcf_xz_matrix_is_byte_identical_at_any_batch_width() {
 fn tables_are_byte_identical() {
     let cfg = RunConfig::tiny();
     let mut lines = tables::table1_jsonl(&cfg);
-    lines.extend(tables::table2_jsonl(&tables::table2(&cfg)));
+    lines.extend(tables::table2_jsonl(&tables::table2_with(&Engine::new(1), &cfg)));
     lines.extend(tables::metadata_jsonl(&cfg));
     assert_eq!(lines.len(), 1 + 14 + 6, "one Table I line, 14 Table II rows, 6 designs");
     let d = digest(&lines);

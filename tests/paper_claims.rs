@@ -4,7 +4,7 @@
 //! not absolute magnitudes (see EXPERIMENTS.md for the calibrated runs).
 
 use bumblebee::sim::figures::{fig1, fig8};
-use bumblebee::sim::{geomean, run_design, run_reference, Design, RunConfig};
+use bumblebee::sim::{geomean, run_design, run_reference, Design, Engine, RunConfig};
 use bumblebee::trace::SpecProfile;
 
 fn mix() -> Vec<SpecProfile> {
@@ -112,7 +112,7 @@ fn fig1_motivation_shape_holds() {
 fn fig8_data_is_internally_consistent() {
     let cfg = RunConfig::tiny();
     let profiles = [SpecProfile::mcf(), SpecProfile::named("bwaves")];
-    let data = fig8::run(&cfg, &profiles).expect("comparison");
+    let data = fig8::run_with(&Engine::new(1), &cfg, &profiles).expect("comparison");
     // All-group IPC cell equals the geomean over per-workload ratios.
     let bee = Design::fig8().iter().position(|d| *d == Design::Bumblebee).unwrap();
     let cell = data.cell(bee, "All", fig8::Panel::Ipc);
