@@ -94,7 +94,7 @@ impl AlloyCache {
             faults: FaultModel::with_default_table(geometry.dram_bytes()),
             geometry,
             stats: CtrlStats::new(),
-            overfetch: OverfetchTracker::new(),
+            overfetch: OverfetchTracker::new(lines as u64),
         }
     }
 
@@ -136,7 +136,7 @@ impl HybridMemoryController for AlloyCache {
             }
             self.stats.hbm_hits += 1;
             plan.path = AccessPath::ChbmHit;
-            self.overfetch.used(line_addr);
+            self.overfetch.used(idx as u64);
             self.map.train(addr.0, true);
             return;
         }
@@ -186,7 +186,7 @@ impl HybridMemoryController for AlloyCache {
                     mhbm: false,
                 });
             }
-            self.overfetch.evicted(victim_line);
+            self.overfetch.evicted(idx as u64);
             self.stats.evictions += 1;
         }
         plan.background.push(DeviceOp {
@@ -199,8 +199,8 @@ impl HybridMemoryController for AlloyCache {
         });
         self.lines[idx] = line_word(tag, !is_read);
         self.stats.block_fills += 1;
-        self.overfetch.fetched(line_addr, LINE_BYTES as u32);
-        self.overfetch.used(line_addr); // demand-fetched block is used
+        self.overfetch.fetched(idx as u64, LINE_BYTES as u32);
+        self.overfetch.used(idx as u64); // demand-fetched, so Alloy's over-fetch is 0
     }
 
     fn name(&self) -> &'static str {
@@ -292,6 +292,14 @@ mod tests {
         plan.clear();
         c.finish(&mut plan);
         assert_eq!(c.overfetch_ratio(), Some(0.0));
+    }
+
+    #[test]
+    fn fresh_controller_holds_no_overfetch_table() {
+        let mut c = AlloyCache::new(geometry());
+        assert_eq!(c.overfetch.table_bytes(), 0, "construct-and-drop allocates no ledger");
+        c.access(&Access::read(Addr(0)), &mut AccessPlan::new());
+        assert_eq!(c.overfetch.table_bytes() as u64, geometry().hbm_bytes() / 64 / 64 * 16);
     }
 
     #[test]

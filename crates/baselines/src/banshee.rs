@@ -14,6 +14,7 @@ use memsim_types::{
 };
 
 const PAGE_BYTES: u64 = 4096;
+const LINES_PER_PAGE: u64 = PAGE_BYTES / 64;
 const WAYS: u32 = 4;
 /// Frequency counters decay/cap (Banshee samples; we count directly).
 const COUNTER_CAP: u32 = 255;
@@ -61,7 +62,7 @@ impl Banshee {
             sets,
             set_div: QuickDiv::new(sets as u64),
             stats: CtrlStats::new(),
-            overfetch: OverfetchTracker::new(),
+            overfetch: OverfetchTracker::new((sets * WAYS as usize) as u64 * LINES_PER_PAGE),
         }
     }
 
@@ -103,7 +104,7 @@ impl HybridMemoryController for Banshee {
             }
             self.stats.hbm_hits += 1;
             plan.path = AccessPath::ChbmHit;
-            self.overfetch.used(page * 64 + offset / 64);
+            self.overfetch.used(self.hbm_addr(set, w as u32, offset).0 / 64);
             return;
         }
 
@@ -151,6 +152,7 @@ impl HybridMemoryController for Banshee {
             return;
         }
         // Evict the victim (lazy writeback: whole page if dirty).
+        let first_line = self.hbm_addr(set, victim as u32, 0).0 / 64;
         if vs.valid {
             let vpage = vs.tag * self.sets as u64 + set as u64;
             if vs.dirty {
@@ -171,9 +173,7 @@ impl HybridMemoryController for Banshee {
                     mhbm: false,
                 });
             }
-            for l in 0..64u64 {
-                self.overfetch.evicted(vpage * 64 + l);
-            }
+            self.overfetch.evicted_lines(first_line, LINES_PER_PAGE);
             self.stats.evictions += 1;
         }
         // Fill the whole page.
@@ -196,10 +196,8 @@ impl HybridMemoryController for Banshee {
         self.ways[base + victim] =
             WayState { tag, valid: true, dirty: !is_read, counter: cand_count };
         self.stats.block_fills += 1;
-        for l in 0..64u64 {
-            self.overfetch.fetched(page * 64 + l, 64);
-        }
-        self.overfetch.used(page * 64 + offset / 64);
+        self.overfetch.fetched_lines(first_line, LINES_PER_PAGE);
+        self.overfetch.used(first_line + offset / 64);
     }
 
     fn name(&self) -> &'static str {
@@ -235,6 +233,14 @@ mod tests {
 
     fn geometry() -> Geometry {
         Geometry::paper(256)
+    }
+
+    #[test]
+    fn fresh_controller_holds_no_overfetch_table() {
+        let mut c = Banshee::new(geometry());
+        assert_eq!(c.overfetch.table_bytes(), 0, "construct-and-drop allocates no ledger");
+        c.access(&Access::read(Addr(0)), &mut AccessPlan::new());
+        assert_eq!(c.overfetch.table_bytes() as u64, geometry().hbm_bytes() / PAGE_BYTES * 16);
     }
 
     #[test]

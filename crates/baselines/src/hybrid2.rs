@@ -19,7 +19,10 @@ use memsim_types::{
 
 const GROUP_BYTES: u64 = 2048;
 const BLOCK_BYTES: u64 = 256;
-const BLOCKS_PER_GROUP: u32 = (GROUP_BYTES / BLOCK_BYTES) as u32;
+/// 64 B lines per 256 B block and per 2 KB group: over-fetching is
+/// measured at 64 B granularity.
+const LINES_PER_BLOCK: u64 = BLOCK_BYTES / 64;
+const LINES_PER_GROUP: u64 = GROUP_BYTES / 64;
 const CACHE_WAYS: u32 = 8;
 /// Fraction of HBM fixed as cHBM (64 MB of 1 GB).
 const CHBM_FRACTION_DEN: u64 = 16;
@@ -94,7 +97,8 @@ impl Hybrid2 {
             chbm_bytes,
             cache_sets,
             stats: CtrlStats::new(),
-            overfetch: OverfetchTracker::new(),
+            // Keyed by cHBM device line: the cache ways tile `chbm_bytes`.
+            overfetch: OverfetchTracker::new(chbm_bytes / 64),
             mode_switch_bytes: 0,
         }
     }
@@ -177,6 +181,7 @@ impl HybridMemoryController for Hybrid2 {
         // 2. cHBM lookup (the page's home is off-chip DRAM).
         let group = addr.0 / GROUP_BYTES;
         let block = ((addr.0 % GROUP_BYTES) / BLOCK_BYTES) as u32;
+        let line = (addr.0 % BLOCK_BYTES) / 64;
         let (tag, set) = self.cache_set_div.div_rem(group);
         let set = set as usize;
         let base = set * CACHE_WAYS as usize;
@@ -201,7 +206,7 @@ impl HybridMemoryController for Hybrid2 {
                 }
                 self.stats.hbm_hits += 1;
                 plan.path = AccessPath::ChbmHit;
-                self.overfetch.used(line_key(group, block, addr));
+                self.overfetch.used(self.cache_hbm_addr(set, w as u32, block).0 / 64 + line);
             } else {
                 // Block miss within a cached group: fetch the block.
                 let op = DeviceOp {
@@ -232,8 +237,9 @@ impl HybridMemoryController for Hybrid2 {
                 });
                 self.cache[base + w].valid |= 1 << block;
                 self.stats.block_fills += 1;
-                fetch_block_lines(&mut self.overfetch, group, block);
-                self.overfetch.used(line_key(group, block, addr));
+                let first = self.cache_hbm_addr(set, w as u32, block).0 / 64;
+                self.overfetch.fetched_lines(first, LINES_PER_BLOCK);
+                self.overfetch.used(first + line);
             }
             // Promotion: hot, mostly valid groups move to mHBM *through
             // off-chip DRAM* (separate cHBM/mHBM spaces).
@@ -280,9 +286,8 @@ impl HybridMemoryController for Hybrid2 {
                     mhbm: false,
                 });
             }
-            for b in 0..BLOCKS_PER_GROUP {
-                evict_block_lines(&mut self.overfetch, vgroup, b);
-            }
+            let first = self.cache_hbm_addr(set, victim, 0).0 / 64;
+            self.overfetch.evicted_lines(first, LINES_PER_GROUP);
             self.stats.evictions += 1;
         }
         plan.background.push(DeviceOp {
@@ -310,8 +315,9 @@ impl HybridMemoryController for Hybrid2 {
         };
         self.cache_lru.touch(set, victim);
         self.stats.block_fills += 1;
-        fetch_block_lines(&mut self.overfetch, group, block);
-        self.overfetch.used(line_key(group, block, addr));
+        let first = self.cache_hbm_addr(set, victim, block).0 / 64;
+        self.overfetch.fetched_lines(first, LINES_PER_BLOCK);
+        self.overfetch.used(first + line);
     }
 
     fn name(&self) -> &'static str {
@@ -388,10 +394,7 @@ impl Hybrid2 {
             });
             self.mode_switch_bytes += GROUP_BYTES;
         }
-        let group = addr.0 / GROUP_BYTES;
-        for b in 0..BLOCKS_PER_GROUP {
-            evict_block_lines(&mut self.overfetch, group, b);
-        }
+        self.overfetch.evicted_lines(hbm_cache.0 / 64, LINES_PER_GROUP);
         self.cache[idx] = CacheWay::default();
         self.pom_resident[pg] = member;
         let (old_ci, new_ci) = (self.pom_counter(pg, old_resident), self.pom_counter(pg, member));
@@ -408,30 +411,6 @@ impl Hybrid2 {
     }
 }
 
-/// 64 B lines per 256 B block.
-const LINES_PER_BLOCK: u64 = BLOCK_BYTES / 64;
-
-/// Over-fetch key for the 64 B line containing `addr` within
-/// (`group`, `block`) — over-fetching is measured at 64 B granularity.
-fn line_key(group: u64, block: u32, addr: memsim_types::Addr) -> u64 {
-    (group * u64::from(BLOCKS_PER_GROUP) + u64::from(block)) * LINES_PER_BLOCK
-        + (addr.0 % BLOCK_BYTES) / 64
-}
-
-fn fetch_block_lines(t: &mut OverfetchTracker, group: u64, block: u32) {
-    let base = (group * u64::from(BLOCKS_PER_GROUP) + u64::from(block)) * LINES_PER_BLOCK;
-    for l in 0..LINES_PER_BLOCK {
-        t.fetched(base + l, 64);
-    }
-}
-
-fn evict_block_lines(t: &mut OverfetchTracker, group: u64, block: u32) {
-    let base = (group * u64::from(BLOCKS_PER_GROUP) + u64::from(block)) * LINES_PER_BLOCK;
-    for l in 0..LINES_PER_BLOCK {
-        t.evicted(base + l);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,6 +421,14 @@ mod tests {
 
     fn hybrid2() -> Hybrid2 {
         Hybrid2::new(geometry(), (512 << 10) / 64)
+    }
+
+    #[test]
+    fn fresh_controller_holds_no_overfetch_table() {
+        let mut c = hybrid2();
+        assert_eq!(c.overfetch.table_bytes(), 0, "construct-and-drop allocates no ledger");
+        c.access(&Access::read(Addr(0)), &mut AccessPlan::new());
+        assert_eq!(c.overfetch.table_bytes() as u64, c.chbm_bytes() / 64 / 64 * 16);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use memsim_types::{
 
 const PAGE_BYTES: u64 = 4096;
 const LINE_BYTES: u64 = 64;
-const LINES_PER_PAGE: u32 = (PAGE_BYTES / LINE_BYTES) as u32;
+const LINES_PER_PAGE: u64 = PAGE_BYTES / LINE_BYTES;
 const WAYS: u32 = 4;
 /// Footprint-history table entries (direct-mapped).
 const PREDICTOR_ENTRIES: usize = 4096;
@@ -60,12 +60,17 @@ impl UnisonCache {
             sets,
             set_div: QuickDiv::new(sets as u64),
             stats: CtrlStats::new(),
-            overfetch: OverfetchTracker::new(),
+            overfetch: OverfetchTracker::new((sets * WAYS as usize) as u64 * LINES_PER_PAGE),
         }
     }
 
     fn hbm_page_addr(&self, set: usize, way: u32) -> Addr {
         Addr((set as u64 * u64::from(WAYS) + u64::from(way)) * PAGE_BYTES)
+    }
+
+    /// The HBM line of `block` of `way` of `set`: its over-fetch key.
+    fn hbm_line(&self, set: usize, way: u32, block: u32) -> u64 {
+        self.hbm_page_addr(set, way).0 / LINE_BYTES + u64::from(block)
     }
 
     fn predict(&self, page: u64) -> u64 {
@@ -114,11 +119,7 @@ impl UnisonCache {
             mhbm: false,
         });
         self.stats.block_fills += u64::from(count);
-        for b in 0..LINES_PER_PAGE {
-            if mask & (1 << b) != 0 {
-                self.overfetch.fetched(page * 64 + u64::from(b), LINE_BYTES as u32);
-            }
-        }
+        self.overfetch.fetched_mask(self.hbm_line(set, way, 0), mask);
     }
 
     fn evict(&mut self, plan: &mut AccessPlan, set: usize, way: u32) {
@@ -148,9 +149,7 @@ impl UnisonCache {
             });
         }
         self.train(page, w.touched);
-        for b in 0..LINES_PER_PAGE {
-            self.overfetch.evicted(page * 64 + u64::from(b));
-        }
+        self.overfetch.evicted_lines(self.hbm_line(set, way, 0), LINES_PER_PAGE);
         self.ways[idx] = Way::default();
         self.stats.evictions += 1;
     }
@@ -199,7 +198,7 @@ impl HybridMemoryController for UnisonCache {
                 }
                 self.stats.hbm_hits += 1;
                 plan.path = AccessPath::ChbmHit;
-                self.overfetch.used(page * 64 + u64::from(block));
+                self.overfetch.used(self.hbm_line(set, w, block));
                 return;
             }
             // Footprint under-prediction: fetch the missing block.
@@ -219,7 +218,7 @@ impl HybridMemoryController for UnisonCache {
             self.stats.offchip_serves += 1;
             self.fetch_blocks(plan, page, set, w, 1 << block, TrafficCause::MissFill);
             self.ways[idx].present |= 1 << block;
-            self.overfetch.used(page * 64 + u64::from(block));
+            self.overfetch.used(self.hbm_line(set, w, block));
             return;
         }
 
@@ -262,7 +261,7 @@ impl HybridMemoryController for UnisonCache {
             touched: 1 << block,
         };
         self.lru.touch(set, victim);
-        self.overfetch.used(page * 64 + u64::from(block));
+        self.overfetch.used(self.hbm_line(set, victim, block));
     }
 
     fn name(&self) -> &'static str {
@@ -298,6 +297,14 @@ mod tests {
 
     fn geometry() -> Geometry {
         Geometry::paper(256)
+    }
+
+    #[test]
+    fn fresh_controller_holds_no_overfetch_table() {
+        let mut c = UnisonCache::new(geometry());
+        assert_eq!(c.overfetch.table_bytes(), 0, "construct-and-drop allocates no ledger");
+        c.access(&Access::read(Addr(0)), &mut AccessPlan::new());
+        assert_eq!(c.overfetch.table_bytes() as u64, geometry().hbm_bytes() / PAGE_BYTES * 16);
     }
 
     #[test]

@@ -71,7 +71,8 @@ impl BumblebeeController {
             metadata,
             metadata_breakdown: breakdown,
             stats: CtrlStats::new(),
-            overfetch: OverfetchTracker::new(),
+            // Keyed by HBM device line over every frame of every set.
+            overfetch: OverfetchTracker::new(geometry.hbm_pages() * geometry.page_bytes() / 64),
             mode_switch_bytes: 0,
             flush_cursor: 0,
             next_flush_ok: 0,
@@ -362,6 +363,15 @@ mod tests {
         for s in 0..4 {
             assert!(c.set(s).prt().is_allocated(0), "set {s}");
         }
+    }
+
+    #[test]
+    fn fresh_controller_holds_no_overfetch_table() {
+        let g = tiny_geometry();
+        let mut c = BumblebeeController::new(g, BumblebeeConfig::default());
+        assert_eq!(c.overfetch.table_bytes(), 0, "construct-and-drop allocates no ledger");
+        c.access(&Access::read(Addr(0)), &mut AccessPlan::new());
+        assert_eq!(c.overfetch.table_bytes() as u64, g.hbm_bytes() / 64 / 64 * 16);
     }
 
     #[test]

@@ -82,34 +82,31 @@ impl SetCtx<'_> {
         }
     }
 
-    /// Globally unique over-fetch key for one 64 B line of (set, original
-    /// slot, block). Over-fetching is measured at 64 B granularity, like
+    /// The HBM device line of 64 B line `line` of `block` in `frame`: the
+    /// over-fetch key. Over-fetching is measured at 64 B granularity, like
     /// the paper's "percentage of data brought in HBM but unused".
-    fn of_key(&self, o: u16, block: u32, line: u32) -> u64 {
-        (((self.set_id << 16) | u64::from(o)) << 14) | (u64::from(block) << 6) | u64::from(line)
+    fn of_line(&self, frame: u16, block: u32, line: u32) -> u64 {
+        self.hbm_addr(u32::from(frame), block).0 / 64 + u64::from(line)
     }
 
-    /// Records that every 64 B line of `block` was brought into HBM.
-    fn of_fetched_block(&mut self, o: u16, block: u32) {
-        let lines = (self.geometry.block_bytes() / 64) as u32;
-        for l in 0..lines {
-            let key = self.of_key(o, block, l);
-            self.overfetch.fetched(key, 64);
-        }
+    /// Records that every 64 B line of `block` of `frame` was brought into
+    /// HBM.
+    fn of_fetched_block(&mut self, frame: u16, block: u32) {
+        self.overfetch.fetched_lines(self.of_line(frame, block, 0), self.geometry.block_bytes() / 64);
     }
 
-    fn of_used(&mut self, o: u16, block: u32, line: u32) {
-        let key = self.of_key(o, block, line);
-        self.overfetch.used(key);
+    /// Records that the whole page of `frame` was brought into HBM.
+    fn of_fetched_page(&mut self, frame: u16) {
+        self.overfetch.fetched_lines(self.of_line(frame, 0, 0), self.geometry.page_bytes() / 64);
     }
 
-    /// Drains every 64 B line of `block` from the tracker.
-    fn of_evicted_block(&mut self, o: u16, block: u32) {
-        let lines = (self.geometry.block_bytes() / 64) as u32;
-        for l in 0..lines {
-            let key = self.of_key(o, block, l);
-            self.overfetch.evicted(key);
-        }
+    fn of_used(&mut self, frame: u16, block: u32, line: u32) {
+        self.overfetch.used(self.of_line(frame, block, line));
+    }
+
+    /// Drains every 64 B line of `frame` from the tracker.
+    fn of_evicted_page(&mut self, frame: u16) {
+        self.overfetch.evicted_lines(self.of_line(frame, 0, 0), self.geometry.page_bytes() / 64);
     }
 }
 
@@ -379,7 +376,7 @@ impl RemapSet {
         ctx.plan.path = AccessPath::MhbmHit;
         let set = ctx.set_id;
         ctx.emit(|| TraceEvent::BleHit { set, page: o, block });
-        ctx.of_used(o, block, line);
+        ctx.of_used(frame, block, line);
         ServedFrom::Hbm
     }
 
@@ -412,7 +409,7 @@ impl RemapSet {
                 ctx.plan.path = AccessPath::ChbmHit;
                 let set = ctx.set_id;
                 ctx.emit(|| TraceEvent::BleHit { set, page: o, block });
-                ctx.of_used(o, block, line);
+                ctx.of_used(u16::from(fi), block, line);
                 return ServedFrom::Hbm;
             }
             // ⑧ block not cached: serve off-chip, then cache the block.
@@ -432,7 +429,7 @@ impl RemapSet {
                 return ServedFrom::OffChip;
             }
             self.fill_block(o, fi, home, block, ctx);
-            ctx.of_used(o, block, line);
+            ctx.of_used(u16::from(fi), block, line);
             self.maybe_switch_to_mhbm(o, fi, home, ctx);
             return ServedFrom::OffChip;
         }
@@ -470,7 +467,7 @@ impl RemapSet {
         // Swap mode: all memory in the set is OS-occupied (rule 4).
         if self.prt.all_occupied() {
             if ctx.cfg.hmf_enabled {
-                self.try_swap(o, block, hotness, ctx);
+                self.try_swap(o, block, line, hotness, ctx);
             }
             return;
         }
@@ -589,7 +586,6 @@ impl RemapSet {
         };
         let Some(f) = frame else { return };
         *ctx.movement_credit -= move_cost;
-        let bpp = ctx.geometry.blocks_per_page();
         let page_bytes = ctx.geometry.page_bytes() as u32;
         // Move the page: read the whole page from DRAM, write it to HBM.
         let home = self.prt.location(o).expect("allocated"); // caller migrates only allocated pages; debug builds sweep PRT<->BLE consistency
@@ -610,10 +606,8 @@ impl RemapSet {
             cause: TrafficCause::MigrationPromote,
             mhbm: true,
         });
-        for b in 0..bpp {
-            ctx.of_fetched_block(o, b);
-        }
-        ctx.of_used(o, block, line);
+        ctx.of_fetched_page(f);
+        ctx.of_used(f, block, line);
         self.prt.relocate(o, self.m() + f);
         self.ble_begin_mhbm(usize::from(f), o, Some(block));
         if let Some(popped) = self.hot.promote(o) {
@@ -646,7 +640,7 @@ impl RemapSet {
             self.handle_popped_entry(popped, ctx);
         }
         self.fill_block(o, f as u8, home, block, ctx);
-        ctx.of_used(o, block, line);
+        ctx.of_used(f, block, line);
     }
 
     /// Fetches one block of off-chip page `o` into cHBM frame `fi` (the
@@ -675,7 +669,7 @@ impl RemapSet {
         ctx.stats.block_fills += 1;
         let set = ctx.set_id;
         ctx.emit(|| TraceEvent::BlockFill { set, page: o, block });
-        ctx.of_fetched_block(o, block);
+        ctx.of_fetched_block(u16::from(fi), block);
     }
 
     /// §III-E access rule 2: a cHBM page whose blocks are mostly cached
@@ -713,7 +707,7 @@ impl RemapSet {
                 mhbm: true,
             });
             *ctx.mode_switch_bytes += 2 * u64::from(block_bytes);
-            ctx.of_fetched_block(o, b);
+            ctx.of_fetched_block(u16::from(fi), b);
         }
         if !ctx.cfg.multiplexed {
             // No-Multi: separate cHBM/mHBM spaces force the page through
@@ -859,18 +853,29 @@ impl RemapSet {
             self.hot.push_hbm_front(entry);
             return false;
         };
-        let page_bytes = ctx.geometry.page_bytes() as u32;
-        self.page_copy(frame, dram_slot, page_bytes, TrafficCause::Writeback, true, ctx);
-        self.prt.relocate(ple, dram_slot);
-        for b in 0..ctx.geometry.blocks_per_page() {
-            ctx.of_evicted_block(ple, b);
-        }
-        self.ble_reset(usize::from(frame));
+        self.evict_mhbm_page(ple, frame, dram_slot, TrafficCause::Writeback, ctx);
         self.hot.push_dram_front(entry);
+        true
+    }
+
+    /// Writes mHBM page `ple` back from `frame` to off-chip slot `slot` and
+    /// frees the frame. `cause` names the rule (LRU pop or zombie).
+    fn evict_mhbm_page(
+        &mut self,
+        ple: u16,
+        frame: u16,
+        slot: u16,
+        cause: TrafficCause,
+        ctx: &mut SetCtx<'_>,
+    ) {
+        let page_bytes = ctx.geometry.page_bytes() as u32;
+        self.page_copy(frame, slot, page_bytes, cause, true, ctx);
+        self.prt.relocate(ple, slot);
+        ctx.of_evicted_page(frame);
+        self.ble_reset(usize::from(frame));
         ctx.stats.evictions += 1;
         let set = ctx.set_id;
         ctx.emit(|| TraceEvent::Evict { set, page: ple });
-        true
     }
 
     /// HBM→DRAM page copy helper. `mhbm` records whether the HBM frame
@@ -936,9 +941,7 @@ impl RemapSet {
                 mhbm: false,
             });
         }
-        for b in 0..bpp {
-            ctx.of_evicted_block(o, b);
-        }
+        ctx.of_evicted_page(u16::from(fi));
         self.ble_reset(f);
         self.cached_in[usize::from(o)] = None;
         ctx.stats.evictions += 1;
@@ -964,20 +967,7 @@ impl RemapSet {
                             self.prt.find_free_dram(if ple < self.m() { ple } else { 0 })
                         {
                             let frame = p - self.m();
-                            let page_bytes = ctx.geometry.page_bytes() as u32;
-                            self.page_copy(
-                                frame,
-                                slot,
-                                page_bytes,
-                                TrafficCause::ZombieEvict,
-                                true,
-                                ctx,
-                            );
-                            self.prt.relocate(ple, slot);
-                            self.ble_reset(usize::from(frame));
-                            ctx.stats.evictions += 1;
-                            let set = ctx.set_id;
-                            ctx.emit(|| TraceEvent::Evict { set, page: ple });
+                            self.evict_mhbm_page(ple, frame, slot, TrafficCause::ZombieEvict, ctx);
                         }
                     }
                 }
@@ -1001,7 +991,7 @@ impl RemapSet {
 
     /// Rule 4: every slot OS-occupied — swap a hot off-chip page with the
     /// coldest mHBM page.
-    fn try_swap(&mut self, o: u16, block: u32, hotness: u32, ctx: &mut SetCtx<'_>) {
+    fn try_swap(&mut self, o: u16, block: u32, line: u32, hotness: u32, ctx: &mut SetCtx<'_>) {
         if hotness <= self.hot.threshold() {
             ctx.stats.threshold_rejections += 1;
             let set = ctx.set_id;
@@ -1062,6 +1052,9 @@ impl RemapSet {
             cause: TrafficCause::MigrationDemote,
             mhbm: false,
         });
+        ctx.of_evicted_page(frame);
+        ctx.of_fetched_page(frame);
+        ctx.of_used(frame, block, line);
         self.prt.swap(o, victim.ple);
         self.ble_begin_mhbm(usize::from(frame), o, Some(block));
         self.hot.push_dram_front(victim);
@@ -1336,6 +1329,11 @@ mod tests {
             .unwrap()
     }
 
+    /// An over-fetch ledger over every HBM line of `g`.
+    fn tracker(g: &Geometry) -> OverfetchTracker {
+        OverfetchTracker::new(g.hbm_pages() * g.page_bytes() / 64)
+    }
+
     struct Harness {
         geometry: Geometry,
         cfg: BumblebeeConfig,
@@ -1357,7 +1355,7 @@ mod tests {
                 cfg,
                 plan: AccessPlan::new(),
                 stats: CtrlStats::new(),
-                overfetch: OverfetchTracker::new(),
+                overfetch: tracker(&geometry),
                 mode_switch_bytes: 0,
                 movement_credit: i64::MAX / 2,
                 events: None,
@@ -1633,7 +1631,7 @@ mod tests {
         let mut h = Harness::new(BumblebeeConfig::m_only());
         h.access(0, 0, AccessKind::Read);
         h.plan.clear();
-        let mut overfetch = OverfetchTracker::new();
+        let mut overfetch = tracker(&h.geometry);
         let mut ctx = SetCtx {
             geometry: &h.geometry,
             cfg: &h.cfg,
@@ -1671,6 +1669,68 @@ mod tests {
         h.overfetch.evict_all();
         // 1023 of 1024 64 B lines of the migrated 64 KB page were unused.
         assert!((h.overfetch.overfetch_ratio() - 1023.0 / 1024.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn zombie_mhbm_eviction_wastes_the_pages_unused_lines() {
+        let mut h = Harness::new(BumblebeeConfig {
+            alloc_policy: AllocPolicy::AllDram,
+            zombie_window: 4,
+            ..BumblebeeConfig::m_only()
+        });
+        // Pages 0..8 migrate into every frame, each using one of its lines.
+        for o in 0..8u16 {
+            h.access(o, 0, AccessKind::Read);
+        }
+        assert_eq!(h.stats.page_migrations, 8);
+        let wasted = h.overfetch.wasted_bytes();
+        // Hits on page 7 leave the LRU head, page 0, unchanged until it
+        // turns zombie and leaves mHBM.
+        for _ in 0..64 {
+            if h.stats.zombie_evictions > 0 {
+                break;
+            }
+            h.access(7, 1, AccessKind::Read);
+        }
+        assert_eq!(h.stats.zombie_evictions, 1);
+        assert!(!h.set.prt().is_hbm_slot(h.set.prt().location(0).unwrap()));
+        // The eviction itself wastes page 0's 1023 unused lines.
+        assert_eq!(h.overfetch.wasted_bytes() - wasted, 1023 * 64);
+    }
+
+    #[test]
+    fn rule4_swap_fetches_the_incoming_page() {
+        let mut h = Harness::new(BumblebeeConfig {
+            alloc_policy: AllocPolicy::AllDram,
+            ..BumblebeeConfig::m_only()
+        });
+        // Pages 0..8 migrate into every frame; pages 8..24 are rejected by
+        // T and fill every off-chip slot.
+        for o in 0..24u16 {
+            h.access(o, 0, AccessKind::Read);
+        }
+        assert!(h.set.prt().all_occupied());
+        assert_eq!(h.stats.page_migrations, 8);
+        let (fetched, wasted) = (h.overfetch.fetched_bytes(), h.overfetch.wasted_bytes());
+        // Pages 8 and 9 take turns (a counter grows on re-reference) until
+        // one beats T after the swap cooldown.
+        for i in 0..128u16 {
+            if h.stats.page_migrations > 8 {
+                break;
+            }
+            h.access(8 + i % 2, 2, AccessKind::Read);
+        }
+        assert_eq!(h.stats.page_migrations, 9, "rule-4 swap");
+        let in_hbm = |o| h.set.prt().is_hbm_slot(h.set.prt().location(o).unwrap());
+        assert!(in_hbm(8) != in_hbm(9));
+        // The whole incoming page counts as fetched, and the victim leaves
+        // with its 1023 unused lines wasted.
+        assert_eq!(h.overfetch.fetched_bytes() - fetched, 64 << 10);
+        assert_eq!(h.overfetch.wasted_bytes() - wasted, 1023 * 64);
+        // Draining wastes 1023 lines of each of the eight resident pages:
+        // the incoming page's demanded line was used.
+        h.overfetch.evict_all();
+        assert_eq!(h.overfetch.wasted_bytes() - wasted, 9 * 1023 * 64);
     }
 
     #[test]

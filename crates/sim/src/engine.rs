@@ -28,8 +28,8 @@ const HEARTBEAT_NANOS: u64 = 5_000_000_000;
 
 /// Default access-pipeline chunk width ([`Engine::with_batch`]): large
 /// enough to amortize per-chunk dispatch to noise, small enough that the
-/// SoA buffers and plan arena stay cache-resident.
-pub const DEFAULT_BATCH: usize = 4096;
+/// SoA buffers and plan arena stay cache-resident and add little memory.
+pub const DEFAULT_BATCH: usize = 512;
 
 /// Parallel executor for experiment matrices; see the module docs.
 #[derive(Debug, Clone)]

@@ -162,10 +162,7 @@ pub fn metadata_table(cfg: &RunConfig) -> String {
             format!("{kb:.0}"),
             if c.metadata_bytes() <= cfg.sram_budget { "yes" } else { "no" }.to_string(),
         ]);
-    }
-    // Bumblebee breakdown (paper: 110 KB PRT + 136 KB BLE + 88 KB tracker).
-    if let Design::Bumblebee = Design::Bumblebee {
-        let c = Design::Bumblebee.build(cfg.geometry, cfg.sram_budget);
+        // Bumblebee breakdown (paper: 110 KB PRT + 136 KB BLE + 88 KB tracker).
         if let Some(b) = c.as_bumblebee() {
             let br = b.metadata_breakdown();
             rows.push(vec![

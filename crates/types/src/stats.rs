@@ -8,7 +8,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Event counters shared by every hybrid-memory controller.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -82,171 +81,208 @@ impl fmt::Display for CtrlStats {
     }
 }
 
-/// Deterministic integer hasher for the tracker's `u64` leaf numbers.
-///
-/// The tracker's outputs are order-independent byte sums, so hash quality
-/// only affects speed, never results — and the default SipHash costs more
-/// than the rest of the [`used`](OverfetchTracker::used) call combined on
-/// the per-access demand-touch path. The splitmix64 finalizer gives full
-/// avalanche over leaf numbers at a few arithmetic ops.
-#[derive(Debug, Clone, Copy, Default)]
-struct ChunkKeyHasher(u64);
+/// Lines per leaf: the low six bits of a line number pick a bit in the
+/// leaf's masks, the rest pick the leaf.
+const LEAF_LINES: u64 = 64;
 
-impl Hasher for ChunkKeyHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        // FNV-1a fallback; the map's keys are u64 so this is cold.
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        let mut z = v.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        self.0 = z ^ (z >> 31);
-    }
-}
-
-/// Keys per leaf: the low six bits of a chunk key pick a bit in the leaf's
-/// masks, the rest pick the leaf.
-const LEAF_KEYS: u64 = 64;
-
-/// Bytes a resident key holds unless [`OverfetchTracker::odd`] lists it:
+/// Bytes a resident line holds unless [`OverfetchTracker::odd`] lists it:
 /// one 64 B line, the size every controller fills at.
 const LINE_BYTES: u32 = 64;
 
-/// State of 64 consecutive chunk keys. Controllers number the 64 B lines of
-/// a page or block consecutively, so one fill lands in one or a few leaves.
-#[derive(Debug, Clone, Copy, Default)]
-struct Leaf {
-    /// Keys currently resident in HBM.
-    present: u64,
-    /// Resident keys touched by a demand request; always a subset of
-    /// `present`.
-    used: u64,
+/// The masks of 64 consecutive HBM lines: `[PRESENT]` has the lines
+/// resident in HBM, `[USED]` the resident lines a demand request touched
+/// (always a subset). An array, not a struct, so `vec!` can allocate the
+/// table zeroed.
+type Leaf = [u64; 2];
+const PRESENT: usize = 0;
+const USED: usize = 1;
+
+/// The bit numbers set in `mask`, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = u64> {
+    std::iter::from_fn(move || {
+        let bit = (mask != 0).then(|| u64::from(mask.trailing_zeros()));
+        mask &= mask.wrapping_sub(1);
+        bit
+    })
 }
 
 /// Tracks over-fetching: bytes brought into HBM that are evicted unused
 /// (the paper's §IV-B metric).
 ///
-/// Controllers call [`fetched`](Self::fetched) when they move a chunk into
-/// HBM, [`used`](Self::used) when a demand request touches it, and
-/// [`evicted`](Self::evicted) when the chunk leaves HBM. Chunks still
-/// resident at the end of a run can be drained with
-/// [`evict_all`](Self::evict_all) so short runs do not under-report. Keys
-/// are any stable chunk id the controller chooses.
+/// The ledger is keyed by HBM device line (`hbm_addr / 64`). A controller
+/// calls a `fetched*` method when it moves lines into HBM, [`used`](Self::used)
+/// when a demand request touches one, and an `evicted*` method when they
+/// leave. Lines still resident at the end of a run can be drained with
+/// [`evict_all`](Self::evict_all) so short runs do not under-report.
 ///
 /// ```
 /// use memsim_types::OverfetchTracker;
-/// let mut t = OverfetchTracker::new();
-/// t.fetched(1, 2048);
-/// t.fetched(2, 2048);
-/// t.used(1);
-/// t.evicted(1);
-/// t.evicted(2);
+/// let mut t = OverfetchTracker::new(128);
+/// t.fetched_lines(0, 32);
+/// t.fetched_lines(64, 32);
+/// t.used(0);
+/// t.evicted_lines(0, 128);
 /// assert_eq!(t.fetched_bytes(), 4096);
-/// assert_eq!(t.wasted_bytes(), 2048);
-/// assert!((t.overfetch_ratio() - 0.5).abs() < 1e-12);
+/// assert_eq!(t.wasted_bytes(), 31 * 64 + 2048);
+/// assert_eq!(t.overfetch_ratio(), 63.0 / 64.0);
 /// ```
 ///
-/// Resident keys are grouped into 16-byte, 64-key leaves, found by
-/// `key / 64` in a map hashed with the deterministic in-repo SplitMix64 mix,
-/// not `RandomState`. A resident key holds one 64 B line unless `odd` lists
-/// its byte count, and a running total of the unused resident bytes makes
-/// [`evict_all`](Self::evict_all) a sum instead of a walk, so no output
-/// depends on map order.
+/// The table holds one 16-byte leaf per 64 lines of the HBM range the
+/// design fills, so a block or page fill or eviction is one mask operation
+/// per leaf. It is allocated zeroed on the first fill and freed by
+/// `evict_all`, so a tracker that never fills allocates nothing. A resident
+/// line holds 64 B unless `odd` lists its byte count, and a running total
+/// of the unused resident bytes makes `evict_all` a sum instead of a walk.
+/// The default tracker covers no lines.
 #[derive(Debug, Clone, Default)]
 pub struct OverfetchTracker {
-    #[expect(
-        clippy::disallowed_types,
-        reason = "fixed ChunkKeyHasher, not RandomState, and nothing iterates the map"
-    )]
-    leaves: std::collections::HashMap<u64, Leaf, BuildHasherDefault<ChunkKeyHasher>>,
-    /// Byte count of each resident key that does not hold exactly one line:
+    /// HBM lines the table covers; a line at or past it panics.
+    lines: u64,
+    /// One leaf per 64 lines; empty until the first fill.
+    leaves: Box<[Leaf]>,
+    /// Byte count of each resident line that does not hold exactly 64 B:
     /// a fill of another size, or one a refetch grew while resident.
     odd: BTreeMap<u64, u32>,
-    /// Bytes held by resident keys no demand request has touched.
+    /// Bytes held by resident lines no demand request has touched.
     unused_bytes: u64,
     fetched_bytes: u64,
     wasted_bytes: u64,
 }
 
 impl OverfetchTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> OverfetchTracker {
-        OverfetchTracker::default()
+    /// Creates an empty tracker for HBM lines `0..lines`.
+    pub fn new(lines: u64) -> OverfetchTracker {
+        OverfetchTracker { lines, ..OverfetchTracker::default() }
     }
 
-    /// Records that the chunk identified by `key` (any stable id the
-    /// controller chooses — e.g. a global block number) was brought into HBM.
+    /// Bytes of the line table: 0 until the first fill.
+    pub fn table_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.leaves)
+    }
+
+    /// The index of the leaf starting at line `base`, once the highest line
+    /// of `mask` in it (`base` for an empty one) is checked against the
+    /// tracked range.
+    fn leaf_of(&self, base: u64, mask: u64) -> usize {
+        let line = base + u64::from(63 - mask.leading_zeros().min(63));
+        assert!(
+            line < self.lines,
+            "over-fetch line {line} is past the tracked HBM range of {} lines",
+            self.lines
+        );
+        (base / LEAF_LINES) as usize
+    }
+
+    /// Records that `bytes` of HBM `line` were brought in.
     ///
-    /// Re-fetching a resident chunk counts the new bytes but keeps its
+    /// Re-fetching a resident line counts the new bytes but keeps its
     /// used/unused state.
-    pub fn fetched(&mut self, key: u64, bytes: u32) {
-        self.fetched_bytes += u64::from(bytes);
-        let leaf = self.leaves.entry(key / LEAF_KEYS).or_default();
-        let bit = 1 << (key % LEAF_KEYS);
-        if leaf.present & bit == 0 {
-            leaf.present |= bit;
-            if bytes != LINE_BYTES {
-                self.odd.insert(key, bytes);
+    pub fn fetched(&mut self, line: u64, bytes: u32) {
+        self.fetch_leaf(line - line % LEAF_LINES, 1 << (line % LEAF_LINES), bytes);
+    }
+
+    /// Records that the 64 B lines `first..first + count` were brought in.
+    pub fn fetched_lines(&mut self, first: u64, count: u64) {
+        self.each_leaf(first, count, |t, base, mask| t.fetch_leaf(base, mask, LINE_BYTES));
+    }
+
+    /// Records that the 64 B lines `first + i`, for each bit `i` set in
+    /// `mask`, were brought in. `first` must begin a leaf (a multiple of
+    /// 64).
+    pub fn fetched_mask(&mut self, first: u64, mask: u64) {
+        assert_eq!(first % LEAF_LINES, 0, "a fill mask starts at a leaf");
+        self.fetch_leaf(first, mask, LINE_BYTES);
+    }
+
+    /// Records a demand touch of HBM `line` (no-op if not resident).
+    pub fn used(&mut self, line: u64) {
+        let bit = 1 << (line % LEAF_LINES);
+        let i = self.leaf_of(line - line % LEAF_LINES, bit);
+        let Some(leaf) = self.leaves.get_mut(i) else { return };
+        if leaf[PRESENT] & !leaf[USED] & bit != 0 {
+            leaf[USED] |= bit;
+            self.unused_bytes -= u64::from(self.odd.get(&line).copied().unwrap_or(LINE_BYTES));
+        }
+    }
+
+    /// Records the eviction of HBM `line`; an unused line adds to the
+    /// wasted byte count.
+    pub fn evicted(&mut self, line: u64) {
+        self.evicted_lines(line, 1);
+    }
+
+    /// Records the eviction of HBM lines `first..first + count`.
+    pub fn evicted_lines(&mut self, first: u64, count: u64) {
+        self.each_leaf(first, count, Self::evict_leaf);
+    }
+
+    /// Calls `op(self, base, mask)` once per leaf that lines
+    /// `first..first + count` touch, `base` the leaf's first line and
+    /// `mask` the range's lines in it.
+    fn each_leaf(&mut self, first: u64, count: u64, mut op: impl FnMut(&mut Self, u64, u64)) {
+        let (mut line, end) = (first, first + count);
+        while line < end {
+            let (base, lo) = (line - line % LEAF_LINES, line % LEAF_LINES);
+            let n = (end - line).min(LEAF_LINES - lo);
+            op(self, base, (u64::MAX >> (LEAF_LINES - n)) << lo);
+            line += n;
+        }
+    }
+
+    /// `fetched(line, bytes)` on every line of `mask` in the leaf at `base`,
+    /// allocating the zeroed table on the first fill.
+    fn fetch_leaf(&mut self, base: u64, mask: u64, bytes: u32) {
+        let i = self.leaf_of(base, mask);
+        if self.leaves.is_empty() {
+            self.leaves = vec![[0; 2]; self.lines.div_ceil(LEAF_LINES) as usize].into_boxed_slice();
+        }
+        let leaf = &mut self.leaves[i];
+        let (fresh, again) = (mask & !leaf[PRESENT], mask & leaf[PRESENT]);
+        // New lines arrive unused; a refetch of an unused line adds to its
+        // unused bytes too.
+        let unused = fresh | (again & !leaf[USED]);
+        leaf[PRESENT] |= mask;
+        self.fetched_bytes += u64::from(bytes) * u64::from(mask.count_ones());
+        self.unused_bytes += u64::from(bytes) * u64::from(unused.count_ones());
+        for b in bits(again) {
+            *self.odd.entry(base + b).or_insert(LINE_BYTES) += bytes;
+        }
+        if bytes != LINE_BYTES {
+            self.odd.extend(bits(fresh).map(|b| (base + b, bytes)));
+        }
+    }
+
+    /// [`evicted`](Self::evicted) on every line of `mask` in the leaf at
+    /// `base`.
+    fn evict_leaf(&mut self, base: u64, mask: u64) {
+        let i = self.leaf_of(base, mask);
+        let Some(leaf) = self.leaves.get_mut(i) else { return };
+        let gone = leaf[PRESENT] & mask;
+        let unused = gone & !leaf[USED];
+        leaf[PRESENT] &= !gone;
+        leaf[USED] &= !gone;
+        let mut bytes = u64::from(LINE_BYTES) * u64::from(unused.count_ones());
+        // One range probe per leaf: `odd` is empty or nearly so.
+        let mut from = base;
+        while let Some((&line, &odd)) = self.odd.range(from..base + LEAF_LINES).next() {
+            from = line + 1;
+            let bit = 1 << (line - base);
+            if gone & bit != 0 {
+                self.odd.remove(&line);
+                if unused & bit != 0 {
+                    bytes = bytes - u64::from(LINE_BYTES) + u64::from(odd);
+                }
             }
-            self.unused_bytes += u64::from(bytes);
-        } else {
-            if leaf.used & bit == 0 {
-                self.unused_bytes += u64::from(bytes);
-            }
-            *self.odd.entry(key).or_insert(LINE_BYTES) += bytes;
         }
+        self.unused_bytes -= bytes;
+        self.wasted_bytes += bytes;
     }
 
-    /// Records a demand touch of chunk `key` (no-op if not resident).
-    pub fn used(&mut self, key: u64) {
-        let Some(leaf) = self.leaves.get_mut(&(key / LEAF_KEYS)) else {
-            return;
-        };
-        let bit = leaf.present & !leaf.used & (1 << (key % LEAF_KEYS));
-        if bit != 0 {
-            leaf.used |= bit;
-            self.unused_bytes -= u64::from(self.odd.get(&key).copied().unwrap_or(LINE_BYTES));
-        }
-    }
-
-    /// Records the eviction of chunk `key`; unused chunks add to the wasted
-    /// byte count.
-    pub fn evicted(&mut self, key: u64) {
-        let Some(leaf) = self.leaves.get_mut(&(key / LEAF_KEYS)) else {
-            return;
-        };
-        let bit = 1 << (key % LEAF_KEYS);
-        if leaf.present & bit == 0 {
-            return;
-        }
-        let unused = leaf.used & bit == 0;
-        leaf.present &= !bit;
-        leaf.used &= !bit;
-        if leaf.present == 0 {
-            self.leaves.remove(&(key / LEAF_KEYS));
-        }
-        let bytes = u64::from(self.odd.remove(&key).unwrap_or(LINE_BYTES));
-        if unused {
-            self.unused_bytes -= bytes;
-            self.wasted_bytes += bytes;
-        }
-    }
-
-    /// Drains every resident chunk as if evicted (end-of-run accounting).
+    /// Drains every resident line as if evicted (end-of-run accounting) and
+    /// frees the table.
     pub fn evict_all(&mut self) {
         self.wasted_bytes += std::mem::take(&mut self.unused_bytes);
-        self.leaves.clear();
+        self.leaves = Box::default();
         self.odd.clear();
     }
 
@@ -301,7 +337,7 @@ mod tests {
 
     #[test]
     fn evict_before_any_use_wastes_everything() {
-        let mut t = OverfetchTracker::new();
+        let mut t = OverfetchTracker::new(256);
         t.fetched(7, 256);
         t.evicted(7);
         assert_eq!(t.wasted_bytes(), 256);
@@ -313,7 +349,7 @@ mod tests {
 
     #[test]
     fn refill_after_evict_starts_a_fresh_chunk() {
-        let mut t = OverfetchTracker::new();
+        let mut t = OverfetchTracker::new(256);
         t.fetched(1, 64);
         t.used(1);
         t.evicted(1); // used: nothing wasted
@@ -328,7 +364,7 @@ mod tests {
 
     #[test]
     fn zero_fill_runs_report_zero_ratio() {
-        let mut t = OverfetchTracker::new();
+        let mut t = OverfetchTracker::new(256);
         assert_eq!(t.overfetch_ratio(), 0.0);
         // Touching and evicting with no fetch ever recorded stays at zero.
         t.used(1);
@@ -341,7 +377,7 @@ mod tests {
 
     #[test]
     fn zero_byte_fetch_is_counted_but_harmless() {
-        let mut t = OverfetchTracker::new();
+        let mut t = OverfetchTracker::new(256);
         t.fetched(1, 0);
         t.evicted(1);
         assert_eq!(t.fetched_bytes(), 0);
@@ -351,7 +387,7 @@ mod tests {
 
     #[test]
     fn overfetch_counts_unused_only() {
-        let mut t = OverfetchTracker::new();
+        let mut t = OverfetchTracker::new(256);
         t.fetched(10, 64);
         t.fetched(11, 64);
         t.used(10);
@@ -363,7 +399,7 @@ mod tests {
 
     #[test]
     fn refetch_accumulates_bytes_keeps_state() {
-        let mut t = OverfetchTracker::new();
+        let mut t = OverfetchTracker::new(256);
         t.fetched(1, 64);
         t.used(1);
         t.fetched(1, 64); // grow the same chunk (e.g. more blocks of a page)
@@ -375,7 +411,7 @@ mod tests {
 
     #[test]
     fn evict_all_drains_everything() {
-        let mut t = OverfetchTracker::new();
+        let mut t = OverfetchTracker::new(256);
         for k in 0..8 {
             t.fetched(k, 32);
         }
@@ -390,7 +426,7 @@ mod tests {
 
     #[test]
     fn use_after_eviction_is_ignored() {
-        let mut t = OverfetchTracker::new();
+        let mut t = OverfetchTracker::new(256);
         t.fetched(1, 64);
         t.evicted(1);
         t.used(1);
@@ -403,8 +439,27 @@ mod tests {
     }
 
     #[test]
+    fn table_is_allocated_by_the_first_fill_and_freed_by_the_drain() {
+        let mut t = OverfetchTracker::new(1000);
+        t.used(5);
+        t.evicted_lines(0, 1000);
+        assert_eq!(t.table_bytes(), 0, "touches and evictions allocate nothing");
+        t.fetched_lines(999, 1);
+        assert_eq!(t.table_bytes(), 16 * 16, "1000 lines round up to 16 leaves");
+        t.evict_all();
+        assert_eq!(t.table_bytes(), 0);
+        assert_eq!(t.wasted_bytes(), 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "over-fetch line 128 is past the tracked HBM range of 128 lines")]
+    fn a_line_past_the_range_panics_naming_it() {
+        OverfetchTracker::new(128).fetched_lines(120, 9);
+    }
+
+    #[test]
     fn refetch_of_unused_key_wastes_both_fills() {
-        let mut t = OverfetchTracker::new();
+        let mut t = OverfetchTracker::new(256);
         t.fetched(5, 64);
         t.fetched(5, 64); // refetched while resident and still unused
         t.evicted(5);
@@ -418,7 +473,7 @@ mod tests {
 
     #[test]
     fn evict_all_sums_line_and_odd_sized_keys() {
-        let mut t = OverfetchTracker::new();
+        let mut t = OverfetchTracker::new(256);
         for (key, bytes) in [(0, 64), (1, 256), (2, 64), (64, 0), (65, 4095), (130, 64)] {
             t.fetched(key, bytes);
         }

@@ -29,9 +29,13 @@ fn ops() -> impl Strategy<Value = Vec<DeviceOp>> {
     )
 }
 
-/// First key of the tracker property test's four adjacent 64-key leaves;
-/// high enough that the leaf index needs more than 32 bits.
-const LEAF_BASE: u64 = 7 << 40;
+/// HBM lines the tracker property test's ledger covers.
+const TABLE_LINES: u64 = 1 << 20;
+
+/// First line of the tracker property test's four adjacent 64-line
+/// leaves: the last four of the table, so every op also exercises the
+/// range's top end.
+const LEAF_BASE: u64 = TABLE_LINES - 4 * 64;
 
 /// One step of a call sequence against the over-fetch tracker.
 #[derive(Debug, Clone, Copy)]
@@ -44,25 +48,42 @@ enum TrackerOp {
     /// `evicted` on all 64 keys of a leaf, as a page eviction does.
     EvictLeaf(u64),
     EvictAll,
+    /// `fetched_lines(first, count)`: a block or page fill of 64 B lines,
+    /// possibly straddling leaves.
+    FetchLines(u64, u64),
+    /// `evicted_lines(first, count)`.
+    EvictLines(u64, u64),
+    /// `fetched_mask` on a leaf, as a footprint-predicted fill does.
+    FetchMask(u64, u64),
 }
 
 fn tracker_ops() -> impl Strategy<Value = Vec<TrackerOp>> {
     // Three in four single-key ops hit one of three lanes per leaf, so
-    // leaves also empty one key at a time and leave the map.
+    // leaves also empty one line at a time and refill.
     let lane = prop_oneof![0u64..64, Just(0u64), Just(1u64), Just(63u64)];
     let bytes = prop_oneof![Just(0u32), Just(64u32), 1u32..4096];
+    // Range ops run from the chosen key for up to two leaves and a bit,
+    // clipped to the four leaves.
+    let count = prop_oneof![1u64..140, Just(64u64), Just(32u64)];
+    let mask = prop_oneof![0u64..=u64::MAX, Just(u64::MAX), 0u64..256];
     proptest::collection::vec(
-        (0u8..100, 0u64..4, lane, bytes).prop_map(|(op, leaf, lane, bytes)| {
-            let key = LEAF_BASE + leaf * 64 + lane;
-            match op {
-                0..=34 => TrackerOp::Fetched(key, bytes),
-                35..=59 => TrackerOp::Used(key),
-                60..=89 => TrackerOp::Evicted(key),
-                90..=94 => TrackerOp::FetchLeaf(leaf, bytes),
-                95..=97 => TrackerOp::EvictLeaf(leaf),
-                _ => TrackerOp::EvictAll,
-            }
-        }),
+        (0u8..120, 0u64..4, lane, bytes, count, mask).prop_map(
+            |(op, leaf, lane, bytes, count, mask)| {
+                let key = LEAF_BASE + leaf * 64 + lane;
+                let count = count.min(LEAF_BASE + 4 * 64 - key);
+                match op {
+                    0..=34 => TrackerOp::Fetched(key, bytes),
+                    35..=59 => TrackerOp::Used(key),
+                    60..=89 => TrackerOp::Evicted(key),
+                    90..=94 => TrackerOp::FetchLeaf(leaf, bytes),
+                    95..=97 => TrackerOp::EvictLeaf(leaf),
+                    98..=99 => TrackerOp::EvictAll,
+                    100..=107 => TrackerOp::FetchLines(key, count),
+                    108..=113 => TrackerOp::EvictLines(key, count),
+                    _ => TrackerOp::FetchMask(leaf, mask),
+                }
+            },
+        ),
         1..400,
     )
 }
@@ -154,6 +175,25 @@ fn tracker_step(
                 tracker_step(t, m, TrackerOp::Evicted(LEAF_BASE + leaf * 64 + lane))?;
             }
         }
+        // A mask op is its per-line calls to the model.
+        TrackerOp::FetchLines(first, count) => {
+            t.fetched_lines(first, count);
+            for key in first..first + count {
+                m.fetched(key, 64);
+            }
+        }
+        TrackerOp::EvictLines(first, count) => {
+            t.evicted_lines(first, count);
+            for key in first..first + count {
+                m.evicted(key);
+            }
+        }
+        TrackerOp::FetchMask(leaf, mask) => {
+            t.fetched_mask(LEAF_BASE + leaf * 64, mask);
+            for lane in (0..64).filter(|l| mask & (1 << l) != 0) {
+                m.fetched(LEAF_BASE + leaf * 64 + lane, 64);
+            }
+        }
     }
     prop_assert_eq!(t.fetched_bytes(), m.fetched, "after {:?}", op);
     prop_assert_eq!(t.wasted_bytes(), m.wasted, "after {:?}", op);
@@ -225,7 +265,7 @@ proptest! {
     fn overfetch_tracker_accounting_is_exact(
         events in proptest::collection::vec((0u64..64, 0u8..3), 1..500)
     ) {
-        let mut t = OverfetchTracker::new();
+        let mut t = OverfetchTracker::new(64);
         // Shadow model.
         let mut resident: std::collections::BTreeMap<u64, (u64, bool)> = Default::default();
         let mut fetched = 0u64;
@@ -266,7 +306,7 @@ proptest! {
 
     #[test]
     fn overfetch_tracker_matches_reference_model(ops in tracker_ops()) {
-        let mut t = OverfetchTracker::new();
+        let mut t = OverfetchTracker::new(TABLE_LINES);
         let mut m = TrackerModel::default();
         for op in ops {
             tracker_step(&mut t, &mut m, op)?;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: offline release build, full test suite, and
-# parallel-vs-serial smoke runs of the fig8 and sensitivity binaries. Run from
-# the repo root.
+# parallel-vs-serial smoke runs of the fig8 (small and paper geometry) and
+# sensitivity binaries. Run from the repo root.
 #
 #   scripts/verify.sh
 #
@@ -133,19 +133,25 @@ echo "== smoke: fig8 serial vs parallel must be byte-identical =="
 smoke="$(mktemp -d)"
 trap 'rm -rf "$smoke"' EXIT
 common=(--scale 256 --accesses 20000 --workloads mcf,wrf)
-mkdir -p "$smoke/serial" "$smoke/parallel"
-cargo run --release -q -p bumblebee-bench --bin fig8 -- \
-  "${common[@]}" --jobs 1 --out "$smoke/serial" > "$smoke/serial/fig8.txt"
-cargo run --release -q -p bumblebee-bench --bin fig8 -- \
-  "${common[@]}" --jobs 4 --out "$smoke/parallel" > "$smoke/parallel/fig8.txt"
-for f in fig8.txt fig8.jsonl; do
-  if ! cmp -s "$smoke/serial/$f" "$smoke/parallel/$f"; then
-    echo "FAIL: $f differs between --jobs 1 and --jobs 4" >&2
-    diff "$smoke/serial/$f" "$smoke/parallel/$f" | head >&2
-    exit 1
-  fi
+# The paper-geometry run fills a 16 M-line over-fetch ledger per tracking
+# cell and drives roms past off-chip capacity into the page-fault path.
+paper=(--full --accesses 20000 --workloads wrf,roms)
+for run in small paper; do
+  if [ "$run" = small ]; then args=("${common[@]}"); else args=("${paper[@]}"); fi
+  mkdir -p "$smoke/$run-serial" "$smoke/$run-parallel"
+  cargo run --release -q -p bumblebee-bench --bin fig8 -- \
+    "${args[@]}" --jobs 1 --out "$smoke/$run-serial" > "$smoke/$run-serial/fig8.txt"
+  cargo run --release -q -p bumblebee-bench --bin fig8 -- \
+    "${args[@]}" --jobs 4 --out "$smoke/$run-parallel" > "$smoke/$run-parallel/fig8.txt"
+  for f in fig8.txt fig8.jsonl; do
+    if ! cmp -s "$smoke/$run-serial/$f" "$smoke/$run-parallel/$f"; then
+      echo "FAIL: $run $f differs between --jobs 1 and --jobs 4" >&2
+      diff "$smoke/$run-serial/$f" "$smoke/$run-parallel/$f" | head >&2
+      exit 1
+    fi
+  done
+  echo "ok: $run table and $(wc -l < "$smoke/$run-serial/fig8.jsonl") JSONL lines identical at both widths"
 done
-echo "ok: table and $(wc -l < "$smoke/serial/fig8.jsonl") JSONL lines identical at both widths"
 
 echo "== smoke: sensitivity --metrics serial vs parallel must be byte-identical =="
 mkdir -p "$smoke/sens1" "$smoke/sens4"
