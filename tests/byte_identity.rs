@@ -18,13 +18,18 @@
 //!   before the unused L1/L2/L3 cache model was deleted;
 //! - the results JSONL of the seven designs on wrf and cam4 at paper
 //!   geometry (scale 1), where Alloy and Chameleon hold their full-size line
-//!   and group arrays, pinned before those arrays were repacked.
+//!   and group arrays, pinned before those arrays were repacked;
+//! - the results JSONL of Fig. 7's No-HBM baseline and ten Bumblebee
+//!   ablations on mcf and wrf, whose fixed-ratio quotas, allocation
+//!   policies, No-HMF and No-Multi paths drive hot-table operations that
+//!   Fig. 8 never takes, pinned before the hot table became two scanned
+//!   queues.
 //!
 //! A change that moves any cycle, byte, energy or attribution figure fails
 //! here; one that means to move them must update the constants on purpose.
 
 use bumblebee::sim::figures::sensitivity::{self, Sweep};
-use bumblebee::sim::figures::{fig8, tables};
+use bumblebee::sim::figures::{fig7, fig8, tables};
 use bumblebee::sim::{Engine, MetricsConfig, RunConfig};
 use bumblebee::trace::SpecProfile;
 
@@ -48,6 +53,10 @@ const TABLES_DIGEST: u64 = 0x67de_6eff_45e5_eaee;
 /// FNV-1a over the results JSONL of the seven designs on wrf and cam4 at
 /// scale 1 and 10,000 accesses.
 const FIG8_PAPER_GEOMETRY_DIGEST: u64 = 0x1472_cf81_2b80_2394;
+
+/// FNV-1a over the results JSONL of Fig. 7's 22 cells on mcf and wrf at
+/// test scale.
+const FIG7_SMALL_DIGEST: u64 = 0x9918_bc24_9eb1_e2ee;
 
 fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -189,5 +198,18 @@ fn fig8_paper_geometry_results_are_byte_identical() {
     assert_eq!(
         d, FIG8_PAPER_GEOMETRY_DIGEST,
         "paper-geometry digest {d:016x} differs from the pinned {FIG8_PAPER_GEOMETRY_DIGEST:016x}"
+    );
+}
+
+#[test]
+fn fig7_small_matrix_results_are_byte_identical() {
+    let cfg = RunConfig::tiny();
+    let (_, results) = fig7::run_with(&Engine::new(1), &cfg, &profiles()).expect("fig7 runs");
+    let lines = results.jsonl_lines();
+    assert_eq!(lines.len(), 11 * profiles().len(), "No-HBM + 10 ablations x 2 profiles");
+    let d = digest(&lines);
+    assert_eq!(
+        d, FIG7_SMALL_DIGEST,
+        "fig7 digest {d:016x} differs from the pinned {FIG7_SMALL_DIGEST:016x}"
     );
 }
