@@ -6,7 +6,8 @@ use memsim_sim::figures::tables;
 
 fn main() {
     let opts = bumblebee_bench::parse_env(&[]);
-    opts.write_jsonl("metadata", &tables::metadata_jsonl(&opts.cfg));
-    println!("{}", tables::metadata_table(&opts.cfg));
+    let rows = tables::metadata_rows(&opts.cfg);
+    opts.write_jsonl("metadata", &tables::metadata_jsonl(&rows, opts.cfg.sram_budget));
+    println!("{}", tables::render_metadata(&rows, opts.cfg.sram_budget));
     bumblebee_bench::report_peak_rss();
 }

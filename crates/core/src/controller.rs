@@ -31,11 +31,10 @@ pub struct BumblebeeController {
     geometry: Geometry,
     cfg: BumblebeeConfig,
     /// One fixed-size header per remapping set, stored contiguously; each
-    /// header owns its metadata (packed PRT words, BLE array, hot-table
-    /// arena) in fixed boxed slices sized at construction. Sequential set
-    /// walks (epoch gauges) therefore stride through memory
-    /// without chasing resizable-Vec indirections, and the per-access
-    /// lookup touches exactly one header.
+    /// header owns its metadata (packed PRT words, BLE array, cache map and
+    /// the two hot-table queues), all sized at construction. Sequential set
+    /// walks (epoch gauges) therefore stride through the headers, and the
+    /// per-access lookup touches exactly one header.
     sets: Box<[RemapSet]>,
     metadata: MetadataModel,
     metadata_breakdown: MetadataBreakdown,

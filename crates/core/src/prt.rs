@@ -6,11 +6,11 @@
 //! — the physical slot where the page currently lives, or "unallocated" —
 //! and per *physical* slot an **Occup** bit consulted by page allocation.
 //!
-//! Occup bits are packed into `u64` words with running occupancy counts, so
-//! the hot-path queries — `all_occupied`, `occupied_hbm`, first-free-slot
-//! searches — are O(1) or one `trailing_zeros` word scan instead of a
-//! per-slot sweep. First-free searches still return the **lowest** free
-//! slot, exactly as the original per-slot scans did.
+//! Occup bits are packed into `u64` words with a running occupancy count, so
+//! the hot-path queries — `all_occupied` and the first-free off-chip slot
+//! search — are O(1) or one `trailing_zeros` word scan instead of a
+//! per-slot sweep. The search still returns the **lowest** free slot,
+//! exactly as the original per-slot scan did.
 
 /// Sentinel for "page not allocated" (the paper's `-1`).
 const UNALLOCATED: u16 = u16::MAX;
@@ -27,8 +27,6 @@ pub struct Prt {
     m: u16,
     /// Number of occupied slots (all kinds).
     n_occupied: u16,
-    /// Number of occupied HBM slots (`p ≥ m`).
-    n_occupied_hbm: u16,
 }
 
 #[inline]
@@ -52,7 +50,6 @@ impl Prt {
             occup: vec![0u64; total.div_ceil(64)].into_boxed_slice(),
             m,
             n_occupied: 0,
-            n_occupied_hbm: 0,
         }
     }
 
@@ -89,24 +86,18 @@ impl Prt {
         p >= self.m
     }
 
-    /// Sets slot `p`'s Occup bit, maintaining the counts.
+    /// Sets slot `p`'s Occup bit, maintaining the count.
     fn mark(&mut self, p: u16) {
         let (w, b) = word_bit(p);
         self.occup[w] |= b;
         self.n_occupied += 1;
-        if p >= self.m {
-            self.n_occupied_hbm += 1;
-        }
     }
 
-    /// Clears slot `p`'s Occup bit, maintaining the counts.
+    /// Clears slot `p`'s Occup bit, maintaining the count.
     fn unmark(&mut self, p: u16) {
         let (w, b) = word_bit(p);
         self.occup[w] &= !b;
         self.n_occupied -= 1;
-        if p >= self.m {
-            self.n_occupied_hbm -= 1;
-        }
     }
 
     /// Allocates original page `o` at physical slot `p`.
@@ -181,45 +172,10 @@ impl Prt {
         None
     }
 
-    /// First free HBM physical slot.
-    pub fn find_free_hbm(&self) -> Option<u16> {
-        let m = usize::from(self.m);
-        let slots = usize::from(self.slots());
-        for (w, &word) in self.occup.iter().enumerate().skip(m / 64) {
-            let base = w * 64;
-            if base >= slots {
-                break;
-            }
-            let mut free = !word;
-            if base < m {
-                free &= !((1u64 << (m - base)) - 1);
-            }
-            if base + 64 > slots {
-                free &= (1u64 << (slots - base)) - 1;
-            }
-            if free != 0 {
-                return Some((base + free.trailing_zeros() as usize) as u16);
-            }
-        }
-        None
-    }
-
-    /// Number of occupied HBM slots. O(1): tracked incrementally.
-    pub fn occupied_hbm(&self) -> u16 {
-        self.n_occupied_hbm
-    }
-
     /// Whether every physical slot is occupied (all memory in the set used
     /// by the OS — the paper's swap-mode condition). O(1).
     pub fn all_occupied(&self) -> bool {
         usize::from(self.n_occupied) == self.new_ple.len()
-    }
-
-    /// The original page currently living at physical slot `p`, if any.
-    ///
-    /// Linear scan — used only on slow paths (eviction candidate lookup).
-    pub fn resident_of(&self, p: u16) -> Option<u16> {
-        (0..self.slots()).find(|&o| self.new_ple[usize::from(o)] == p)
     }
 }
 
@@ -229,7 +185,7 @@ impl Prt {
     /// Verifies the table's structural invariants: `new_ple` restricted to
     /// allocated pages is injective and in range, Occup bits match the
     /// mapping exactly (including the packed words' unused tail bits), and
-    /// the incremental occupancy counters agree with a full recount.
+    /// the incremental occupancy counter agrees with a full recount.
     pub fn validate(&self) -> Result<(), String> {
         let slots = usize::from(self.slots());
         let mut seen = vec![false; slots];
@@ -249,13 +205,10 @@ impl Prt {
                 return Err(format!("page {o} maps to slot {p} but its Occup bit is clear"));
             }
         }
-        let (mut occupied, mut occupied_hbm) = (0u16, 0u16);
+        let mut occupied = 0u16;
         for p in 0..self.slots() {
             if self.occupied(p) {
                 occupied += 1;
-                if p >= self.m {
-                    occupied_hbm += 1;
-                }
                 if !seen[usize::from(p)] {
                     return Err(format!("Occup bit {p} set but no page maps there"));
                 }
@@ -272,12 +225,6 @@ impl Prt {
             return Err(format!(
                 "occupancy counter {} but {occupied} Occup bits set",
                 self.n_occupied
-            ));
-        }
-        if occupied_hbm != self.n_occupied_hbm {
-            return Err(format!(
-                "HBM occupancy counter {} but {occupied_hbm} HBM Occup bits set",
-                self.n_occupied_hbm
             ));
         }
         Ok(())
@@ -298,7 +245,6 @@ mod tests {
         for p in 0..6 {
             assert!(!prt.occupied(p));
         }
-        assert_eq!(prt.occupied_hbm(), 0);
         assert!(!prt.all_occupied());
     }
 
@@ -310,8 +256,6 @@ mod tests {
         assert_eq!(prt.location(1), Some(1));
         assert_eq!(prt.location(0), Some(4));
         assert!(prt.is_hbm_slot(4));
-        assert_eq!(prt.occupied_hbm(), 1);
-        assert_eq!(prt.resident_of(4), Some(0));
     }
 
     #[test]
@@ -351,10 +295,6 @@ mod tests {
         assert_eq!(prt.find_free_dram(2), Some(2));
         prt.allocate(3, 2);
         assert_eq!(prt.find_free_dram(2), Some(0));
-        assert_eq!(prt.find_free_hbm(), Some(4));
-        prt.allocate(0, 4);
-        prt.allocate(1, 5);
-        assert_eq!(prt.find_free_hbm(), None);
     }
 
     #[test]
@@ -375,18 +315,13 @@ mod tests {
             prt.allocate(p, p);
         }
         assert_eq!(prt.find_free_dram(0), None, "all DRAM slots taken");
-        assert_eq!(prt.find_free_hbm(), Some(100), "lowest HBM slot, mid-word");
         for p in 100..130 {
             prt.allocate(p, p);
         }
-        assert_eq!(prt.find_free_hbm(), None);
         assert!(prt.all_occupied());
-        assert_eq!(prt.occupied_hbm(), 30);
         prt.free(64); // word-1 DRAM bit
         assert_eq!(prt.find_free_dram(3), Some(64));
         prt.free(129); // last HBM slot, word-2 tail
-        assert_eq!(prt.find_free_hbm(), Some(129));
-        assert_eq!(prt.occupied_hbm(), 29);
         assert!(!prt.all_occupied());
     }
 
@@ -435,8 +370,8 @@ mod tests {
         // Counter drift.
         let mut prt = Prt::new(4, 2);
         prt.allocate(0, 4);
-        prt.n_occupied_hbm = 0;
-        assert!(prt.validate().unwrap_err().contains("HBM occupancy counter"));
+        prt.n_occupied = 0;
+        assert!(prt.validate().unwrap_err().contains("occupancy counter"));
 
         // Tail bits beyond the slot space.
         let mut prt = Prt::new(4, 2);

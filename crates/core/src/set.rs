@@ -112,12 +112,13 @@ impl SetCtx<'_> {
 
 /// One remapping set; see the [module documentation](self).
 ///
-/// All per-set metadata lives in fixed boxed slices sized at construction
-/// (PRT words, BLE array, cache map, hot-table arena), so the steady-state
-/// access path performs no heap allocation. Frame-mode counts and a
-/// free-frame bitmap are maintained incrementally at every BLE mode
-/// transition, making `rh`/`chbm_frames`/`mhbm_frames` O(1) and
-/// free-frame searches a word scan.
+/// All per-set metadata is sized at construction — fixed boxed slices for
+/// the PRT words, BLE array and cache map, and hot-table queues reserved
+/// past their capacities — so the steady-state access path performs no
+/// heap allocation. Frame-mode counts and a free-frame bitmap are
+/// maintained incrementally at every BLE mode transition, making
+/// `rh`/`chbm_frames`/`mhbm_frames` O(1) and free-frame searches a word
+/// scan.
 #[derive(Debug, Clone)]
 pub struct RemapSet {
     prt: Prt,
@@ -152,11 +153,7 @@ impl RemapSet {
         RemapSet {
             prt: Prt::new(m, n),
             bles: vec![Ble::default(); usize::from(n)].into_boxed_slice(),
-            hot: HotTable::with_slots(
-                usize::from(n),
-                cfg.hot_queue_len,
-                usize::from(m) + usize::from(n),
-            ),
+            hot: HotTable::new(usize::from(n), cfg.hot_queue_len),
             cached_in: vec![None; usize::from(m) + usize::from(n)].into_boxed_slice(),
             free_frames: BlockBitmap::full(u32::from(n)),
             n_chbm: 0,
@@ -664,7 +661,6 @@ impl RemapSet {
             cause: TrafficCause::MissFill,
             mhbm: false,
         });
-        let _ = block_bytes;
         self.bles[f].valid.set(block);
         ctx.stats.block_fills += 1;
         let set = ctx.set_id;
@@ -681,8 +677,7 @@ impl RemapSet {
             return;
         }
         // Under a fixed partition a cache frame cannot become memory.
-        if let Some(q) = ctx.cfg.chbm_quota(u32::from(self.n())) {
-            let _ = q;
+        if ctx.cfg.chbm_quota(u32::from(self.n())).is_some() {
             return;
         }
         let block_bytes = ctx.geometry.block_bytes() as u32;
@@ -799,11 +794,7 @@ impl RemapSet {
     /// blocks written back, frame freed); mHBM pages take the buffered
     /// cHBM second chance when the HMF rules are on, otherwise a full page
     /// writeback. Returns `true` when a frame was freed.
-    fn handle_popped_entry(
-        &mut self,
-        entry: crate::hot_table::HotEntry,
-        ctx: &mut SetCtx<'_>,
-    ) -> bool {
+    fn handle_popped_entry(&mut self, entry: HotEntry, ctx: &mut SetCtx<'_>) -> bool {
         let ple = entry.ple;
         if let Some(fi) = self.cached_in[usize::from(ple)] {
             // Rule 1: a popped cHBM page is evicted to off-chip DRAM.
@@ -1110,14 +1101,7 @@ impl RemapSet {
         let quota = ctx.cfg.chbm_quota(u32::from(self.n()));
         if want_hbm {
             if let Some(f) = self.find_free_frame(false, quota) {
-                self.prt.allocate(o, self.m() + f);
-                self.ble_begin_mhbm(usize::from(f), o, None);
-                if let Some(popped) = self.hot.promote(o) {
-                    self.handle_popped_entry(popped, ctx);
-                }
-                ctx.stats.alloc_in_hbm += 1;
-                ctx.emit(|| TraceEvent::AllocInHbm { set, page: o });
-                self.last_allocs = [Some(o), self.last_allocs[0]];
+                self.allocate_in_hbm(o, f, ctx);
                 return;
             }
         }
@@ -1126,14 +1110,7 @@ impl RemapSet {
         // high-footprint workloads.
         if ctx.cfg.alloc_policy == AllocPolicy::AllHbm {
             if let Some(f) = self.make_room(false, quota, ctx) {
-                self.prt.allocate(o, self.m() + f);
-                self.ble_begin_mhbm(usize::from(f), o, None);
-                if let Some(popped) = self.hot.promote(o) {
-                    self.handle_popped_entry(popped, ctx);
-                }
-                ctx.stats.alloc_in_hbm += 1;
-                ctx.emit(|| TraceEvent::AllocInHbm { set, page: o });
-                self.last_allocs = [Some(o), self.last_allocs[0]];
+                self.allocate_in_hbm(o, f, ctx);
                 return;
             }
         }
@@ -1145,13 +1122,7 @@ impl RemapSet {
         }
         // DRAM full: fall back to a free HBM frame even for Alloc-D.
         if let Some(f) = self.find_free_frame(false, quota) {
-            self.prt.allocate(o, self.m() + f);
-            self.ble_begin_mhbm(usize::from(f), o, None);
-            if let Some(popped) = self.hot.promote(o) {
-                self.handle_popped_entry(popped, ctx);
-            }
-            ctx.stats.alloc_in_hbm += 1;
-            self.last_allocs = [Some(o), self.last_allocs[0]];
+            self.allocate_in_hbm(o, f, ctx);
             return;
         }
         // No Free frame and DRAM full: frames may be tied up as cHBM
@@ -1162,20 +1133,28 @@ impl RemapSet {
             // prefer DRAM if so, otherwise take the freed frame.
             if let Some(p) = self.prt.find_free_dram(prefer) {
                 self.prt.allocate(o, p);
+                self.last_allocs = [Some(o), self.last_allocs[0]];
             } else {
-                self.prt.allocate(o, self.m() + f);
-                self.ble_begin_mhbm(usize::from(f), o, None);
-                if let Some(popped) = self.hot.promote(o) {
-                    self.handle_popped_entry(popped, ctx);
-                }
-                ctx.stats.alloc_in_hbm += 1;
-                ctx.emit(|| TraceEvent::AllocInHbm { set, page: o });
+                self.allocate_in_hbm(o, f, ctx);
             }
-            self.last_allocs = [Some(o), self.last_allocs[0]];
             return;
         }
         // Nothing free anywhere: page fault — swap out a cold DRAM page.
         self.page_fault_alloc(o, ctx);
+    }
+
+    /// Allocates page `o` as an mHBM page in free frame `f` and tracks it
+    /// in the HBM queue, evicting whatever the queue pops out.
+    fn allocate_in_hbm(&mut self, o: u16, f: u16, ctx: &mut SetCtx<'_>) {
+        self.prt.allocate(o, self.m() + f);
+        self.ble_begin_mhbm(usize::from(f), o, None);
+        if let Some(popped) = self.hot.promote(o) {
+            self.handle_popped_entry(popped, ctx);
+        }
+        ctx.stats.alloc_in_hbm += 1;
+        let set = ctx.set_id;
+        ctx.emit(|| TraceEvent::AllocInHbm { set, page: o });
+        self.last_allocs = [Some(o), self.last_allocs[0]];
     }
 
     fn page_fault_alloc(&mut self, o: u16, ctx: &mut SetCtx<'_>) {
@@ -1557,6 +1536,22 @@ mod tests {
         }
         assert_eq!(h.stats.alloc_in_hbm, 4);
         assert_eq!(h.stats.offchip_serves, 0);
+    }
+
+    #[test]
+    fn every_hbm_allocation_emits_its_event() {
+        // One off-chip slot and two frames under Alloc-D: page 0 takes the
+        // slot, so page 1 finds DRAM full and falls back to a free frame.
+        let mut h = Harness::new(BumblebeeConfig::alloc_d());
+        h.set = RemapSet::new(1, 2, &h.cfg);
+        h.events = Some(Ring::new(64));
+        h.access(0, 0, AccessKind::Read);
+        h.access(1, 0, AccessKind::Read);
+        assert!(h.set.prt().is_hbm_slot(h.set.prt().location(1).unwrap()));
+        assert_eq!(h.stats.alloc_in_hbm, 1);
+        let ring = h.events.take().unwrap();
+        let events = ring.iter().filter(|e| e.event.kind() == "alloc_in_hbm").count();
+        assert_eq!(events as u64, h.stats.alloc_in_hbm, "one event per counted allocation");
     }
 
     #[test]

@@ -6,6 +6,7 @@ use crate::designs::Design;
 use crate::engine::Engine;
 use crate::report::render_table;
 use crate::run::RunConfig;
+use bumblebee_core::MetadataBreakdown;
 use memsim_dram::presets;
 use memsim_trace::SpecProfile;
 use memsim_types::json::JsonObj;
@@ -140,32 +141,56 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
     render_table(&t)
 }
 
-/// Metadata budget per design (§IV-B).
-pub fn metadata_table(cfg: &RunConfig) -> String {
-    let mut rows = vec![vec![
-        "design".to_string(),
-        "metadata (KB)".to_string(),
-        "fits 512KB SRAM (scaled)".to_string(),
-    ]];
-    for d in [
+/// One §IV-B metadata budget row: a design built once at the run's
+/// geometry.
+#[derive(Debug, Clone)]
+pub struct MetadataRow {
+    /// The design.
+    pub design: Design,
+    /// Controller metadata in bytes.
+    pub metadata_bytes: u64,
+    /// Bumblebee's PRT/BLE/tracker split; `None` for the other designs.
+    pub breakdown: Option<MetadataBreakdown>,
+}
+
+/// Builds each compared design once and measures its metadata (§IV-B).
+pub fn metadata_rows(cfg: &RunConfig) -> Vec<MetadataRow> {
+    [
         Design::Alloy,
         Design::Unison,
         Design::Banshee,
         Design::Chameleon,
         Design::Hybrid2,
         Design::Bumblebee,
-    ] {
-        let c = d.build(cfg.geometry, cfg.sram_budget);
-        let kb = c.metadata_bytes() as f64 / 1024.0;
-        rows.push(vec![
-            d.label().to_string(),
-            format!("{kb:.0}"),
-            if c.metadata_bytes() <= cfg.sram_budget { "yes" } else { "no" }.to_string(),
+    ]
+    .into_iter()
+    .map(|design| {
+        let c = design.build(cfg.geometry, cfg.sram_budget);
+        MetadataRow {
+            design,
+            metadata_bytes: c.metadata_bytes(),
+            breakdown: c.as_bumblebee().map(|b| b.metadata_breakdown()),
+        }
+    })
+    .collect()
+}
+
+/// Renders the metadata budget per design against `sram_budget` bytes.
+pub fn render_metadata(rows: &[MetadataRow], sram_budget: u64) -> String {
+    let mut t = vec![vec![
+        "design".to_string(),
+        "metadata (KB)".to_string(),
+        "fits 512KB SRAM (scaled)".to_string(),
+    ]];
+    for r in rows {
+        t.push(vec![
+            r.design.label().to_string(),
+            format!("{:.0}", r.metadata_bytes as f64 / 1024.0),
+            if r.metadata_bytes <= sram_budget { "yes" } else { "no" }.to_string(),
         ]);
         // Bumblebee breakdown (paper: 110 KB PRT + 136 KB BLE + 88 KB tracker).
-        if let Some(b) = c.as_bumblebee() {
-            let br = b.metadata_breakdown();
-            rows.push(vec![
+        if let Some(br) = r.breakdown {
+            t.push(vec![
                 "  (PRT/BLE/tracker)".to_string(),
                 format!(
                     "{:.0}/{:.0}/{:.0}",
@@ -177,31 +202,22 @@ pub fn metadata_table(cfg: &RunConfig) -> String {
             ]);
         }
     }
-    render_table(&rows)
+    render_table(&t)
 }
 
-/// One JSONL line per design of the §IV-B metadata budget.
-pub fn metadata_jsonl(cfg: &RunConfig) -> Vec<String> {
-    [
-        Design::Alloy,
-        Design::Unison,
-        Design::Banshee,
-        Design::Chameleon,
-        Design::Hybrid2,
-        Design::Bumblebee,
-    ]
-    .iter()
-    .map(|d| {
-        let c = d.build(cfg.geometry, cfg.sram_budget);
-        JsonObj::new()
-            .str("kind", "metadata")
-            .str("design", d.label())
-            .u64("metadata_bytes", c.metadata_bytes())
-            .u64("sram_budget", cfg.sram_budget)
-            .bool("fits_sram", c.metadata_bytes() <= cfg.sram_budget)
-            .finish()
-    })
-    .collect()
+/// One JSONL line per metadata row, against `sram_budget` bytes.
+pub fn metadata_jsonl(rows: &[MetadataRow], sram_budget: u64) -> Vec<String> {
+    rows.iter()
+        .map(|r| {
+            JsonObj::new()
+                .str("kind", "metadata")
+                .str("design", r.design.label())
+                .u64("metadata_bytes", r.metadata_bytes)
+                .u64("sram_budget", sram_budget)
+                .bool("fits_sram", r.metadata_bytes <= sram_budget)
+                .finish()
+        })
+        .collect()
 }
 
 /// Table I as JSONL (one line with the headline configuration numbers).
@@ -246,7 +262,8 @@ mod tests {
 
     #[test]
     fn metadata_table_shows_bumblebee_smallest_hybrid() {
-        let t = metadata_table(&RunConfig::tiny());
+        let cfg = RunConfig::tiny();
+        let t = render_metadata(&metadata_rows(&cfg), cfg.sram_budget);
         assert!(t.contains("Bumblebee"));
         assert!(t.contains("PRT/BLE/tracker"));
     }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: offline release build, full test suite, and
-# parallel-vs-serial smoke runs of the fig8 (small and paper geometry) and
-# sensitivity binaries. Run from the repo root.
+# parallel-vs-serial smoke runs of the fig8 (small and paper geometry),
+# fig7 and sensitivity binaries. Run from the repo root.
 #
 #   scripts/verify.sh
 #
@@ -152,6 +152,23 @@ for run in small paper; do
   done
   echo "ok: $run table and $(wc -l < "$smoke/$run-serial/fig8.jsonl") JSONL lines identical at both widths"
 done
+
+echo "== smoke: fig7 serial vs parallel must be byte-identical =="
+# Fig. 7 is the one binary that runs every Bumblebee ablation: fixed
+# partitions, the Alloc-D/Alloc-H policies, No-HMF and No-Multi.
+mkdir -p "$smoke/fig7-1" "$smoke/fig7-4"
+for jobs in 1 4; do
+  cargo run --release -q -p bumblebee-bench --bin fig7 -- \
+    "${common[@]}" --jobs "$jobs" --out "$smoke/fig7-$jobs" > "$smoke/fig7-$jobs/fig7.txt"
+done
+for f in fig7.txt fig7.jsonl; do
+  if ! cmp -s "$smoke/fig7-1/$f" "$smoke/fig7-4/$f"; then
+    echo "FAIL: $f differs between --jobs 1 and --jobs 4" >&2
+    diff "$smoke/fig7-1/$f" "$smoke/fig7-4/$f" | head >&2
+    exit 1
+  fi
+done
+echo "ok: table and $(wc -l < "$smoke/fig7-1/fig7.jsonl") JSONL lines identical at both widths"
 
 echo "== smoke: sensitivity --metrics serial vs parallel must be byte-identical =="
 mkdir -p "$smoke/sens1" "$smoke/sens4"

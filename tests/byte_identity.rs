@@ -174,7 +174,7 @@ fn tables_are_byte_identical() {
     let cfg = RunConfig::tiny();
     let mut lines = tables::table1_jsonl(&cfg);
     lines.extend(tables::table2_jsonl(&tables::table2_with(&Engine::new(1), &cfg)));
-    lines.extend(tables::metadata_jsonl(&cfg));
+    lines.extend(tables::metadata_jsonl(&tables::metadata_rows(&cfg), cfg.sram_budget));
     assert_eq!(lines.len(), 1 + 14 + 6, "one Table I line, 14 Table II rows, 6 designs");
     let d = digest(&lines);
     assert_eq!(
