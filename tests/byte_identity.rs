@@ -23,7 +23,11 @@
 //!   ablations on mcf and wrf, whose fixed-ratio quotas, allocation
 //!   policies, No-HMF and No-Multi paths drive hot-table operations that
 //!   Fig. 8 never takes, pinned before the hot table became two scanned
-//!   queues.
+//!   queues;
+//! - the observability streams of the same Fig. 7 matrix, whose traffic
+//!   matrices split each ablation's round trips, fixed-ratio writebacks and
+//!   metadata spills by device class (mHBM, cHBM, off-chip), which the
+//!   results JSONL sums into one HBM byte count.
 //!
 //! A change that moves any cycle, byte, energy or attribution figure fails
 //! here; one that means to move them must update the constants on purpose.
@@ -57,6 +61,10 @@ const FIG8_PAPER_GEOMETRY_DIGEST: u64 = 0x1472_cf81_2b80_2394;
 /// FNV-1a over the results JSONL of Fig. 7's 22 cells on mcf and wrf at
 /// test scale.
 const FIG7_SMALL_DIGEST: u64 = 0x9918_bc24_9eb1_e2ee;
+
+/// FNV-1a over `epochs ++ trace ++ lat ++ bw` JSONL lines of the same
+/// Fig. 7 matrix run under [`observed_metrics`].
+const FIG7_SMALL_OBS_DIGEST: u64 = 0x0cda_0fe5_9ed1_fb02;
 
 fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
@@ -211,5 +219,28 @@ fn fig7_small_matrix_results_are_byte_identical() {
     assert_eq!(
         d, FIG7_SMALL_DIGEST,
         "fig7 digest {d:016x} differs from the pinned {FIG7_SMALL_DIGEST:016x}"
+    );
+}
+
+#[test]
+fn fig7_small_matrix_observability_streams_are_byte_identical() {
+    let cfg = RunConfig::tiny();
+    let engine = Engine::new(1).with_metrics(observed_metrics());
+    let (_, rs) = fig7::run_with(&engine, &cfg, &profiles()).expect("fig7 runs");
+    let results = digest(&rs.jsonl_lines());
+    assert_eq!(
+        results, FIG7_SMALL_DIGEST,
+        "metrics recording moved the fig7 results digest to {results:016x}"
+    );
+    let mut lines = rs.epochs_jsonl_lines();
+    lines.extend(rs.trace_jsonl_lines());
+    lines.extend(rs.lat_jsonl_lines());
+    lines.extend(rs.bw_jsonl_lines());
+    let d = digest(&lines);
+    assert_eq!(
+        d, FIG7_SMALL_OBS_DIGEST,
+        "fig7 observability digest {d:016x} over {} lines differs from the pinned \
+         {FIG7_SMALL_OBS_DIGEST:016x}",
+        lines.len()
     );
 }
