@@ -11,8 +11,8 @@
 
 use crate::common::FaultModel;
 use memsim_types::{
-    Access, AccessKind, AccessPath, AccessPlan, Addr, CtrlStats, DeviceOp, Geometry, TrafficCause,
-    HybridMemoryController, Mem, OpKind, OverfetchTracker, QuickDiv,
+    Access, AccessKind, AccessPath, AccessPlan, Addr, CtrlStats, DeviceOp, Geometry,
+    HybridMemoryController, OpKind, OverfetchTracker, QuickDiv, TrafficCause, TrafficDevice,
 };
 
 const LINE_BYTES: u64 = 64;
@@ -118,19 +118,7 @@ impl HybridMemoryController for AlloyCache {
         let predicted_hit = self.map.predict(addr.0);
         if line & VALID != 0 && u64::from(line >> TAG_SHIFT) == tag {
             // Hit: the probe *was* the data access.
-            let op = DeviceOp {
-                mem: Mem::Hbm,
-                addr: hbm_addr,
-                bytes: TAD_BYTES,
-                kind: if is_read { OpKind::Read } else { OpKind::Write },
-                cause: if is_read { TrafficCause::DemandRead } else { TrafficCause::DemandWrite },
-                mhbm: false,
-            };
-            if is_read {
-                plan.critical.push(op);
-            } else {
-                plan.background.push(op);
-            }
+            plan.demand(req.kind, TrafficDevice::CHbm, hbm_addr, TAD_BYTES);
             if !is_read {
                 self.lines[idx] |= DIRTY;
             }
@@ -146,31 +134,18 @@ impl HybridMemoryController for AlloyCache {
         // pay the serialized probe first, exactly as the paper describes.
         self.map.train(addr.0, false);
         let probe = DeviceOp {
-            mem: Mem::Hbm,
+            at: TrafficDevice::CHbm,
             addr: hbm_addr,
             bytes: TAD_BYTES,
             kind: OpKind::Read,
             cause: TrafficCause::Metadata,
-            mhbm: false,
         };
         if predicted_hit {
             plan.critical.push(probe);
         } else {
             plan.background.push(probe);
         }
-        let op = DeviceOp {
-            mem: Mem::OffChip,
-            addr: dram_addr,
-            bytes: LINE_BYTES as u32,
-            kind: if is_read { OpKind::Read } else { OpKind::Write },
-            cause: if is_read { TrafficCause::DemandRead } else { TrafficCause::DemandWrite },
-            mhbm: false,
-        };
-        if is_read {
-            plan.critical.push(op);
-        } else {
-            plan.background.push(op);
-        }
+        plan.demand(req.kind, TrafficDevice::OffChip, dram_addr, LINE_BYTES as u32);
         self.stats.offchip_serves += 1;
 
         // Evict + fill (victim writeback only when dirty).
@@ -178,24 +153,22 @@ impl HybridMemoryController for AlloyCache {
             let victim_line = u64::from(line >> TAG_SHIFT) * self.lines.len() as u64 + idx as u64;
             if line & DIRTY != 0 {
                 plan.background.push(DeviceOp {
-                    mem: Mem::OffChip,
+                    at: TrafficDevice::OffChip,
                     addr: Addr(victim_line * LINE_BYTES),
                     bytes: LINE_BYTES as u32,
                     kind: OpKind::Write,
                     cause: TrafficCause::Writeback,
-                    mhbm: false,
                 });
             }
             self.overfetch.evicted(idx as u64);
             self.stats.evictions += 1;
         }
         plan.background.push(DeviceOp {
-            mem: Mem::Hbm,
+            at: TrafficDevice::CHbm,
             addr: hbm_addr,
             bytes: TAD_BYTES,
             kind: OpKind::Write,
             cause: TrafficCause::MissFill,
-            mhbm: false,
         });
         self.lines[idx] = line_word(tag, !is_read);
         self.stats.block_fills += 1;
@@ -233,6 +206,7 @@ impl HybridMemoryController for AlloyCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memsim_types::Mem;
 
     fn geometry() -> Geometry {
         Geometry::paper(256)
@@ -249,7 +223,7 @@ mod tests {
         assert_eq!(c.stats().hbm_hits, 1);
         // Hit path: exactly one HBM op, no DRAM.
         assert_eq!(plan.critical.len(), 1);
-        assert_eq!(plan.critical[0].mem, Mem::Hbm);
+        assert_eq!(plan.critical[0].mem(), Mem::Hbm);
     }
 
     #[test]
@@ -278,7 +252,7 @@ mod tests {
         assert!(plan
             .background
             .iter()
-            .any(|o| o.cause == TrafficCause::Writeback && o.mem == Mem::OffChip));
+            .any(|o| o.cause == TrafficCause::Writeback && o.mem() == Mem::OffChip));
     }
 
     #[test]

@@ -9,8 +9,8 @@
 
 use crate::common::FaultModel;
 use memsim_types::{
-    Access, AccessKind, AccessPath, AccessPlan, Addr, CtrlStats, DeviceOp, Geometry, TrafficCause,
-    HybridMemoryController, Mem, OpKind, OverfetchTracker, QuickDiv,
+    Access, AccessKind, AccessPath, AccessPlan, Addr, CtrlStats, Geometry, HybridMemoryController,
+    OverfetchTracker, QuickDiv, TrafficCause, TrafficDevice,
 };
 
 const PAGE_BYTES: u64 = 4096;
@@ -89,19 +89,8 @@ impl HybridMemoryController for Banshee {
             let ws = &mut self.ways[base + w];
             ws.counter = (ws.counter + 1).min(COUNTER_CAP);
             ws.dirty |= !is_read;
-            let op = DeviceOp {
-                mem: Mem::Hbm,
-                addr: self.hbm_addr(set, w as u32, offset & !63),
-                bytes: 64,
-                kind: if is_read { OpKind::Read } else { OpKind::Write },
-                cause: if is_read { TrafficCause::DemandRead } else { TrafficCause::DemandWrite },
-                mhbm: false,
-            };
-            if is_read {
-                plan.critical.push(op);
-            } else {
-                plan.background.push(op);
-            }
+            let hbm = self.hbm_addr(set, w as u32, offset & !63);
+            plan.demand(req.kind, TrafficDevice::CHbm, hbm, 64);
             self.stats.hbm_hits += 1;
             plan.path = AccessPath::ChbmHit;
             self.overfetch.used(self.hbm_addr(set, w as u32, offset).0 / 64);
@@ -109,19 +98,7 @@ impl HybridMemoryController for Banshee {
         }
 
         // Serve from off-chip DRAM.
-        let op = DeviceOp {
-            mem: Mem::OffChip,
-            addr: Addr(addr.0 & !63),
-            bytes: 64,
-            kind: if is_read { OpKind::Read } else { OpKind::Write },
-            cause: if is_read { TrafficCause::DemandRead } else { TrafficCause::DemandWrite },
-            mhbm: false,
-        };
-        if is_read {
-            plan.critical.push(op);
-        } else {
-            plan.background.push(op);
-        }
+        plan.demand(req.kind, TrafficDevice::OffChip, Addr(addr.0 & !63), 64);
         self.stats.offchip_serves += 1;
 
         // Frequency-based replacement decision.
@@ -156,43 +133,23 @@ impl HybridMemoryController for Banshee {
         if vs.valid {
             let vpage = vs.tag * self.sets as u64 + set as u64;
             if vs.dirty {
-                plan.background.push(DeviceOp {
-                    mem: Mem::Hbm,
-                    addr: self.hbm_addr(set, victim as u32, 0),
-                    bytes: PAGE_BYTES as u32,
-                    kind: OpKind::Read,
-                    cause: TrafficCause::Writeback,
-                    mhbm: false,
-                });
-                plan.background.push(DeviceOp {
-                    mem: Mem::OffChip,
-                    addr: Addr(vpage * PAGE_BYTES),
-                    bytes: PAGE_BYTES as u32,
-                    kind: OpKind::Write,
-                    cause: TrafficCause::Writeback,
-                    mhbm: false,
-                });
+                plan.copy(
+                    (TrafficDevice::CHbm, self.hbm_addr(set, victim as u32, 0)),
+                    (TrafficDevice::OffChip, Addr(vpage * PAGE_BYTES)),
+                    PAGE_BYTES as u32,
+                    TrafficCause::Writeback,
+                );
             }
             self.overfetch.evicted_lines(first_line, LINES_PER_PAGE);
             self.stats.evictions += 1;
         }
         // Fill the whole page.
-        plan.background.push(DeviceOp {
-            mem: Mem::OffChip,
-            addr: Addr(page * PAGE_BYTES),
-            bytes: PAGE_BYTES as u32,
-            kind: OpKind::Read,
-            cause: TrafficCause::MissFill,
-            mhbm: false,
-        });
-        plan.background.push(DeviceOp {
-            mem: Mem::Hbm,
-            addr: self.hbm_addr(set, victim as u32, 0),
-            bytes: PAGE_BYTES as u32,
-            kind: OpKind::Write,
-            cause: TrafficCause::MissFill,
-            mhbm: false,
-        });
+        plan.copy(
+            (TrafficDevice::OffChip, Addr(page * PAGE_BYTES)),
+            (TrafficDevice::CHbm, self.hbm_addr(set, victim as u32, 0)),
+            PAGE_BYTES as u32,
+            TrafficCause::MissFill,
+        );
         self.ways[base + victim] =
             WayState { tag, valid: true, dirty: !is_read, counter: cand_count };
         self.stats.block_fills += 1;

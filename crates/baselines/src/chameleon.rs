@@ -9,8 +9,8 @@
 //! lookups frequently pay an in-HBM metadata access.
 
 use memsim_types::{
-    Access, AccessKind, AccessPath, AccessPlan, Addr, CtrlStats, DeviceOp, Geometry,
-    HybridMemoryController, Mem, MetadataModel, OpKind, QuickDiv, TrafficCause,
+    Access, AccessPath, AccessPlan, Addr, CtrlStats, DeviceOp, Geometry, HybridMemoryController,
+    MetadataModel, OpKind, QuickDiv, TrafficCause, TrafficDevice,
 };
 
 const SECTOR_BYTES: u64 = 4096;
@@ -56,7 +56,7 @@ impl Chameleon {
             // Member `members - 1` denotes the HBM-native sector.
             resident: vec![members - 1; hbm_sectors as usize],
             counters: vec![0; hbm_sectors as usize * members as usize],
-            metadata: MetadataModel::new(metadata_bytes, sram_budget, Mem::Hbm, 64),
+            metadata: MetadataModel::new(metadata_bytes, sram_budget),
             stats: CtrlStats::new(),
             swaps: 0,
         }
@@ -93,7 +93,6 @@ impl HybridMemoryController for Chameleon {
     fn access(&mut self, req: &Access, plan: &mut AccessPlan) {
         plan.metadata_cycles += self.metadata.lookup(plan, req.addr);
         let (group, member, offset) = self.locate(req.addr);
-        let is_read = req.kind == AccessKind::Read;
         let resident = self.resident[group];
         let (resident_ci, member_ci) = (self.counter(group, resident), self.counter(group, member));
         self.counters[member_ci] = self.counters[member_ci].saturating_add(1);
@@ -102,34 +101,17 @@ impl HybridMemoryController for Chameleon {
         let resident_count = u32::from(self.counters[resident_ci]);
         let member_count = u32::from(self.counters[member_ci]);
 
-        let target = if in_hbm {
+        if in_hbm {
             self.stats.hbm_hits += 1;
-            // POM: the resident sector is OS-visible memory, not a cache.
+            // POM: the resident sector is OS-visible (memory-mode)
+            // residency, not a cache.
             plan.path = AccessPath::MhbmHit;
-            DeviceOp {
-                mem: Mem::Hbm,
-                addr: Addr(self.hbm_sector_addr(group).0 + (offset & !63)),
-                bytes: 64,
-                kind: if is_read { OpKind::Read } else { OpKind::Write },
-                cause: if is_read { TrafficCause::DemandRead } else { TrafficCause::DemandWrite },
-                // POM: the HBM sector is OS-visible (memory-mode) residency.
-                mhbm: true,
-            }
+            let hbm = Addr(self.hbm_sector_addr(group).0 + (offset & !63));
+            plan.demand(req.kind, TrafficDevice::MHbm, hbm, 64);
         } else {
             self.stats.offchip_serves += 1;
-            DeviceOp {
-                mem: Mem::OffChip,
-                addr: Addr(self.dram_member_addr(group, member).0 + (offset & !63)),
-                bytes: 64,
-                kind: if is_read { OpKind::Read } else { OpKind::Write },
-                cause: if is_read { TrafficCause::DemandRead } else { TrafficCause::DemandWrite },
-                mhbm: false,
-            }
-        };
-        if is_read {
-            plan.critical.push(target);
-        } else {
-            plan.background.push(target);
+            let dram = Addr(self.dram_member_addr(group, member).0 + (offset & !63));
+            plan.demand(req.kind, TrafficDevice::OffChip, dram, 64);
         }
 
         // Swap decision: the touched off-chip sector overtakes the resident.
@@ -140,20 +122,16 @@ impl HybridMemoryController for Chameleon {
             // Swap legs: reading the old resident out of HBM and writing it
             // off-chip is the demotion; pulling the hot sector in is the
             // promotion (the HBM write lands in the OS-visible sector).
-            for (mem, a, kind, cause, mhbm) in [
-                (Mem::Hbm, hbm, OpKind::Read, TrafficCause::MigrationDemote, true),
-                (Mem::OffChip, dram_new, OpKind::Read, TrafficCause::MigrationPromote, false),
-                (Mem::Hbm, hbm, OpKind::Write, TrafficCause::MigrationPromote, true),
-                (Mem::OffChip, dram_old, OpKind::Write, TrafficCause::MigrationDemote, false),
+            // Both reads issue before both writes, so the swap is not two
+            // `copy`s.
+            let bytes = SECTOR_BYTES as u32;
+            for (at, addr, kind, cause) in [
+                (TrafficDevice::MHbm, hbm, OpKind::Read, TrafficCause::MigrationDemote),
+                (TrafficDevice::OffChip, dram_new, OpKind::Read, TrafficCause::MigrationPromote),
+                (TrafficDevice::MHbm, hbm, OpKind::Write, TrafficCause::MigrationPromote),
+                (TrafficDevice::OffChip, dram_old, OpKind::Write, TrafficCause::MigrationDemote),
             ] {
-                plan.background.push(DeviceOp {
-                    mem,
-                    addr: a,
-                    bytes: SECTOR_BYTES as u32,
-                    kind,
-                    cause,
-                    mhbm,
-                });
+                plan.background.push(DeviceOp { at, addr, bytes, kind, cause });
             }
             self.resident[group] = member;
             // Decay both counters to re-arm the hysteresis.
@@ -185,6 +163,7 @@ impl HybridMemoryController for Chameleon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memsim_types::Mem;
 
     fn geometry() -> Geometry {
         Geometry::paper(256)
@@ -232,7 +211,7 @@ mod tests {
         assert!(plan
             .critical
             .iter()
-            .any(|o| o.mem == Mem::Hbm && o.cause == TrafficCause::DemandRead));
+            .any(|o| o.mem() == Mem::Hbm && o.cause == TrafficCause::DemandRead));
     }
 
     #[test]

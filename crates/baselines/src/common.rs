@@ -1,12 +1,11 @@
 //! Helpers shared by every baseline.
 
-use memsim_types::{AccessPlan, Addr, DeviceOp, Mem, OpKind, TrafficCause};
+use memsim_types::{
+    AccessPlan, Addr, DeviceOp, OpKind, TrafficCause, TrafficDevice, FAULT_STALL_CYCLES,
+};
 
 /// OS page size used for fault accounting.
 pub const OS_PAGE_BYTES: u64 = 4096;
-
-/// Stall charged per OS page fault (~10 µs at 3.6 GHz).
-pub const FAULT_STALL_CYCLES: u64 = 36_000;
 
 /// Models OS paging pressure for designs whose OS-visible memory is smaller
 /// than the workload footprint (every cache-only design, and the no-HBM
@@ -71,12 +70,11 @@ impl FaultModel {
             plan.stall_cycles += FAULT_STALL_CYCLES;
             let resident = Addr((addr.0 % self.os_visible_bytes) & !(OS_PAGE_BYTES - 1));
             plan.background.push(DeviceOp {
-                mem: Mem::OffChip,
+                at: TrafficDevice::OffChip,
                 addr: resident,
                 bytes: OS_PAGE_BYTES as u32,
                 kind: OpKind::Write,
                 cause: TrafficCause::MissFill,
-                mhbm: false,
             });
         }
         Addr(addr.0 % self.os_visible_bytes)

@@ -13,8 +13,8 @@
 
 use crate::common::{FaultModel, LruRanks};
 use memsim_types::{
-    Access, AccessKind, AccessPath, AccessPlan, Addr, CtrlStats, DeviceOp, Geometry, TrafficCause,
-    HybridMemoryController, Mem, MetadataModel, OpKind, OverfetchTracker, QuickDiv,
+    Access, AccessKind, AccessPath, AccessPlan, Addr, CtrlStats, Geometry, HybridMemoryController,
+    MetadataModel, OverfetchTracker, QuickDiv, TrafficCause, TrafficDevice,
 };
 
 const GROUP_BYTES: u64 = 2048;
@@ -87,7 +87,7 @@ impl Hybrid2 {
             cache_lru: LruRanks::new(cache_sets, CACHE_WAYS),
             pom_resident: vec![members - 1; mhbm_frames as usize],
             pom_counters: vec![0; mhbm_frames as usize * members as usize],
-            metadata: MetadataModel::new(metadata_bytes, sram_budget, Mem::Hbm, 64),
+            metadata: MetadataModel::new(metadata_bytes, sram_budget),
             faults: FaultModel::with_default_table(os_visible),
             cache_set_div: QuickDiv::new(cache_sets as u64),
             frame_div: QuickDiv::new(mhbm_frames),
@@ -137,16 +137,18 @@ impl Hybrid2 {
         frame * self.member_div.divisor() as usize + member as usize
     }
 
-    fn dram_group_addr(&self, addr: Addr) -> Addr {
-        Addr(self.dram_div.rem(addr.0) & !(GROUP_BYTES - 1))
+    /// Off-chip address of the 64 B line holding `addr`.
+    fn dram_line_addr(&self, addr: Addr) -> Addr {
+        Addr(self.dram_div.rem(addr.0 & !63))
     }
 
-    fn serve(&mut self, plan: &mut AccessPlan, op: DeviceOp, is_read: bool) {
-        if is_read {
-            plan.critical.push(op);
-        } else {
-            plan.background.push(op);
-        }
+    /// Off-chip address a block fill of `addr`'s 256 B block reads from.
+    fn dram_block_addr(&self, addr: Addr) -> Addr {
+        self.dram_group_addr(Addr(addr.0 & !(BLOCK_BYTES - 1)))
+    }
+
+    fn dram_group_addr(&self, addr: Addr) -> Addr {
+        Addr(self.dram_div.rem(addr.0) & !(GROUP_BYTES - 1))
     }
 }
 
@@ -162,16 +164,8 @@ impl HybridMemoryController for Hybrid2 {
             let ci = self.pom_counter(pg, member);
             self.pom_counters[ci] = self.pom_counters[ci].saturating_add(1);
             if self.pom_resident[pg] == member {
-                let base = self.pom_hbm_addr(pg);
-                let op = DeviceOp {
-                    mem: Mem::Hbm,
-                    addr: Addr(base.0 + ((addr.0 % GROUP_BYTES) & !63)),
-                    bytes: 64,
-                    kind: if is_read { OpKind::Read } else { OpKind::Write },
-                    cause: if is_read { TrafficCause::DemandRead } else { TrafficCause::DemandWrite },
-                    mhbm: true,
-                };
-                self.serve(plan, op, is_read);
+                let hbm = Addr(self.pom_hbm_addr(pg).0 + ((addr.0 % GROUP_BYTES) & !63));
+                plan.demand(req.kind, TrafficDevice::MHbm, hbm, 64);
                 self.stats.hbm_hits += 1;
                 plan.path = AccessPath::MhbmHit;
                 return;
@@ -192,49 +186,24 @@ impl HybridMemoryController for Hybrid2 {
             self.cache_lru.touch(set, w as u32);
             self.cache[base + w].counter = (self.cache[base + w].counter + 1).min(COUNTER_CAP);
             if self.cache[base + w].valid & (1 << block) != 0 {
-                let op = DeviceOp {
-                    mem: Mem::Hbm,
-                    addr: self.cache_hbm_addr(set, w as u32, block),
-                    bytes: 64,
-                    kind: if is_read { OpKind::Read } else { OpKind::Write },
-                    cause: if is_read { TrafficCause::DemandRead } else { TrafficCause::DemandWrite },
-                    mhbm: false,
-                };
-                self.serve(plan, op, is_read);
+                let hbm = self.cache_hbm_addr(set, w as u32, block);
+                plan.demand(req.kind, TrafficDevice::CHbm, hbm, 64);
                 if !is_read {
                     self.cache[base + w].dirty |= 1 << block;
                 }
                 self.stats.hbm_hits += 1;
                 plan.path = AccessPath::ChbmHit;
-                self.overfetch.used(self.cache_hbm_addr(set, w as u32, block).0 / 64 + line);
+                self.overfetch.used(hbm.0 / 64 + line);
             } else {
                 // Block miss within a cached group: fetch the block.
-                let op = DeviceOp {
-                    mem: Mem::OffChip,
-                    addr: Addr(self.dram_div.rem(addr.0 & !63)),
-                    bytes: 64,
-                    kind: if is_read { OpKind::Read } else { OpKind::Write },
-                    cause: if is_read { TrafficCause::DemandRead } else { TrafficCause::DemandWrite },
-                    mhbm: false,
-                };
-                self.serve(plan, op, is_read);
+                plan.demand(req.kind, TrafficDevice::OffChip, self.dram_line_addr(addr), 64);
                 self.stats.offchip_serves += 1;
-                plan.background.push(DeviceOp {
-                    mem: Mem::OffChip,
-                    addr: self.dram_group_addr(Addr(addr.0 & !(BLOCK_BYTES - 1))),
-                    bytes: BLOCK_BYTES as u32,
-                    kind: OpKind::Read,
-                    cause: TrafficCause::MissFill,
-                    mhbm: false,
-                });
-                plan.background.push(DeviceOp {
-                    mem: Mem::Hbm,
-                    addr: self.cache_hbm_addr(set, w as u32, block),
-                    bytes: BLOCK_BYTES as u32,
-                    kind: OpKind::Write,
-                    cause: TrafficCause::MissFill,
-                    mhbm: false,
-                });
+                plan.copy(
+                    (TrafficDevice::OffChip, self.dram_block_addr(addr)),
+                    (TrafficDevice::CHbm, self.cache_hbm_addr(set, w as u32, block)),
+                    BLOCK_BYTES as u32,
+                    TrafficCause::MissFill,
+                );
                 self.cache[base + w].valid |= 1 << block;
                 self.stats.block_fills += 1;
                 let first = self.cache_hbm_addr(set, w as u32, block).0 / 64;
@@ -251,15 +220,7 @@ impl HybridMemoryController for Hybrid2 {
         }
 
         // 3. Full miss: serve off-chip, allocate a cache way.
-        let op = DeviceOp {
-            mem: Mem::OffChip,
-            addr: Addr(self.dram_div.rem(addr.0 & !63)),
-            bytes: 64,
-            kind: if is_read { OpKind::Read } else { OpKind::Write },
-            cause: if is_read { TrafficCause::DemandRead } else { TrafficCause::DemandWrite },
-            mhbm: false,
-        };
-        self.serve(plan, op, is_read);
+        plan.demand(req.kind, TrafficDevice::OffChip, self.dram_line_addr(addr), 64);
         self.stats.offchip_serves += 1;
 
         let victim = self.cache_lru.lru(set);
@@ -269,43 +230,23 @@ impl HybridMemoryController for Hybrid2 {
             let vgroup = v.tag * self.cache_sets as u64 + set as u64;
             let dirty = v.dirty.count_ones();
             if dirty > 0 {
-                plan.background.push(DeviceOp {
-                    mem: Mem::Hbm,
-                    addr: self.cache_hbm_addr(set, victim, 0),
-                    bytes: dirty * BLOCK_BYTES as u32,
-                    kind: OpKind::Read,
-                    cause: TrafficCause::Writeback,
-                    mhbm: false,
-                });
-                plan.background.push(DeviceOp {
-                    mem: Mem::OffChip,
-                    addr: Addr(self.dram_div.rem(vgroup * GROUP_BYTES)),
-                    bytes: dirty * BLOCK_BYTES as u32,
-                    kind: OpKind::Write,
-                    cause: TrafficCause::Writeback,
-                    mhbm: false,
-                });
+                plan.copy(
+                    (TrafficDevice::CHbm, self.cache_hbm_addr(set, victim, 0)),
+                    (TrafficDevice::OffChip, Addr(self.dram_div.rem(vgroup * GROUP_BYTES))),
+                    dirty * BLOCK_BYTES as u32,
+                    TrafficCause::Writeback,
+                );
             }
             let first = self.cache_hbm_addr(set, victim, 0).0 / 64;
             self.overfetch.evicted_lines(first, LINES_PER_GROUP);
             self.stats.evictions += 1;
         }
-        plan.background.push(DeviceOp {
-            mem: Mem::OffChip,
-            addr: self.dram_group_addr(Addr(addr.0 & !(BLOCK_BYTES - 1))),
-            bytes: BLOCK_BYTES as u32,
-            kind: OpKind::Read,
-            cause: TrafficCause::MissFill,
-            mhbm: false,
-        });
-        plan.background.push(DeviceOp {
-            mem: Mem::Hbm,
-            addr: self.cache_hbm_addr(set, victim, block),
-            bytes: BLOCK_BYTES as u32,
-            kind: OpKind::Write,
-            cause: TrafficCause::MissFill,
-            mhbm: false,
-        });
+        plan.copy(
+            (TrafficDevice::OffChip, self.dram_block_addr(addr)),
+            (TrafficDevice::CHbm, self.cache_hbm_addr(set, victim, block)),
+            BLOCK_BYTES as u32,
+            TrafficCause::MissFill,
+        );
         self.cache[vidx] = CacheWay {
             tag,
             valid_group: true,
@@ -376,24 +317,22 @@ impl Hybrid2 {
         );
         // 1. Write the cached group back to DRAM (separate spaces).
         // 2. Swap: displaced resident → DRAM, promoted group DRAM → mHBM.
-        for (mem, a, kind, cause, mhbm) in [
-            (Mem::Hbm, hbm_cache, OpKind::Read, TrafficCause::MigrationDemote, false),
-            (Mem::OffChip, dram, OpKind::Write, TrafficCause::MigrationDemote, false),
-            (Mem::Hbm, hbm_pom, OpKind::Read, TrafficCause::MigrationDemote, true),
-            (Mem::OffChip, dram_old, OpKind::Write, TrafficCause::MigrationDemote, false),
-            (Mem::OffChip, dram, OpKind::Read, TrafficCause::MigrationPromote, false),
-            (Mem::Hbm, hbm_pom, OpKind::Write, TrafficCause::MigrationPromote, true),
-        ] {
-            plan.background.push(DeviceOp {
-                mem,
-                addr: a,
-                bytes: GROUP_BYTES as u32,
-                kind,
-                cause,
-                mhbm,
-            });
-            self.mode_switch_bytes += GROUP_BYTES;
-        }
+        let bytes = GROUP_BYTES as u32;
+        let demote = TrafficCause::MigrationDemote;
+        plan.copy((TrafficDevice::CHbm, hbm_cache), (TrafficDevice::OffChip, dram), bytes, demote);
+        plan.copy(
+            (TrafficDevice::MHbm, hbm_pom),
+            (TrafficDevice::OffChip, dram_old),
+            bytes,
+            demote,
+        );
+        plan.copy(
+            (TrafficDevice::OffChip, dram),
+            (TrafficDevice::MHbm, hbm_pom),
+            bytes,
+            TrafficCause::MigrationPromote,
+        );
+        self.mode_switch_bytes += 6 * GROUP_BYTES;
         self.overfetch.evicted_lines(hbm_cache.0 / 64, LINES_PER_GROUP);
         self.cache[idx] = CacheWay::default();
         self.pom_resident[pg] = member;
@@ -414,6 +353,7 @@ impl Hybrid2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memsim_types::Mem;
 
     fn geometry() -> Geometry {
         Geometry::paper(64)
@@ -481,7 +421,7 @@ mod tests {
         assert!(plan
             .critical
             .iter()
-            .any(|o| o.mem == Mem::Hbm && o.cause == TrafficCause::DemandRead));
+            .any(|o| o.mem() == Mem::Hbm && o.cause == TrafficCause::DemandRead));
     }
 
     /// Touches the resident member of mHBM frame 0 `resident_touches`

@@ -2,8 +2,7 @@
 
 use crate::common::FaultModel;
 use memsim_types::{
-    Access, AccessKind, AccessPath, AccessPlan, CtrlStats, DeviceOp, Geometry,
-    HybridMemoryController, Mem,
+    Access, AccessPath, AccessPlan, CtrlStats, Geometry, HybridMemoryController, TrafficDevice,
 };
 
 /// A system with off-chip DRAM only — HBM absent. Every result in the
@@ -37,12 +36,7 @@ impl HybridMemoryController for OffChipOnly {
         let addr = addr.align_down(64);
         self.stats.offchip_serves += 1;
         plan.path = AccessPath::MissFill; // no HBM: every access is the miss path
-        match req.kind {
-            AccessKind::Read => plan.critical.push(DeviceOp::demand_read(Mem::OffChip, addr, 64)),
-            AccessKind::Write => {
-                plan.background.push(DeviceOp::demand_write(Mem::OffChip, addr, 64))
-            }
-        }
+        plan.demand(req.kind, TrafficDevice::OffChip, addr, 64);
     }
 
     fn name(&self) -> &'static str {
@@ -101,7 +95,8 @@ mod tests {
         for i in 0..100u64 {
             plan.clear();
             c.access(&Access::read(Addr(i * 4096)), &mut plan);
-            assert!(plan.critical.iter().chain(&plan.background).all(|o| o.mem == Mem::OffChip));
+            let mut ops = plan.critical.iter().chain(&plan.background);
+            assert!(ops.all(|o| o.at == TrafficDevice::OffChip));
         }
     }
 }

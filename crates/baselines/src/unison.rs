@@ -9,8 +9,8 @@
 
 use crate::common::{FaultModel, LruRanks};
 use memsim_types::{
-    Access, AccessKind, AccessPath, AccessPlan, Addr, CtrlStats, DeviceOp, Geometry, TrafficCause,
-    HybridMemoryController, Mem, OpKind, OverfetchTracker, QuickDiv,
+    Access, AccessKind, AccessPath, AccessPlan, Addr, CtrlStats, DeviceOp, Geometry,
+    HybridMemoryController, OpKind, OverfetchTracker, QuickDiv, TrafficCause, TrafficDevice,
 };
 
 const PAGE_BYTES: u64 = 4096;
@@ -101,23 +101,12 @@ impl UnisonCache {
         if count == 0 {
             return;
         }
-        let bytes = count * LINE_BYTES as u32;
-        plan.background.push(DeviceOp {
-            mem: Mem::OffChip,
-            addr: Addr(page * PAGE_BYTES),
-            bytes,
-            kind: OpKind::Read,
+        plan.copy(
+            (TrafficDevice::OffChip, Addr(page * PAGE_BYTES)),
+            (TrafficDevice::CHbm, self.hbm_page_addr(set, way)),
+            count * LINE_BYTES as u32,
             cause,
-            mhbm: false,
-        });
-        plan.background.push(DeviceOp {
-            mem: Mem::Hbm,
-            addr: self.hbm_page_addr(set, way),
-            bytes,
-            kind: OpKind::Write,
-            cause,
-            mhbm: false,
-        });
+        );
         self.stats.block_fills += u64::from(count);
         self.overfetch.fetched_mask(self.hbm_line(set, way, 0), mask);
     }
@@ -131,22 +120,12 @@ impl UnisonCache {
         let page = w.tag * self.sets as u64 + set as u64;
         let dirty = w.dirty.count_ones();
         if dirty > 0 {
-            plan.background.push(DeviceOp {
-                mem: Mem::Hbm,
-                addr: self.hbm_page_addr(set, way),
-                bytes: dirty * LINE_BYTES as u32,
-                kind: OpKind::Read,
-                cause: TrafficCause::Writeback,
-                mhbm: false,
-            });
-            plan.background.push(DeviceOp {
-                mem: Mem::OffChip,
-                addr: Addr(page * PAGE_BYTES),
-                bytes: dirty * LINE_BYTES as u32,
-                kind: OpKind::Write,
-                cause: TrafficCause::Writeback,
-                mhbm: false,
-            });
+            plan.copy(
+                (TrafficDevice::CHbm, self.hbm_page_addr(set, way)),
+                (TrafficDevice::OffChip, Addr(page * PAGE_BYTES)),
+                dirty * LINE_BYTES as u32,
+                TrafficCause::Writeback,
+            );
         }
         self.train(page, w.touched);
         self.overfetch.evicted_lines(self.hbm_line(set, way, 0), LINES_PER_PAGE);
@@ -160,6 +139,7 @@ impl HybridMemoryController for UnisonCache {
         let addr = self.faults.translate(req.addr, plan);
         let page = addr.0 / PAGE_BYTES;
         let block = ((addr.0 % PAGE_BYTES) / LINE_BYTES) as u32;
+        let demand_addr = Addr(page * PAGE_BYTES + u64::from(block) * LINE_BYTES);
         let (tag, set) = self.set_div.div_rem(page);
         let set = set as usize;
         let is_read = req.kind == AccessKind::Read;
@@ -180,19 +160,8 @@ impl HybridMemoryController for UnisonCache {
             self.ways[idx].touched |= 1 << block;
             if self.ways[idx].present & (1 << block) != 0 {
                 // Page and block present: HBM serves the demand.
-                let op = DeviceOp {
-                    mem: Mem::Hbm,
-                    addr: Addr(self.hbm_page_addr(set, w).0 + u64::from(block) * LINE_BYTES),
-                    bytes: LINE_BYTES as u32,
-                    kind: if is_read { OpKind::Read } else { OpKind::Write },
-                    cause: if is_read { TrafficCause::DemandRead } else { TrafficCause::DemandWrite },
-                    mhbm: false,
-                };
-                if is_read {
-                    plan.critical.push(op);
-                } else {
-                    plan.background.push(op);
-                }
+                let hbm = Addr(self.hbm_page_addr(set, w).0 + u64::from(block) * LINE_BYTES);
+                plan.demand(req.kind, TrafficDevice::CHbm, hbm, LINE_BYTES as u32);
                 if !is_read {
                     self.ways[idx].dirty |= 1 << block;
                 }
@@ -202,19 +171,7 @@ impl HybridMemoryController for UnisonCache {
                 return;
             }
             // Footprint under-prediction: fetch the missing block.
-            let op = DeviceOp {
-                mem: Mem::OffChip,
-                addr: Addr(page * PAGE_BYTES + u64::from(block) * LINE_BYTES),
-                bytes: LINE_BYTES as u32,
-                kind: if is_read { OpKind::Read } else { OpKind::Write },
-                cause: if is_read { TrafficCause::DemandRead } else { TrafficCause::DemandWrite },
-                mhbm: false,
-            };
-            if is_read {
-                plan.critical.push(op);
-            } else {
-                plan.background.push(op);
-            }
+            plan.demand(req.kind, TrafficDevice::OffChip, demand_addr, LINE_BYTES as u32);
             self.stats.offchip_serves += 1;
             self.fetch_blocks(plan, page, set, w, 1 << block, TrafficCause::MissFill);
             self.ways[idx].present |= 1 << block;
@@ -226,26 +183,13 @@ impl HybridMemoryController for UnisonCache {
         // HBM bandwidth (off the critical path thanks to the predictor),
         // and the demand is served off-chip.
         plan.background.push(DeviceOp {
-            mem: Mem::Hbm,
+            at: TrafficDevice::CHbm,
             addr: self.hbm_page_addr(set, 0),
             bytes: 64,
             kind: OpKind::Read,
             cause: TrafficCause::Metadata,
-            mhbm: false,
         });
-        let op = DeviceOp {
-            mem: Mem::OffChip,
-            addr: Addr(page * PAGE_BYTES + u64::from(block) * LINE_BYTES),
-            bytes: LINE_BYTES as u32,
-            kind: if is_read { OpKind::Read } else { OpKind::Write },
-            cause: if is_read { TrafficCause::DemandRead } else { TrafficCause::DemandWrite },
-            mhbm: false,
-        };
-        if is_read {
-            plan.critical.push(op);
-        } else {
-            plan.background.push(op);
-        }
+        plan.demand(req.kind, TrafficDevice::OffChip, demand_addr, LINE_BYTES as u32);
         self.stats.offchip_serves += 1;
 
         let victim = self.lru.lru(set);
@@ -294,6 +238,7 @@ impl HybridMemoryController for UnisonCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memsim_types::Mem;
 
     fn geometry() -> Geometry {
         Geometry::paper(256)
@@ -327,7 +272,7 @@ mod tests {
         let metas = plan
             .background
             .iter()
-            .filter(|o| o.cause == TrafficCause::Metadata && o.mem == Mem::Hbm)
+            .filter(|o| o.cause == TrafficCause::Metadata && o.mem() == Mem::Hbm)
             .count();
         assert_eq!(metas, 1, "page miss pays the probe");
         plan.clear();
@@ -395,7 +340,7 @@ mod tests {
         let wb: u64 = plan
             .background
             .iter()
-            .filter(|o| o.cause == TrafficCause::Writeback && o.mem == Mem::OffChip)
+            .filter(|o| o.cause == TrafficCause::Writeback && o.mem() == Mem::OffChip)
             .map(|o| u64::from(o.bytes))
             .sum();
         assert_eq!(wb, 64, "exactly one dirty line written back");

@@ -47,7 +47,7 @@ proptest! {
                 plan.clear();
                 c.access(a, &mut plan);
                 for op in plan.critical.iter().chain(&plan.background) {
-                    let cap = match op.mem {
+                    let cap = match op.mem() {
                         Mem::Hbm => g.hbm_bytes(),
                         Mem::OffChip => g.dram_bytes(),
                     };

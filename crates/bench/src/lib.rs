@@ -19,8 +19,10 @@
 //! * `--out DIR` — directory for `*.jsonl` artifacts (default:
 //!   `BUMBLEBEE_RESULTS_DIR` or `./results`).
 //!
-//! Any other `--flag` is an error. So is a positional argument, except for
-//! the one panel or sweep name that `fig8` and `sensitivity` accept.
+//! Any other `--flag` is an error. So is a workload outside Table II, and a
+//! positional argument, except for the one panel or sweep name that `fig8`
+//! and `sensitivity` accept. An error prints its reason and the usage line
+//! on stderr and exits with status 2.
 //!
 //! Each binary ends with [`report_peak_rss`], which prints the process's
 //! peak resident set on stderr.
@@ -106,15 +108,27 @@ impl HarnessOpts {
     }
 }
 
+/// The next argument as a positive number, or `err` when it is missing,
+/// malformed or zero.
+fn positive<T: std::str::FromStr + Default + PartialOrd>(
+    it: &mut impl Iterator<Item = String>,
+    err: &str,
+) -> Result<T, String> {
+    it.next().and_then(|v| v.parse().ok()).filter(|v| *v > T::default()).ok_or_else(|| err.into())
+}
+
 /// Parses command-line style arguments. `selections` lists the positional
 /// names the binary accepts (empty: none).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics with a usage message on a malformed or unknown flag, on a
-/// workload named twice, and on a positional not in `selections` or after
-/// another one — before the binary runs or writes anything.
-pub fn parse_args<I: IntoIterator<Item = String>>(args: I, selections: &[&str]) -> HarnessOpts {
+/// A usage message on a malformed or unknown flag, on a workload that is
+/// not in Table II or is named twice, and on a positional not in
+/// `selections` or after another one.
+pub fn parse_args<I: IntoIterator<Item = String>>(
+    args: I,
+    selections: &[&str],
+) -> Result<HarnessOpts, String> {
     let mut scale = 16u64;
     let mut accesses: Option<u64> = None;
     let mut names: Option<Vec<String>> = None;
@@ -127,71 +141,54 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I, selections: &[&str]) 
     while let Some(a) = it.next() {
         match a.as_str() {
             "--full" => scale = 1,
-            "--scale" => {
-                scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&s| s > 0)
-                    .unwrap_or_else(|| panic!("--scale needs a positive number"));
-            }
+            "--scale" => scale = positive(&mut it, "--scale needs a positive number")?,
             "--accesses" => {
-                accesses = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| panic!("--accesses needs a positive number")),
-                );
+                accesses = Some(positive(&mut it, "--accesses needs a positive number")?);
             }
             "--workloads" => {
-                let list = it.next().unwrap_or_else(|| panic!("--workloads needs a list"));
+                let list = it.next().ok_or("--workloads needs a list")?;
                 let ns: Vec<String> = list.split(',').map(str::to_string).collect();
                 for (i, n) in ns.iter().enumerate() {
                     if ns[..i].contains(n) {
-                        panic!("--workloads names {n} twice");
+                        return Err(format!("--workloads names {n} twice"));
                     }
                 }
                 names = Some(ns);
             }
-            "--jobs" => {
-                jobs = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&j| j > 0)
-                        .unwrap_or_else(|| panic!("--jobs needs a positive number")),
-                );
-            }
+            "--jobs" => jobs = Some(positive(&mut it, "--jobs needs a positive number")?),
             "--metrics" => metrics = true,
             "--trace-sample" => {
-                trace_sample = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&r| r > 0)
-                        .unwrap_or_else(|| panic!("--trace-sample needs a positive rate")),
-                );
+                trace_sample = Some(positive(&mut it, "--trace-sample needs a positive rate")?);
                 metrics = true; // records ride on the metrics pipeline
             }
-            "--out" => {
-                out = Some(PathBuf::from(
-                    it.next().unwrap_or_else(|| panic!("--out needs a directory")),
-                ));
-            }
-            flag if flag.starts_with("--") => panic!(
-                "unknown flag {flag}; flags: --full --scale N --accesses N --workloads a,b \
-                 --jobs N --metrics --trace-sample N --out DIR"
-            ),
+            "--out" => out = Some(PathBuf::from(it.next().ok_or("--out needs a directory")?)),
+            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
             name if selection.is_none() && selections.contains(&name) => {
                 selection = Some(name.to_string());
             }
-            name => panic!("unexpected argument {name:?}; accepted: at most one of {selections:?}"),
+            name => {
+                return Err(format!(
+                    "unexpected argument {name:?}; accepted: at most one of {selections:?}"
+                ));
+            }
         }
     }
     let default_accesses = if scale == 1 { 2_000_000 } else { 400_000 };
     let cfg = RunConfig::at_scale(scale, accesses.unwrap_or(default_accesses));
+    let table2 = SpecProfile::table2();
     let profiles = match names {
-        Some(ns) => ns.iter().map(|n| SpecProfile::named(n)).collect(),
-        None => SpecProfile::table2(),
+        Some(ns) => ns
+            .iter()
+            .map(|n| {
+                table2.iter().find(|p| p.name == n).copied().ok_or_else(|| {
+                    let known: Vec<&str> = table2.iter().map(|p| p.name).collect();
+                    format!("unknown workload {n}; Table II names: {}", known.join(","))
+                })
+            })
+            .collect::<Result<_, _>>()?,
+        None => table2,
     };
-    HarnessOpts {
+    Ok(HarnessOpts {
         cfg,
         profiles,
         jobs,
@@ -199,12 +196,29 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I, selections: &[&str]) 
         trace_sample,
         out: out.unwrap_or_else(memsim_sim::results_dir),
         selection,
-    }
+    })
 }
 
-/// Parses `std::env::args()` (skipping the binary name); see [`parse_args`].
+/// Parses `std::env::args()` (skipping the binary name); see
+/// [`parse_args`]. On a usage error it prints `error: <reason>` and the
+/// usage line on stderr and exits with status 2, before the binary runs a
+/// cell or writes a file.
 pub fn parse_env(selections: &[&str]) -> HarnessOpts {
-    parse_args(std::env::args().skip(1), selections)
+    let mut args = std::env::args();
+    let path = args.next().unwrap_or_default();
+    parse_args(args, selections).unwrap_or_else(|e| {
+        let bin = path.rsplit('/').next().unwrap_or_default();
+        let positional = if selections.is_empty() {
+            String::new()
+        } else {
+            format!(" [{}]", selections.join("|"))
+        };
+        eprintln!(
+            "error: {e}\nusage: {bin} [--full] [--scale N] [--accesses N] [--workloads a,b] \
+             [--jobs N] [--metrics] [--trace-sample N] [--out DIR]{positional}"
+        );
+        std::process::exit(2);
+    })
 }
 
 /// Prints `peak_rss_mb <MB>` on stderr: the process's peak resident set
@@ -225,9 +239,12 @@ pub fn report_peak_rss() {
 mod tests {
     use super::*;
 
-    /// Parses `args` for a binary whose positional is `ipc` or `all`.
+    /// Parses `args` for a binary whose positional is `ipc` or `all`,
+    /// panicking with the usage error's text, so a `should_panic` test
+    /// checks the `Err` message.
     fn opts(args: &[&str]) -> HarnessOpts {
         parse_args(args.iter().map(|s| s.to_string()), &["ipc", "all"])
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! End-to-end tests of the figure binaries' command line: an unknown
 //! sweep or a repeated workload fails before the binary runs a cell or
-//! writes a file, `--jobs` changes no byte of the stdout table, and the
-//! peak resident set is reported on stderr.
+//! writes a file, a usage error exits 2 with the usage line instead of a
+//! panic, `--jobs` changes no byte of the stdout table, and the peak
+//! resident set is reported on stderr.
 
 use std::path::PathBuf;
 
@@ -84,4 +85,21 @@ fn fig8_table_is_identical_at_every_width() {
         String::from_utf8_lossy(&serial),
         String::from_utf8_lossy(&fig8_stdout("2"))
     );
+}
+
+#[test]
+fn usage_errors_exit_2_with_the_usage_line() {
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_fig8"), &["--help"][..]),
+        (env!("CARGO_BIN_EXE_table1"), &["--bogus"][..]),
+        (env!("CARGO_BIN_EXE_fig8"), &["--scale"][..]),
+        (env!("CARGO_BIN_EXE_fig7"), &["--workloads", "mcf,nope"][..]),
+    ] {
+        let output = std::process::Command::new(bin).args(args).output().expect("spawning");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{bin} {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{bin} {args:?} printed before failing");
+    }
 }

@@ -6,7 +6,7 @@ use crate::set::{RemapSet, ServedFrom, SetCtx};
 use memsim_obs::{EpochGauges, Ring, TimedEvent, OCC_BUCKETS};
 use memsim_types::{
     Access, AccessBatch, AccessKind, AccessPlan, Addr, CtrlStats, Geometry,
-    HybridMemoryController, Mem, MetadataModel, OverfetchTracker, PageIndex, PageSlot, PlanBuffer,
+    HybridMemoryController, MetadataModel, OverfetchTracker, PageIndex, PageSlot, PlanBuffer,
 };
 
 /// Accesses between two global pressure-flush rounds (rule 5 batching).
@@ -55,9 +55,9 @@ impl BumblebeeController {
     pub fn new(geometry: Geometry, cfg: BumblebeeConfig) -> BumblebeeController {
         let breakdown = MetadataBreakdown::compute(&geometry, &cfg);
         let metadata = if cfg.metadata_in_hbm {
-            MetadataModel::all_in_memory(breakdown.total(), Mem::Hbm, 64)
+            MetadataModel::all_in_memory(breakdown.total())
         } else {
-            MetadataModel::new(breakdown.total(), cfg.sram_budget, Mem::Hbm, 64)
+            MetadataModel::new(breakdown.total(), cfg.sram_budget)
         };
         let sets: Box<[RemapSet]> = (0..geometry.num_sets())
             .map(|s| {
@@ -336,6 +336,7 @@ impl HybridMemoryController for BumblebeeController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memsim_types::Mem;
 
     fn tiny_geometry() -> Geometry {
         Geometry::builder()
@@ -381,7 +382,7 @@ mod tests {
         plan.clear();
         c.access(&Access::read(Addr(0)), &mut plan);
         assert_eq!(c.stats().hbm_hits, 1);
-        assert!(plan.critical.iter().any(|op| op.mem == Mem::Hbm));
+        assert!(plan.critical.iter().any(|op| op.mem() == Mem::Hbm));
     }
 
     #[test]
@@ -400,7 +401,7 @@ mod tests {
         assert!(
             plan.background
                 .iter()
-                .any(|op| op.cause == memsim_types::TrafficCause::Metadata && op.mem == Mem::Hbm),
+                .any(|op| op.cause == memsim_types::TrafficCause::Metadata && op.mem() == Mem::Hbm),
             "Meta-H must read metadata from HBM"
         );
         assert!(

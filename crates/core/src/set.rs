@@ -14,8 +14,8 @@ use crate::hot_table::{HotEntry, HotTable};
 use crate::prt::Prt;
 use memsim_obs::{Ring, TimedEvent, TraceEvent};
 use memsim_types::{
-    AccessKind, AccessPath, AccessPlan, Addr, BlockIndex, CtrlStats, DeviceOp, Geometry, Mem,
-    OpKind, OverfetchTracker, PageSlot, TrafficCause,
+    AccessKind, AccessPath, AccessPlan, Addr, BlockIndex, CtrlStats, DeviceOp, Geometry, OpKind,
+    OverfetchTracker, PageSlot, TrafficCause, TrafficDevice, FAULT_STALL_CYCLES,
 };
 
 /// Where a demand request was served from.
@@ -71,14 +71,6 @@ impl SetCtx<'_> {
     fn emit(&mut self, ev: impl FnOnce() -> TraceEvent) {
         if let Some(r) = self.events.as_deref_mut() {
             r.push(TimedEvent { seq: self.seq, event: ev() });
-        }
-    }
-
-    fn push(&mut self, critical: bool, op: DeviceOp) {
-        if critical {
-            self.plan.critical.push(op);
-        } else {
-            self.plan.background.push(op);
         }
     }
 
@@ -363,11 +355,7 @@ impl RemapSet {
         debug_assert_eq!(self.bles[f].ple, o);
         self.bles[f].valid.set(block); // accessed-block tracking
         let addr = ctx.hbm_addr(u32::from(frame), block);
-        let op = match kind {
-            AccessKind::Read => DeviceOp::demand_read(Mem::Hbm, addr, 64).with_mhbm(),
-            AccessKind::Write => DeviceOp::demand_write(Mem::Hbm, addr, 64).with_mhbm(),
-        };
-        ctx.push(kind == AccessKind::Read, op);
+        ctx.plan.demand(kind, TrafficDevice::MHbm, addr, 64);
         self.hot.touch_hbm(o);
         ctx.stats.hbm_hits += 1;
         ctx.plan.path = AccessPath::MhbmHit;
@@ -393,11 +381,7 @@ impl RemapSet {
             if self.bles[f].valid.get(block) {
                 // ⑦ block cached: serve from cHBM.
                 let addr = ctx.hbm_addr(u32::from(fi), block);
-                let op = match kind {
-                    AccessKind::Read => DeviceOp::demand_read(Mem::Hbm, addr, 64),
-                    AccessKind::Write => DeviceOp::demand_write(Mem::Hbm, addr, 64),
-                };
-                ctx.push(kind == AccessKind::Read, op);
+                ctx.plan.demand(kind, TrafficDevice::CHbm, addr, 64);
                 if kind == AccessKind::Write {
                     self.bles[f].dirty.set(block);
                 }
@@ -439,11 +423,7 @@ impl RemapSet {
 
     fn serve_offchip(&mut self, home: u16, block: u32, kind: AccessKind, ctx: &mut SetCtx<'_>) {
         let addr = ctx.dram_addr(home, block);
-        let op = match kind {
-            AccessKind::Read => DeviceOp::demand_read(Mem::OffChip, addr, 64),
-            AccessKind::Write => DeviceOp::demand_write(Mem::OffChip, addr, 64),
-        };
-        ctx.push(kind == AccessKind::Read, op);
+        ctx.plan.demand(kind, TrafficDevice::OffChip, addr, 64);
         ctx.stats.offchip_serves += 1;
     }
 
@@ -587,22 +567,9 @@ impl RemapSet {
         // Move the page: read the whole page from DRAM, write it to HBM.
         let home = self.prt.location(o).expect("allocated"); // caller migrates only allocated pages; debug builds sweep PRT<->BLE consistency
         debug_assert!(!self.prt.is_hbm_slot(home));
-        ctx.push(false, DeviceOp {
-            mem: Mem::OffChip,
-            addr: ctx.dram_addr(home, 0),
-            bytes: page_bytes,
-            kind: OpKind::Read,
-            cause: TrafficCause::MigrationPromote,
-            mhbm: false,
-        });
-        ctx.push(false, DeviceOp {
-            mem: Mem::Hbm,
-            addr: ctx.hbm_addr(u32::from(f), 0),
-            bytes: page_bytes,
-            kind: OpKind::Write,
-            cause: TrafficCause::MigrationPromote,
-            mhbm: true,
-        });
+        let dram = (TrafficDevice::OffChip, ctx.dram_addr(home, 0));
+        let mhbm = (TrafficDevice::MHbm, ctx.hbm_addr(u32::from(f), 0));
+        ctx.plan.copy(dram, mhbm, page_bytes, TrafficCause::MigrationPromote);
         ctx.of_fetched_page(f);
         ctx.of_used(f, block, line);
         self.prt.relocate(o, self.m() + f);
@@ -644,23 +611,9 @@ impl RemapSet {
     /// copy arrives clean; only cHBM write hits dirty it).
     fn fill_block(&mut self, o: u16, fi: u8, home: u16, block: u32, ctx: &mut SetCtx<'_>) {
         let f = usize::from(fi);
-        let block_bytes = ctx.geometry.block_bytes() as u32;
-        ctx.push(false, DeviceOp {
-            mem: Mem::OffChip,
-            addr: ctx.dram_addr(home, block),
-            bytes: block_bytes,
-            kind: OpKind::Read,
-            cause: TrafficCause::MissFill,
-            mhbm: false,
-        });
-        ctx.push(false, DeviceOp {
-            mem: Mem::Hbm,
-            addr: ctx.hbm_addr(u32::from(fi), block),
-            bytes: block_bytes,
-            kind: OpKind::Write,
-            cause: TrafficCause::MissFill,
-            mhbm: false,
-        });
+        let dram = (TrafficDevice::OffChip, ctx.dram_addr(home, block));
+        let chbm = (TrafficDevice::CHbm, ctx.hbm_addr(u32::from(fi), block));
+        ctx.plan.copy(dram, chbm, ctx.geometry.block_bytes() as u32, TrafficCause::MissFill);
         self.bles[f].valid.set(block);
         ctx.stats.block_fills += 1;
         let set = ctx.set_id;
@@ -685,49 +638,23 @@ impl RemapSet {
         // bitmap words (the bitmap is `Copy`), so no block list is
         // collected and `self` stays free for the loop body.
         for b in self.bles[f].valid.iter_clear(bpp) {
-            ctx.push(false, DeviceOp {
-                mem: Mem::OffChip,
-                addr: ctx.dram_addr(home, b),
-                bytes: block_bytes,
-                kind: OpKind::Read,
-                cause: TrafficCause::MigrationPromote,
-                mhbm: false,
-            });
-            ctx.push(false, DeviceOp {
-                mem: Mem::Hbm,
-                addr: ctx.hbm_addr(u32::from(fi), b),
-                bytes: block_bytes,
-                kind: OpKind::Write,
-                cause: TrafficCause::MigrationPromote,
-                mhbm: true,
-            });
+            let dram = (TrafficDevice::OffChip, ctx.dram_addr(home, b));
+            let mhbm = (TrafficDevice::MHbm, ctx.hbm_addr(u32::from(fi), b));
+            ctx.plan.copy(dram, mhbm, block_bytes, TrafficCause::MigrationPromote);
             *ctx.mode_switch_bytes += 2 * u64::from(block_bytes);
             ctx.of_fetched_block(u16::from(fi), b);
         }
         if !ctx.cfg.multiplexed {
             // No-Multi: separate cHBM/mHBM spaces force the page through
-            // off-chip DRAM and back (eviction + re-migration).
+            // off-chip DRAM and back (eviction + re-migration): it leaves
+            // the frame as cHBM and returns to it as mHBM.
             let page_bytes = ctx.geometry.page_bytes() as u32;
-            for (mem, kind, cause, mhbm) in [
-                (Mem::Hbm, OpKind::Read, TrafficCause::MigrationDemote, false),
-                (Mem::OffChip, OpKind::Write, TrafficCause::MigrationDemote, false),
-                (Mem::OffChip, OpKind::Read, TrafficCause::MigrationPromote, false),
-                (Mem::Hbm, OpKind::Write, TrafficCause::MigrationPromote, true),
-            ] {
-                ctx.push(false, DeviceOp {
-                    mem,
-                    addr: if mem == Mem::Hbm {
-                        ctx.hbm_addr(u32::from(fi), 0)
-                    } else {
-                        ctx.dram_addr(home, 0)
-                    },
-                    bytes: page_bytes,
-                    kind,
-                    cause,
-                    mhbm,
-                });
-                *ctx.mode_switch_bytes += u64::from(page_bytes);
-            }
+            let hbm = ctx.hbm_addr(u32::from(fi), 0);
+            let dram = (TrafficDevice::OffChip, ctx.dram_addr(home, 0));
+            let (chbm, mhbm) = ((TrafficDevice::CHbm, hbm), (TrafficDevice::MHbm, hbm));
+            ctx.plan.copy(chbm, dram, page_bytes, TrafficCause::MigrationDemote);
+            ctx.plan.copy(dram, mhbm, page_bytes, TrafficCause::MigrationPromote);
+            *ctx.mode_switch_bytes += 4 * u64::from(page_bytes);
         }
         self.prt.relocate(o, self.m() + u16::from(fi));
         self.ble_switch_to_mhbm(f);
@@ -828,7 +755,9 @@ impl RemapSet {
                 if !ctx.cfg.multiplexed {
                     // Separate spaces: the page must actually be copied out.
                     let page_bytes = ctx.geometry.page_bytes() as u32;
-                    self.page_copy(frame, dram_slot, page_bytes, TrafficCause::MigrationDemote, true, ctx);
+                    let mhbm = (TrafficDevice::MHbm, ctx.hbm_addr(u32::from(frame), 0));
+                    let dram = (TrafficDevice::OffChip, ctx.dram_addr(dram_slot, 0));
+                    ctx.plan.copy(mhbm, dram, page_bytes, TrafficCause::MigrationDemote);
                     *ctx.mode_switch_bytes += 2 * u64::from(page_bytes);
                     // And the cHBM copy is now clean.
                     self.bles[usize::from(frame)].dirty.clear_all();
@@ -859,43 +788,15 @@ impl RemapSet {
         cause: TrafficCause,
         ctx: &mut SetCtx<'_>,
     ) {
-        let page_bytes = ctx.geometry.page_bytes() as u32;
-        self.page_copy(frame, slot, page_bytes, cause, true, ctx);
+        let mhbm = (TrafficDevice::MHbm, ctx.hbm_addr(u32::from(frame), 0));
+        let dram = (TrafficDevice::OffChip, ctx.dram_addr(slot, 0));
+        ctx.plan.copy(mhbm, dram, ctx.geometry.page_bytes() as u32, cause);
         self.prt.relocate(ple, slot);
         ctx.of_evicted_page(frame);
         self.ble_reset(usize::from(frame));
         ctx.stats.evictions += 1;
         let set = ctx.set_id;
         ctx.emit(|| TraceEvent::Evict { set, page: ple });
-    }
-
-    /// HBM→DRAM page copy helper. `mhbm` records whether the HBM frame
-    /// being read out is a memory-mode frame (traffic accounting only).
-    fn page_copy(
-        &self,
-        frame: u16,
-        dram_slot: u16,
-        bytes: u32,
-        cause: TrafficCause,
-        mhbm: bool,
-        ctx: &mut SetCtx<'_>,
-    ) {
-        ctx.push(false, DeviceOp {
-            mem: Mem::Hbm,
-            addr: ctx.hbm_addr(u32::from(frame), 0),
-            bytes,
-            kind: OpKind::Read,
-            cause,
-            mhbm,
-        });
-        ctx.push(false, DeviceOp {
-            mem: Mem::OffChip,
-            addr: ctx.dram_addr(dram_slot, 0),
-            bytes,
-            kind: OpKind::Write,
-            cause,
-            mhbm: false,
-        });
     }
 
     /// Writes back a cHBM frame's dirty blocks and frees the frame.
@@ -915,22 +816,9 @@ impl RemapSet {
         // `iter_set` snapshots the bitmap words — no dirty-block list is
         // allocated on the writeback path.
         for b in self.bles[f].dirty.iter_set(bpp) {
-            ctx.push(false, DeviceOp {
-                mem: Mem::Hbm,
-                addr: ctx.hbm_addr(u32::from(fi), b),
-                bytes: block_bytes,
-                kind: OpKind::Read,
-                cause,
-                mhbm: false,
-            });
-            ctx.push(false, DeviceOp {
-                mem: Mem::OffChip,
-                addr: ctx.dram_addr(home, b),
-                bytes: block_bytes,
-                kind: OpKind::Write,
-                cause,
-                mhbm: false,
-            });
+            let chbm = (TrafficDevice::CHbm, ctx.hbm_addr(u32::from(fi), b));
+            let dram = (TrafficDevice::OffChip, ctx.dram_addr(home, b));
+            ctx.plan.copy(chbm, dram, block_bytes, cause);
         }
         ctx.of_evicted_page(u16::from(fi));
         self.ble_reset(f);
@@ -1011,38 +899,17 @@ impl RemapSet {
         let page_bytes = ctx.geometry.page_bytes() as u32;
         // Full 2-page swap: read both, write both crosswise. The incoming
         // page's legs are promotion traffic, the victim's legs demotion.
-        ctx.push(false, DeviceOp {
-            mem: Mem::OffChip,
-            addr: ctx.dram_addr(home, 0),
-            bytes: page_bytes,
-            kind: OpKind::Read,
-            cause: TrafficCause::MigrationPromote,
-            mhbm: false,
-        });
-        ctx.push(false, DeviceOp {
-            mem: Mem::Hbm,
-            addr: ctx.hbm_addr(u32::from(frame), 0),
-            bytes: page_bytes,
-            kind: OpKind::Read,
-            cause: TrafficCause::MigrationDemote,
-            mhbm: true,
-        });
-        ctx.push(false, DeviceOp {
-            mem: Mem::Hbm,
-            addr: ctx.hbm_addr(u32::from(frame), 0),
-            bytes: page_bytes,
-            kind: OpKind::Write,
-            cause: TrafficCause::MigrationPromote,
-            mhbm: true,
-        });
-        ctx.push(false, DeviceOp {
-            mem: Mem::OffChip,
-            addr: ctx.dram_addr(home, 0),
-            bytes: page_bytes,
-            kind: OpKind::Write,
-            cause: TrafficCause::MigrationDemote,
-            mhbm: false,
-        });
+        // Both reads issue before both writes, so the swap is not two
+        // `copy`s.
+        let (dram, hbm) = (ctx.dram_addr(home, 0), ctx.hbm_addr(u32::from(frame), 0));
+        for (at, addr, kind, cause) in [
+            (TrafficDevice::OffChip, dram, OpKind::Read, TrafficCause::MigrationPromote),
+            (TrafficDevice::MHbm, hbm, OpKind::Read, TrafficCause::MigrationDemote),
+            (TrafficDevice::MHbm, hbm, OpKind::Write, TrafficCause::MigrationPromote),
+            (TrafficDevice::OffChip, dram, OpKind::Write, TrafficCause::MigrationDemote),
+        ] {
+            ctx.plan.background.push(DeviceOp { at, addr, bytes: page_bytes, kind, cause });
+        }
         ctx.of_evicted_page(frame);
         ctx.of_fetched_page(frame);
         ctx.of_used(frame, block, line);
@@ -1159,8 +1026,8 @@ impl RemapSet {
 
     fn page_fault_alloc(&mut self, o: u16, ctx: &mut SetCtx<'_>) {
         self.page_faults += 1;
-        // OS swap penalty (~10 µs at 3.6 GHz) for faulting the page in.
-        ctx.plan.stall_cycles += 36_000;
+        // OS swap penalty for faulting the page in.
+        ctx.plan.stall_cycles += FAULT_STALL_CYCLES;
         // Pick a cold DRAM-resident victim (not tracked hot, not cached).
         let victim = (0..self.prt.slots()).find(|&v| {
             v != o

@@ -149,7 +149,7 @@ proptest! {
             c.access(a, &mut plan);
             // Every emitted op stays within its device.
             for op in plan.critical.iter().chain(&plan.background) {
-                let cap = match op.mem {
+                let cap = match op.mem() {
                     memsim_types::Mem::Hbm => geometry.hbm_bytes(),
                     memsim_types::Mem::OffChip => geometry.dram_bytes(),
                 };

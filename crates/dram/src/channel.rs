@@ -57,11 +57,6 @@ impl Channel {
         self.busy_cycles
     }
 
-    /// Cycle at which the data bus next becomes free.
-    pub fn bus_free_at(&self) -> u64 {
-        self.bus_free_at
-    }
-
     /// Schedules a chunk touching `(bank, row)` at time `now` whose data
     /// burst occupies the bus for `burst` CPU cycles (the device looks it
     /// up in its precomputed burst table), returning when the data is

@@ -1,8 +1,8 @@
 //! Cause-attributed traffic accounting and bandwidth-utilization gauges.
 //!
-//! Every DRAM transaction a controller issues carries a
-//! [`TrafficCause`] tag and an mHBM-residency flag; this module turns
-//! that stream into:
+//! Every DRAM transaction a controller issues names its
+//! [`TrafficCause`] and the [`TrafficDevice`] class it lands on; this
+//! module turns that stream into:
 //!
 //! * [`TrafficMatrix`] — per-device-class
 //!   ([`TrafficDevice`]: mHBM / cHBM / off-chip) per-cause byte and op
@@ -119,7 +119,9 @@ pub fn reconcile(
 /// The full traffic-accounting state of one run:
 /// the cause matrix, per-class op-size distributions, and the per-access
 /// DRAM-op fan-out histogram (a memory-level-parallelism proxy — how many
-/// transactions one LLC miss expands into).
+/// transactions one LLC miss expands into). Every op is filed under the
+/// device class it names itself ([`DeviceOp::at`]); nothing here infers a
+/// class from an address or a device.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TrafficAccum {
     /// Per-class per-cause byte/op counters.
@@ -138,12 +140,12 @@ impl TrafficAccum {
         TrafficAccum::default()
     }
 
-    /// Records one device transaction.
+    /// Records one device transaction under its own device class
+    /// ([`DeviceOp::at`]) and cause.
     #[inline]
     pub fn record_op(&mut self, op: &DeviceOp) {
-        let device = op.device();
-        self.matrix.record(device, op.cause, u64::from(op.bytes));
-        self.size[device.index()].record(u64::from(op.bytes));
+        self.matrix.record(op.at, op.cause, u64::from(op.bytes));
+        self.size[op.at.index()].record(u64::from(op.bytes));
     }
 
     /// Records every transaction of one access's plan (its critical and
@@ -199,10 +201,10 @@ impl BwPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use memsim_types::{Addr, DeviceOp, Mem, OpKind};
+    use memsim_types::{Addr, DeviceOp, OpKind};
 
-    fn op(mem: Mem, bytes: u32, cause: TrafficCause, mhbm: bool) -> DeviceOp {
-        DeviceOp { mem, addr: Addr(0), bytes, kind: OpKind::Read, cause, mhbm }
+    fn op(at: TrafficDevice, bytes: u32, cause: TrafficCause) -> DeviceOp {
+        DeviceOp { at, addr: Addr(0), bytes, kind: OpKind::Read, cause }
     }
 
     #[test]
@@ -228,9 +230,9 @@ mod tests {
     fn accum_records_plans_and_reconciles() {
         let mut acc = TrafficAccum::new();
         let mut plan = AccessPlan::new();
-        plan.critical.push(op(Mem::Hbm, 64, TrafficCause::DemandRead, true));
-        plan.background.push(op(Mem::OffChip, 2048, TrafficCause::MissFill, false));
-        plan.background.push(op(Mem::Hbm, 2048, TrafficCause::MissFill, false));
+        plan.critical.push(op(TrafficDevice::MHbm, 64, TrafficCause::DemandRead));
+        plan.background.push(op(TrafficDevice::OffChip, 2048, TrafficCause::MissFill));
+        plan.background.push(op(TrafficDevice::CHbm, 2048, TrafficCause::MissFill));
         acc.record_view(&plan.critical, &plan.background);
         assert_eq!(acc.matrix.device_bytes(TrafficDevice::MHbm), 64);
         assert_eq!(acc.matrix.device_bytes(TrafficDevice::CHbm), 2048);
@@ -250,8 +252,8 @@ mod tests {
     fn doctored_unclassified_transaction_fails_reconciliation() {
         let mut acc = TrafficAccum::new();
         let mut plan = AccessPlan::new();
-        plan.critical.push(op(Mem::Hbm, 64, TrafficCause::DemandRead, false));
-        plan.background.push(op(Mem::OffChip, 4096, TrafficCause::Writeback, false));
+        plan.critical.push(op(TrafficDevice::CHbm, 64, TrafficCause::DemandRead));
+        plan.background.push(op(TrafficDevice::OffChip, 4096, TrafficCause::Writeback));
         acc.record_view(&plan.critical, &plan.background);
         reconcile(&acc.matrix, 64, 4096).unwrap();
         // Doctor the device side: pretend a 64-byte transaction reached the

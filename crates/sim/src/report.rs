@@ -81,15 +81,6 @@ impl SimReport {
         }
     }
 
-    /// MAL as a fraction of all demand-side cycles.
-    pub fn mal_fraction(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.mal_cycles as f64 / self.cycles as f64
-        }
-    }
-
     /// Appends every report field (flat keys, controller counters under
     /// `stats_*`) to a JSONL object under construction.
     pub fn append_json(&self, obj: &mut JsonObj) {
@@ -124,13 +115,6 @@ impl SimReport {
             .u64("stats_allocations", self.stats.allocations)
             .u64("stats_alloc_in_hbm", self.stats.alloc_in_hbm);
         *obj = o;
-    }
-
-    /// The report as one standalone JSONL line.
-    pub fn to_jsonl(&self) -> String {
-        let mut obj = JsonObj::new();
-        self.append_json(&mut obj);
-        obj.finish()
     }
 }
 
@@ -199,7 +183,6 @@ mod tests {
         assert!((fast.normalized_energy(&base) - 0.8).abs() < 1e-12);
         assert!((fast.normalized_dram_traffic(&base) - 0.5).abs() < 1e-12);
         assert!((fast.normalized_hbm_traffic(&base) - 0.512).abs() < 1e-12);
-        assert!((fast.mal_fraction() - 0.05).abs() < 1e-12);
     }
 
     #[test]

@@ -221,15 +221,15 @@ impl<C: HybridMemoryController> System<C> {
                 let op = view.critical[k];
                 let start = t;
                 let q0 = if probing && op.cause != TrafficCause::Metadata {
-                    self.device(op.mem).histograms().queue_wait.sum()
+                    self.device(op.mem()).histograms().queue_wait.sum()
                 } else {
                     0
                 };
-                t = self.device(op.mem).access(op.addr, op.bytes, op.kind, t);
+                t = self.device(op.mem()).access(op.addr, op.bytes, op.kind, t);
                 if op.cause == TrafficCause::Metadata {
                     mal += t - start;
                 } else if probing {
-                    queue += self.device(op.mem).histograms().queue_wait.sum() - q0;
+                    queue += self.device(op.mem()).histograms().queue_wait.sum() - q0;
                 }
             }
             let raw_latency = t - self.now;
@@ -257,7 +257,7 @@ impl<C: HybridMemoryController> System<C> {
             let background_at = self.now;
             for k in 0..view.background.len() {
                 let op = view.background[k];
-                self.device(op.mem).access(op.addr, op.bytes, op.kind, background_at);
+                self.device(op.mem()).access(op.addr, op.bytes, op.kind, background_at);
             }
             let (compute, exposed) =
                 self.params.core_cycles(batch.insts[i], raw_latency, batch.kinds[i]);
@@ -285,7 +285,7 @@ impl<C: HybridMemoryController> System<C> {
         }
         let t = self.now;
         for op in &plan.background {
-            self.device(op.mem).access(op.addr, op.bytes, op.kind, t);
+            self.device(op.mem()).access(op.addr, op.bytes, op.kind, t);
         }
         (&self.hbm, &self.dram)
     }

@@ -29,13 +29,6 @@ impl Addr {
         debug_assert!(align.is_power_of_two(), "alignment must be a power of two");
         Addr(self.0 & !(align - 1))
     }
-
-    /// Byte offset of this address within an `align`-sized region.
-    #[inline]
-    pub fn offset_in(self, align: u64) -> u64 {
-        debug_assert!(align.is_power_of_two(), "alignment must be a power of two");
-        self.0 & (align - 1)
-    }
 }
 
 impl fmt::Display for Addr {
@@ -95,13 +88,6 @@ mod tests {
         assert_eq!(Addr(0x12345).align_down(0x1000), Addr(0x12000));
         assert_eq!(Addr(0x12000).align_down(0x1000), Addr(0x12000));
         assert_eq!(Addr(0).align_down(64), Addr(0));
-    }
-
-    #[test]
-    fn offset_in_extracts_low_bits() {
-        assert_eq!(Addr(0x12345).offset_in(0x1000), 0x345);
-        assert_eq!(Addr(0x40).offset_in(64), 0);
-        assert_eq!(Addr(0x41).offset_in(64), 1);
     }
 
     #[test]

@@ -209,7 +209,7 @@ impl PlanBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{Mem, OpKind, TrafficCause};
+    use crate::plan::{OpKind, TrafficCause, TrafficDevice};
 
     #[test]
     fn batch_columns_stay_aligned_and_recycle() {
@@ -231,23 +231,13 @@ mod tests {
         let mut pb = PlanBuffer::new();
         // Access 0: one critical read, two background ops, some scalars.
         let p = pb.plan_mut();
-        p.critical.push(DeviceOp::demand_read(Mem::Hbm, Addr(0), 64));
-        p.background.push(DeviceOp {
-            mem: Mem::OffChip,
-            addr: Addr(128),
-            bytes: 2048,
-            kind: OpKind::Read,
-            cause: TrafficCause::MissFill,
-            mhbm: false,
-        });
-        p.background.push(DeviceOp {
-            mem: Mem::Hbm,
-            addr: Addr(0),
-            bytes: 2048,
-            kind: OpKind::Write,
-            cause: TrafficCause::MissFill,
-            mhbm: false,
-        });
+        p.demand(AccessKind::Read, TrafficDevice::CHbm, Addr(0), 64);
+        p.copy(
+            (TrafficDevice::OffChip, Addr(128)),
+            (TrafficDevice::CHbm, Addr(0)),
+            2048,
+            TrafficCause::MissFill,
+        );
         p.metadata_cycles = 3;
         p.path = AccessPath::ChbmHit;
         pb.seal();
@@ -260,7 +250,13 @@ mod tests {
         pb.seal();
         // Access 2: one critical write.
         let p = pb.plan_mut();
-        p.critical.push(DeviceOp::demand_write(Mem::OffChip, Addr(64), 64));
+        p.critical.push(DeviceOp {
+            at: TrafficDevice::OffChip,
+            addr: Addr(64),
+            bytes: 64,
+            kind: OpKind::Write,
+            cause: TrafficCause::DemandWrite,
+        });
         pb.seal();
 
         assert_eq!(pb.len(), 3);
@@ -282,7 +278,7 @@ mod tests {
     fn begin_chunk_recycles_without_releasing_capacity() {
         let mut pb = PlanBuffer::new();
         for _ in 0..8 {
-            pb.plan_mut().critical.push(DeviceOp::demand_read(Mem::Hbm, Addr(0), 64));
+            pb.plan_mut().demand(AccessKind::Read, TrafficDevice::CHbm, Addr(0), 64);
             pb.seal();
         }
         let cap = pb.ops.critical.capacity();

@@ -14,7 +14,7 @@ use crate::stats::CtrlStats;
 /// # Example
 ///
 /// ```
-/// use memsim_types::{Access, AccessPlan, Addr, CtrlStats, DeviceOp, HybridMemoryController, Mem};
+/// use memsim_types::{Access, AccessPlan, Addr, CtrlStats, HybridMemoryController, TrafficDevice};
 ///
 /// /// A controller that forwards everything to off-chip DRAM.
 /// struct OffChipOnly {
@@ -24,7 +24,7 @@ use crate::stats::CtrlStats;
 /// impl HybridMemoryController for OffChipOnly {
 ///     fn access(&mut self, req: &Access, plan: &mut AccessPlan) {
 ///         self.stats.offchip_serves += 1;
-///         plan.critical.push(DeviceOp::demand_read(Mem::OffChip, req.addr, 64));
+///         plan.demand(req.kind, TrafficDevice::OffChip, req.addr, 64);
 ///     }
 ///     fn name(&self) -> &'static str { "offchip-only" }
 ///     fn metadata_bytes(&self) -> u64 { 0 }
@@ -89,7 +89,7 @@ pub trait HybridMemoryController {
 mod tests {
     use super::*;
     use crate::addr::Addr;
-    use crate::plan::{DeviceOp, Mem};
+    use crate::plan::TrafficDevice;
 
     struct Dummy {
         stats: CtrlStats,
@@ -98,7 +98,7 @@ mod tests {
     impl HybridMemoryController for Dummy {
         fn access(&mut self, req: &Access, plan: &mut AccessPlan) {
             self.stats.offchip_serves += 1;
-            plan.critical.push(DeviceOp::demand_read(Mem::OffChip, req.addr, 64));
+            plan.demand(req.kind, TrafficDevice::OffChip, req.addr, 64);
         }
         fn name(&self) -> &'static str {
             "dummy"

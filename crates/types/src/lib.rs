@@ -58,5 +58,6 @@ pub use geometry::{Geometry, GeometryBuilder, PageSlot};
 pub use metadata::MetadataModel;
 pub use plan::{
     Access, AccessKind, AccessPath, AccessPlan, DeviceOp, Mem, OpKind, TrafficCause, TrafficDevice,
+    FAULT_STALL_CYCLES,
 };
 pub use stats::{CtrlStats, OverfetchTracker};

@@ -8,16 +8,12 @@
 //! metadata access, the paper's "metadata access latency" (MAL).
 
 use crate::addr::Addr;
-use crate::plan::{AccessPlan, DeviceOp, Mem, OpKind, TrafficCause};
+use crate::plan::{AccessPlan, DeviceOp, OpKind, TrafficCause, TrafficDevice};
 
 /// Models where a design's metadata lives and what each lookup costs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetadataModel {
-    sram_budget: u64,
     metadata_bytes: u64,
-    sram_cycles: u32,
-    entry_bytes: u32,
-    in_memory: Mem,
     sram_hit_fraction: f64,
     lookups: u64,
     spill_lookups: u64,
@@ -46,49 +42,28 @@ impl MetadataModel {
 
     /// Creates a model for a design with `metadata_bytes` of total metadata.
     ///
-    /// When the metadata exceeds `sram_budget`, the overflow lives in
-    /// `in_memory` (HBM for every design in the paper) and lookups miss SRAM
-    /// with probability proportional to the uncovered fraction, touching one
-    /// `entry_bytes`-sized entry in memory.
-    pub fn new(metadata_bytes: u64, sram_budget: u64, in_memory: Mem, entry_bytes: u32) -> Self {
+    /// When the metadata exceeds `sram_budget`, the overflow lives in cHBM
+    /// (as for every design in the paper) and lookups miss SRAM with
+    /// probability proportional to the uncovered fraction, each miss
+    /// reading one 64 B entry.
+    pub fn new(metadata_bytes: u64, sram_budget: u64) -> Self {
         let sram_hit_fraction = if metadata_bytes == 0 {
             1.0
         } else {
             (Self::LOCALITY_BOOST * sram_budget as f64 / metadata_bytes as f64).min(1.0)
         };
-        MetadataModel {
-            sram_budget,
-            metadata_bytes,
-            sram_cycles: Self::SRAM_LOOKUP_CYCLES,
-            entry_bytes,
-            in_memory,
-            sram_hit_fraction,
-            lookups: 0,
-            spill_lookups: 0,
-        }
-    }
-
-    /// A model whose metadata always fits in SRAM (Bumblebee's case).
-    pub fn all_sram(metadata_bytes: u64) -> Self {
-        MetadataModel::new(metadata_bytes, u64::MAX, Mem::Hbm, 0)
+        MetadataModel { metadata_bytes, sram_hit_fraction, lookups: 0, spill_lookups: 0 }
     }
 
     /// Forces every lookup into memory regardless of size (the paper's
     /// Meta-H ablation: all metadata placed in HBM).
-    pub fn all_in_memory(metadata_bytes: u64, in_memory: Mem, entry_bytes: u32) -> Self {
-        let mut m = MetadataModel::new(metadata_bytes, 0, in_memory, entry_bytes);
-        m.sram_hit_fraction = 0.0;
-        m
+    pub fn all_in_memory(metadata_bytes: u64) -> Self {
+        MetadataModel { sram_hit_fraction: 0.0, ..MetadataModel::new(metadata_bytes, 0) }
     }
 
     /// Total metadata footprint in bytes.
     pub fn metadata_bytes(&self) -> u64 {
         self.metadata_bytes
-    }
-
-    /// Whether the metadata fits entirely in the SRAM budget.
-    pub fn fits_in_sram(&self) -> bool {
-        self.metadata_bytes <= self.sram_budget
     }
 
     /// Fraction of lookups served by SRAM.
@@ -117,7 +92,7 @@ impl MetadataModel {
     pub fn lookup(&mut self, plan: &mut AccessPlan, around: Addr) -> u32 {
         self.lookups += 1;
         if self.sram_hit_fraction >= 1.0 {
-            return self.sram_cycles;
+            return Self::SRAM_LOOKUP_CYCLES;
         }
         let miss_fraction = 1.0 - self.sram_hit_fraction;
         // Deterministic Bresenham-style spill schedule: spill once
@@ -128,16 +103,15 @@ impl MetadataModel {
         if due > self.spill_lookups {
             self.spill_lookups += 1;
             plan.background.push(DeviceOp {
-                mem: self.in_memory,
-                addr: around.align_down(64.max(u64::from(self.entry_bytes.max(1)))),
-                bytes: self.entry_bytes.max(64),
+                at: TrafficDevice::CHbm,
+                addr: around.align_down(64),
+                bytes: 64,
                 kind: OpKind::Read,
                 cause: TrafficCause::Metadata,
-                mhbm: false,
             });
             return Self::IN_MEMORY_LOOKUP_CYCLES;
         }
-        self.sram_cycles
+        Self::SRAM_LOOKUP_CYCLES
     }
 }
 
@@ -147,8 +121,7 @@ mod tests {
 
     #[test]
     fn fits_in_sram_never_spills() {
-        let mut m = MetadataModel::new(300 << 10, MetadataModel::PAPER_SRAM_BUDGET, Mem::Hbm, 64);
-        assert!(m.fits_in_sram());
+        let mut m = MetadataModel::new(300 << 10, MetadataModel::PAPER_SRAM_BUDGET);
         let mut plan = AccessPlan::new();
         for i in 0..1000 {
             let c = m.lookup(&mut plan, Addr(i * 64));
@@ -162,8 +135,7 @@ mod tests {
     fn oversized_metadata_spills_proportionally() {
         // 32 MB metadata, 512 KB SRAM → covers 1/64; with the ×8 locality
         // boost that is 12.5% SRAM hits, 87.5% spills.
-        let mut m = MetadataModel::new(32 << 20, 512 << 10, Mem::Hbm, 64);
-        assert!(!m.fits_in_sram());
+        let mut m = MetadataModel::new(32 << 20, 512 << 10);
         let mut plan = AccessPlan::new();
         let mut slow = 0;
         for i in 0..10_000u64 {
@@ -174,12 +146,15 @@ mod tests {
         let ratio = plan.background.len() as f64 / 10_000.0;
         assert!((ratio - 0.875).abs() < 0.01, "spill ratio {ratio}");
         assert_eq!(slow, plan.background.len());
-        assert!(plan.background.iter().all(|o| o.cause == TrafficCause::Metadata && o.mem == Mem::Hbm));
+        assert!(plan
+            .background
+            .iter()
+            .all(|o| o.cause == TrafficCause::Metadata && o.at == TrafficDevice::CHbm));
     }
 
     #[test]
     fn all_in_memory_spills_every_lookup() {
-        let mut m = MetadataModel::all_in_memory(1 << 10, Mem::Hbm, 64);
+        let mut m = MetadataModel::all_in_memory(1 << 10);
         let mut plan = AccessPlan::new();
         for i in 0..100u64 {
             m.lookup(&mut plan, Addr(i * 4096));
@@ -188,21 +163,21 @@ mod tests {
     }
 
     #[test]
-    fn all_sram_helper() {
-        let mut m = MetadataModel::all_sram(10 << 20);
-        assert!(m.fits_in_sram());
-        let mut plan = AccessPlan::new();
-        m.lookup(&mut plan, Addr(0));
-        assert!(plan.background.is_empty());
-    }
-
-    #[test]
     fn spill_ops_are_at_least_64_bytes() {
-        let mut m = MetadataModel::all_in_memory(1 << 20, Mem::OffChip, 8);
+        let mut m = MetadataModel::all_in_memory(1 << 20);
         let mut plan = AccessPlan::new();
         m.lookup(&mut plan, Addr(12345));
-        assert_eq!(plan.background[0].bytes, 64);
-        assert_eq!(plan.background[0].mem, Mem::OffChip);
+        assert_eq!(
+            plan.background,
+            [DeviceOp {
+                at: TrafficDevice::CHbm,
+                addr: Addr(12288),
+                bytes: 64,
+                kind: OpKind::Read,
+                cause: TrafficCause::Metadata,
+            }],
+            "a spill is one 64 B cHBM read of the entry's aligned line"
+        );
     }
 
     #[test]
@@ -211,7 +186,7 @@ mod tests {
         // (irregular), a million lookups each.
         let ratios = [(32 << 20, 512 << 10), (3 << 20, 1 << 17), (1_000_003, 100_000)];
         for (metadata, budget) in ratios {
-            let mut m = MetadataModel::new(metadata, budget, Mem::Hbm, 64);
+            let mut m = MetadataModel::new(metadata, budget);
             let miss_fraction = 1.0 - m.sram_hit_fraction();
             let mut plan = AccessPlan::new();
             let mut spills = 0u64;

@@ -148,11 +148,6 @@ impl TrafficCause {
             TrafficCause::Metadata => 8,
         }
     }
-
-    /// Parses a [`label`](TrafficCause::label) back into the cause.
-    pub fn from_label(label: &str) -> Option<TrafficCause> {
-        TrafficCause::ALL.into_iter().find(|c| c.label() == label)
-    }
 }
 
 /// The traffic-accounting device class an operation lands on. HBM splits
@@ -193,18 +188,19 @@ impl TrafficDevice {
             TrafficDevice::OffChip => 2,
         }
     }
-
-    /// Parses a [`label`](TrafficDevice::label) back into the class.
-    pub fn from_label(label: &str) -> Option<TrafficDevice> {
-        TrafficDevice::ALL.into_iter().find(|d| d.label() == label)
-    }
 }
 
 /// A single device operation.
+///
+/// Controllers build their demand and copy traffic through
+/// [`AccessPlan::demand`] and [`AccessPlan::copy`]; a literal is for an op
+/// that is neither (a probe, a one-sided fill or writeback, a metadata
+/// read) or for a swap whose four legs interleave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceOp {
-    /// Target device.
-    pub mem: Mem,
+    /// The device class the operation lands on: an mHBM or cHBM frame, or
+    /// off-chip DRAM. The timing model reads only its [`mem`](Self::mem).
+    pub at: TrafficDevice,
     /// Device-local byte address (within the device's own address range).
     pub addr: Addr,
     /// Transfer size in bytes.
@@ -213,38 +209,16 @@ pub struct DeviceOp {
     pub kind: OpKind,
     /// Reason this traffic exists.
     pub cause: TrafficCause,
-    /// Whether an HBM-side operation touches an mHBM (memory-mode) frame
-    /// rather than a cHBM (cache-mode) frame. Meaningless (and `false`)
-    /// for [`Mem::OffChip`] operations and for pure-cache designs.
-    pub mhbm: bool,
 }
 
 impl DeviceOp {
-    /// A demand read of `bytes` at `addr` on `mem` (cHBM when on HBM; use
-    /// [`with_mhbm`](DeviceOp::with_mhbm) for memory-mode frames).
-    pub fn demand_read(mem: Mem, addr: Addr, bytes: u32) -> DeviceOp {
-        DeviceOp { mem, addr, bytes, kind: OpKind::Read, cause: TrafficCause::DemandRead, mhbm: false }
-    }
-
-    /// A demand write of `bytes` at `addr` on `mem` (cHBM when on HBM).
-    pub fn demand_write(mem: Mem, addr: Addr, bytes: u32) -> DeviceOp {
-        DeviceOp { mem, addr, bytes, kind: OpKind::Write, cause: TrafficCause::DemandWrite, mhbm: false }
-    }
-
-    /// Marks the operation as targeting a memory-mode (mHBM) HBM frame.
-    #[must_use]
-    pub fn with_mhbm(mut self) -> DeviceOp {
-        self.mhbm = true;
-        self
-    }
-
-    /// The traffic-accounting device class this operation lands on.
+    /// The memory device the operation targets: both HBM classes are the
+    /// one HBM stack.
     #[inline]
-    pub fn device(&self) -> TrafficDevice {
-        match self.mem {
-            Mem::OffChip => TrafficDevice::OffChip,
-            Mem::Hbm if self.mhbm => TrafficDevice::MHbm,
-            Mem::Hbm => TrafficDevice::CHbm,
+    pub fn mem(&self) -> Mem {
+        match self.at {
+            TrafficDevice::MHbm | TrafficDevice::CHbm => Mem::Hbm,
+            TrafficDevice::OffChip => Mem::OffChip,
         }
     }
 }
@@ -311,18 +285,12 @@ impl AccessPath {
             AccessPath::Migration => 4,
         }
     }
-
-    /// Whether the request was served from HBM (either mode).
-    #[inline]
-    pub fn is_hbm(self) -> bool {
-        matches!(self, AccessPath::MhbmHit | AccessPath::ChbmHit)
-    }
-
-    /// Parses a [`label`](AccessPath::label) back into the path.
-    pub fn from_label(label: &str) -> Option<AccessPath> {
-        AccessPath::ALL.into_iter().find(|p| p.label() == label)
-    }
 }
+
+/// Stall cycles charged per OS page fault, the swap-in penalty of ~10 µs
+/// at 3.6 GHz. Every design that faults adds it to
+/// [`AccessPlan::stall_cycles`].
+pub const FAULT_STALL_CYCLES: u64 = 36_000;
 
 /// The controller's answer to one [`Access`]: what the memory system must do.
 ///
@@ -361,12 +329,41 @@ impl AccessPlan {
         self.path = AccessPath::default();
     }
 
+    /// Pushes a request's own transfer of `bytes` at `addr` on `at`. A
+    /// read waits on the critical path; a write is posted to the
+    /// background, since the core does not wait for it.
+    #[inline]
+    pub fn demand(&mut self, kind: AccessKind, at: TrafficDevice, addr: Addr, bytes: u32) {
+        let (ops, kind, cause) = match kind {
+            AccessKind::Read => (&mut self.critical, OpKind::Read, TrafficCause::DemandRead),
+            AccessKind::Write => (&mut self.background, OpKind::Write, TrafficCause::DemandWrite),
+        };
+        ops.push(DeviceOp { at, addr, bytes, kind, cause });
+    }
+
+    /// Pushes a background copy of `bytes`: a read at `from` followed by a
+    /// write at `to`, both attributed to `cause`. Each side names its
+    /// device class and device-local address.
+    #[inline]
+    pub fn copy(
+        &mut self,
+        from: (TrafficDevice, Addr),
+        to: (TrafficDevice, Addr),
+        bytes: u32,
+        cause: TrafficCause,
+    ) {
+        let (at, addr) = from;
+        self.background.push(DeviceOp { at, addr, bytes, kind: OpKind::Read, cause });
+        let (at, addr) = to;
+        self.background.push(DeviceOp { at, addr, bytes, kind: OpKind::Write, cause });
+    }
+
     /// Total bytes moved on `mem` (critical + background).
     pub fn bytes_on(&self, mem: Mem) -> u64 {
         self.critical
             .iter()
             .chain(&self.background)
-            .filter(|op| op.mem == mem)
+            .filter(|op| op.mem() == mem)
             .map(|op| u64::from(op.bytes))
             .sum()
     }
@@ -403,23 +400,13 @@ mod tests {
     fn plan_accounting() {
         let mut plan = AccessPlan::new();
         assert!(plan.is_empty());
-        plan.critical.push(DeviceOp::demand_read(Mem::Hbm, Addr(0), 64));
-        plan.background.push(DeviceOp {
-            mem: Mem::OffChip,
-            addr: Addr(128),
-            bytes: 2048,
-            kind: OpKind::Read,
-            cause: TrafficCause::MissFill,
-            mhbm: false,
-        });
-        plan.background.push(DeviceOp {
-            mem: Mem::Hbm,
-            addr: Addr(0),
-            bytes: 2048,
-            kind: OpKind::Write,
-            cause: TrafficCause::MissFill,
-            mhbm: false,
-        });
+        plan.demand(AccessKind::Read, TrafficDevice::CHbm, Addr(0), 64);
+        plan.copy(
+            (TrafficDevice::OffChip, Addr(128)),
+            (TrafficDevice::CHbm, Addr(0)),
+            2048,
+            TrafficCause::MissFill,
+        );
         assert_eq!(plan.bytes_on(Mem::Hbm), 64 + 2048);
         assert_eq!(plan.bytes_on(Mem::OffChip), 2048);
         assert_eq!(plan.bytes_for(TrafficCause::DemandRead), 64);
@@ -428,37 +415,72 @@ mod tests {
     }
 
     #[test]
-    fn traffic_causes_and_devices_round_trip_labels() {
-        for (i, c) in TrafficCause::ALL.into_iter().enumerate() {
-            assert_eq!(c.index(), i);
-            assert_eq!(TrafficCause::from_label(c.label()), Some(c));
-        }
-        assert_eq!(TrafficCause::from_label("nope"), None);
-        for (i, d) in TrafficDevice::ALL.into_iter().enumerate() {
-            assert_eq!(d.index(), i);
-            assert_eq!(TrafficDevice::from_label(d.label()), Some(d));
-        }
-        assert_eq!(TrafficDevice::from_label("nope"), None);
+    fn demand_and_copy_place_each_op_by_class_kind_and_cause() {
+        let mut plan = AccessPlan::new();
+        plan.demand(AccessKind::Read, TrafficDevice::MHbm, Addr(64), 64);
+        plan.demand(AccessKind::Write, TrafficDevice::OffChip, Addr(128), 72);
+        let read = DeviceOp {
+            at: TrafficDevice::MHbm,
+            addr: Addr(64),
+            bytes: 64,
+            kind: OpKind::Read,
+            cause: TrafficCause::DemandRead,
+        };
+        let write = DeviceOp {
+            at: TrafficDevice::OffChip,
+            addr: Addr(128),
+            bytes: 72,
+            kind: OpKind::Write,
+            cause: TrafficCause::DemandWrite,
+        };
+        assert_eq!(plan.critical, [read], "demand reads wait on the critical path");
+        assert_eq!(plan.background, [write], "demand writes are posted");
+        plan.copy(
+            (TrafficDevice::CHbm, Addr(4096)),
+            (TrafficDevice::OffChip, Addr(8192)),
+            2048,
+            TrafficCause::Writeback,
+        );
+        assert_eq!(plan.critical.len(), 1, "copies never touch the critical path");
+        assert_eq!(
+            plan.background[1..],
+            [
+                DeviceOp {
+                    at: TrafficDevice::CHbm,
+                    addr: Addr(4096),
+                    bytes: 2048,
+                    kind: OpKind::Read,
+                    cause: TrafficCause::Writeback,
+                },
+                DeviceOp {
+                    at: TrafficDevice::OffChip,
+                    addr: Addr(8192),
+                    bytes: 2048,
+                    kind: OpKind::Write,
+                    cause: TrafficCause::Writeback,
+                },
+            ]
+        );
+        assert_eq!(plan.critical[0].mem(), Mem::Hbm);
+        assert_eq!(plan.background[1].mem(), Mem::Hbm);
+        assert_eq!(plan.background[2].mem(), Mem::OffChip);
     }
 
     #[test]
-    fn device_class_splits_hbm_by_residency_mode() {
-        let chbm = DeviceOp::demand_read(Mem::Hbm, Addr(0), 64);
-        assert!(!chbm.mhbm);
-        assert_eq!(chbm.device(), TrafficDevice::CHbm);
-        let mhbm = DeviceOp::demand_write(Mem::Hbm, Addr(0), 64).with_mhbm();
-        assert_eq!(mhbm.cause, TrafficCause::DemandWrite);
-        assert_eq!(mhbm.device(), TrafficDevice::MHbm);
-        // The mHBM flag never reclassifies off-chip traffic.
-        let off = DeviceOp::demand_read(Mem::OffChip, Addr(0), 64).with_mhbm();
-        assert_eq!(off.device(), TrafficDevice::OffChip);
+    fn traffic_causes_and_devices_round_trip_labels() {
+        for (i, c) in TrafficCause::ALL.into_iter().enumerate() {
+            assert_eq!(c.index(), i);
+        }
+        for (i, d) in TrafficDevice::ALL.into_iter().enumerate() {
+            assert_eq!(d.index(), i);
+        }
     }
 
     #[test]
     fn clear_retains_capacity() {
         let mut plan = AccessPlan::new();
         plan.critical.reserve(16);
-        plan.critical.push(DeviceOp::demand_read(Mem::Hbm, Addr(0), 64));
+        plan.demand(AccessKind::Read, TrafficDevice::CHbm, Addr(0), 64);
         plan.metadata_cycles = 3;
         plan.stall_cycles = 99;
         plan.path = AccessPath::ChbmHit;
@@ -475,11 +497,7 @@ mod tests {
     fn access_paths_round_trip_labels_and_partition() {
         for (i, p) in AccessPath::ALL.into_iter().enumerate() {
             assert_eq!(p.index(), i);
-            assert_eq!(AccessPath::from_label(p.label()), Some(p));
         }
-        assert_eq!(AccessPath::from_label("nope"), None);
-        assert!(AccessPath::MhbmHit.is_hbm() && AccessPath::ChbmHit.is_hbm());
-        assert!(!AccessPath::MissFill.is_hbm());
         assert_eq!(AccessPath::default(), AccessPath::MissFill);
     }
 }

@@ -3,6 +3,7 @@
 
 use memsim_types::{
     AccessPlan, Addr, DeviceOp, Mem, MetadataModel, OpKind, OverfetchTracker, TrafficCause,
+    TrafficDevice,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -10,20 +11,18 @@ use std::collections::BTreeMap;
 fn ops() -> impl Strategy<Value = Vec<DeviceOp>> {
     proptest::collection::vec(
         (
-            prop_oneof![Just(Mem::Hbm), Just(Mem::OffChip)],
+            0usize..TrafficDevice::ALL.len(),
             0u64..(1 << 30),
             1u32..65536,
             prop::bool::ANY,
             0usize..TrafficCause::ALL.len(),
-            prop::bool::ANY,
         )
-            .prop_map(|(mem, addr, bytes, write, cause, mhbm)| DeviceOp {
-                mem,
+            .prop_map(|(at, addr, bytes, write, cause)| DeviceOp {
+                at: TrafficDevice::ALL[at],
                 addr: Addr(addr),
                 bytes,
                 kind: if write { OpKind::Write } else { OpKind::Read },
                 cause: TrafficCause::ALL[cause],
-                mhbm,
             }),
         0..64,
     )
@@ -226,13 +225,13 @@ proptest! {
         let by_cause: u64 = TrafficCause::ALL.into_iter().map(|c| plan.bytes_for(c)).sum();
         prop_assert_eq!(by_cause, total);
         // The three traffic-device classes partition the same total.
-        let by_device: u64 = memsim_types::TrafficDevice::ALL
+        let by_device: u64 = TrafficDevice::ALL
             .into_iter()
             .map(|d| {
                 plan.critical
                     .iter()
                     .chain(&plan.background)
-                    .filter(|o| o.device() == d)
+                    .filter(|o| o.at == d)
                     .map(|o| u64::from(o.bytes))
                     .sum::<u64>()
             })
@@ -246,7 +245,7 @@ proptest! {
         budget_kb in 0u64..1024,
         lookups in 100usize..2000,
     ) {
-        let mut m = MetadataModel::new(metadata_kb << 10, budget_kb << 10, Mem::Hbm, 64);
+        let mut m = MetadataModel::new(metadata_kb << 10, budget_kb << 10);
         let mut plan = AccessPlan::new();
         for i in 0..lookups {
             m.lookup(&mut plan, Addr(i as u64 * 64));

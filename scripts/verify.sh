@@ -24,7 +24,17 @@ echo "== benchmark: declaration and smoke test (cargo test --manifest-path bench
 # benchmark/ is its own cargo workspace that calls the simulator only
 # through its public API, so a public-API change in crates/* that breaks
 # it fails here rather than at the next benchmark run.
+# Cargo rewrites benchmark/Cargo.lock here: the committed lock still lists
+# a crate the workspace has since deleted. Files under benchmark/ change
+# only with the benchmark itself, so the lock is copied aside and put back
+# afterwards, on failure too, and the gate leaves the tree as it found it.
+bench_lock="$(mktemp)"
+cp benchmark/Cargo.lock "$bench_lock"
+trap 'cp "$bench_lock" benchmark/Cargo.lock; rm -f "$bench_lock"' EXIT
 cargo test -q --manifest-path benchmark/Cargo.toml
+cp "$bench_lock" benchmark/Cargo.lock
+rm -f "$bench_lock"
+trap - EXIT
 
 echo "== lint: cargo clippy --workspace --all-targets -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -34,7 +34,7 @@
 
 use bumblebee::sim::figures::sensitivity::{self, Sweep};
 use bumblebee::sim::figures::{fig7, fig8, tables};
-use bumblebee::sim::{Engine, MetricsConfig, RunConfig};
+use bumblebee::sim::{Engine, MetricsConfig, ResultSet, RunConfig};
 use bumblebee::trace::SpecProfile;
 
 /// FNV-1a over the results JSONL bytes (each line plus its `\n`).
@@ -84,6 +84,15 @@ fn profiles() -> [SpecProfile; 2] {
     [SpecProfile::mcf(), SpecProfile::wrf()]
 }
 
+/// `epochs ++ trace ++ lat ++ bw` JSONL lines of an instrumented run.
+fn observability_lines(rs: &ResultSet) -> Vec<String> {
+    let mut lines = rs.epochs_jsonl_lines();
+    lines.extend(rs.trace_jsonl_lines());
+    lines.extend(rs.lat_jsonl_lines());
+    lines.extend(rs.bw_jsonl_lines());
+    lines
+}
+
 /// Every observability stream on: epochs every 1000 accesses, a 256-event
 /// trace ring and one access in 16 latency-sampled.
 fn observed_metrics() -> MetricsConfig {
@@ -118,10 +127,7 @@ fn fig8_small_matrix_observability_streams_are_byte_identical() {
         results, FIG8_SMALL_DIGEST,
         "metrics recording moved the results digest to {results:016x}"
     );
-    let mut lines = rs.epochs_jsonl_lines();
-    lines.extend(rs.trace_jsonl_lines());
-    lines.extend(rs.lat_jsonl_lines());
-    lines.extend(rs.bw_jsonl_lines());
+    let lines = observability_lines(&rs);
     let d = digest(&lines);
     assert_eq!(
         d, FIG8_SMALL_OBS_DIGEST,
@@ -232,10 +238,7 @@ fn fig7_small_matrix_observability_streams_are_byte_identical() {
         results, FIG7_SMALL_DIGEST,
         "metrics recording moved the fig7 results digest to {results:016x}"
     );
-    let mut lines = rs.epochs_jsonl_lines();
-    lines.extend(rs.trace_jsonl_lines());
-    lines.extend(rs.lat_jsonl_lines());
-    lines.extend(rs.bw_jsonl_lines());
+    let lines = observability_lines(&rs);
     let d = digest(&lines);
     assert_eq!(
         d, FIG7_SMALL_OBS_DIGEST,
