@@ -531,10 +531,9 @@ mod tests {
                 }
                 batched.access_batch(&batch, &mut plans);
                 assert_eq!(plans.len(), batch.len());
-                for (k, &addr) in chunk.iter().enumerate() {
+                for ((k, &addr), v) in chunk.iter().enumerate().zip(plans.views()) {
                     plan.clear();
                     serial.access(&batch.get(k), &mut plan);
-                    let v = plans.entry(k);
                     assert_eq!(v.critical, plan.critical.as_slice(), "addr {addr}");
                     assert_eq!(v.background, plan.background.as_slice(), "addr {addr}");
                     assert_eq!(v.metadata_cycles, plan.metadata_cycles);

@@ -7,13 +7,25 @@
 
 use crate::config::{CpuTimings, DeviceConfig};
 
+/// The open-row value of a precharged bank. No decoded row reaches it:
+/// a row index is a device-local address divided by the row span, so it
+/// is below `u64::MAX`.
+const CLOSED: u64 = u64::MAX;
+
 /// One bank: open row and earliest next command time.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct Bank {
-    open_row: Option<u64>,
+    /// The open row, or [`CLOSED`].
+    open_row: u64,
     ready_at: u64,
     /// Earliest time the row may be precharged (tRAS constraint).
     precharge_ok_at: u64,
+}
+
+impl Default for Bank {
+    fn default() -> Bank {
+        Bank { open_row: CLOSED, ready_at: 0, precharge_ok_at: 0 }
+    }
 }
 
 /// Outcome of scheduling one chunk on a channel.
@@ -70,36 +82,32 @@ impl Channel {
     ///
     /// # Panics
     ///
-    /// Panics if `bank` is out of range.
+    /// Panics if `bank` is out of range. `row` must be below `u64::MAX`,
+    /// the closed-row sentinel (checked in debug builds).
+    #[inline]
     pub fn schedule(&mut self, bank: u32, row: u64, burst: u64, now: u64) -> ChunkResult {
+        debug_assert!(row != CLOSED, "row {row} collides with the closed-row sentinel");
         let CpuTimings { t_cas, t_rcd, t_rp, t_ras } = self.timings;
 
         let b = &mut self.banks[bank as usize];
         let start = now.max(b.ready_at);
-        let (col_ready, row_hit) = match b.open_row {
-            Some(open) if open == row => (start + t_cas, true),
-            Some(_) => {
-                // Respect tRAS before precharging the old row.
-                let pre_start = start.max(b.precharge_ok_at);
-                let act_done = pre_start + t_rp + t_rcd;
-                b.open_row = Some(row);
-                b.precharge_ok_at = pre_start + t_rp + t_ras;
-                (act_done + t_cas, false)
-            }
-            None => {
-                let act_done = start + t_rcd;
-                b.open_row = Some(row);
-                b.precharge_ok_at = start + t_ras;
-                (act_done + t_cas, false)
-            }
-        };
+        let row_hit = b.open_row == row;
+        // A miss activates `row`: a conflict precharges the old row first,
+        // no earlier than its tRAS expiry; a closed bank activates at once.
+        let act_start =
+            if b.open_row == CLOSED { start } else { start.max(b.precharge_ok_at) + t_rp };
+        // Both outcomes are computed and the all-ones-on-hit mask selects
+        // one, so the data-dependent hit/miss pattern costs no branch.
+        let hit = u64::from(row_hit).wrapping_neg();
+        let col_ready = t_cas + ((start & hit) | ((act_start + t_rcd) & !hit));
+        b.precharge_ok_at = (b.precharge_ok_at & hit) | ((act_start + t_ras) & !hit);
+        b.open_row = row;
 
         // The data burst needs the shared channel bus.
         let data_start = col_ready.max(self.bus_free_at);
         let done_at = data_start + burst;
         self.bus_free_at = done_at;
         self.busy_cycles += burst;
-        let b = &mut self.banks[bank as usize];
         b.ready_at = done_at;
         ChunkResult { done_at, row_hit, bus_wait: data_start - col_ready }
     }

@@ -27,6 +27,13 @@ impl Timing {
 
 /// Full configuration of one memory device (an HBM stack or a DDR channel
 /// group).
+///
+/// [`DramDevice::new`](crate::DramDevice::new) decodes addresses with
+/// shifts and masks, which is exact only for power-of-two geometry: it
+/// panics, naming the field, unless `interleave_bytes`, `channels`,
+/// `banks_per_channel` and `row_bytes` are powers of two, as they are for
+/// every real part. `capacity_bytes` may be any size (Fig. 8's DDR4 device
+/// is 640 MB); addresses past it wrap with an exact modulo.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceConfig {
     /// Human-readable name (e.g. `"HBM2"`).

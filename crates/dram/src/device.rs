@@ -3,7 +3,7 @@
 use crate::channel::Channel;
 use crate::config::{BurstTable, DeviceConfig};
 use memsim_obs::DeviceHistograms;
-use memsim_types::{Addr, OpKind, QuickDiv};
+use memsim_types::{Addr, OpKind};
 
 /// Traffic and row-buffer counters for one device.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -12,11 +12,10 @@ pub struct DeviceCounters {
     pub read_bytes: u64,
     /// Bytes written to the device.
     pub write_bytes: u64,
-    /// Row activations performed: one per row miss.
-    pub activates: u64,
     /// Chunk accesses that hit an open row.
     pub row_hits: u64,
-    /// Chunk accesses that required an activate.
+    /// Chunk accesses that required an activate: every row miss opens the
+    /// new row with exactly one, so this is also the activate count.
     pub row_misses: u64,
     /// Total accesses (after chunking).
     pub chunk_accesses: u64,
@@ -38,6 +37,74 @@ impl DeviceCounters {
     }
 }
 
+/// Shift/mask decode of a device-local address into `(channel, bank,
+/// row)`. Exact because [`DramDevice::new`] checks that the interleave
+/// unit, channel count, bank count and row size are powers of two.
+#[derive(Debug, Clone, Copy)]
+struct AddrMap {
+    /// `interleave_bytes - 1`: an address's offset in its interleave unit.
+    interleave_mask: u64,
+    /// `log2(interleave_bytes)`.
+    interleave_shift: u32,
+    /// `channels - 1`.
+    channel_mask: u64,
+    /// `log2(interleave_bytes × channels)`: dropping these bits leaves an
+    /// address's interleave unit within its channel.
+    local_shift: u32,
+    /// `log2(row_bytes)`.
+    row_shift: u32,
+    /// `banks_per_channel - 1`.
+    bank_mask: u64,
+    /// `log2(row_bytes × banks_per_channel)`.
+    row_span_shift: u32,
+}
+
+impl AddrMap {
+    /// Checks the geometry and captures its shifts.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, if the interleave unit, channel count,
+    /// bank count or row size is not a power of two.
+    fn new(cfg: &DeviceConfig) -> AddrMap {
+        let log2 = |field: &str, v: u64| {
+            assert!(
+                v.is_power_of_two(),
+                "{}: DeviceConfig::{field} must be a power of two, got {v}",
+                cfg.name
+            );
+            v.trailing_zeros()
+        };
+        let interleave_shift = log2("interleave_bytes", cfg.interleave_bytes);
+        let channel_shift = log2("channels", u64::from(cfg.channels));
+        let bank_shift = log2("banks_per_channel", u64::from(cfg.banks_per_channel));
+        let row_shift = log2("row_bytes", cfg.row_bytes);
+        AddrMap {
+            interleave_mask: cfg.interleave_bytes - 1,
+            interleave_shift,
+            channel_mask: u64::from(cfg.channels) - 1,
+            local_shift: interleave_shift + channel_shift,
+            row_shift,
+            bank_mask: u64::from(cfg.banks_per_channel) - 1,
+            row_span_shift: row_shift + bank_shift,
+        }
+    }
+
+    /// The channel, bank and row of device-local address `addr`: the
+    /// interleave unit `addr / interleave_bytes` picks the channel modulo
+    /// the channel count, and the address within that channel
+    /// (`local_unit × interleave_bytes + offset`) picks the bank modulo
+    /// the bank count by row, and the row by row span.
+    #[inline]
+    fn decode(&self, addr: u64) -> (usize, u32, u64) {
+        let channel = (addr >> self.interleave_shift) & self.channel_mask;
+        let local =
+            ((addr >> self.local_shift) << self.interleave_shift) | (addr & self.interleave_mask);
+        let bank = (local >> self.row_shift) & self.bank_mask;
+        (channel as usize, bank as u32, local >> self.row_span_shift)
+    }
+}
+
 /// An HBM stack or off-chip DRAM module; see the
 /// [crate documentation](crate).
 #[derive(Debug, Clone)]
@@ -48,28 +115,23 @@ pub struct DramDevice {
     histograms: DeviceHistograms,
     /// CPU-cycle burst length of every chunk size (no division per chunk).
     bursts: BurstTable,
-    /// Captured divisors for the per-chunk address decomposition
-    /// (interleave / channel / row / bank counts are powers of two for
-    /// every real part, so these run as shift/mask).
-    q_interleave: QuickDiv,
-    q_channels: QuickDiv,
-    q_row: QuickDiv,
-    q_banks: QuickDiv,
-    q_row_span: QuickDiv,
+    map: AddrMap,
 }
 
 impl DramDevice {
     /// Creates an idle device from its configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the field, if `cfg`'s interleave unit, channel
+    /// count, bank count or row size is not a power of two (see
+    /// [`DeviceConfig`]).
     pub fn new(cfg: DeviceConfig) -> DramDevice {
+        let map = AddrMap::new(&cfg);
         let channels = (0..cfg.channels).map(|_| Channel::new(&cfg)).collect();
-        let row_span = cfg.row_bytes * u64::from(cfg.banks_per_channel);
         DramDevice {
-            q_interleave: QuickDiv::new(cfg.interleave_bytes),
-            q_channels: QuickDiv::new(u64::from(cfg.channels)),
-            q_row: QuickDiv::new(cfg.row_bytes),
-            q_banks: QuickDiv::new(u64::from(cfg.banks_per_channel)),
-            q_row_span: QuickDiv::new(row_span),
             bursts: cfg.burst_table(),
+            map,
             cfg,
             channels,
             counters: DeviceCounters::default(),
@@ -100,18 +162,42 @@ impl DramDevice {
     /// The access is split at channel-interleave boundaries; chunks on
     /// different channels proceed in parallel, chunks on the same channel
     /// serialize on its data bus. Addresses wrap modulo the device capacity
-    /// so synthetic traces larger than the device remain valid.
+    /// so synthetic traces larger than the device remain valid. An access
+    /// that ends inside its first interleave unit, as nearly every one
+    /// does, is scheduled as one chunk without entering the split loop.
+    /// `bytes` must be nonzero (checked in debug builds).
+    #[inline]
     pub fn access(&mut self, addr: Addr, bytes: u32, kind: OpKind, now: u64) -> u64 {
         debug_assert!(bytes > 0, "zero-byte access");
         let cap = self.cfg.capacity_bytes;
-        let mut cursor = if addr.0 < cap { addr.0 } else { addr.0 % cap };
+        let cursor = if addr.0 < cap { addr.0 } else { addr.0 % cap };
+        let done = if (cursor & self.map.interleave_mask) + u64::from(bytes)
+            <= self.cfg.interleave_bytes
+        {
+            self.access_chunk(cursor, bytes, now)
+        } else {
+            self.access_split(cursor, bytes, now)
+        };
+        match kind {
+            OpKind::Read => self.counters.read_bytes += u64::from(bytes),
+            OpKind::Write => self.counters.write_bytes += u64::from(bytes),
+        }
+        done
+    }
+
+    /// Schedules an access that crosses an interleave boundary chunk by
+    /// chunk, starting at the already-wrapped address `cursor`; returns
+    /// the last chunk's completion. Kept out of line, so the inlined
+    /// single-chunk path of [`access`](Self::access) stays small.
+    #[inline(never)]
+    fn access_split(&mut self, mut cursor: u64, bytes: u32, now: u64) -> u64 {
+        let cap = self.cfg.capacity_bytes;
         let mut remaining = u64::from(bytes);
         let mut done = now;
         while remaining > 0 {
-            let in_chunk = self.cfg.interleave_bytes - self.q_interleave.rem(cursor);
-            let take = in_chunk.min(remaining) as u32;
-            let r = self.access_chunk(Addr(cursor), take, now);
-            done = done.max(r);
+            let in_unit = self.cfg.interleave_bytes - (cursor & self.map.interleave_mask);
+            let take = in_unit.min(remaining) as u32;
+            done = done.max(self.access_chunk(cursor, take, now));
             // A chunk never exceeds the interleave unit (≤ capacity), so
             // one conditional subtraction wraps exactly like `% cap`.
             cursor += u64::from(take);
@@ -120,43 +206,33 @@ impl DramDevice {
             }
             remaining -= u64::from(take);
         }
-        match kind {
-            OpKind::Read => self.counters.read_bytes += u64::from(bytes),
-            OpKind::Write => self.counters.write_bytes += u64::from(bytes),
-        }
         done
     }
 
-    fn access_chunk(&mut self, addr: Addr, bytes: u32, now: u64) -> u64 {
-        let (chunk, in_chunk) = self.q_interleave.div_rem(addr.0);
-        let (local_chunk, channel) = self.q_channels.div_rem(chunk);
-        let channel = channel as usize;
-        let local_addr = local_chunk * self.cfg.interleave_bytes + in_chunk;
-        let bank = self.q_banks.rem(self.q_row.div(local_addr)) as u32;
-        let row = self.q_row_span.div(local_addr);
+    /// Schedules one chunk that lies inside a single interleave unit.
+    #[inline]
+    fn access_chunk(&mut self, addr: u64, bytes: u32, now: u64) -> u64 {
+        let (channel, bank, row) = self.map.decode(addr);
         let burst = self.bursts.burst(bytes);
         let r = self.channels[channel].schedule(bank, row, burst, now);
-        self.counters.chunk_accesses += 1;
-        if r.row_hit {
-            self.counters.row_hits += 1;
-        } else {
-            // Every row miss opens the new row with one activate.
-            self.counters.row_misses += 1;
-            self.counters.activates += 1;
-        }
+        let c = &mut self.counters;
+        c.chunk_accesses += 1;
+        c.row_hits += u64::from(r.row_hit);
+        c.row_misses += u64::from(!r.row_hit);
         self.histograms.latency.record(r.done_at - now);
         self.histograms.queue_wait.record(r.bus_wait);
         r.done_at
     }
 
-    /// Dynamic energy in pJ from the traffic so far (activates + bursts).
+    /// Dynamic energy in pJ from the traffic so far (activates, one per
+    /// row miss, plus bursts).
     pub fn dynamic_energy_pj(&self) -> f64 {
         let (cfg, c) = (&self.cfg, &self.counters);
         let t = &cfg.timing;
         let t_rc_ns = cfg.device_cycles_ns(u64::from(t.t_rc()));
         let t_ras_ns = cfg.device_cycles_ns(u64::from(t.t_ras));
         let t_rp_ns = cfg.device_cycles_ns(u64::from(t.t_rp));
-        let act = c.activates as f64 * cfg.power.activate_energy_pj(t_rc_ns, t_ras_ns, t_rp_ns);
+        let act = c.row_misses as f64 * cfg.power.activate_energy_pj(t_rc_ns, t_ras_ns, t_rp_ns);
         let ns_per_byte = 1000.0 / (cfg.device_mhz as f64 * f64::from(cfg.bus_bytes_per_cycle));
         let rd = cfg.power.read_energy_pj(c.read_bytes as f64 * ns_per_byte, c.read_bytes as f64);
         let wr =
@@ -300,6 +376,30 @@ mod tests {
         assert!(h.latency.max() > 0);
         // Back-to-back bursts on the same channel queue behind the bus.
         assert!(h.queue_wait.max() > 0, "a 128-chunk page must contend for the bus");
+    }
+
+    #[test]
+    #[should_panic(expected = "DeviceConfig::interleave_bytes must be a power of two, got 768")]
+    fn non_power_of_two_interleave_is_rejected() {
+        DramDevice::new(DeviceConfig { interleave_bytes: 768, ..presets::hbm2(64 << 20) });
+    }
+
+    #[test]
+    #[should_panic(expected = "DeviceConfig::channels must be a power of two, got 6")]
+    fn non_power_of_two_channel_count_is_rejected() {
+        DramDevice::new(DeviceConfig { channels: 6, ..presets::hbm2(64 << 20) });
+    }
+
+    #[test]
+    #[should_panic(expected = "DeviceConfig::banks_per_channel must be a power of two, got 12")]
+    fn non_power_of_two_bank_count_is_rejected() {
+        DramDevice::new(DeviceConfig { banks_per_channel: 12, ..presets::ddr4_3200(640 << 20) });
+    }
+
+    #[test]
+    #[should_panic(expected = "DeviceConfig::row_bytes must be a power of two, got 3072")]
+    fn non_power_of_two_row_size_is_rejected() {
+        DramDevice::new(DeviceConfig { row_bytes: 3 << 10, ..presets::ddr4_3200(640 << 20) });
     }
 
     #[test]

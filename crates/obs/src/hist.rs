@@ -24,13 +24,11 @@ impl Pow2Histogram {
         Pow2Histogram::default()
     }
 
-    /// The bucket index `v` falls into (0 and 1 share bucket 0).
+    /// The bucket index `v` falls into (0 and 1 share bucket 0): `v.ilog2()`
+    /// for `v ≥ 1`, computed without a branch on zero.
+    #[inline]
     pub fn bucket_of(v: u64) -> usize {
-        if v == 0 {
-            0
-        } else {
-            v.ilog2() as usize
-        }
+        (v | 1).ilog2() as usize
     }
 
     /// The half-open value range `[lo, hi)` of bucket `k`.
@@ -42,7 +40,9 @@ impl Pow2Histogram {
         }
     }
 
-    /// Records one value.
+    /// Records one value. Inlined across crates: the DRAM model records
+    /// two values per scheduled chunk.
+    #[inline]
     pub fn record(&mut self, v: u64) {
         self.buckets[Self::bucket_of(v)] += 1;
         self.total += 1;
@@ -138,6 +138,15 @@ mod tests {
         assert_eq!(Pow2Histogram::bucket_of(3), 1);
         assert_eq!(Pow2Histogram::bucket_of(4), 2);
         assert_eq!(Pow2Histogram::bucket_of(u64::MAX), 63);
+        // The branch-free form equals the zero-guarded `ilog2` at every
+        // bucket edge.
+        let guarded = |v: u64| if v == 0 { 0 } else { v.ilog2() as usize };
+        for k in 0..64 {
+            let p = 1u64 << k;
+            for v in [p - 1, p, p + 1, p | (p >> 1)] {
+                assert_eq!(Pow2Histogram::bucket_of(v), guarded(v), "{v}");
+            }
+        }
     }
 
     #[test]

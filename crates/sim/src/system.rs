@@ -201,38 +201,45 @@ impl<C: HybridMemoryController> System<C> {
         rate: u64,
     ) {
         self.controller.access_batch(batch, plans);
-        for i in 0..batch.len() {
-            let view = plans.entry(i);
-            self.counters.accesses += 1;
-            self.counters.instructions += u64::from(batch.insts[i]);
-            self.path_counts[view.path.index()] += 1;
-            if let Some(acc) = self.traffic.as_deref_mut() {
+        assert_eq!(plans.len(), batch.len(), "the controller seals one plan per access");
+        // The clock and the counters stay in locals for the whole chunk
+        // and are written back once at its end.
+        let params = self.params;
+        let mut now = self.now;
+        let mut c = self.counters;
+        let mut path_counts = self.path_counts;
+        let (hbm, dram) = (&mut self.hbm, &mut self.dram);
+        let mut traffic = self.traffic.as_deref_mut();
+        let sampling = ring.is_some();
+        c.accesses += batch.len() as u64;
+        let requests = batch.kinds.iter().zip(&batch.insts);
+        for (i, (view, (&kind, &insts))) in plans.views().zip(requests).enumerate() {
+            c.instructions += u64::from(insts);
+            path_counts[view.path.index()] += 1;
+            if let Some(acc) = traffic.as_deref_mut() {
                 acc.record_view(view.critical, view.background);
             }
             let seq = base_seq + i as u64;
-            let probing = ring.is_some() && sampled(seq, rate);
-            let mut t = self.now + u64::from(view.metadata_cycles);
+            let probing = sampling && sampled(seq, rate);
+            let mut t = now + u64::from(view.metadata_cycles);
             let mut mal = u64::from(view.metadata_cycles);
             // Bus-queue wait of non-metadata critical ops, measured only
             // for sampled accesses by snapshotting the device's exact
             // running queue-wait sum around each op.
             let mut queue = 0u64;
-            for k in 0..view.critical.len() {
-                let op = view.critical[k];
+            for op in view.critical {
+                let dev = device(hbm, dram, op.mem());
                 let start = t;
-                let q0 = if probing && op.cause != TrafficCause::Metadata {
-                    self.device(op.mem()).histograms().queue_wait.sum()
-                } else {
-                    0
-                };
-                t = self.device(op.mem()).access(op.addr, op.bytes, op.kind, t);
-                if op.cause == TrafficCause::Metadata {
+                let metadata = op.cause == TrafficCause::Metadata;
+                let q0 = if probing && !metadata { dev.histograms().queue_wait.sum() } else { 0 };
+                t = dev.access(op.addr, op.bytes, op.kind, t);
+                if metadata {
                     mal += t - start;
                 } else if probing {
-                    queue += self.device(op.mem()).histograms().queue_wait.sum() - q0;
+                    queue += dev.histograms().queue_wait.sum() - q0;
                 }
             }
-            let raw_latency = t - self.now;
+            let raw_latency = t - now;
             if probing {
                 if let Some(r) = ring.as_deref_mut() {
                     r.push(AccessRecord {
@@ -254,25 +261,18 @@ impl<C: HybridMemoryController> System<C> {
             // unboundedly ahead of sim time and charge every later demand
             // for queueing that never happens in a real (reordering,
             // demand-first) memory controller.
-            let background_at = self.now;
-            for k in 0..view.background.len() {
-                let op = view.background[k];
-                self.device(op.mem()).access(op.addr, op.bytes, op.kind, background_at);
+            for op in view.background {
+                device(hbm, dram, op.mem()).access(op.addr, op.bytes, op.kind, now);
             }
-            let (compute, exposed) =
-                self.params.core_cycles(batch.insts[i], raw_latency, batch.kinds[i]);
-            self.counters.demand_cycles += exposed;
-            self.counters.mal_cycles += mal;
-            self.counters.stall_cycles += view.stall_cycles;
-            self.now += compute + exposed + view.stall_cycles;
+            let (compute, exposed) = params.core_cycles(insts, raw_latency, kind);
+            c.demand_cycles += exposed;
+            c.mal_cycles += mal;
+            c.stall_cycles += view.stall_cycles;
+            now += compute + exposed + view.stall_cycles;
         }
-    }
-
-    fn device(&mut self, mem: Mem) -> &mut DramDevice {
-        match mem {
-            Mem::Hbm => &mut self.hbm,
-            Mem::OffChip => &mut self.dram,
-        }
+        self.now = now;
+        self.counters = c;
+        self.path_counts = path_counts;
     }
 
     /// Finalizes the run (controller drain) and returns
@@ -285,7 +285,7 @@ impl<C: HybridMemoryController> System<C> {
         }
         let t = self.now;
         for op in &plan.background {
-            self.device(op.mem()).access(op.addr, op.bytes, op.kind, t);
+            device(&mut self.hbm, &mut self.dram, op.mem()).access(op.addr, op.bytes, op.kind, t);
         }
         (&self.hbm, &self.dram)
     }
@@ -310,6 +310,17 @@ impl<C: HybridMemoryController> System<C> {
     /// Off-chip device counters.
     pub fn dram(&self) -> &DramDevice {
         &self.dram
+    }
+}
+
+/// The device `mem` names, picked from split borrows of both devices, so
+/// the service loop can hold the traffic accumulator of `System` at the
+/// same time.
+#[inline]
+fn device<'d>(hbm: &'d mut DramDevice, dram: &'d mut DramDevice, mem: Mem) -> &'d mut DramDevice {
+    match mem {
+        Mem::Hbm => hbm,
+        Mem::OffChip => dram,
     }
 }
 

@@ -119,7 +119,7 @@ pub struct PlanView<'a> {
 /// The controller appends every access's device operations into one shared
 /// [`AccessPlan`] whose vectors are cleared once per *chunk* (not per
 /// access); [`seal`](PlanBuffer::seal) records the per-access slice bounds
-/// so [`entry`](PlanBuffer::entry) can replay each access's exact plan
+/// so [`views`](PlanBuffer::views) can replay each access's exact plan
 /// later. Scalar plan fields (`metadata_cycles`, `stall_cycles`, `path`)
 /// are reset per access by [`plan_mut`](PlanBuffer::plan_mut) — resetting
 /// three scalars is the entire per-access bookkeeping cost.
@@ -186,23 +186,23 @@ impl PlanBuffer {
         self.entries.is_empty()
     }
 
-    /// The sealed plan of access `i`, as slices into the shared arena.
+    /// Every sealed plan of the chunk in access order, as slices into the
+    /// shared arena. The iterator carries running arena cursors: each
+    /// entry's slices start where its predecessor's ended.
     #[inline]
-    pub fn entry(&self, i: usize) -> PlanView<'_> {
-        let e = &self.entries[i];
-        let (crit_start, bg_start) = if i == 0 {
-            (0, 0)
-        } else {
-            let p = &self.entries[i - 1];
-            (p.crit_end as usize, p.bg_end as usize)
-        };
-        PlanView {
-            critical: &self.ops.critical[crit_start..e.crit_end as usize],
-            background: &self.ops.background[bg_start..e.bg_end as usize],
-            metadata_cycles: e.metadata_cycles,
-            stall_cycles: e.stall_cycles,
-            path: e.path,
-        }
+    pub fn views(&self) -> impl ExactSizeIterator<Item = PlanView<'_>> + '_ {
+        let (mut crit_end, mut bg_end) = (0, 0);
+        self.entries.iter().map(move |e| {
+            let (crit_start, bg_start) = (crit_end, bg_end);
+            (crit_end, bg_end) = (e.crit_end as usize, e.bg_end as usize);
+            PlanView {
+                critical: &self.ops.critical[crit_start..crit_end],
+                background: &self.ops.background[bg_start..bg_end],
+                metadata_cycles: e.metadata_cycles,
+                stall_cycles: e.stall_cycles,
+                path: e.path,
+            }
+        })
     }
 }
 
@@ -260,18 +260,26 @@ mod tests {
         pb.seal();
 
         assert_eq!(pb.len(), 3);
-        let v0 = pb.entry(0);
+        let mut views = pb.views();
+        assert_eq!(views.len(), 3);
+        let v0 = views.next().unwrap();
         assert_eq!(v0.critical.len(), 1);
         assert_eq!(v0.background.len(), 2);
         assert_eq!(v0.metadata_cycles, 3);
         assert_eq!(v0.path, AccessPath::ChbmHit);
-        let v1 = pb.entry(1);
+        let v1 = views.next().unwrap();
         assert!(v1.critical.is_empty() && v1.background.is_empty());
         assert_eq!(v1.stall_cycles, 99);
-        let v2 = pb.entry(2);
+        let v2 = views.next().unwrap();
         assert_eq!(v2.critical.len(), 1);
         assert_eq!(v2.critical[0].kind, OpKind::Write);
         assert!(v2.background.is_empty());
+        assert!(views.next().is_none());
+        // The views tile both arena vectors exactly, in order.
+        let ops: Vec<DeviceOp> = pb.views().flat_map(|v| v.critical.iter().copied()).collect();
+        assert_eq!(ops, pb.ops.critical);
+        let ops: Vec<DeviceOp> = pb.views().flat_map(|v| v.background.iter().copied()).collect();
+        assert_eq!(ops, pb.ops.background);
     }
 
     #[test]

@@ -146,10 +146,9 @@ mod tests {
         let mut serial = Dummy { stats: CtrlStats::new() };
         let mut plan = AccessPlan::new();
         assert_eq!(plans.len(), batch.len());
-        for i in 0..batch.len() {
+        for (i, view) in plans.views().enumerate() {
             plan.clear();
             serial.access(&batch.get(i), &mut plan);
-            let view = plans.entry(i);
             assert_eq!(view.critical, plan.critical.as_slice());
             assert_eq!(view.background, plan.background.as_slice());
             assert_eq!(view.metadata_cycles, plan.metadata_cycles);

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification gate: offline release build, full test suite, and
+# Tier-1 verification gate: offline release build, full test suite, the
+# byte-identity digests once more in the release build, and
 # parallel-vs-serial smoke runs of the fig8 (small and paper geometry),
 # fig7 and sensitivity binaries. Run from the repo root.
 #
@@ -19,6 +20,13 @@ echo "== tier-1: cargo test -q --no-fail-fast =="
 # --no-fail-fast the first failing test target stops cargo and hides every
 # later target's result; cargo still exits nonzero on any failure.
 cargo test -q --no-fail-fast
+
+echo "== release: cargo test --release -q --test byte_identity =="
+# The tier-1 suite runs in a debug build, with overflow checks and
+# debug_asserts on. The figures and the benchmark run the release build, so
+# its cycle-domain output is pinned to the same digests here: arithmetic
+# that diverges only without those checks fails this step.
+cargo test --release -q --test byte_identity
 
 echo "== benchmark: declaration and smoke test (cargo test --manifest-path benchmark/Cargo.toml) =="
 # benchmark/ is its own cargo workspace that calls the simulator only
